@@ -306,11 +306,13 @@ def verify_local_broadcast(
     if sender not in trace.machines:
         raise ValueError(f"unknown sender id {sender}")
     start, end = window
-    limit = radius if radius is not None else float(network.r_bcast[network.index(sender)])
-    for other in network.ids:
+    if radius is None:
+        receivers = network.out_edges[sender]
+    else:
+        row = network.distances[network.index(sender)]
+        receivers = [network.ids[j] for j in np.nonzero(row <= radius)[0]]
+    for other in receivers:
         if other == sender:
-            continue
-        if network.dist(sender, other) > limit:
             continue
         node = network.node(other)
         if node.wake_slot > start or (node.sleep_slot is not None and node.sleep_slot < end):

@@ -84,8 +84,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     rb.add_argument("--trace", help="write a JSONL replay trace (first seed only)")
     rb.add_argument("--budget-constant", type=float, default=64.0,
                     help="slow-start global budget constant")
-    rb.add_argument("--high-power-frac", type=float, default=0.25,
-                    help="varpower: fraction of slots at the high level")
+    rb.add_argument("--high-power-frac", type=float, default=None,
+                    help="varpower: fraction of the broadcast threshold spent at full "
+                         "power before the power drop (default "
+                         f"{ExperimentConfig.varpower_high_fraction})")
     _add_seeds(rb)
 
     rc = sub.add_parser("run-coloring", help="run the coloring protocol")
@@ -146,7 +148,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             csv_path=args.csv,
             trace_path=args.trace,
             slow_start_budget_constant=args.budget_constant,
-            varpower_high_fraction=args.high_power_frac,
+            **(
+                {}
+                if args.high_power_frac is None
+                else {"varpower_high_fraction": args.high_power_frac}
+            ),
         )
         report = run_experiment(config)
         print(report_summary(report))

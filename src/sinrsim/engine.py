@@ -273,6 +273,7 @@ class SimTrace:
     first_full_success: dict[int, Optional[int]]
     outcomes: Optional[list[SlotOutcome]] = None
     eventful_slots: int = 0
+    outcomes_truncated: bool = False  # outcome_limit dropped records
 
     def events_of(self, node_id: int) -> list[tuple[int, str, Any]]:
         return self.machines[node_id].log
@@ -331,40 +332,40 @@ def _bits(mask: int) -> Iterable[int]:
 
 
 class _Core:
-    """Precomputed physical-layer state shared by one run."""
+    """Precomputed physical-layer state shared by one run: the matrix of
+    distance**alpha and lone-transmission reach bitmasks per (sender, power).
+    Interference only raises the SINR denominator, so a multi-transmission
+    slot is decided over the listeners inside its senders' reach only."""
+
+    # relative slack on the beta*noise floor of the candidate filter; it
+    # exceeds the rounding error of the SINR test, about (k+1)(1+beta)
+    # units of 2**-53 for k concurrent terms, for any k up to ~10**6 / beta
+    _SLACK = 1e-9
 
     def __init__(self, network: Network):
         self.network = network
         params = network.params
         self.beta = params.beta_true
         self.noise = params.noise_true
-        dist_alpha = network.distances**params.alpha_true
-        np.fill_diagonal(dist_alpha, math.inf)
-        self.dist_alpha: list[list[float]] = dist_alpha.tolist()
-        self._reach_cache: dict[tuple[int, float], int] = {}
-        self.out_mask = [0] * network.n
-        for i in range(network.n):
-            mask = 0
-            for j in np.nonzero(network.adjacency[i])[0]:
-                mask |= 1 << int(j)
-            self.out_mask[i] = mask
+        self.dist_alpha = network.distances**params.alpha_true
+        np.fill_diagonal(self.dist_alpha, math.inf)
+        self._reach_cache: dict[tuple[int, float], tuple[int, int]] = {}
+        self.out_mask = [_mask_of(row) for row in network.adjacency]
 
-    def reach(self, idx: int, power: float) -> int:
-        """Listeners that decode a lone transmission from `idx` at `power`."""
+    def reach(self, idx: int, power: float) -> tuple[int, int]:
+        """Listeners that decode a lone transmission from `idx` at `power`,
+        exactly and as the slack superset used to filter candidates."""
         key = (idx, power)
-        mask = self._reach_cache.get(key)
-        if mask is None:
-            row = self.dist_alpha[idx]
+        masks = self._reach_cache.get(key)
+        if masks is None:
+            signal = power / self.dist_alpha[idx]  # 0 at the sender itself
             floor = self.beta * self.noise
-            mask = 0
-            bit = 1
-            for l in range(self.network.n):
-                d = row[l]
-                if d != math.inf and power / d >= floor:
-                    mask |= bit
-                bit <<= 1
-            self._reach_cache[key] = mask
-        return mask
+            masks = (
+                _mask_of(signal >= floor),
+                _mask_of(signal >= floor * (1.0 - self._SLACK)),
+            )
+            self._reach_cache[key] = masks
+        return masks
 
     def resolve(
         self, listeners: int, txs: list[_SlotTx], extra: Sequence[tuple[int, float]] = ()
@@ -376,27 +377,40 @@ class _Core:
             return []
         if len(txs) == 1 and not extra:
             idx, power, _ = txs[0]
-            return [(l, 0) for l in _bits(self.reach(idx, power) & listeners)]
-        beta = self.beta
-        noise = self.noise
+            return [(l, 0) for l in _bits(self.reach(idx, power)[0] & listeners)]
+        union = 0
+        for idx, power, _ in txs:
+            union |= self.reach(idx, power)[1]
+        cand = _indices(union & listeners, self.network.n)
+        if cand.size == 0:
+            return []
         dist_alpha = self.dist_alpha
-        out = []
-        for l in _bits(listeners):
-            gains = [power / dist_alpha[idx][l] for idx, power, _ in txs]
-            noise_l = noise
-            for idx, power in extra:
-                if idx != l:
-                    noise_l += power / dist_alpha[idx][l]
-            total = sum(gains) + noise_l
-            winner = -1
-            hits = 0
-            for k, g in enumerate(gains):
-                if g >= beta * (total - g):
-                    hits += 1
-                    winner = k
-            if hits == 1:
-                out.append((l, winner))
-        return out
+        gains = [power / dist_alpha[idx, cand] for idx, power, _ in txs]
+        # the denominator adds up left to right, gains in transmission order
+        # and then noise plus overlap terms, as a scalar loop per listener
+        # would; np.sum would add pairwise and round differently
+        total = gains[0]
+        for g in gains[1:]:
+            total = total + g
+        noise_l = self.noise
+        for idx, power in extra:
+            noise_l = noise_l + power / dist_alpha[idx, cand]  # + 0.0 at idx itself
+        total = total + noise_l
+        hits = np.array([g >= self.beta * (total - g) for g in gains])
+        single = np.count_nonzero(hits, axis=0) == 1
+        winners = hits[:, single].argmax(axis=0)
+        return list(zip(cand[single].tolist(), winners.tolist()))
+
+
+def _mask_of(row: np.ndarray) -> int:
+    """Bitmask (bit j = row[j]) of a boolean vector."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def _indices(mask: int, n: int) -> np.ndarray:
+    """Ascending set-bit positions of an n-bit mask."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
@@ -495,6 +509,7 @@ def run_simulation(
     full_success = dict.fromkeys(network.ids, 0)
     first_full: dict[int, Optional[int]] = dict.fromkeys(network.ids)
     outcomes: Optional[list[SlotOutcome]] = [] if trace.record_outcomes else None
+    truncated = False
     eventful = 0
 
     def guarded(machine: ProtocolMachine, slot: int, call: Callable[[], Any]) -> Any:
@@ -550,7 +565,7 @@ def run_simulation(
     def deliver_stats(
         tx_slot: int, now: int, txs: list[_SlotTx], resolved: list[tuple[int, int]]
     ) -> None:
-        nonlocal pending_slot, eventful
+        nonlocal pending_slot, eventful, truncated
         eventful += 1
         got: dict[int, list[tuple[int, Any]]] = {}
         rx_masks = [0] * len(txs)
@@ -577,9 +592,11 @@ def run_simulation(
             if pending_slot < 0:
                 push(now + 1, _DELIVER)
             pending_slot = now + 1
-        if outcomes is not None and (
-            trace.outcome_limit is None or len(outcomes) < trace.outcome_limit
-        ):
+        if outcomes is None:
+            return
+        if trace.outcome_limit is not None and len(outcomes) >= trace.outcome_limit:
+            truncated = True
+        else:
             records = [
                 Transmission(network.ids[i], tx_slot, power, payload)
                 for i, power, payload in txs
@@ -802,4 +819,5 @@ def run_simulation(
         first_full_success=first_full,
         outcomes=outcomes,
         eventful_slots=eventful,
+        outcomes_truncated=truncated,
     )

@@ -7,6 +7,7 @@ import csv
 import io
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -173,22 +174,31 @@ def halo_pair_count(network: Network) -> int:
     reach = (network.powers / (params.noise_true * params.beta_true)) ** (
         1.0 / params.alpha_true
     )
-    count = 0
-    for i in range(network.n):
-        for j in range(network.n):
-            if i != j and network.r_bcast[i] < network.distances[i, j] <= reach[i]:
-                count += 1
-    return count
+    halo = (network.r_bcast[:, None] < network.distances) & (
+        network.distances <= reach[:, None]
+    )
+    np.fill_diagonal(halo, False)
+    return int(np.count_nonzero(halo))
+
+
+_TRACE_OUTCOME_LIMIT = 100_000  # eventful slots kept for a --trace file
 
 
 def _trace_config(trace_path, seed, first_seed):
     if trace_path and seed == first_seed:
-        return TraceConfig(record_outcomes=True, outcome_limit=100_000)
+        return TraceConfig(record_outcomes=True, outcome_limit=_TRACE_OUTCOME_LIMIT)
     return None
 
 
 def _maybe_export(trace, trace_path, seed, first_seed):
     if trace_path and seed == first_seed:
+        if trace.outcomes_truncated:
+            warnings.warn(
+                f"trace {trace_path} holds only the first {_TRACE_OUTCOME_LIMIT} "
+                "eventful slots of the run",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         trace.export_jsonl(trace_path)
 
 

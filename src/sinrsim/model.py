@@ -19,6 +19,7 @@ all the structural complications this package deals with.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -95,6 +96,13 @@ class Node:
     sleep_slot: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("x", "y", "power"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"node {self.id}: {name} must be finite")
+        for name in ("wake_slot", "sleep_slot"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"node {self.id}: {name} must be an integer, got {value!r}")
         if self.power <= 0.0:
             raise ValueError(f"node {self.id}: power must be positive")
         if self.wake_slot < 0:

@@ -54,6 +54,21 @@ def brute_longest_chain(network: Network) -> int:
     return max(dfs(v, {v}) for v in network.ids)
 
 
+def brute_halo_pair_count(network: Network) -> int:
+    """Ordered pairs beyond the sender's broadcasting range but within its
+    true-parameter reach, counted pair by pair."""
+    params = network.params
+    reach = (network.powers / (params.noise_true * params.beta_true)) ** (
+        1.0 / params.alpha_true
+    )
+    count = 0
+    for i in range(network.n):
+        for j in range(network.n):
+            if i != j and network.r_bcast[i] < network.distances[i, j] <= reach[i]:
+                count += 1
+    return count
+
+
 def brute_ring_index(d: float, r: float):
     """Smallest ring index whose annulus contains distance d."""
     if d < 3.0 * r:

@@ -115,35 +115,71 @@ class TestResolveSlot:
             )
 
 
+def sinr_oracle(network, txs, extra, listeners):
+    """(listener id, sender id) receptions decided by `sinr_check`, with
+    `extra` (node id, power) pairs interfering at every other listener."""
+    pairs = set()
+    for listener in listeners:
+        decoded = []
+        for tx in txs:
+            others = [(o.sender, o.power) for o in txs if o.sender != tx.sender]
+            others += [(v, p) for v, p in extra if v != listener]
+            if sinr_check(network, tx.sender, listener, others, sender_power=tx.power):
+                decoded.append(tx.sender)
+        if len(decoded) == 1:
+            pairs.add((listener, decoded[0]))
+    return pairs
+
+
 class TestFastPathEquivalence:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_core_resolver_matches_reference(self, data):
         seed = data.draw(st.integers(0, 100_000))
         rng = np.random.default_rng(seed)
-        n = data.draw(st.integers(3, 9))
-        net = random_small_network(rng, n, sinr_params(alpha=3.0, beta=1.0))
-        k = data.draw(st.integers(1, min(4, n)))
-        senders = sorted(rng.choice(n, size=k, replace=False).tolist())
-        txs = [
-            Transmission(net.ids[i], 7, float(net.node(net.ids[i]).power), f"m{i}")
-            for i in senders
-        ]
-        reference = resolve_slot(net, txs)
-        core = _Core(net)
+        n = data.draw(st.integers(3, 40))
+        params = sinr_params(alpha=3.0, beta=1.0)
+        base = random_small_network(rng, n - 1, params)
+        # node 0 sits on a dyadic grid point and sends at power 8: the last
+        # node, exactly 2 away, lies on its beta*noise reach boundary
+        x0 = math.floor(base.nodes[0].x * 64) / 64
+        y0 = math.floor(base.nodes[0].y * 64) / 64
+        nodes = [Node(0, x0, y0, base.nodes[0].power), *base.nodes[1:]]
+        nodes.append(Node(n - 1, x0 + 2.0, y0, float(rng.uniform(1.0, 8.0))))
+        net = build_network(nodes, params)
+        assert net.dist(0, n - 1) == 2.0
+
+        k = data.draw(st.integers(1, min(6, n - 1)))
+        senders = sorted({0, *rng.choice(n - 1, size=k, replace=False).tolist()})
+        # per-transmission powers off the node power, as variable power sends
+        powers = {i: 8.0 if i == 0 else float(net.powers[i] * rng.uniform(0.5, 1.5))
+                  for i in senders}
+        txs = [Transmission(net.ids[i], 7, powers[i], f"m{i}") for i in senders]
+        others = [i for i in range(n) if i not in powers]
+        n_extra = data.draw(st.integers(0, min(3, len(others))))
+        extra = [(i, float(net.powers[i] * rng.uniform(0.2, 1.0)))
+                 for i in rng.choice(others, size=n_extra, replace=False).tolist()]
+
         listeners = 0
-        tx_mask = 0
-        for i in senders:
-            tx_mask |= 1 << i
-        for i in range(n):
-            if not (tx_mask >> i) & 1:
-                listeners |= 1 << i
-        fast = core.resolve(
-            listeners, [(i, float(net.node(net.ids[i]).power), None) for i in senders]
+        for i in others:
+            listeners |= 1 << i
+        fast = _Core(net).resolve(
+            listeners, [(i, powers[i], None) for i in senders], extra
         )
         fast_pairs = {(net.ids[l], txs[t].sender) for l, t in fast}
-        ref_pairs = {(l, tx.sender) for l, tx in reference.receptions}
-        assert fast_pairs == ref_pairs
+        if extra:
+            expected = sinr_oracle(
+                net, txs, [(net.ids[i], p) for i, p in extra], [net.ids[i] for i in others]
+            )
+        else:
+            reference = resolve_slot(net, txs)
+            expected = {(l, tx.sender) for l, tx in reference.receptions}
+        assert fast_pairs == expected
+        # alone, node 0 reaches the boundary listener on both paths (an
+        # interferer at the listener itself adds nothing there)
+        lone = [(0, 8.0, None)]
+        assert _Core(net).resolve(1 << (n - 1), lone) == [(n - 1, 0)]
+        assert _Core(net).resolve(1 << (n - 1), lone, [(n - 1, 1.0)]) == [(n - 1, 0)]
 
 
 class ChatterMachine(ProtocolMachine):
@@ -266,6 +302,23 @@ class TestRunSimulation:
             seed=12,
         )
         assert trace.tx_count[0] == pytest.approx(25_000, abs=1_000)
+
+    def test_outcome_limit_marks_truncation(self, exact_params):
+        net = pair_network(exact_params, d=1.0)
+
+        def run(limit):
+            return run_simulation(
+                net,
+                lambda node, r: ChatterMachine(node, r, prob=1.0),
+                max_slots=20,
+                seed=0,
+                trace=TraceConfig(record_outcomes=True, outcome_limit=limit),
+            )
+
+        cut = run(5)
+        assert len(cut.outcomes) == 5 and cut.outcomes_truncated
+        whole = run(None)
+        assert len(whole.outcomes) == 20 and not whole.outcomes_truncated
 
     def test_sleeping_node_stops_participating(self, exact_params):
         net = build_network(

@@ -9,6 +9,7 @@ from sinrsim.experiment import (
     ExperimentConfig,
     RegionBudgetMonitor,
     analyze_network,
+    halo_pair_count,
     report_summary,
     run_coloring,
     run_experiment,
@@ -24,7 +25,7 @@ from sinrsim.topology import (
     uniform_topology,
 )
 
-from .conftest import brute_longest_chain
+from .conftest import brute_halo_pair_count, brute_longest_chain
 
 
 class TestGenerators:
@@ -204,6 +205,22 @@ class TestAnalyze:
         assert report["interference_max"] <= report["far_interference_margin"]
 
 
+class TestHaloPairs:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_pairwise_count(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        params = NetworkParams(
+            alpha_lo=2.9, alpha_hi=3.1, alpha_true=3.0,
+            beta_lo=1.0, beta_hi=1.5, beta_true=1.2,
+            noise_lo=0.5, noise_hi=1.0, noise_true=0.8,
+            delta=2.0, c_whp=2.0,
+        ) if seed % 2 else NetworkParams.exact(alpha=3.0)
+        side = float(rng.uniform(1.0, 10.0))
+        net = random_topology(n, side, (1.0, 8.0), seed=seed, params=params)
+        assert halo_pair_count(net) == brute_halo_pair_count(net)
+
+
 class TestCli:
     def test_generate_analyze_run(self, tmp_path, capsys):
         topo = tmp_path / "net.json"
@@ -259,6 +276,30 @@ class TestCli:
         ])
         assert main(["run-mis", "--topology", str(topo), "--seeds", "1"]) == 0
 
+    def test_high_power_frac_defaults_to_config(self, tmp_path, monkeypatch):
+        import sinrsim.cli as cli
+
+        topo = tmp_path / "net.json"
+        main([
+            "generate", "--preset", "uniform", "--n", "4", "--side", "2",
+            "--power", "4", "--seed", "1", "-o", str(topo),
+        ])
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def fake_run(config):
+            seen.append(config.varpower_high_fraction)
+            raise Stop
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        base = ["run-broadcast", "--protocol", "varpower", "--topology", str(topo)]
+        for argv in (base, base + ["--high-power-frac", "0.3"]):
+            with pytest.raises(Stop):
+                main(argv)
+        assert seen == [ExperimentConfig.varpower_high_fraction, 0.3]
+
     def test_report_subcommand(self, tmp_path, capsys):
         topo = tmp_path / "net.json"
         main([
@@ -297,3 +338,14 @@ class TestTraceExport:
             assert {"slot", "sender", "kind"} <= set(record)
             assert record["kind"] == "Broadcast"
         assert any("listener" in record for record in lines)
+
+    def test_truncated_trace_warns(self, tmp_path, monkeypatch):
+        import sinrsim.experiment as experiment
+
+        net = uniform_topology(4, 2.0, 4.0, seed=8)
+        path = tmp_path / "trace.jsonl"
+        monkeypatch.setattr(experiment, "_TRACE_OUTCOME_LIMIT", 5)
+        with pytest.warns(RuntimeWarning, match="first 5 eventful slots"):
+            run_fixed_broadcast(net, [0, 1], trace_path=str(path))
+        slots = {json.loads(line)["slot"] for line in path.read_text().splitlines()}
+        assert len(slots) == 5

@@ -83,6 +83,32 @@ class TestParamValidation:
             params_with(beta_lo=0.5, beta_true=0.5, beta_hi=0.5)
 
 
+class TestNodeValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("power", math.nan),
+            ("power", math.inf),
+            ("x", math.nan),
+            ("x", -math.inf),
+            ("y", math.nan),
+            ("y", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, field, value):
+        fields = dict(id=7, x=0.0, y=0.0, power=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"node 7: {field} must be finite"):
+            Node(**fields)
+
+    @pytest.mark.parametrize(
+        "field, value", [("wake_slot", 2.5), ("wake_slot", 3.0), ("sleep_slot", 10.5)]
+    )
+    def test_rejects_non_integral_slots(self, field, value):
+        with pytest.raises(ValueError, match=f"node 7: {field} must be an integer"):
+            Node(7, 0.0, 0.0, 1.0, **{field: value})
+
+
 class TestBuildNetwork:
     def test_symmetric_pair(self, exact_params):
         net = pair_network(exact_params, d=1.0)

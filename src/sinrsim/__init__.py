@@ -47,7 +47,6 @@ from .model import (
     Node,
     broadcast_range,
     build_network,
-    longest_directed_path,
     max_transmission_range,
     ring_index,
 )

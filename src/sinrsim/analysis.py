@@ -52,17 +52,28 @@ def region_probability_cap(params: NetworkParams, range_ratio: float, n: int) ->
     return min(params.delta - 1.0, 1.0) / denom
 
 
+# candidate receivers evaluated per NumPy block in expected_far_interference
+_CANDIDATE_BLOCK = 128
+
+
+def _region_sums(network: Network, probs: Mapping[int, float]) -> list[float]:
+    """Per node, in index order, the probability mass inside its
+    broadcasting region (the node itself first, then its out-neighbours in
+    index order)."""
+    sums = []
+    for node in network.nodes:
+        total = probs.get(node.id, 0.0)
+        for other in network.out_edges[node.id]:
+            total += probs.get(other, 0.0)
+        sums.append(total)
+    return sums
+
+
 def region_probability_sums(network: Network, probs: Mapping[int, float]) -> float:
     """Maximum over nodes v of the probability mass inside v's broadcasting
     region (v itself included).  Used as the live safety assertion during
     protocol runs."""
-    best = 0.0
-    for i, node in enumerate(network.nodes):
-        total = probs.get(node.id, 0.0)
-        for j in np.nonzero(network.adjacency[i])[0]:
-            total += probs.get(network.ids[int(j)], 0.0)
-        best = max(best, total)
-    return best
+    return max(0.0, *_region_sums(network, probs))
 
 
 def proximity_silence_probability(
@@ -71,16 +82,15 @@ def proximity_silence_probability(
     """Probability that nobody within three maximum ranges of `node_id`
     (itself excluded) transmits in one slot; exact product."""
     i = network.index(node_id)
-    limit = 3.0 * network.r_max_global
+    near = network.distances[i] < 3.0 * network.r_max_global
+    near[i] = False
     result = 1.0
-    for j, other in enumerate(network.nodes):
-        if j == i:
-            continue
-        if network.distances[i, j] < limit:
-            p = probs.get(other.id, 0.0)
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"probability for node {other.id} outside [0, 1]")
-            result *= 1.0 - p
+    for j in np.flatnonzero(near):
+        other = network.ids[j]
+        p = probs.get(other, 0.0)
+        if not (0.0 <= p <= 1.0):
+            raise ValueError(f"probability for node {other} outside [0, 1]")
+        result *= 1.0 - p
     return result
 
 
@@ -96,39 +106,38 @@ def expected_far_interference(
 
     Candidate receivers are the actual nodes inside the region plus, for each
     far node, the boundary point of the region nearest to it; over point sets
-    this dominates every interior position.
+    this dominates every interior position.  Candidates are evaluated
+    against all far nodes in blocks of rows; each row is summed on its own,
+    as a one-dimensional ``np.sum`` would.
     """
     if exponent <= 1.0:
         raise ValueError("attenuation exponent must exceed 1")
     i = network.index(node_id)
-    limit = 3.0 * network.r_max_global
-    far = [
-        j
-        for j in range(network.n)
-        if j != i and network.distances[i, j] >= limit and probs.get(network.ids[j], 0.0) > 0.0
-    ]
-    if not far:
+    row = network.distances[i]
+    p = np.array([probs.get(v, 0.0) for v in network.ids], dtype=float)
+    far = np.flatnonzero((row >= 3.0 * network.r_max_global) & (p > 0.0))
+    if far.size == 0:
         return 0.0
 
     center = network.positions[i]
     radius = float(network.r_bcast[i])
-    candidates = [
-        network.positions[j]
-        for j in range(network.n)
-        if j != i and network.distances[i, j] <= radius
-    ]
-    for j in far:
-        direction = network.positions[j] - center
-        candidates.append(center + radius * direction / np.linalg.norm(direction))
+    inside = row <= radius
+    inside[i] = False
+    # nearest boundary point towards each far node; row[far] is the norm of
+    # positions[far] - center
+    boundary = center + radius * (network.positions[far] - center) / row[far, None]
+    candidates = np.concatenate((network.positions[inside], boundary))
+    cand_x, cand_y = candidates[:, 0, None], candidates[:, 1, None]
 
-    far_pos = network.positions[far]
-    weights = np.array(
-        [probs[network.ids[j]] * network.powers[j] for j in far], dtype=float
-    )
+    far_x, far_y = network.positions[far, 0], network.positions[far, 1]
+    weights = p[far] * network.powers[far]
     worst = 0.0
-    for u in candidates:
-        d = np.linalg.norm(far_pos - u, axis=1)
-        worst = max(worst, float(np.sum(weights / d**exponent)))
+    for start in range(0, len(candidates), _CANDIDATE_BLOCK):
+        stop = start + _CANDIDATE_BLOCK
+        dx = far_x - cand_x[start:stop]
+        dy = far_y - cand_y[start:stop]
+        d = np.sqrt(dx * dx + dy * dy)
+        worst = max(worst, float((weights / d**exponent).sum(axis=1).max()))
     return worst
 
 

@@ -275,9 +275,6 @@ class SimTrace:
     eventful_slots: int = 0
     outcomes_truncated: bool = False  # outcome_limit dropped records
 
-    def events_of(self, node_id: int) -> list[tuple[int, str, Any]]:
-        return self.machines[node_id].log
-
     def export_jsonl(self, path: str) -> None:
         """Line-delimited replay records; requires recorded outcomes."""
         if self.outcomes is None:
@@ -332,8 +329,8 @@ def _bits(mask: int) -> Iterable[int]:
 
 
 class _Core:
-    """Precomputed physical-layer state shared by one run: the matrix of
-    distance**alpha and lone-transmission reach bitmasks per (sender, power).
+    """Physical-layer state of one run: the network's cached distance**alpha
+    matrix and lone-transmission reach bitmasks per (sender, power).
     Interference only raises the SINR denominator, so a multi-transmission
     slot is decided over the listeners inside its senders' reach only."""
 
@@ -347,8 +344,7 @@ class _Core:
         params = network.params
         self.beta = params.beta_true
         self.noise = params.noise_true
-        self.dist_alpha = network.distances**params.alpha_true
-        np.fill_diagonal(self.dist_alpha, math.inf)
+        self.dist_alpha = network.dist_alpha
         self._reach_cache: dict[tuple[int, float], tuple[int, int]] = {}
         self.out_mask = [_mask_of(row) for row in network.adjacency]
 

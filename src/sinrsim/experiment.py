@@ -14,10 +14,10 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .analysis import (
+    _region_sums,
     expected_far_interference,
     proximity_silence_probability,
     region_probability_cap,
-    region_probability_sums,
     variable_power_guarantee,
 )
 from .broadcast import (
@@ -742,21 +742,19 @@ def analyze_network(network: Network, n_hint: Optional[int] = None) -> dict:
         v: proximity_silence_probability(network, probs, v) for v in network.ids
     }
     # the certificate is stated for the worst-case exponent; the true-exponent
-    # expectation is informational
+    # expectation is informational and the same numbers when the two coincide
     interference = {
         v: expected_far_interference(network, probs, v, params.alpha_hi)
         for v in network.ids
     }
-    interference_true = {
-        v: expected_far_interference(network, probs, v, params.alpha_true)
-        for v in network.ids
-    }
-    region_sums = {}
-    for i, v in enumerate(network.ids):
-        total = probs[v]
-        for j in np.nonzero(network.adjacency[i])[0]:
-            total += probs[network.ids[int(j)]]
-        region_sums[v] = total
+    if params.alpha_true == params.alpha_hi:
+        interference_true = dict(interference)
+    else:
+        interference_true = {
+            v: expected_far_interference(network, probs, v, params.alpha_true)
+            for v in network.ids
+        }
+    region_sums = dict(zip(network.ids, _region_sums(network, probs)))
     return {
         "n": network.n,
         "max_degree": network.max_degree,
@@ -766,7 +764,7 @@ def analyze_network(network: Network, n_hint: Optional[int] = None) -> dict:
         "region_cap": cap,
         "prob": prob,
         "region_sums": region_sums,
-        "region_sum_max": region_probability_sums(network, probs),
+        "region_sum_max": max(region_sums.values()),
         "far_interference_margin": margin,
         "proximity_silence": silence,
         "far_interference": interference,

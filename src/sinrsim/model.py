@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,6 +48,10 @@ class NetworkParams:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not (self.alpha_lo <= self.alpha_true <= self.alpha_hi):
             raise ValueError("alpha bounds must bracket alpha_true")
         if not (self.beta_lo <= self.beta_true <= self.beta_hi):
@@ -189,6 +194,16 @@ class Network:
         self.unidirectional = self.adjacency & ~self.adjacency.T
         self.longest_chain = _longest_unidirectional_path(self)
 
+    @cached_property
+    def dist_alpha(self) -> np.ndarray:
+        """Read-only ``distances ** alpha_true`` with an infinite diagonal,
+        so that a gain ``power / dist_alpha`` is 0 at the sender itself;
+        computed on first use."""
+        dist_alpha = self.distances**self.params.alpha_true
+        np.fill_diagonal(dist_alpha, math.inf)
+        dist_alpha.flags.writeable = False
+        return dist_alpha
+
     # -- lookups ---------------------------------------------------------
 
     def index(self, node_id: int) -> int:
@@ -259,11 +274,6 @@ def _longest_unidirectional_path(network: Network) -> int:
             "monotonicity invariant is broken"
         )
     return max(longest) if longest else 0
-
-
-def longest_directed_path(network: Network) -> int:
-    """Edge count of the longest simple path using only one-way links."""
-    return network.longest_chain
 
 
 def ring_index(center: int, other: int, network: Network) -> Optional[int]:

@@ -54,8 +54,14 @@ def save_topology(network: Network, path: str) -> None:
 
 
 def load_topology(path: str) -> Network:
+    def refuse(constant: str):
+        raise ValueError(f"topology file {path}: non-finite number {constant} is not allowed")
+
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh, parse_constant=refuse)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"topology file {path} is not valid JSON: {exc}") from exc
     try:
         params = NetworkParams(**{name: doc["params"][name] for name in _PARAM_FIELDS})
         nodes = [

@@ -69,6 +69,60 @@ def brute_halo_pair_count(network: Network) -> int:
     return count
 
 
+def brute_proximity_silence_probability(network: Network, probs, node_id: int) -> float:
+    """Product of (1 - p) over every node closer than three maximum ranges,
+    node by node in index order."""
+    i = network.index(node_id)
+    limit = 3.0 * network.r_max_global
+    result = 1.0
+    for j, other in enumerate(network.nodes):
+        if j == i:
+            continue
+        if network.distances[i, j] < limit:
+            p = probs.get(other.id, 0.0)
+            if not (0.0 <= p <= 1.0):
+                raise ValueError(f"probability for node {other.id} outside [0, 1]")
+            result *= 1.0 - p
+    return result
+
+
+def brute_expected_far_interference(network: Network, probs, node_id: int, exponent: float) -> float:
+    """Far interference at each candidate receiver of the broadcasting
+    region, one receiver at a time; the maximum."""
+    if exponent <= 1.0:
+        raise ValueError("attenuation exponent must exceed 1")
+    i = network.index(node_id)
+    limit = 3.0 * network.r_max_global
+    far = [
+        j
+        for j in range(network.n)
+        if j != i and network.distances[i, j] >= limit and probs.get(network.ids[j], 0.0) > 0.0
+    ]
+    if not far:
+        return 0.0
+
+    center = network.positions[i]
+    radius = float(network.r_bcast[i])
+    candidates = [
+        network.positions[j]
+        for j in range(network.n)
+        if j != i and network.distances[i, j] <= radius
+    ]
+    for j in far:
+        direction = network.positions[j] - center
+        candidates.append(center + radius * direction / np.linalg.norm(direction))
+
+    far_pos = network.positions[far]
+    weights = np.array(
+        [probs[network.ids[j]] * network.powers[j] for j in far], dtype=float
+    )
+    worst = 0.0
+    for u in candidates:
+        d = np.linalg.norm(far_pos - u, axis=1)
+        worst = max(worst, float(np.sum(weights / d**exponent)))
+    return worst
+
+
 def brute_ring_index(d: float, r: float):
     """Smallest ring index whose annulus contains distance d."""
     if d < 3.0 * r:

@@ -19,7 +19,11 @@ from sinrsim.analysis import (
 from sinrsim.model import NetworkParams, Node, build_network, ring_index
 from sinrsim.topology import grid_topology
 
-from .conftest import random_small_network
+from .conftest import (
+    brute_expected_far_interference,
+    brute_proximity_silence_probability,
+    random_small_network,
+)
 
 
 def cap_params(alpha=3.0, beta=1.0, delta=2.0):
@@ -124,6 +128,93 @@ class TestFarInterference:
         net = grid_topology(2, 2, 1.0, 4.0, params=cap_params())
         with pytest.raises(ValueError):
             expected_far_interference(net, {}, 0, 1.0)
+
+
+def bracketed_params():
+    """Known exponent bounds strictly around the true exponent."""
+    return NetworkParams(
+        alpha_lo=2.5, alpha_hi=3.5, alpha_true=3.0,
+        beta_lo=1.0, beta_hi=1.5, beta_true=1.2,
+        noise_lo=1.0, noise_hi=1.0, noise_true=1.0,
+        delta=2.0, c_whp=2.0,
+    )
+
+
+def mixed_probs(rng, net):
+    """Random probabilities with some nodes at exactly 0 and some absent."""
+    probs = {}
+    for v in net.ids:
+        r = rng.random()
+        if r < 0.2:
+            continue
+        probs[v] = 0.0 if r < 0.4 else float(rng.uniform(0.0, 1.0))
+    return probs
+
+
+def assert_matches_oracles(net, probs, v, exponents):
+    assert proximity_silence_probability(net, probs, v) == (
+        brute_proximity_silence_probability(net, probs, v)
+    )
+    for exponent in exponents:
+        fast = expected_far_interference(net, probs, v, exponent)
+        slow = brute_expected_far_interference(net, probs, v, exponent)
+        assert math.isclose(fast, slow, rel_tol=1e-12, abs_tol=0.0), (v, exponent)
+
+
+class TestCertificateOracles:
+    def test_random_networks_match_loop_oracles(self):
+        rng = np.random.default_rng(29)
+        params = bracketed_params()
+        exponents = (params.alpha_lo, params.alpha_true, params.alpha_hi, 1.5)
+        far_seen = 0
+        for n in (2, 9, 25, 40):
+            net = random_small_network(rng, n, params)
+            probs = mixed_probs(rng, net)
+            for v in net.ids:
+                assert_matches_oracles(net, probs, v, exponents)
+                far_seen += expected_far_interference(net, probs, v, 3.0) > 0.0
+        assert far_seen > 0
+
+    def test_node_without_far_nodes(self):
+        # every node beyond the proximity region has probability 0 or none
+        rng = np.random.default_rng(31)
+        params = bracketed_params()
+        net = random_small_network(rng, 40, params)
+        v = net.ids[0]
+        i = net.index(v)
+        limit = 3.0 * net.r_max_global
+        probs = {
+            u: (0.0 if net.distances[i, j] >= limit else 0.3)
+            for j, u in enumerate(net.ids)
+            if j % 2 == 0 or net.distances[i, j] < limit
+        }
+        assert any(net.distances[i] >= limit)
+        assert expected_far_interference(net, probs, v, 3.0) == 0.0
+        assert_matches_oracles(net, probs, v, (params.alpha_hi,))
+
+    def test_more_candidates_than_one_block(self):
+        rng = np.random.default_rng(37)
+        params = bracketed_params()
+        net = random_small_network(rng, 220, params)
+        probs = mixed_probs(rng, net)
+        limit = 3.0 * net.r_max_global
+        far_counts = [
+            sum(
+                1
+                for j, u in enumerate(net.ids)
+                if net.distances[i, j] >= limit and probs.get(u, 0.0) > 0.0
+            )
+            for i in range(net.n)
+        ]
+        big = [net.ids[i] for i in np.argsort(far_counts)[-3:]]
+        assert min(far_counts[net.index(v)] for v in big) > 128
+        for v in big:
+            assert_matches_oracles(net, probs, v, (params.alpha_true, params.alpha_hi))
+
+    def test_silence_names_bad_probability(self):
+        net = grid_topology(1, 3, 1.0, 4.0, params=cap_params())
+        with pytest.raises(ValueError, match="node 2 outside"):
+            proximity_silence_probability(net, {1: 0.5, 2: 1.5}, 0)
 
 
 class TestRingBound:

@@ -79,6 +79,25 @@ class TestTopologyFile:
         with pytest.raises(ValueError, match="misses field"):
             load_topology(str(path))
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_refused(self, tmp_path, constant):
+        net = uniform_topology(3, 4.0, 2.0, seed=1)
+        path = tmp_path / "t.json"
+        save_topology(net, str(path))
+        text = path.read_text().replace('"power": 2.0', f'"power": {constant}', 1)
+        assert constant in text
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"non-finite number {constant}") as info:
+            load_topology(str(path))
+        assert str(path) in str(info.value)
+
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"params": ')
+        with pytest.raises(ValueError, match="is not valid JSON") as info:
+            load_topology(str(path))
+        assert str(path) in str(info.value)
+
     def test_optional_sleep_slot_round_trips(self, tmp_path):
         net = uniform_topology(3, 4.0, 2.0, seed=1)
         doc_path = tmp_path / "t.json"

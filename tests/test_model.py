@@ -11,7 +11,6 @@ from sinrsim.model import (
     Node,
     broadcast_range,
     build_network,
-    longest_directed_path,
     max_transmission_range,
     ring_index,
 )
@@ -82,6 +81,25 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             params_with(beta_lo=0.5, beta_true=0.5, beta_hi=0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delta", math.nan),
+            ("alpha_hi", math.inf),
+            ("noise_true", math.nan),
+            ("c_whp", math.inf),
+            ("scale", math.nan),
+            ("beta_lo", "1.0"),
+        ],
+    )
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            params_with(**{field: value})
+
+    def test_exact_rejects_nan_delta(self):
+        with pytest.raises(ValueError, match="delta must be a finite number"):
+            NetworkParams.exact(alpha=3.0, delta=math.nan)
+
 
 class TestNodeValidation:
     @pytest.mark.parametrize(
@@ -110,6 +128,15 @@ class TestNodeValidation:
 
 
 class TestBuildNetwork:
+    def test_dist_alpha_is_cached_and_read_only(self, exact_params):
+        net = random_small_network(np.random.default_rng(5), 6, exact_params)
+        expected = net.distances**exact_params.alpha_true
+        np.fill_diagonal(expected, math.inf)
+        assert np.array_equal(net.dist_alpha, expected)
+        assert net.dist_alpha is net.dist_alpha
+        with pytest.raises(ValueError):
+            net.dist_alpha[0, 1] = 1.0
+
     def test_symmetric_pair(self, exact_params):
         net = pair_network(exact_params, d=1.0)
         assert net.out_neighbors(0) == (1,)
@@ -155,7 +182,7 @@ class TestLongestDirectedPath:
             for i in range(8)
         ]
         net = build_network(nodes, exact_params)
-        assert longest_directed_path(net) == 0
+        assert net.longest_chain == 0
 
     def test_three_collinear_descending(self, exact_params):
         # each node reaches exactly its successor
@@ -168,13 +195,13 @@ class TestLongestDirectedPath:
         assert net.out_neighbors(0) == (1,)
         assert net.out_neighbors(1) == (2,)
         assert net.out_neighbors(2) == ()
-        assert longest_directed_path(net) == 2
+        assert net.longest_chain == 2
         assert brute_longest_chain(net) == 2
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_chain_preset_matches_dfs(self, n, exact_params):
         net = chain_topology(n, 0.15, params=exact_params)
-        assert longest_directed_path(net) == n - 1
+        assert net.longest_chain == n - 1
         assert brute_longest_chain(net) == n - 1
 
     def test_range_monotone_along_chains(self, exact_params):

@@ -113,7 +113,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     rep.add_argument("--csv", required=True)
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ValueError, OSError) as exc:
+        print(f"sinrsim: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "generate":
         kwargs = {}
         for name in ("n", "side", "power", "rows", "cols", "spacing"):

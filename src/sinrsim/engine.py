@@ -236,20 +236,6 @@ def node_rng(seed: int, node_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, node_id))))
 
 
-def _geometric_gap(rng: np.random.Generator, prob: float) -> int:
-    """Number of eligible slots skipped before the next transmission."""
-    if prob >= 1.0:
-        return 0
-    u = rng.random()
-    return int(math.log1p(-u) / math.log1p(-prob))
-
-
-def _first_eligible(slot: int, period: int, phase: int) -> int:
-    if period == 1:
-        return slot
-    return slot + (phase - slot) % period
-
-
 # ---------------------------------------------------------------------------
 # traces
 # ---------------------------------------------------------------------------
@@ -274,6 +260,9 @@ class SimTrace:
     outcomes: Optional[list[SlotOutcome]] = None
     eventful_slots: int = 0
     outcomes_truncated: bool = False  # outcome_limit dropped records
+    heap_pops: int = 0  # event-queue entries taken off the heap
+    stale_tx_entries: int = 0  # popped lane entries that were redrawn or whose node slept
+    multi_tx_slots: int = 0  # eventful slots with more than one transmission
 
     def export_jsonl(self, path: str) -> None:
         """Line-delimited replay records; requires recorded outcomes."""
@@ -316,6 +305,8 @@ def _payload_kind(payload: Any) -> str:
 # the event loop
 # ---------------------------------------------------------------------------
 
+# heap entries are (slot, kind, node index, lane); within a slot they pop in
+# kind order, which is also the order the loop handles them in
 _DELIVER, _WAKE, _SLEEP, _SCRIPT, _CHECK, _TX = range(6)
 
 _SlotTx = tuple[int, float, Any]  # (node index, power, payload)
@@ -365,21 +356,21 @@ class _Core:
 
     def resolve(
         self, listeners: int, txs: list[_SlotTx], extra: Sequence[tuple[int, float]] = ()
-    ) -> list[tuple[int, int]]:
-        """(listener idx, tx index) pairs under the same delivery rule as
-        :func:`resolve_slot`; `extra` adds interference-only transmitters
-        (used by the phase-offset mode for adjacent-slot overlap)."""
-        if not txs or listeners == 0:
-            return []
+    ) -> list[int]:
+        """Bitmask of the listeners that decode each transmission, under the
+        same delivery rule as :func:`resolve_slot`; `extra` adds
+        interference-only transmitters (used by the phase-offset mode for
+        adjacent-slot overlap)."""
         if len(txs) == 1 and not extra:
             idx, power, _ = txs[0]
-            return [(l, 0) for l in _bits(self.reach(idx, power)[0] & listeners)]
+            return [self.reach(idx, power)[0] & listeners]
+        masks = [0] * len(txs)
         union = 0
         for idx, power, _ in txs:
             union |= self.reach(idx, power)[1]
         cand = _indices(union & listeners, self.network.n)
         if cand.size == 0:
-            return []
+            return masks
         dist_alpha = self.dist_alpha
         gains = [power / dist_alpha[idx, cand] for idx, power, _ in txs]
         # the denominator adds up left to right, gains in transmission order
@@ -395,7 +386,9 @@ class _Core:
         hits = np.array([g >= self.beta * (total - g) for g in gains])
         single = np.count_nonzero(hits, axis=0) == 1
         winners = hits[:, single].argmax(axis=0)
-        return list(zip(cand[single].tolist(), winners.tolist()))
+        for l, t in zip(cand[single].tolist(), winners.tolist()):
+            masks[t] |= 1 << l
+        return masks
 
 
 def _mask_of(row: np.ndarray) -> int:
@@ -422,6 +415,54 @@ def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
         else:
             odd *= 1.0 - lane.prob
     return 1.0 - even, 1.0 - odd
+
+
+def _draw_lanes(
+    machine: ProtocolMachine,
+    row: list[Optional[int]],
+    i: int,
+    from_slot: int,
+    defer_at: int,
+    heap: list[tuple[int, int, int, int]],
+    idle_only: bool,
+) -> list[int]:
+    """Draw the next transmission slot of machine i's lanes (only those with
+    none pending if `idle_only`) from `from_slot` on: a geometric number of
+    eligible slots is skipped.  Lanes landing on `defer_at` are returned
+    instead of pushed (the caller is still processing that slot)."""
+    immediate: list[int] = []
+    for k, lane in enumerate(machine.lanes):
+        if idle_only and row[k] is not None:
+            continue
+        prob = lane.prob
+        if prob <= 0.0:
+            row[k] = None
+            continue
+        gap = 0 if prob >= 1.0 else int(math.log1p(-machine.rng.random()) / math.log1p(-prob))
+        period = lane.period
+        slot = from_slot if period == 1 else from_slot + (lane.phase - from_slot) % period
+        slot += gap * period
+        row[k] = slot
+        if slot == defer_at:
+            immediate.append(k)
+        else:
+            heapq.heappush(heap, (slot, _TX, i, k))
+    return immediate
+
+
+def _overlap(
+    offsets: list[float], slot_a: int, txs_a: list[_SlotTx], slot_b: int, txs_b: list[_SlotTx]
+) -> list[tuple[int, float]]:
+    """Transmitters of slot_b whose on-air window overlaps any transmission
+    of slot_a; applied as interference to the whole of slot_a (conservative
+    for pairs that do not actually overlap)."""
+    out = []
+    for ib, pb, _mb in txs_b:
+        for ia, _pa, _ma in txs_a:
+            if abs((slot_a + offsets[ia]) - (slot_b + offsets[ib])) < 1.0:
+                out.append((ib, pb))
+                break
+    return out
 
 
 def run_simulation(
@@ -452,10 +493,13 @@ def run_simulation(
         raise ValueError("max_slots must be positive")
     trace = trace or TraceConfig()
     core = _Core(network)
+    resolve = core.resolve
+    out_mask = core.out_mask
     n = network.n
+    ids = network.ids
     offsets: Optional[list[float]] = None
     if phase_offsets is not None:
-        offsets = [float(phase_offsets.get(v, 0.0)) for v in network.ids]
+        offsets = [float(phase_offsets.get(v, 0.0)) for v in ids]
         if any(not (0.0 <= o < 1.0) for o in offsets):
             raise ValueError("phase offsets must lie in [0, 1)")
 
@@ -474,335 +518,310 @@ def run_simulation(
     n_undone = 0
     n_prewake = 0
 
-    heap: list[tuple[int, int, int, int, int]] = []
-    seq = 0
-
-    def push(slot: int, kind: int, idx: int = 0, lane: int = 0) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (slot, seq, kind, idx, lane))
-        seq += 1
-
+    heap: list[tuple[int, int, int, int]] = []
+    heappush = heapq.heappush
+    heappop = heapq.heappop
     for i, node in enumerate(network.nodes):
         if node.wake_slot < max_slots:
-            push(node.wake_slot, _WAKE, i)
+            heap.append((node.wake_slot, _WAKE, i, 0))
             n_prewake += 1
             if node.sleep_slot is not None and node.sleep_slot < max_slots:
-                push(node.sleep_slot, _SLEEP, i)
+                heap.append((node.sleep_slot, _SLEEP, i, 0))
 
     scripts = sorted(scripted or [], key=lambda item: item[0])
     for k, (slot, _fn) in enumerate(scripts):
         if slot < max_slots:
-            push(slot, _SCRIPT, k)
+            heap.append((slot, _SCRIPT, k, 0))
+    heapq.heapify(heap)
     scripts_left = sum(1 for slot, _fn in scripts if slot < max_slots)
     scripts_cancelled = False
 
     pending_slot = -1
-    pending: dict[int, list[tuple[int, Any]]] = {}
+    pending: dict[int, list[tuple[int, Any]]] = {}  # listener index -> inbox
     held: Optional[tuple[int, list[_SlotTx]]] = None  # offset mode: (slot, its txs)
+    recent_txs: dict[int, list[_SlotTx]] = {}  # offset mode backward lookback
 
-    first_rx: dict[int, dict[int, int]] = {v: {} for v in network.ids}
-    tx_count = dict.fromkeys(network.ids, 0)
-    full_success = dict.fromkeys(network.ids, 0)
-    first_full: dict[int, Optional[int]] = dict.fromkeys(network.ids)
+    first_rx: dict[int, dict[int, int]] = {v: {} for v in ids}
+    rx_rows = [first_rx[v] for v in ids]
+    tx_counts = [0] * n
+    full_counts = [0] * n
+    first_full: list[Optional[int]] = [None] * n
     outcomes: Optional[list[SlotOutcome]] = [] if trace.record_outcomes else None
     truncated = False
     eventful = 0
-
-    def guarded(machine: ProtocolMachine, slot: int, call: Callable[[], Any]) -> Any:
-        try:
-            return call()
-        except SimulationAbort:
-            raise
-        except Exception as exc:  # noqa: BLE001 - attach node/slot context
-            raise SimulationAbort(machine.node.id, slot, exc) from exc
-
-    def resample(i: int, from_slot: int, defer_at: Optional[int]) -> list[int]:
-        """Redraw every lane of machine i starting at `from_slot`.  Entries
-        landing exactly on `defer_at` are returned instead of pushed (the
-        caller is still processing that slot)."""
-        machine = machines[i]
-        immediate: list[int] = []
-        if not awake[i]:
-            for k in range(len(machine.lanes)):
-                next_tx[i][k] = None
-            return immediate
-        for k, lane in enumerate(machine.lanes):
-            if lane.prob <= 0.0:
-                next_tx[i][k] = None
-                continue
-            gap = _geometric_gap(machine.rng, lane.prob)
-            slot = _first_eligible(from_slot, lane.period, lane.phase) + gap * lane.period
-            next_tx[i][k] = slot
-            if slot == defer_at:
-                immediate.append(k)
-            else:
-                push(slot, _TX, i, k)
-        return immediate
-
-    def sync_checkpoint(i: int) -> None:
-        if not awake[i]:
-            return
-        cp = machines[i].next_checkpoint
-        if cp != synced_cp[i]:
-            synced_cp[i] = cp
-            if cp is not None:
-                push(cp, _CHECK, i)
-
-    def track_done(i: int) -> None:
-        nonlocal n_undone
-        flag = machines[i].done or not awake[i]
-        if flag and not done_seen[i]:
-            done_seen[i] = True
-            n_undone -= 1
-        elif not flag and done_seen[i]:
-            done_seen[i] = False
-            n_undone += 1
-
-    def deliver_stats(
-        tx_slot: int, now: int, txs: list[_SlotTx], resolved: list[tuple[int, int]]
-    ) -> None:
-        nonlocal pending_slot, eventful, truncated
-        eventful += 1
-        got: dict[int, list[tuple[int, Any]]] = {}
-        rx_masks = [0] * len(txs)
-        for l, t in resolved:
-            sender_id = network.ids[txs[t][0]]
-            listener_id = network.ids[l]
-            got.setdefault(l, []).append((sender_id, txs[t][2]))
-            rx_masks[t] |= 1 << l
-            row = first_rx[listener_id]
-            if sender_id not in row:
-                row[sender_id] = tx_slot
-        current_awake = awake_mask
-        for t, (sender_idx, _power, _payload) in enumerate(txs):
-            sender_id = network.ids[sender_idx]
-            tx_count[sender_id] += 1
-            needed = core.out_mask[sender_idx] & current_awake
-            if needed & ~rx_masks[t] == 0:
-                full_success[sender_id] += 1
-                if first_full[sender_id] is None:
-                    first_full[sender_id] = tx_slot
-        if got:
-            for l, msgs in got.items():
-                pending.setdefault(l, []).extend(msgs)
-            if pending_slot < 0:
-                push(now + 1, _DELIVER)
-            pending_slot = now + 1
-        if outcomes is None:
-            return
-        if trace.outcome_limit is not None and len(outcomes) >= trace.outcome_limit:
-            truncated = True
-        else:
-            records = [
-                Transmission(network.ids[i], tx_slot, power, payload)
-                for i, power, payload in txs
-            ]
-            outcomes.append(
-                SlotOutcome(
-                    slot=tx_slot,
-                    transmissions=tuple(records),
-                    receptions=tuple(
-                        (network.ids[l], records[t]) for l, t in resolved
-                    ),
-                )
-            )
-
-    def overlap_interferers(
-        slot_a: int, txs_a: list[_SlotTx], slot_b: int, txs_b: list[_SlotTx]
-    ) -> list[tuple[int, float]]:
-        """Transmitters of slot_b whose on-air window overlaps any
-        transmission of slot_a; applied as interference to the whole of
-        slot_a (conservative for pairs that do not actually overlap)."""
-        assert offsets is not None
-        out = []
-        for ib, pb, _mb in txs_b:
-            for ia, _pa, _ma in txs_a:
-                if abs((slot_a + offsets[ia]) - (slot_b + offsets[ib])) < 1.0:
-                    out.append((ib, pb))
-                    break
-        return out
+    heap_pops = 0
+    stale_tx = 0
+    multi_tx = 0
 
     last_slot = -1
     completed = False
-    recent_txs: dict[int, list[_SlotTx]] = {}  # offset mode backward lookback
+    s = -1
+    cur = -1  # index of the machine whose callback is running, else -1
+    try:
+        while heap:
+            s, kind, idx, lane = heap[0]
+            if s >= max_slots:
+                break
+            last_slot = s
 
-    while heap:
-        s = heap[0][0]
-        if s >= max_slots:
-            break
-        last_slot = s
+            # file the slot's events by kind; entries pop in (kind, node,
+            # lane) order, so each list is already ascending
+            wakes: list[int] = []
+            sleeps: list[int] = []
+            script_ids: list[int] = []
+            polls: list[int] = []
+            tx_cand: list[tuple[int, int]] = []
+            while True:
+                heappop(heap)
+                heap_pops += 1
+                if kind == _TX:
+                    tx_cand.append((idx, lane))
+                elif kind == _CHECK:
+                    polls.append(idx)
+                elif kind == _WAKE:
+                    wakes.append(idx)
+                elif kind == _SLEEP:
+                    sleeps.append(idx)
+                elif kind == _SCRIPT:
+                    script_ids.append(idx)
+                if not heap or heap[0][0] != s:
+                    break
+                _, kind, idx, lane = heap[0]
+            n_cand = len(tx_cand)
+            touched: list[int] = []
+            touch_all = False
 
-        bucket: list[tuple[int, int, int, int, int]] = []
-        while heap and heap[0][0] == s:
-            bucket.append(heapq.heappop(heap))
+            # 1. deliver receptions resolved for this slot
+            if pending_slot == s:
+                for i in sorted(pending) if len(pending) > 1 else pending:
+                    machine = machines[i]
+                    if awake[i] and machine.wants_rx:
+                        cur = i
+                        machine.on_receive(s, pending[i])
+                        cur = -1
+                        touched.append(i)
+                pending = {}
+                pending_slot = -1
 
-        touched: set[int] = set()
-        wakes: set[int] = set()
-        sleeps: set[int] = set()
-        polls: set[int] = set()
-        script_ids: set[int] = set()
-        tx_candidates: list[tuple[int, int]] = []
-        for _, _, kind, idx, lane in bucket:
-            if kind == _WAKE:
-                wakes.add(idx)
-            elif kind == _SLEEP:
-                sleeps.add(idx)
-            elif kind == _SCRIPT:
-                script_ids.add(idx)
-            elif kind == _CHECK:
-                polls.add(idx)
-            elif kind == _TX:
-                tx_candidates.append((idx, lane))
+            # 2. wake-ups
+            for i in wakes:
+                awake[i] = True
+                awake_mask |= 1 << i
+                n_prewake -= 1
+                n_undone += 1
+                cur = i
+                machines[i].wake(s)
+                cur = -1
+                touched.append(i)
 
-        # 1. deliver receptions resolved for this slot
-        if pending_slot == s:
-            for i in sorted(pending):
+            # 3. departures
+            for i in sleeps:
+                if awake[i]:
+                    awake[i] = False
+                    awake_mask &= ~(1 << i)
+                    next_tx[i] = [None] * len(next_tx[i])
+                    if not done_seen[i]:
+                        done_seen[i] = True
+                        n_undone -= 1
+
+            # 4. scripted external actions (may touch any machine); an action
+            # returning truthy cancels every script still pending
+            if script_ids:
+                for k in script_ids:
+                    if scripts_cancelled:
+                        continue
+                    if scripts[k][1](by_id, s):
+                        scripts_cancelled = True
+                        scripts_left = 0
+                    else:
+                        scripts_left -= 1
+                touch_all = True
+
+            # 5. scheduled polls, validated against the machine's current
+            # plan (a checkpoint may have been pushed more than once)
+            if len(polls) > 1:
+                polls = sorted(set(polls))
+            for i in polls:
                 machine = machines[i]
-                if awake[i] and machine.wants_rx:
-                    msgs = pending[i]
-                    guarded(machine, s, lambda m=machine, x=msgs: m.on_receive(s, x))
-                    touched.add(i)
-            pending = {}
-            pending_slot = -1
+                if awake[i] and machine._checkpoint == s:
+                    machine._checkpoint = None
+                    synced_cp[i] = None
+                    cur = i
+                    machine.poll(s)
+                    cur = -1
+                    touched.append(i)
 
-        # 2. wake-ups
-        for i in sorted(wakes):
-            awake[i] = True
-            awake_mask |= 1 << i
-            n_prewake -= 1
-            n_undone += 1
-            machine = machines[i]
-            guarded(machine, s, lambda m=machine: m.wake(s))
-            touched.add(i)
+            # 6. regime changes effective for this very slot
+            changed: list[int] = []
+            if touch_all:
+                touched = range(n)
+            elif len(touched) > 1:
+                touched = sorted(set(touched))
+            for i in touched:
+                machine = machines[i]
+                if machine._dirty:
+                    machine._dirty = False
+                    changed.append(i)
+                    if awake[i]:
+                        for k in _draw_lanes(machine, next_tx[i], i, s, s, heap, False):
+                            tx_cand.append((i, k))
+                            n_cand += 1
+                    else:
+                        next_tx[i] = [None] * len(next_tx[i])
+                if awake[i]:
+                    cp = machine._checkpoint
+                    if cp != synced_cp[i]:
+                        synced_cp[i] = cp
+                        if cp is not None:
+                            heappush(heap, (cp, _CHECK, i, 0))
+                if machine.done or not awake[i]:
+                    if not done_seen[i]:
+                        done_seen[i] = True
+                        n_undone -= 1
+                elif done_seen[i]:
+                    done_seen[i] = False
+                    n_undone += 1
 
-        # 3. departures
-        for i in sorted(sleeps):
-            if awake[i]:
-                awake[i] = False
-                awake_mask &= ~(1 << i)
-                for k in range(len(machines[i].lanes)):
-                    next_tx[i][k] = None
-                track_done(i)
-
-        # 4. scripted external actions (may touch any machine); an action
-        # returning truthy cancels every script still pending
-        if script_ids:
-            for k in sorted(script_ids):
-                if scripts_cancelled:
-                    continue
-                if scripts[k][1](by_id, s):
-                    scripts_cancelled = True
-                    scripts_left = 0
-                else:
-                    scripts_left -= 1
-            touched.update(range(n))
-
-        # 5. scheduled polls, validated against the machine's current plan
-        for i in sorted(polls):
-            machine = machines[i]
-            if awake[i] and machine.next_checkpoint == s:
-                machine.schedule(None)
-                synced_cp[i] = None
-                guarded(machine, s, lambda m=machine: m.poll(s))
-                touched.add(i)
-
-        # 6. regime changes effective for this very slot
-        changed_probs: set[int] = set()
-        for i in sorted(touched):
-            machine = machines[i]
-            if machine._dirty:
-                machine._dirty = False
-                changed_probs.add(i)
-                for k in resample(i, s, defer_at=s):
-                    tx_candidates.append((i, k))
-            sync_checkpoint(i)
-            track_done(i)
-
-        # 7. this slot's transmissions
-        txs: list[_SlotTx] = []
-        tx_mask = 0
-        firing = sorted({(i, k) for i, k in tx_candidates if awake[i] and next_tx[i][k] == s})
-        fired: list[int] = []
-        for i, k in firing:
-            machine = machines[i]
-            payload, power = guarded(
-                machine, s, lambda m=machine, kk=k: m.on_transmit(s, kk)
-            )
-            if (1 << i) & tx_mask:
-                raise ProtocolViolationError(
-                    f"node {machine.node.id} transmitted twice in slot {s}"
-                )
-            txs.append((i, power, payload))
-            tx_mask |= 1 << i
-            next_tx[i][k] = None
-            fired.append(i)
-
-        # 8. physical resolution
-        if offsets is None:
-            if txs:
-                resolved = core.resolve(awake_mask & ~tx_mask, txs)
-                deliver_stats(s, s, txs, resolved)
-        else:
-            # Resolve the previous slot now that its forward neighbours are
-            # known; a held slot cannot be touched by transmissions two or
-            # more slot indices away since offsets stay below one slot.
-            if held is not None:
-                p_slot, p_txs = held
-                extra: list[tuple[int, float]] = []
-                busy = 0
-                for i, _p, _m in p_txs:
-                    busy |= 1 << i
-                back = recent_txs.get(p_slot - 1)
-                if back is not None:
-                    extra.extend(overlap_interferers(p_slot, p_txs, p_slot - 1, back))
-                if p_slot + 1 == s and txs:
-                    extra.extend(overlap_interferers(p_slot, p_txs, s, txs))
-                    for i, _p, _m in txs:
-                        busy |= 1 << i  # half-duplex across overlapping slots
-                resolved = core.resolve(awake_mask & ~busy, p_txs, extra)
-                deliver_stats(p_slot, s, p_txs, resolved)
-                recent_txs = {p_slot: p_txs}
-                held = None
-            if txs:
-                held = (s, txs)
-                push(s + 1, _DELIVER)  # guarantees the hold is flushed
-
-        # 9. regime changes caused by transmitting apply from the next slot
-        for i in sorted(set(fired)):
-            machine = machines[i]
-            if machine._dirty:
-                machine._dirty = False
-                changed_probs.add(i)
-                resample(i, s + 1, defer_at=None)
-            else:
-                for k2, lane in enumerate(machine.lanes):
-                    if next_tx[i][k2] is None and lane.prob > 0.0:
-                        gap = _geometric_gap(machine.rng, lane.prob)
-                        slot2 = (
-                            _first_eligible(s + 1, lane.period, lane.phase)
-                            + gap * lane.period
+            # 7. this slot's transmissions: lanes still due now, in (node,
+            # lane) order; other entries are stale (redrawn, or node asleep)
+            txs: list[_SlotTx] = []
+            tx_mask = 0
+            if n_cand:
+                if n_cand > 1:
+                    tx_cand.sort()  # a repeated entry finds its lane already fired
+                for i, k in tx_cand:
+                    row = next_tx[i]
+                    if row[k] != s or not awake[i]:
+                        continue
+                    cur = i
+                    out = machines[i].on_transmit(s, k)
+                    cur = -1
+                    payload, power = out
+                    if (1 << i) & tx_mask:
+                        raise ProtocolViolationError(
+                            f"node {ids[i]} transmitted twice in slot {s}"
                         )
-                        next_tx[i][k2] = slot2
-                        push(slot2, _TX, i, k2)
-            sync_checkpoint(i)
-            track_done(i)
+                    txs.append((i, power, payload))
+                    tx_mask |= 1 << i
+                    row[k] = None
+                stale_tx += n_cand - len(txs)
 
-        if monitor is not None and changed_probs:
-            updates = []
-            for i in sorted(changed_probs):
-                even, odd = _parity_probs(machines[i])
-                updates.append((network.ids[i], even, odd))
-            monitor(s, updates)
+            # 8. physical resolution: one receiver bitmask per transmission
+            r_txs: Optional[list[_SlotTx]] = None
+            if offsets is None:
+                if txs:
+                    r_slot, r_txs = s, txs
+                    masks = resolve(awake_mask & ~tx_mask, txs)
+            else:
+                # Resolve the previous slot now that its forward neighbours
+                # are known; a held slot cannot be touched by transmissions
+                # two or more slot indices away since offsets stay below one
+                # slot.
+                if held is not None:
+                    r_slot, r_txs = held
+                    extra: list[tuple[int, float]] = []
+                    busy = 0
+                    for i, _p, _m in r_txs:
+                        busy |= 1 << i
+                    back = recent_txs.get(r_slot - 1)
+                    if back is not None:
+                        extra.extend(_overlap(offsets, r_slot, r_txs, r_slot - 1, back))
+                    if r_slot + 1 == s and txs:
+                        extra.extend(_overlap(offsets, r_slot, r_txs, s, txs))
+                        busy |= tx_mask  # half-duplex across overlapping slots
+                    masks = resolve(awake_mask & ~busy, r_txs, extra)
+                    recent_txs = {r_slot: r_txs}
+                    held = None
+                if txs:
+                    held = (s, txs)
+                    heappush(heap, (s + 1, _DELIVER, 0, 0))  # flushes the hold
 
-        if (
-            n_undone == 0
-            and n_prewake == 0
-            and scripts_left == 0
-            and pending_slot < 0
-            and held is None
-        ):
-            completed = True
-            break
+            # delivery: statistics, the listeners' inboxes and the record
+            if r_txs is not None:
+                eventful += 1
+                if len(r_txs) > 1:
+                    multi_tx += 1
+                for (i, _power, payload), rx in zip(r_txs, masks):
+                    tx_counts[i] += 1
+                    if out_mask[i] & awake_mask & ~rx == 0:
+                        full_counts[i] += 1
+                        if first_full[i] is None:
+                            first_full[i] = r_slot
+                    sender_id = ids[i]
+                    while rx:
+                        low = rx & -rx
+                        l = low.bit_length() - 1
+                        rx ^= low
+                        row_rx = rx_rows[l]
+                        if sender_id not in row_rx:
+                            row_rx[sender_id] = r_slot
+                        inbox = pending.get(l)
+                        if inbox is None:
+                            pending[l] = [(sender_id, payload)]
+                        else:
+                            inbox.append((sender_id, payload))
+                if pending:
+                    if pending_slot < 0:
+                        heappush(heap, (s + 1, _DELIVER, 0, 0))
+                    pending_slot = s + 1
+                if outcomes is not None:
+                    if trace.outcome_limit is not None and len(outcomes) >= trace.outcome_limit:
+                        truncated = True
+                    else:
+                        records = [
+                            Transmission(ids[i], r_slot, power, payload)
+                            for i, power, payload in r_txs
+                        ]
+                        pairs = sorted(
+                            (l, t) for t, rx in enumerate(masks) for l in _bits(rx)
+                        )
+                        outcomes.append(
+                            SlotOutcome(
+                                slot=r_slot,
+                                transmissions=tuple(records),
+                                receptions=tuple((ids[l], records[t]) for l, t in pairs),
+                            )
+                        )
+
+            # 9. regime changes caused by transmitting apply from the next slot
+            for i, _p, _m in txs:
+                machine = machines[i]
+                dirty = machine._dirty
+                if dirty:
+                    machine._dirty = False
+                    changed.append(i)
+                _draw_lanes(machine, next_tx[i], i, s + 1, -1, heap, not dirty)
+                cp = machine._checkpoint
+                if cp != synced_cp[i]:
+                    synced_cp[i] = cp
+                    if cp is not None:
+                        heappush(heap, (cp, _CHECK, i, 0))
+                if machine.done:
+                    if not done_seen[i]:
+                        done_seen[i] = True
+                        n_undone -= 1
+                elif done_seen[i]:
+                    done_seen[i] = False
+                    n_undone += 1
+
+            if monitor is not None and changed:
+                if len(changed) > 1:
+                    changed = sorted(set(changed))
+                monitor(s, [(ids[i], *_parity_probs(machines[i])) for i in changed])
+
+            if (
+                n_undone == 0
+                and n_prewake == 0
+                and scripts_left == 0
+                and pending_slot < 0
+                and held is None
+            ):
+                completed = True
+                break
+    except Exception as exc:
+        if cur < 0 or isinstance(exc, SimulationAbort):
+            raise
+        raise SimulationAbort(ids[cur], s, exc) from exc
 
     return SimTrace(
         seed=seed,
@@ -810,10 +829,13 @@ def run_simulation(
         completed=completed,
         machines=by_id,
         first_rx=first_rx,
-        tx_count=tx_count,
-        full_success_count=full_success,
-        first_full_success=first_full,
+        tx_count=dict(zip(ids, tx_counts)),
+        full_success_count=dict(zip(ids, full_counts)),
+        first_full_success=dict(zip(ids, first_full)),
         outcomes=outcomes,
         eventful_slots=eventful,
         outcomes_truncated=truncated,
+        heap_pops=heap_pops,
+        stale_tx_entries=stale_tx,
+        multi_tx_slots=multi_tx,
     )

@@ -319,6 +319,28 @@ class TestCli:
                 main(argv)
         assert seen == [ExperimentConfig.varpower_high_fraction, 0.3]
 
+    def test_bad_topology_file_is_a_one_line_error(self, tmp_path, capsys):
+        topo = tmp_path / "net.json"
+        main([
+            "generate", "--preset", "uniform", "--n", "4", "--side", "2",
+            "--power", "4", "--seed", "1", "-o", str(topo),
+        ])
+        doc = json.loads(topo.read_text())
+        doc["nodes"][0]["power"] = float("nan")
+        topo.write_text(json.dumps(doc))  # writes the bare token NaN
+        capsys.readouterr()
+        assert main(["analyze", "--topology", str(topo)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinrsim: error: ") and "NaN" in err
+        assert err.count("\n") == 1
+
+    def test_missing_topology_file_is_a_one_line_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["analyze", "--topology", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinrsim: error: ") and "absent.json" in err
+        assert err.count("\n") == 1
+
     def test_report_subcommand(self, tmp_path, capsys):
         topo = tmp_path / "net.json"
         main([

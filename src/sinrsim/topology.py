@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -89,26 +90,48 @@ def random_topology(
     wake_window: int = 0,
 ) -> Network:
     """Nodes uniform over a square, powers uniform over `power_range`;
-    optional uniform wake slots over [0, wake_window]."""
-    if n < 1 or side <= 0.0:
-        raise ValueError("need n >= 1 nodes and a positive area side")
+    optional uniform wake slots over [0, wake_window].  A point closer
+    than ``_MIN_SEPARATION * side`` to a placed one is drawn again."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not isinstance(side, numbers.Real) or not (0.0 < side < math.inf):
+        raise ValueError(f"side must be a finite positive number, got {side!r}")
     lo, hi = power_range
+    if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in (lo, hi)):
+        raise ValueError(f"power_range must hold finite numbers, got {power_range!r}")
     if not (0.0 < lo <= hi):
-        raise ValueError("power range must be positive and ordered")
+        raise ValueError(f"power_range must be positive and ordered, got {power_range!r}")
+    if not isinstance(wake_window, numbers.Integral) or wake_window < 0:
+        raise ValueError(f"wake_window must be an integer >= 0, got {wake_window!r}")
     params = params or NetworkParams.exact()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x7090))))
-    placed: list[tuple[float, float]] = []
-    nodes: list[Node] = []
     limit = _MIN_SEPARATION * side
+    # Placed points are hashed into square cells of side 2*limit, and a
+    # candidate is compared only with its 3x3 cell neighbourhood.  A point
+    # within the limit lies at most half a cell away on each axis; the
+    # rounding of x / cell is far below the other half while the separation
+    # fraction is far above machine epsilon, so the neighbourhood holds
+    # every point a full scan would reject.  A zero limit (subnormal side)
+    # rejects only coincident points, which share a cell of any size.
+    cell = 2.0 * limit or side
+    cells: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    nodes: list[Node] = []
     for i in range(n):
         for _attempt in range(1000):
             x = rng.uniform(0.0, side)
             y = rng.uniform(0.0, side)
-            if all(math.hypot(x - a, y - b) > limit for a, b in placed):
+            cx = math.floor(x / cell)
+            cy = math.floor(y / cell)
+            if all(
+                math.hypot(x - a, y - b) > limit
+                for gx in (cx - 1, cx, cx + 1)
+                for gy in (cy - 1, cy, cy + 1)
+                for a, b in cells.get((gx, gy), ())
+            ):
                 break
         else:
             raise ValueError("could not place nodes with the minimum separation")
-        placed.append((x, y))
+        cells.setdefault((cx, cy), []).append((x, y))
         power = rng.uniform(lo, hi)
         wake = int(rng.integers(0, wake_window + 1)) if wake_window else 0
         nodes.append(Node(id=i, x=x, y=y, power=power, wake_slot=wake))
@@ -231,45 +254,32 @@ def clique_topology(
     return build_network(nodes, params)
 
 
+# the flags each preset takes, with their defaults
+_PRESET_FLAGS = {
+    "random": {"n": 32, "side": 8.0, "power_lo": 1.0, "power_hi": 4.0},
+    "uniform": {"n": 32, "side": 8.0, "power": 2.0},
+    "grid": {"rows": 4, "cols": 4, "spacing": 1.0, "power": 2.0},
+    "chain": {"n": 5, "power_ratio": 0.2},
+    "clique": {"n": 9, "power": 8.0},
+}
+
+
 def generate_topology(kind: str, seed: int = 0, **kwargs) -> Network:
     """String-dispatch used by the command line."""
+    if kind not in _PRESET_FLAGS:
+        raise ValueError(f"unknown topology preset {kind!r}")
+    defaults = _PRESET_FLAGS[kind]
+    for name in kwargs:
+        if name not in defaults:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"topology preset {kind!r} does not take {flag}")
+    v = {name: type(default)(kwargs.get(name, default)) for name, default in defaults.items()}
     if kind == "random":
-        return random_topology(
-            n=int(kwargs.pop("n", 32)),
-            side=float(kwargs.pop("side", 8.0)),
-            power_range=(
-                float(kwargs.pop("power_lo", 1.0)),
-                float(kwargs.pop("power_hi", 4.0)),
-            ),
-            seed=seed,
-            **kwargs,
-        )
+        return random_topology(v["n"], v["side"], (v["power_lo"], v["power_hi"]), seed)
     if kind == "uniform":
-        return uniform_topology(
-            n=int(kwargs.pop("n", 32)),
-            side=float(kwargs.pop("side", 8.0)),
-            power=float(kwargs.pop("power", 2.0)),
-            seed=seed,
-            **kwargs,
-        )
+        return uniform_topology(v["n"], v["side"], v["power"], seed)
     if kind == "grid":
-        return grid_topology(
-            rows=int(kwargs.pop("rows", 4)),
-            cols=int(kwargs.pop("cols", 4)),
-            spacing=float(kwargs.pop("spacing", 1.0)),
-            power=float(kwargs.pop("power", 2.0)),
-            **kwargs,
-        )
+        return grid_topology(v["rows"], v["cols"], v["spacing"], v["power"])
     if kind == "chain":
-        return chain_topology(
-            n=int(kwargs.pop("n", 5)),
-            power_ratio=float(kwargs.pop("power_ratio", 0.2)),
-            **kwargs,
-        )
-    if kind == "clique":
-        return clique_topology(
-            n=int(kwargs.pop("n", 9)),
-            power=float(kwargs.pop("power", 8.0)),
-            **kwargs,
-        )
-    raise ValueError(f"unknown topology preset {kind!r}")
+        return chain_topology(v["n"], v["power_ratio"])
+    return clique_topology(v["n"], v["power"])

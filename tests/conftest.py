@@ -8,12 +8,98 @@ import math
 import numpy as np
 import pytest
 
+from sinrsim import topology
+from sinrsim.errors import ModelViolationError
 from sinrsim.model import Network, NetworkParams, Node, build_network
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
 # ---------------------------------------------------------------------------
+
+
+def brute_random_topology(
+    n: int,
+    side: float,
+    power_range: tuple[float, float],
+    seed: int,
+    params=None,
+    wake_window: int = 0,
+) -> Network:
+    """`random_topology` with the full pairwise separation scan: every
+    candidate is tested against every placed point.  Reads
+    `topology._MIN_SEPARATION` at call time, so tests can raise it."""
+    if n < 1 or side <= 0.0:
+        raise ValueError("need n >= 1 nodes and a positive area side")
+    lo, hi = power_range
+    if not (0.0 < lo <= hi):
+        raise ValueError("power range must be positive and ordered")
+    params = params or NetworkParams.exact()
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x7090))))
+    placed: list[tuple[float, float]] = []
+    nodes: list[Node] = []
+    limit = topology._MIN_SEPARATION * side
+    for i in range(n):
+        for _attempt in range(1000):
+            x = rng.uniform(0.0, side)
+            y = rng.uniform(0.0, side)
+            if all(math.hypot(x - a, y - b) > limit for a, b in placed):
+                break
+        else:
+            raise ValueError("could not place nodes with the minimum separation")
+        placed.append((x, y))
+        power = rng.uniform(lo, hi)
+        wake = int(rng.integers(0, wake_window + 1)) if wake_window else 0
+        nodes.append(Node(id=i, x=x, y=y, power=power, wake_slot=wake))
+    return build_network(nodes, params)
+
+
+def reference_network_build(network: Network) -> dict:
+    """The derived structure of `network` recomputed the dense way: the
+    n x n x 2 difference kernel, per-row and per-column `np.nonzero` edge
+    tuples, the masked in-range degree count and the longest one-way chain
+    by topological order over dense matrix rows."""
+    n = network.n
+    diff = network.positions[:, None, :] - network.positions[None, :, :]
+    distances = np.sqrt((diff * diff).sum(axis=2))
+    off_diag = ~np.eye(n, dtype=bool)
+    in_range = (distances <= network.r_max[:, None]) & off_diag
+    adjacency = (distances <= network.r_bcast[:, None]) & off_diag
+    ids = network.ids
+    out_edges = {
+        ids[i]: tuple(ids[j] for j in np.nonzero(adjacency[i])[0]) for i in range(n)
+    }
+    in_edges = {
+        ids[i]: tuple(ids[j] for j in np.nonzero(adjacency[:, i])[0]) for i in range(n)
+    }
+    unidirectional = adjacency & ~adjacency.T
+
+    indeg = unidirectional.sum(axis=0).astype(int)
+    order = [i for i in range(n) if indeg[i] == 0]
+    longest = [0] * n
+    head = 0
+    while head < len(order):
+        i = order[head]
+        head += 1
+        for j in np.nonzero(unidirectional[i])[0]:
+            j = int(j)
+            longest[j] = max(longest[j], longest[i] + 1)
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                order.append(j)
+    if len(order) != n:
+        raise ModelViolationError("cycle of strictly unidirectional links detected")
+
+    return {
+        "distances": distances,
+        "adjacency": adjacency,
+        "bidirectional": adjacency & adjacency.T,
+        "unidirectional": unidirectional,
+        "out_edges": out_edges,
+        "in_edges": in_edges,
+        "max_degree": int(in_range.sum(axis=1).max()) if n > 1 else 0,
+        "longest_chain": max(longest) if longest else 0,
+    }
 
 
 def brute_max_degree(network: Network) -> int:

@@ -15,6 +15,7 @@ from sinrsim.experiment import (
     run_experiment,
     run_fixed_broadcast,
 )
+from sinrsim import topology
 from sinrsim.model import NetworkParams
 from sinrsim.topology import (
     chain_topology,
@@ -25,7 +26,7 @@ from sinrsim.topology import (
     uniform_topology,
 )
 
-from .conftest import brute_halo_pair_count, brute_longest_chain
+from .conftest import brute_halo_pair_count, brute_longest_chain, brute_random_topology
 
 
 class TestGenerators:
@@ -56,6 +57,66 @@ class TestGenerators:
         b = random_topology(12, 5.0, (1.0, 4.0), seed=9)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.powers, b.powers)
+
+
+def _placement(build, *args, **kwargs):
+    """(id, x, y, power, wake_slot) per node, or the error message."""
+    try:
+        net = build(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+    return [(v.id, v.x, v.y, v.power, v.wake_slot) for v in net.nodes]
+
+
+class TestRandomPlacement:
+    """Cell-hashed placement against the full pairwise scan, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 300])
+    @pytest.mark.parametrize("seed,wake_window", [(0, 0), (3, 4), (11, 1)])
+    def test_matches_pairwise_scan(self, n, seed, wake_window):
+        for side in (0.5, 7.0, 250.0):
+            args = (n, side, (1.0, 6.0), seed)
+            fast = _placement(random_topology, *args, wake_window=wake_window)
+            assert fast == _placement(brute_random_topology, *args, wake_window=wake_window)
+            assert not isinstance(fast, str)
+
+    # separations up to 0.9 make cells larger than the square itself
+    @pytest.mark.parametrize("n,separation", [
+        (60, 0.02), (60, 0.05), (25, 0.12), (8, 0.3), (3, 0.6), (2, 0.9), (60, 0.2),
+    ])
+    def test_redraws_match_pairwise_scan(self, n, separation, monkeypatch):
+        args = (n, 9.0, (1.0, 4.0), 5)
+        unconstrained = _placement(random_topology, *args, wake_window=2)
+        monkeypatch.setattr(topology, "_MIN_SEPARATION", separation)
+        fast = _placement(random_topology, *args, wake_window=2)
+        assert fast == _placement(brute_random_topology, *args, wake_window=2)
+        if not isinstance(fast, str):
+            # a redraw shifts the random stream, so some position differs
+            assert [p[1:3] for p in fast] != [p[1:3] for p in unconstrained]
+
+    def test_unreachable_separation_fails_in_both(self, monkeypatch):
+        monkeypatch.setattr(topology, "_MIN_SEPARATION", 2.0)  # beyond the diagonal
+        for build in (random_topology, brute_random_topology):
+            with pytest.raises(ValueError, match="could not place nodes"):
+                build(2, 3.0, (1.0, 2.0), seed=0)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"side": math.inf}, "side"),
+        ({"side": math.nan}, "side"),
+        ({"side": 0.0}, "side"),
+        ({"side": -1.0}, "side"),
+        ({"power_range": (1.0, math.inf)}, "power_range"),
+        ({"power_range": (math.nan, 2.0)}, "power_range"),
+        ({"n": 2.5}, "n"),
+        ({"n": 0}, "n"),
+        ({"n": -3}, "n"),
+        ({"wake_window": 1.5}, "wake_window"),
+        ({"wake_window": -1}, "wake_window"),
+    ])
+    def test_bad_arguments_are_named(self, kwargs, name):
+        args = {"n": 4, "side": 5.0, "power_range": (1.0, 2.0), "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            random_topology(**args)
 
 
 class TestTopologyFile:
@@ -340,6 +401,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("sinrsim: error: ") and "absent.json" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,words", [
+        (["--preset", "random", "--n", "4", "--side", "inf"], ["side", "inf"]),
+        (["--preset", "random", "--n", "4", "--power-hi", "nan"], ["power_range", "nan"]),
+        (["--preset", "random", "--power", "2"], ["'random'", "--power"]),
+        (["--preset", "grid", "--n", "4"], ["'grid'", "--n"]),
+        (["--preset", "clique", "--side", "3"], ["'clique'", "--side"]),
+        (["--preset", "chain", "--power-lo", "1"], ["'chain'", "--power-lo"]),
+    ])
+    def test_bad_generate_flags_are_a_one_line_error(self, argv, words, tmp_path, capsys):
+        out = tmp_path / "net.json"
+        assert main(["generate", *argv, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinrsim: error: ") and err.count("\n") == 1
+        assert all(word in err for word in words), err
+        assert not out.exists()
 
     def test_report_subcommand(self, tmp_path, capsys):
         topo = tmp_path / "net.json"

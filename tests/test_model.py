@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from sinrsim.errors import ModelViolationError
 from sinrsim.model import (
+    Network,
     NetworkParams,
     Node,
     broadcast_range,
@@ -14,7 +16,7 @@ from sinrsim.model import (
     max_transmission_range,
     ring_index,
 )
-from sinrsim.topology import chain_topology
+from sinrsim.topology import chain_topology, random_topology
 
 from .conftest import (
     brute_longest_chain,
@@ -22,6 +24,7 @@ from .conftest import (
     brute_ring_index,
     pair_network,
     random_small_network,
+    reference_network_build,
 )
 
 
@@ -172,6 +175,75 @@ class TestBuildNetwork:
             build_network(
                 [Node(0, 1.0, 2.0, 1.0), Node(1, 1.0, 2.0, 1.0)], exact_params
             )
+
+
+def _scattered_nodes(seed: int, n: int, ids=None) -> list[Node]:
+    """Nodes around the origin, so coordinates and differences of both
+    signs occur; powers spread over 1..64 for many one-way links."""
+    rng = np.random.default_rng(seed)
+    side = 1.5 * math.sqrt(n)
+    return [
+        Node(
+            id=i if ids is None else ids[i],
+            x=float(rng.uniform(-side, side / 3)),
+            y=float(rng.uniform(-side / 2, side / 2)),
+            power=float(rng.uniform(1.0, 64.0)),
+        )
+        for i in range(n)
+    ]
+
+
+class TestNetworkBuildOracle:
+    """The in-place distance kernel, the flat edge scans and the edge-list
+    chain pass against the dense computation they replaced."""
+
+    @staticmethod
+    def assert_matches_reference(net: Network) -> None:
+        ref = reference_network_build(net)
+        assert net.distances.tobytes() == ref["distances"].tobytes()
+        for name in ("adjacency", "bidirectional", "unidirectional"):
+            assert np.array_equal(getattr(net, name), ref[name]), name
+        for name in ("out_edges", "in_edges", "max_degree", "longest_chain"):
+            assert getattr(net, name) == ref[name], name
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_negative_coordinates(self, seed, exact_params):
+        net = build_network(_scattered_nodes(seed, 40), exact_params)
+        assert net.positions.min() < 0.0
+        self.assert_matches_reference(net)
+
+    def test_ids_are_not_indices(self, exact_params):
+        ids = [int(v) for v in np.random.default_rng(9).permutation(50) * 7 + 1000]
+        net = build_network(_scattered_nodes(3, 50, ids), exact_params)
+        assert net.ids == tuple(ids)
+        assert net.longest_chain > 0
+        self.assert_matches_reference(net)
+
+    def test_single_node(self, exact_params):
+        net = build_network([Node(5, -2.0, 3.0, 4.0)], exact_params)
+        assert (net.max_degree, net.longest_chain) == (0, 0)
+        assert net.out_edges == net.in_edges == {5: ()}
+        self.assert_matches_reference(net)
+
+    @pytest.mark.parametrize("n,ratio", [(2, 0.15), (7, 0.3), (12, 0.6)])
+    def test_chain_topology(self, n, ratio, exact_params):
+        self.assert_matches_reference(chain_topology(n, ratio, params=exact_params))
+
+    def test_random_topology(self, exact_params):
+        self.assert_matches_reference(
+            random_topology(300, 14.0, (1.0, 6.0), seed=11, params=exact_params)
+        )
+
+    def test_build_memory_stays_below_three_matrices(self, exact_params):
+        n = 500
+        nodes = random_topology(n, 20.0, (1.0, 6.0), seed=1, params=exact_params).nodes
+        tracemalloc.start()
+        try:
+            Network(nodes, exact_params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
 
 
 class TestLongestDirectedPath:

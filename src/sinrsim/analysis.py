@@ -82,7 +82,7 @@ def proximity_silence_probability(
     """Probability that nobody within three maximum ranges of `node_id`
     (itself excluded) transmits in one slot; exact product."""
     i = network.index(node_id)
-    near = network.distances[i] < 3.0 * network.r_max_global
+    near = network.distance_row(i) < 3.0 * network.r_max_global
     near[i] = False
     result = 1.0
     for j in np.flatnonzero(near):
@@ -110,35 +110,67 @@ def expected_far_interference(
     against all far nodes in blocks of rows; each row is summed on its own,
     as a one-dimensional ``np.sum`` would.
     """
+    return _far_interference(network, _prob_vector(network, probs), [node_id], exponent)[0]
+
+
+def _prob_vector(network: Network, probs: Mapping[int, float]) -> np.ndarray:
+    """`probs` as an array in node index order, 0 for absent nodes."""
+    return np.array([probs.get(v, 0.0) for v in network.ids], dtype=float)
+
+
+def _far_interference(
+    network: Network, p: np.ndarray, node_ids: Sequence[int], exponent: float
+) -> list[float]:
+    """:func:`expected_far_interference` of each node in `node_ids` under
+    one probability vector `p` in node index order.
+
+    All nodes share two block buffers, written in place: fresh temporaries
+    of a few hundred kB per block would each cost a page fault per 4 kB
+    whenever the allocator maps them from fresh pages."""
     if exponent <= 1.0:
         raise ValueError("attenuation exponent must exceed 1")
-    i = network.index(node_id)
-    row = network.distances[i]
-    p = np.array([probs.get(v, 0.0) for v in network.ids], dtype=float)
-    far = np.flatnonzero((row >= 3.0 * network.r_max_global) & (p > 0.0))
-    if far.size == 0:
-        return 0.0
+    size = min(_CANDIDATE_BLOCK, network.n) * network.n
+    buf, other = np.empty(size), np.empty(size)
+    out = []
+    for node_id in node_ids:
+        i = network.index(node_id)
+        row = network.distance_row(i)
+        far = np.flatnonzero((row >= 3.0 * network.r_max_global) & (p > 0.0))
+        if far.size == 0:
+            out.append(0.0)
+            continue
 
-    center = network.positions[i]
-    radius = float(network.r_bcast[i])
-    inside = row <= radius
-    inside[i] = False
-    # nearest boundary point towards each far node; row[far] is the norm of
-    # positions[far] - center
-    boundary = center + radius * (network.positions[far] - center) / row[far, None]
-    candidates = np.concatenate((network.positions[inside], boundary))
-    cand_x, cand_y = candidates[:, 0, None], candidates[:, 1, None]
+        center = network.positions[i]
+        radius = float(network.r_bcast[i])
+        inside = row <= radius
+        inside[i] = False
+        # nearest boundary point towards each far node; row[far] is the norm
+        # of positions[far] - center
+        boundary = center + radius * (network.positions[far] - center) / row[far, None]
+        candidates = np.concatenate((network.positions[inside], boundary))
+        cand_x, cand_y = candidates[:, 0, None], candidates[:, 1, None]
 
-    far_x, far_y = network.positions[far, 0], network.positions[far, 1]
-    weights = p[far] * network.powers[far]
-    worst = 0.0
-    for start in range(0, len(candidates), _CANDIDATE_BLOCK):
-        stop = start + _CANDIDATE_BLOCK
-        dx = far_x - cand_x[start:stop]
-        dy = far_y - cand_y[start:stop]
-        d = np.sqrt(dx * dx + dy * dy)
-        worst = max(worst, float((weights / d**exponent).sum(axis=1).max()))
-    return worst
+        far_x, far_y = network.positions[far, 0], network.positions[far, 1]
+        weights = p[far] * network.powers[far]
+        worst = 0.0
+        for start in range(0, len(candidates), _CANDIDATE_BLOCK):
+            rows = cand_x[start : start + _CANDIDATE_BLOCK]
+            shape = (len(rows), far.size)
+            d = np.subtract(far_x, rows, out=buf[: rows.size * far.size].reshape(shape))
+            dy = np.subtract(
+                far_y,
+                cand_y[start : start + len(rows)],
+                out=other[: rows.size * far.size].reshape(shape),
+            )
+            np.multiply(d, d, out=d)
+            np.multiply(dy, dy, out=dy)
+            np.add(d, dy, out=d)
+            np.sqrt(d, out=d)
+            np.power(d, exponent, out=d)
+            np.divide(weights, d, out=d)
+            worst = max(worst, float(d.sum(axis=1).max()))
+        out.append(worst)
+    return out
 
 
 def ring_interference_bound(

@@ -309,8 +309,8 @@ def verify_local_broadcast(
     if radius is None:
         receivers = network.out_edges[sender]
     else:
-        row = network.distances[network.index(sender)]
-        receivers = [network.ids[j] for j in np.nonzero(row <= radius)[0]]
+        row = network.distance_row(network.index(sender))
+        receivers = [network.ids[j] for j in np.flatnonzero(row <= radius).tolist()]
     for other in receivers:
         if other == sender:
             continue

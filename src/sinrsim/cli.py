@@ -32,13 +32,20 @@ def _with_wakeup(network, mode: str):
     """Apply `--async-wakeup random:WINDOW`: uniform wake slots per node."""
     if mode == "none":
         return network
-    if not mode.startswith("random:"):
-        raise SystemExit("--async-wakeup must be 'none' or 'random:WINDOW'")
+    kind, _, text = mode.partition(":")
+    try:
+        window = int(text) if kind == "random" else -1
+    except ValueError:
+        window = -1
+    if window < 0:
+        raise ValueError(
+            f"--async-wakeup expects 'none' or 'random:WINDOW' with a "
+            f"non-negative integer WINDOW, got {mode!r}"
+        )
     import numpy as np
 
     from .model import Node, build_network
 
-    window = int(mode.split(":", 1)[1])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((window, 0xAA))))
     nodes = [
         Node(

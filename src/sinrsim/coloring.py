@@ -754,9 +754,8 @@ def validate_coloring(
         problems.append(f"uncolored nodes: {missing[:8]}")
 
     valid = True
-    for i, v in enumerate(network.ids):
-        for j in np.nonzero(network.adjacency[i])[0]:
-            u = network.ids[int(j)]
+    for v in network.ids:
+        for u in network.out_edges[v]:
             if colors.get(v) is not None and colors.get(v) == colors.get(u):
                 valid = False
                 problems.append(f"link {v}->{u} joins equal colors {colors[v]}")
@@ -767,12 +766,14 @@ def validate_coloring(
 
     leader_ok = True
     leaders = [v for v in network.ids if (c := colors.get(v)) is not None and c < constants.leader_colors]
-    for a in range(len(leaders)):
-        for b in range(a + 1, len(leaders)):
-            i, j = network.index(leaders[a]), network.index(leaders[b])
-            if network.bidirectional[i, j]:
+    is_leader = set(leaders)
+    for v in leaders:
+        i = network.index(v)
+        # later leaders in index order that v links to and back
+        for u in network.out_edges[v]:
+            if u in is_leader and network.index(u) > i and v in network.out_edges[u]:
                 leader_ok = False
-                problems.append(f"bidirectional leaders {leaders[a]}, {leaders[b]}")
+                problems.append(f"bidirectional leaders {v}, {u}")
 
     return ColoringVerdict(
         complete=complete,
@@ -809,18 +810,14 @@ def validate_mis(network: Network, members: Mapping[int, Optional[bool]]) -> Mis
 
     independent = True
     dominating = True
-    for i, v in enumerate(network.ids):
+    for v in network.ids:
         if members.get(v):
-            for j in np.nonzero(network.adjacency[i])[0]:
-                u = network.ids[int(j)]
+            for u in network.out_edges[v]:
                 if members.get(u):
                     independent = False
                     problems.append(f"linked members {v}, {u}")
         elif members.get(v) is not None:
-            covered = any(
-                members.get(network.ids[int(j)])
-                for j in np.nonzero(network.adjacency[:, i])[0]
-            )
+            covered = any(members.get(u) for u in network.in_edges[v])
             if not covered:
                 dominating = False
                 problems.append(f"non-member {v} hears no member")

@@ -14,12 +14,6 @@ Determinism contract: a run is fully determined by (network, seed, config).
 Every node draws from its own PCG64 stream seeded by (root seed, node id),
 so one node's behaviour never perturbs another's randomness; the event loop
 itself consumes no randomness.
-
-Slots are synchronous by default.  Per-node fractional phase offsets can be
-supplied to model unaligned local clocks; in that mode a transmission also
-interferes with any overlapping transmission of the two adjacent slot
-indices, resolution is deferred one slot so those are known, and receptions
-therefore reach their listener two slots after transmission instead of one.
 """
 
 from __future__ import annotations
@@ -310,96 +304,84 @@ def _payload_kind(payload: Any) -> str:
 _DELIVER, _WAKE, _SLEEP, _SCRIPT, _CHECK, _TX = range(6)
 
 _SlotTx = tuple[int, float, Any]  # (node index, power, payload)
-
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# a lone transmission's exact reach, slack reach, out-neighbours and the
+# out-neighbours outside its exact reach, as node indices
+_Reach = tuple[tuple[int, ...], np.ndarray, list[int], list[int]]
 
 
 class _Core:
-    """Physical-layer state of one run: the network's cached distance**alpha
-    matrix and lone-transmission reach bitmasks per (sender, power).
+    """Physical-layer state of one run: awake and transmitting flags per
+    node index, and each (sender, power)'s lone reach as plain sequences.
     Interference only raises the SINR denominator, so a multi-transmission
     slot is decided over the listeners inside its senders' reach only."""
-
-    # relative slack on the beta*noise floor of the candidate filter; it
-    # exceeds the rounding error of the SINR test, about (k+1)(1+beta)
-    # units of 2**-53 for k concurrent terms, for any k up to ~10**6 / beta
-    _SLACK = 1e-9
 
     def __init__(self, network: Network):
         self.network = network
         params = network.params
         self.beta = params.beta_true
         self.noise = params.noise_true
-        self.dist_alpha = network.dist_alpha
-        self._reach_cache: dict[tuple[int, float], tuple[int, int]] = {}
-        self.out_mask = [_mask_of(row) for row in network.adjacency]
+        self.awake = bytearray(network.n)
+        self.sending = bytearray(network.n)
+        # nodes whose awake flag is clear; an overcount only costs the
+        # filtering that a count of 0 lets a lone transmission skip
+        self.asleep = network.n
+        self._awake = np.frombuffer(self.awake, dtype=np.bool_)
+        self._sending = np.frombuffer(self.sending, dtype=np.bool_)
+        self._reach: dict[tuple[int, float], _Reach] = {}
 
-    def reach(self, idx: int, power: float) -> tuple[int, int]:
-        """Listeners that decode a lone transmission from `idx` at `power`,
-        exactly and as the slack superset used to filter candidates."""
+    def reach(self, idx: int, power: float) -> _Reach:
+        """For a lone transmission from `idx` at `power`: the listeners that
+        decode it, the slack superset used to filter candidates, the
+        sender's out-neighbours, and those of them outside the exact
+        reach, all ascending.  The engine's one accessor of lone reach: it
+        keeps, per run, plain-sequence views of `Network.lone_reach`."""
         key = (idx, power)
-        masks = self._reach_cache.get(key)
-        if masks is None:
-            signal = power / self.dist_alpha[idx]  # 0 at the sender itself
-            floor = self.beta * self.noise
-            masks = (
-                _mask_of(signal >= floor),
-                _mask_of(signal >= floor * (1.0 - self._SLACK)),
-            )
-            self._reach_cache[key] = masks
-        return masks
+        entry = self._reach.get(key)
+        if entry is None:
+            exact, slack = self.network.lone_reach(idx, power)
+            exact = tuple(exact.tolist())
+            out = self.network.out_indices(idx).tolist()
+            inside = set(exact)
+            entry = (exact, slack, out, [u for u in out if u not in inside])
+            self._reach[key] = entry
+        return entry
 
-    def resolve(
-        self, listeners: int, txs: list[_SlotTx], extra: Sequence[tuple[int, float]] = ()
-    ) -> list[int]:
-        """Bitmask of the listeners that decode each transmission, under the
-        same delivery rule as :func:`resolve_slot`; `extra` adds
-        interference-only transmitters (used by the phase-offset mode for
-        adjacent-slot overlap)."""
-        if len(txs) == 1 and not extra:
+    def resolve(self, txs: list[_SlotTx]) -> list[Sequence[int]]:
+        """Ascending indices of the awake, non-transmitting listeners that
+        decode each transmission, under the same delivery rule as
+        :func:`resolve_slot`; the transmitters are flagged in `sending`.
+        The sequences are read-only; they may be cached reach sets."""
+        if len(txs) == 1:
             idx, power, _ = txs[0]
-            return [self.reach(idx, power)[0] & listeners]
-        masks = [0] * len(txs)
-        union = 0
-        for idx, power, _ in txs:
-            union |= self.reach(idx, power)[1]
-        cand = _indices(union & listeners, self.network.n)
+            exact = self.reach(idx, power)[0]
+            if not self.asleep:
+                return [exact]
+            awake = self.awake
+            return [[l for l in exact if awake[l]]]
+        received: list[list[int]] = [[] for _ in txs]
+        cand = np.concatenate([self.reach(idx, power)[1] for idx, power, _ in txs])
+        cand.sort()
+        keep = self._awake[cand] & ~self._sending[cand]
+        keep[1:] &= cand[1:] != cand[:-1]  # each listener once
+        cand = cand[keep]
         if cand.size == 0:
-            return masks
-        dist_alpha = self.dist_alpha
-        gains = [power / dist_alpha[idx, cand] for idx, power, _ in txs]
+            return received
+        # gains of every sender, far ones included, bit for bit as a dense
+        # distance ** alpha matrix would give them
+        gains = np.array([power for _, power, _ in txs])[:, None] / self.network.path_loss(
+            [idx for idx, _, _ in txs], cand
+        )
         # the denominator adds up left to right, gains in transmission order
-        # and then noise plus overlap terms, as a scalar loop per listener
-        # would; np.sum would add pairwise and round differently
-        total = gains[0]
-        for g in gains[1:]:
-            total = total + g
-        noise_l = self.noise
-        for idx, power in extra:
-            noise_l = noise_l + power / dist_alpha[idx, cand]  # + 0.0 at idx itself
-        total = total + noise_l
-        hits = np.array([g >= self.beta * (total - g) for g in gains])
+        # and then the noise, as a scalar loop per listener would; an
+        # accumulation is sequential by definition, where np.sum may add
+        # pairwise and round differently
+        total = np.add.accumulate(gains, axis=0)[-1] + self.noise
+        hits = gains >= self.beta * (total - gains)
         single = np.count_nonzero(hits, axis=0) == 1
         winners = hits[:, single].argmax(axis=0)
         for l, t in zip(cand[single].tolist(), winners.tolist()):
-            masks[t] |= 1 << l
-        return masks
-
-
-def _mask_of(row: np.ndarray) -> int:
-    """Bitmask (bit j = row[j]) of a boolean vector."""
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-
-
-def _indices(mask: int, n: int) -> np.ndarray:
-    """Ascending set-bit positions of an n-bit mask."""
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+            received[t].append(l)
+        return received
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
@@ -422,14 +404,13 @@ def _draw_lanes(
     row: list[Optional[int]],
     i: int,
     from_slot: int,
-    defer_at: int,
     heap: list[tuple[int, int, int, int]],
     idle_only: bool,
 ) -> list[int]:
     """Draw the next transmission slot of machine i's lanes (only those with
     none pending if `idle_only`) from `from_slot` on: a geometric number of
-    eligible slots is skipped.  Lanes landing on `defer_at` are returned
-    instead of pushed (the caller is still processing that slot)."""
+    eligible slots is skipped.  Lanes landing on `from_slot` itself are
+    returned instead of pushed, for a caller still processing that slot."""
     immediate: list[int] = []
     for k, lane in enumerate(machine.lanes):
         if idle_only and row[k] is not None:
@@ -443,26 +424,11 @@ def _draw_lanes(
         slot = from_slot if period == 1 else from_slot + (lane.phase - from_slot) % period
         slot += gap * period
         row[k] = slot
-        if slot == defer_at:
+        if slot == from_slot:
             immediate.append(k)
         else:
             heapq.heappush(heap, (slot, _TX, i, k))
     return immediate
-
-
-def _overlap(
-    offsets: list[float], slot_a: int, txs_a: list[_SlotTx], slot_b: int, txs_b: list[_SlotTx]
-) -> list[tuple[int, float]]:
-    """Transmitters of slot_b whose on-air window overlaps any transmission
-    of slot_a; applied as interference to the whole of slot_a (conservative
-    for pairs that do not actually overlap)."""
-    out = []
-    for ib, pb, _mb in txs_b:
-        for ia, _pa, _ma in txs_a:
-            if abs((slot_a + offsets[ia]) - (slot_b + offsets[ib])) < 1.0:
-                out.append((ib, pb))
-                break
-    return out
 
 
 def run_simulation(
@@ -476,17 +442,15 @@ def run_simulation(
     scripted: Optional[
         Sequence[tuple[int, Callable[[dict[int, ProtocolMachine], int], None]]]
     ] = None,
-    phase_offsets: Optional[dict[int, float]] = None,
 ) -> SimTrace:
     """Drive every node's protocol machine until all report completion or
     `max_slots` elapse.
 
     Receptions resolved in slot t reach their listener's inbox at the start
-    of slot t+1 (one slot later with phase offsets, see module docstring).
-    `monitor`, when given, receives every change of the per-node
-    transmission probabilities as (node id, probability on even slots,
-    probability on odd slots) tuples -- exactly the instants at which any
-    per-slot probability invariant could newly fail.  `scripted` events
+    of slot t+1.  `monitor`, when given, receives every change of the
+    per-node transmission probabilities as (node id, probability on even
+    slots, probability on odd slots) tuples -- exactly the instants at which
+    any per-slot probability invariant could newly fail.  `scripted` events
     inject external actions (such as forced resignations) at fixed slots.
     """
     if max_slots <= 0:
@@ -494,14 +458,9 @@ def run_simulation(
     trace = trace or TraceConfig()
     core = _Core(network)
     resolve = core.resolve
-    out_mask = core.out_mask
+    reach = core.reach
     n = network.n
     ids = network.ids
-    offsets: Optional[list[float]] = None
-    if phase_offsets is not None:
-        offsets = [float(phase_offsets.get(v, 0.0)) for v in ids]
-        if any(not (0.0 <= o < 1.0) for o in offsets):
-            raise ValueError("phase offsets must lie in [0, 1)")
 
     machines: list[ProtocolMachine] = []
     by_id: dict[int, ProtocolMachine] = {}
@@ -512,8 +471,8 @@ def run_simulation(
 
     next_tx: list[list[Optional[int]]] = [[None] * len(m.lanes) for m in machines]
     synced_cp: list[Optional[int]] = [None] * n
-    awake = [False] * n
-    awake_mask = 0
+    awake = core.awake  # flags per node index
+    sending = core.sending  # this slot's transmitters
     done_seen = [False] * n
     n_undone = 0
     n_prewake = 0
@@ -538,8 +497,7 @@ def run_simulation(
 
     pending_slot = -1
     pending: dict[int, list[tuple[int, Any]]] = {}  # listener index -> inbox
-    held: Optional[tuple[int, list[_SlotTx]]] = None  # offset mode: (slot, its txs)
-    recent_txs: dict[int, list[_SlotTx]] = {}  # offset mode backward lookback
+    pending_sorted = True  # filled by one transmission, so in listener order
 
     first_rx: dict[int, dict[int, int]] = {v: {} for v in ids}
     rx_rows = [first_rx[v] for v in ids]
@@ -593,7 +551,7 @@ def run_simulation(
 
             # 1. deliver receptions resolved for this slot
             if pending_slot == s:
-                for i in sorted(pending) if len(pending) > 1 else pending:
+                for i in pending if pending_sorted else sorted(pending):
                     machine = machines[i]
                     if awake[i] and machine.wants_rx:
                         cur = i
@@ -606,7 +564,7 @@ def run_simulation(
             # 2. wake-ups
             for i in wakes:
                 awake[i] = True
-                awake_mask |= 1 << i
+                core.asleep -= 1
                 n_prewake -= 1
                 n_undone += 1
                 cur = i
@@ -618,7 +576,7 @@ def run_simulation(
             for i in sleeps:
                 if awake[i]:
                     awake[i] = False
-                    awake_mask &= ~(1 << i)
+                    core.asleep += 1
                     next_tx[i] = [None] * len(next_tx[i])
                     if not done_seen[i]:
                         done_seen[i] = True
@@ -663,7 +621,7 @@ def run_simulation(
                     machine._dirty = False
                     changed.append(i)
                     if awake[i]:
-                        for k in _draw_lanes(machine, next_tx[i], i, s, s, heap, False):
+                        for k in _draw_lanes(machine, next_tx[i], i, s, heap, False):
                             tx_cand.append((i, k))
                             n_cand += 1
                     else:
@@ -685,7 +643,6 @@ def run_simulation(
             # 7. this slot's transmissions: lanes still due now, in (node,
             # lane) order; other entries are stale (redrawn, or node asleep)
             txs: list[_SlotTx] = []
-            tx_mask = 0
             if n_cand:
                 if n_cand > 1:
                     tx_cand.sort()  # a repeated entry finds its lane already fired
@@ -697,70 +654,52 @@ def run_simulation(
                     out = machines[i].on_transmit(s, k)
                     cur = -1
                     payload, power = out
-                    if (1 << i) & tx_mask:
+                    if sending[i]:
                         raise ProtocolViolationError(
                             f"node {ids[i]} transmitted twice in slot {s}"
                         )
                     txs.append((i, power, payload))
-                    tx_mask |= 1 << i
+                    sending[i] = True
                     row[k] = None
                 stale_tx += n_cand - len(txs)
 
-            # 8. physical resolution: one receiver bitmask per transmission
-            r_txs: Optional[list[_SlotTx]] = None
-            if offsets is None:
-                if txs:
-                    r_slot, r_txs = s, txs
-                    masks = resolve(awake_mask & ~tx_mask, txs)
-            else:
-                # Resolve the previous slot now that its forward neighbours
-                # are known; a held slot cannot be touched by transmissions
-                # two or more slot indices away since offsets stay below one
-                # slot.
-                if held is not None:
-                    r_slot, r_txs = held
-                    extra: list[tuple[int, float]] = []
-                    busy = 0
-                    for i, _p, _m in r_txs:
-                        busy |= 1 << i
-                    back = recent_txs.get(r_slot - 1)
-                    if back is not None:
-                        extra.extend(_overlap(offsets, r_slot, r_txs, r_slot - 1, back))
-                    if r_slot + 1 == s and txs:
-                        extra.extend(_overlap(offsets, r_slot, r_txs, s, txs))
-                        busy |= tx_mask  # half-duplex across overlapping slots
-                    masks = resolve(awake_mask & ~busy, r_txs, extra)
-                    recent_txs = {r_slot: r_txs}
-                    held = None
-                if txs:
-                    held = (s, txs)
-                    heappush(heap, (s + 1, _DELIVER, 0, 0))  # flushes the hold
-
-            # delivery: statistics, the listeners' inboxes and the record
-            if r_txs is not None:
+            # 8. physical resolution and delivery: statistics, the
+            # listeners' inboxes and the record
+            if txs:
+                received = resolve(txs)
                 eventful += 1
-                if len(r_txs) > 1:
+                lone = len(txs) == 1
+                if not lone:
                     multi_tx += 1
-                for (i, _power, payload), rx in zip(r_txs, masks):
+                for (i, power, payload), rx in zip(txs, received):
+                    sending[i] = False
                     tx_counts[i] += 1
-                    if out_mask[i] & awake_mask & ~rx == 0:
+                    # full success: every awake out-neighbour decoded; a
+                    # lone transmission reaches every awake node of its
+                    # exact reach, so only the out-neighbours outside it
+                    # can miss it
+                    _exact, _slack, out_nbrs, missing = reach(i, power)
+                    if lone:
+                        full = not any(awake[u] for u in missing) if missing else True
+                    else:
+                        heard = set(rx)
+                        full = all(u in heard or not awake[u] for u in out_nbrs)
+                    if full:
                         full_counts[i] += 1
                         if first_full[i] is None:
-                            first_full[i] = r_slot
+                            first_full[i] = s
                     sender_id = ids[i]
-                    while rx:
-                        low = rx & -rx
-                        l = low.bit_length() - 1
-                        rx ^= low
+                    for l in rx:
                         row_rx = rx_rows[l]
                         if sender_id not in row_rx:
-                            row_rx[sender_id] = r_slot
+                            row_rx[sender_id] = s
                         inbox = pending.get(l)
                         if inbox is None:
                             pending[l] = [(sender_id, payload)]
                         else:
                             inbox.append((sender_id, payload))
                 if pending:
+                    pending_sorted = lone
                     if pending_slot < 0:
                         heappush(heap, (s + 1, _DELIVER, 0, 0))
                     pending_slot = s + 1
@@ -768,16 +707,13 @@ def run_simulation(
                     if trace.outcome_limit is not None and len(outcomes) >= trace.outcome_limit:
                         truncated = True
                     else:
-                        records = [
-                            Transmission(ids[i], r_slot, power, payload)
-                            for i, power, payload in r_txs
-                        ]
-                        pairs = sorted(
-                            (l, t) for t, rx in enumerate(masks) for l in _bits(rx)
-                        )
+                        records = [Transmission(ids[i], s, power, payload) for i, power, payload in txs]
+                        pairs = [(l, t) for t, rx in enumerate(received) for l in rx]
+                        if not lone:
+                            pairs.sort()
                         outcomes.append(
                             SlotOutcome(
-                                slot=r_slot,
+                                slot=s,
                                 transmissions=tuple(records),
                                 receptions=tuple((ids[l], records[t]) for l, t in pairs),
                             )
@@ -790,7 +726,8 @@ def run_simulation(
                 if dirty:
                     machine._dirty = False
                     changed.append(i)
-                _draw_lanes(machine, next_tx[i], i, s + 1, -1, heap, not dirty)
+                for k in _draw_lanes(machine, next_tx[i], i, s + 1, heap, not dirty):
+                    heappush(heap, (s + 1, _TX, i, k))
                 cp = machine._checkpoint
                 if cp != synced_cp[i]:
                     synced_cp[i] = cp
@@ -814,7 +751,6 @@ def run_simulation(
                 and n_prewake == 0
                 and scripts_left == 0
                 and pending_slot < 0
-                and held is None
             ):
                 completed = True
                 break

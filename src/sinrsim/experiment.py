@@ -14,8 +14,14 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .analysis import (
+    _far_interference,
+    _prob_vector,
     _region_sums,
-    expected_far_interference,
+    # analyze_network no longer calls this, so perfbench/run.py's wrapper
+    # of it measures nothing (0 calls); the import only keeps that wrapper's
+    # lookup by name working until the benchmark wraps _far_interference
+    # instead (ROADMAP item 6)
+    expected_far_interference,  # noqa: F401
     proximity_silence_probability,
     region_probability_cap,
     variable_power_guarantee,
@@ -53,8 +59,8 @@ class RegionBudgetMonitor:
         self.containing: list[list[int]] = [[] for _ in range(n)]
         for i in range(n):
             self.containing[i].append(i)
-            for j in np.nonzero(network.adjacency[i])[0]:
-                self.containing[int(j)].append(i)
+            for j in network.out_indices(i).tolist():
+                self.containing[j].append(i)
         self.even = [0.0] * n
         self.odd = [0.0] * n
         self.sum_even = [0.0] * n
@@ -174,11 +180,8 @@ def halo_pair_count(network: Network) -> int:
     reach = (network.powers / (params.noise_true * params.beta_true)) ** (
         1.0 / params.alpha_true
     )
-    halo = (network.r_bcast[:, None] < network.distances) & (
-        network.distances <= reach[:, None]
-    )
-    np.fill_diagonal(halo, False)
-    return int(np.count_nonzero(halo))
+    src, _dst, d = network.pairs_within(reach)
+    return int(np.count_nonzero(network.r_bcast[src] < d))
 
 
 _TRACE_OUTCOME_LIMIT = 100_000  # eventful slots kept for a --trace file
@@ -624,15 +627,13 @@ def _leader_density_ok(network, colors, constants: ColoringConstants) -> bool:
     ratio_sq = network.range_ratio**2
     lim1 = math.ceil(9.0 * ratio_sq)
     lim2 = math.ceil(19.0 * ratio_sq)
+    is_leader = np.zeros(network.n, dtype=bool)
+    is_leader[[network.index(v) for v in leaders]] = True
     for v in leaders:
-        near = sum(
-            1 for u in leaders
-            if u != v and network.dist(v, u) <= network.r_max_global
-        )
-        near2 = sum(
-            1 for u in leaders
-            if u != v and network.dist(v, u) <= 2.0 * network.r_max_global
-        )
+        others, d = network.within(network.index(v), 2.0 * network.r_max_global)
+        lead = is_leader[others]
+        near = int(np.count_nonzero(d[lead] <= network.r_max_global))
+        near2 = int(np.count_nonzero(lead))
         if near > lim1 or near2 > lim2:
             return False
     return True
@@ -737,23 +738,22 @@ def analyze_network(network: Network, n_hint: Optional[int] = None) -> dict:
     cap, n_hint = _cap_for(network, n_hint)
     prob = cap / max(1, network.max_degree)
     probs = dict.fromkeys(network.ids, prob)
+    p = _prob_vector(network, probs)
     margin = (params.delta - 1.0) * params.noise_hi / 2.0
     silence = {
         v: proximity_silence_probability(network, probs, v) for v in network.ids
     }
     # the certificate is stated for the worst-case exponent; the true-exponent
     # expectation is informational and the same numbers when the two coincide
-    interference = {
-        v: expected_far_interference(network, probs, v, params.alpha_hi)
-        for v in network.ids
-    }
+    interference = dict(
+        zip(network.ids, _far_interference(network, p, network.ids, params.alpha_hi))
+    )
     if params.alpha_true == params.alpha_hi:
         interference_true = dict(interference)
     else:
-        interference_true = {
-            v: expected_far_interference(network, probs, v, params.alpha_true)
-            for v in network.ids
-        }
+        interference_true = dict(
+            zip(network.ids, _far_interference(network, p, network.ids, params.alpha_true))
+        )
     region_sums = dict(zip(network.ids, _region_sums(network, probs)))
     return {
         "n": network.n,

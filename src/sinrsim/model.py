@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -138,34 +138,45 @@ def broadcast_range(power: float, params: NetworkParams) -> float:
     )
 
 
+# relative slack below the beta*noise floor of the lone-reach candidate
+# sets; it exceeds the rounding error of the SINR test, about (k+1)(1+beta)
+# units of 2**-53 for k concurrent terms, for any k up to ~10**6 / beta
+_REACH_SLACK = 1e-9
+
+# cells per axis above which the grid coarsens, keeping cell keys in int64
+_MAX_CELLS_PER_AXIS = 1 << 20
+
+# networks up to this size take every node pair as a candidate pair
+_ALL_PAIRS_MAX_N = 128
+
+
 class Network:
     """Immutable joint view of node placement, powers and derived structure.
 
+    Nothing is stored per node pair.  Nodes are hashed into a uniform grid
+    of square cells of side `r_max_global`; a radius query scans the cell
+    columns its bounding box covers and keeps the nodes within the radius.
+    The graph is held as ascending index arrays per node, and each distance
+    is computed when asked for, with the floating-point operations a dense
+    n x n matrix would use: ``sqrt(dx*dx + dy*dy)``.
+
     Construct through :func:`build_network`.  Safe to share read-only across
-    concurrently running experiments.
+    concurrently running experiments; the only state added after
+    construction is the cache of lone-reach sets, whose entries are pure
+    functions of their key.
     """
 
     def __init__(self, nodes: Sequence[Node], params: NetworkParams):
         self.nodes: tuple[Node, ...] = tuple(nodes)
         self.params = params
-        self.n = len(self.nodes)
+        self.n = n = len(self.nodes)
 
         self._index = {node.id: i for i, node in enumerate(self.nodes)}
         self.ids = tuple(node.id for node in self.nodes)
 
         self.positions = np.array([[node.x, node.y] for node in self.nodes], dtype=float)
         self.powers = np.array([node.power for node in self.nodes], dtype=float)
-
-        # dx*dx + dy*dy summed in place: bit-identical to the two-term sum
-        # over an n x n x 2 difference array, without building that array
-        x, y = self.positions[:, 0], self.positions[:, 1]
-        dist = x[:, None] - x[None, :]
-        dist *= dist
-        dy = y[:, None] - y[None, :]
-        dy *= dy
-        dist += dy
-        del dy
-        self.distances = np.sqrt(dist, out=dist)
+        self._coords = self.positions.tolist()
 
         self.r_max = np.array(
             [max_transmission_range(p, params) for p in self.powers]
@@ -182,29 +193,46 @@ class Network:
         self.r_min_global = float(self.r_max.min())
         self.range_ratio = self.r_max_global / self.r_min_global  # >= 1
 
-        # every node is within its own range (distance 0): drop it from the count
-        in_range = np.count_nonzero(self.distances <= self.r_max[:, None], axis=1)
-        self.max_degree = int(in_range.max()) - 1
+        # the grid: cell (cx, cy) has key cx * rows + cy, and nodes are kept
+        # sorted by key, so a run of rows within one column is one key range
+        self._origin = self.positions.min(axis=0)
+        self._x0, self._y0 = self._origin.tolist()
+        span = float((self.positions.max(axis=0) - self._origin).max())
+        self._cell = max(self.r_max_global, span / _MAX_CELLS_PER_AXIS)
+        cells = self._cells(self.positions)
+        self._last_cell = cells.max(axis=0)  # last occupied column and row
+        self._last_col = int(self._last_cell[0])
+        self._rows = int(self._last_cell[1]) + 1
+        keys = cells[:, 0].astype(np.int64) * self._rows + cells[:, 1].astype(np.int64)
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
+        # list copies for `within`, which works in scalar Python
+        self._order_list = self._order.tolist()
+        self._key_list = self._keys.tolist()
+        # added to every query radius: far above the rounding of a
+        # coordinate difference, so a query box never misses a node
+        self._pad = 1e-9 * float(np.abs(self.positions).max())
 
-        # adjacency: edge v -> u iff dist(v, u) <= r_bcast(v)
-        self.adjacency = self.distances <= self.r_bcast[:, None]
-        np.fill_diagonal(self.adjacency, False)
-        self.out_edges = _edge_tuples(self.adjacency, self.ids)
-        self.in_edges = _edge_tuples(self.adjacency.T, self.ids)
+        src, dst, d = self.pairs_within(np.maximum(self.r_max, self.r_bcast))
+        in_range = d <= self.r_max[src]
+        self.max_degree = int(np.bincount(src[in_range], minlength=n).max())
 
-        self.bidirectional = self.adjacency & self.adjacency.T
-        self.unidirectional = self.adjacency ^ self.bidirectional
-        self.longest_chain = _longest_unidirectional_path(self.unidirectional)
+        # edge v -> u iff dist(v, u) <= r_bcast(v); pairs come sorted by
+        # (v, u), so both index arrays per node are ascending
+        edge = d <= self.r_bcast[src]
+        src, dst = src[edge], dst[edge]
+        self._out_ptr = _row_pointers(src, n)
+        self._out_nbr = dst
+        by_dst = np.lexsort((src, dst))
+        self._in_ptr = _row_pointers(dst[by_dst], n)
+        self._in_nbr = src[by_dst]
+        self._out_nbr.flags.writeable = False
+        self._in_nbr.flags.writeable = False
+        self.out_edges = _edge_tuples(self._out_ptr, self._out_nbr, self.ids)
+        self.in_edges = _edge_tuples(self._in_ptr, self._in_nbr, self.ids)
+        self.longest_chain = _longest_unidirectional_path(src, dst, n)
 
-    @cached_property
-    def dist_alpha(self) -> np.ndarray:
-        """Read-only ``distances ** alpha_true`` with an infinite diagonal,
-        so that a gain ``power / dist_alpha`` is 0 at the sender itself;
-        computed on first use."""
-        dist_alpha = self.distances**self.params.alpha_true
-        np.fill_diagonal(dist_alpha, math.inf)
-        dist_alpha.flags.writeable = False
-        return dist_alpha
+        self._reach: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
 
     # -- lookups ---------------------------------------------------------
 
@@ -215,7 +243,82 @@ class Network:
         return self.nodes[self._index[node_id]]
 
     def dist(self, a: int, b: int) -> float:
-        return float(self.distances[self._index[a], self._index[b]])
+        xa, ya = self._coords[self._index[a]]
+        xb, yb = self._coords[self._index[b]]
+        dx = xa - xb
+        dy = ya - yb
+        return math.sqrt(dx * dx + dy * dy)
+
+    def distance_row(self, i: int) -> np.ndarray:
+        """The distance from the node at index `i` to every node, bit for
+        bit the row a dense distance matrix would hold; 0 at `i` itself."""
+        return self._pair_dist(i, slice(None))
+
+    def path_loss(self, senders, others: np.ndarray) -> np.ndarray:
+        """``dist ** alpha_true`` from each node index in `senders` (rows)
+        to each in `others` (columns).  Array ufuncs only: a scalar ``**``
+        can differ from the array ``np.power`` in the last ulp, and these
+        values must match what a dense matrix would hold bit for bit."""
+        dx = self.positions[senders, 0, None] - self.positions[others, 0]
+        dy = self.positions[senders, 1, None] - self.positions[others, 1]
+        return np.sqrt(dx * dx + dy * dy) ** self.params.alpha_true
+
+    def within(self, i: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the nodes other than `i` at distance at most `radius`
+        from node index `i`, ascending, and the distance to each.  Scalar
+        Python arithmetic: one query visits a few dozen nodes, where NumPy's
+        per-call cost would dominate, and IEEE ``-``, ``*``, ``+`` and
+        ``sqrt`` round exactly as the array ufuncs do."""
+        x, y = self._coords[i]
+        r = radius + (1e-9 * radius + self._pad)
+        cell, rows = self._cell, self._rows
+        lx = max(math.floor((x - r - self._x0) / cell), 0)
+        hx = min(math.floor((x + r - self._x0) / cell), self._last_col)
+        ly = max(math.floor((y - r - self._y0) / cell), 0)
+        hy = min(math.floor((y + r - self._y0) / cell), rows - 1)
+        keys, order, coords = self._key_list, self._order_list, self._coords
+        found = []
+        for col in range(lx * rows, hx * rows + 1, rows):
+            for j in order[bisect_left(keys, col + ly) : bisect_right(keys, col + hy)]:
+                xj, yj = coords[j]
+                dx = x - xj
+                dy = y - yj
+                d = math.sqrt(dx * dx + dy * dy)
+                if d <= radius and j != i:
+                    found.append((j, d))
+        found.sort()
+        return (
+            np.array([j for j, _ in found], dtype=np.intp),
+            np.array([d for _, d in found], dtype=float),
+        )
+
+    def lone_reach(self, i: int, power: float) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the listeners that decode a lone transmission of node
+        index `i` at `power` under the true parameters, ascending: exactly,
+        and as the superset whose signal clears the ``beta * noise`` floor
+        lowered by `_REACH_SLACK`.  Cached per (i, power)."""
+        key = (i, power)
+        sets = self._reach.get(key)
+        if sets is None:
+            params = self.params
+            floor = params.beta_true * params.noise_true
+            low = floor * (1.0 - _REACH_SLACK)
+            radius = (power / low) ** (1.0 / params.alpha_true)
+            idx, d = self.within(i, radius * (1.0 + 1e-6))
+            signal = power / d**params.alpha_true
+            sets = (idx[signal >= floor], idx[signal >= low])
+            for arr in sets:
+                arr.flags.writeable = False
+            self._reach[key] = sets
+        return sets
+
+    def out_indices(self, i: int) -> np.ndarray:
+        """Ascending indices of the out-neighbours of node index `i`."""
+        return self._out_nbr[self._out_ptr[i] : self._out_ptr[i + 1]]
+
+    def in_indices(self, i: int) -> np.ndarray:
+        """Ascending indices of the in-neighbours of node index `i`."""
+        return self._in_nbr[self._in_ptr[i] : self._in_ptr[i + 1]]
 
     def out_neighbors(self, node_id: int) -> tuple[int, ...]:
         return self.out_edges[node_id]
@@ -228,6 +331,57 @@ class Network:
         return node.wake_slot <= slot and (
             node.sleep_slot is None or slot < node.sleep_slot
         )
+
+    # -- grid ------------------------------------------------------------
+
+    def _cells(self, points: np.ndarray) -> np.ndarray:
+        """Grid cell (column, row) of each point; monotone in each
+        coordinate."""
+        return np.floor((points - self._origin) / self._cell)
+
+    def pairs_within(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ordered pair (i, j), i != j, with dist(i, j) <= radii[i]:
+        index arrays sorted by (i, j), and the distance of each pair.
+
+        Node i scans the cell columns of its bounding box, clipped to the
+        occupied grid; within one column its rows are one key range.  All
+        (node, column) ranges are looked up and expanded at once.
+        `within` is the scalar form.  Up to `_ALL_PAIRS_MAX_N` nodes every
+        pair is a candidate instead, which costs less than the grid lookup
+        there."""
+        n = self.n
+        if n <= _ALL_PAIRS_MAX_N:
+            src, dst = np.divmod(np.arange(n * n), n)  # sorted by (i, j)
+            d = self._pair_dist(src, dst)
+            keep = (d <= radii[src]) & (src != dst)
+            return src[keep], dst[keep], d[keep]
+        r = (radii + (1e-9 * radii + self._pad))[:, None]
+        low = np.maximum(self._cells(self.positions - r), 0.0).astype(np.int64)
+        high = np.minimum(self._cells(self.positions + r), self._last_cell).astype(np.int64)
+        width = int((high[:, 0] - low[:, 0]).max()) + 1
+        cols = low[:, :1] + np.arange(width)  # (node, column) pairs
+        base = cols * self._rows
+        lo = np.searchsorted(self._keys, (base + low[:, 1:]).ravel())
+        hi = np.searchsorted(self._keys, (base + high[:, 1:]).ravel(), side="right")
+        counts = np.where((cols <= high[:, :1]).ravel(), hi - lo, 0)
+        # element k of the concatenated key ranges falls in the range of
+        # some (node, column) pair r; its key position is lo[r] plus k's
+        # offset from where that range starts in the concatenation
+        shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        src = np.repeat(np.arange(n).repeat(width), counts)
+        dst = self._order[np.arange(int(counts.sum())) + shift]
+        d = self._pair_dist(src, dst)
+        keep = (d <= radii[src]) & (src != dst)
+        src, dst, d = src[keep], dst[keep], d[keep]
+        order = np.lexsort((dst, src))
+        return src[order], dst[order], d[order]
+
+    def _pair_dist(self, src, dst) -> np.ndarray:
+        """dist(src[k], dst[k]) for node indices (or one index) `src` and
+        `dst`, as elementwise array ufuncs."""
+        dx = self.positions[src, 0] - self.positions[dst, 0]
+        dy = self.positions[src, 1] - self.positions[dst, 1]
+        return np.sqrt(dx * dx + dy * dy)
 
 
 def build_network(nodes: Sequence[Node], params: NetworkParams) -> Network:
@@ -251,34 +405,41 @@ def build_network(nodes: Sequence[Node], params: NetworkParams) -> Network:
     return Network(nodes, params)
 
 
-def _rows(matrix: np.ndarray) -> list[list[int]]:
-    """The column indices set in each row of a boolean matrix, ascending."""
-    # a flat scan: several times faster than a 2-D np.nonzero on a sparse matrix
-    rows, cols = np.divmod(np.flatnonzero(matrix), matrix.shape[1])
-    bounds = np.searchsorted(rows, np.arange(matrix.shape[0] + 1)).tolist()
-    cols = cols.tolist()
-    return [cols[a:b] for a, b in zip(bounds, bounds[1:])]
+def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
+    """Start of each row's run in an ascending row-index array, plus the
+    end: row r occupies [ptr[r], ptr[r + 1])."""
+    return np.searchsorted(rows, np.arange(n + 1))
 
 
-def _edge_tuples(matrix: np.ndarray, ids: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """Node id -> ids of the columns set in its row, in index order."""
-    return {ids[i]: tuple(ids[j] for j in row) for i, row in enumerate(_rows(matrix))}
+def _edge_tuples(
+    ptr: np.ndarray, nbr: np.ndarray, ids: tuple[int, ...]
+) -> dict[int, tuple[int, ...]]:
+    """Node id -> ids of its neighbours, in index order."""
+    flat = [ids[j] for j in nbr.tolist()]
+    bounds = ptr.tolist()
+    return {v: tuple(flat[a:b]) for v, a, b in zip(ids, bounds, bounds[1:])}
 
 
-def _longest_unidirectional_path(unidirectional: np.ndarray) -> int:
+def _longest_unidirectional_path(src: np.ndarray, dst: np.ndarray, n: int) -> int:
     """Longest path (edge count) in the subgraph of strictly one-way links,
-    via topological order + DP.  The subgraph is a DAG because the broadcast
-    range strictly decreases along every one-way link."""
-    successors = _rows(unidirectional)
-    n = len(successors)
-    indeg = np.count_nonzero(unidirectional, axis=0).tolist()
+    via topological order + DP, over edges given as index arrays sorted by
+    (src, dst).  The subgraph is a DAG because the broadcast range strictly
+    decreases along every one-way link."""
+    forward = src * n + dst  # ascending
+    reverse = dst * n + src
+    at = np.minimum(np.searchsorted(forward, reverse), max(forward.size - 1, 0))
+    one_way = forward[at] != reverse if forward.size else np.zeros(0, dtype=bool)
+    src, dst = src[one_way], dst[one_way]
+    bounds = _row_pointers(src, n).tolist()
+    targets = dst.tolist()
+    indeg = np.bincount(dst, minlength=n).tolist()
     order = [i for i in range(n) if indeg[i] == 0]
     longest = [0] * n
     head = 0
     while head < len(order):
         i = order[head]
         head += 1
-        for j in successors[i]:
+        for j in targets[bounds[i] : bounds[i + 1]]:
             longest[j] = max(longest[j], longest[i] + 1)
             indeg[j] -= 1
             if indeg[j] == 0:

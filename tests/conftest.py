@@ -122,11 +122,9 @@ def brute_max_degree(network: Network) -> int:
 
 def brute_longest_chain(network: Network) -> int:
     """Exhaustive DFS over all simple paths in the one-way-link subgraph."""
+    unidirectional = reference_network_build(network)["unidirectional"]
     edges = {
-        v: [
-            network.ids[j]
-            for j in np.nonzero(network.unidirectional[network.index(v)])[0]
-        ]
+        v: [network.ids[j] for j in np.nonzero(unidirectional[network.index(v)])[0]]
         for v in network.ids
     }
 
@@ -147,10 +145,11 @@ def brute_halo_pair_count(network: Network) -> int:
     reach = (network.powers / (params.noise_true * params.beta_true)) ** (
         1.0 / params.alpha_true
     )
+    distances = reference_network_build(network)["distances"]
     count = 0
     for i in range(network.n):
         for j in range(network.n):
-            if i != j and network.r_bcast[i] < network.distances[i, j] <= reach[i]:
+            if i != j and network.r_bcast[i] < distances[i, j] <= reach[i]:
                 count += 1
     return count
 
@@ -160,11 +159,12 @@ def brute_proximity_silence_probability(network: Network, probs, node_id: int) -
     node by node in index order."""
     i = network.index(node_id)
     limit = 3.0 * network.r_max_global
+    distances = reference_network_build(network)["distances"]
     result = 1.0
     for j, other in enumerate(network.nodes):
         if j == i:
             continue
-        if network.distances[i, j] < limit:
+        if distances[i, j] < limit:
             p = probs.get(other.id, 0.0)
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"probability for node {other.id} outside [0, 1]")
@@ -179,10 +179,11 @@ def brute_expected_far_interference(network: Network, probs, node_id: int, expon
         raise ValueError("attenuation exponent must exceed 1")
     i = network.index(node_id)
     limit = 3.0 * network.r_max_global
+    distances = reference_network_build(network)["distances"]
     far = [
         j
         for j in range(network.n)
-        if j != i and network.distances[i, j] >= limit and probs.get(network.ids[j], 0.0) > 0.0
+        if j != i and distances[i, j] >= limit and probs.get(network.ids[j], 0.0) > 0.0
     ]
     if not far:
         return 0.0
@@ -192,7 +193,7 @@ def brute_expected_far_interference(network: Network, probs, node_id: int, expon
     candidates = [
         network.positions[j]
         for j in range(network.n)
-        if j != i and network.distances[i, j] <= radius
+        if j != i and distances[i, j] <= radius
     ]
     for j in far:
         direction = network.positions[j] - center

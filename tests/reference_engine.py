@@ -27,6 +27,8 @@ from sinrsim.engine import (
 from sinrsim.errors import ProtocolViolationError, SimulationAbort
 from sinrsim.model import Network, Node
 
+from .conftest import reference_network_build
+
 
 def _geometric_gap(rng: np.random.Generator, prob: float) -> int:
     """Number of eligible slots skipped before the next transmission."""
@@ -56,8 +58,9 @@ def _bits(mask: int) -> Iterable[int]:
 
 
 class _RefCore:
-    """Physical-layer state of one run: the network's cached distance**alpha
-    matrix and lone-transmission reach bitmasks per (sender, power).
+    """Physical-layer state of one run: the dense distance**alpha matrix of
+    the network oracle and lone-transmission reach bitmasks per (sender,
+    power).
     Interference only raises the SINR denominator, so a multi-transmission
     slot is decided over the listeners inside its senders' reach only."""
 
@@ -71,9 +74,12 @@ class _RefCore:
         params = network.params
         self.beta = params.beta_true
         self.noise = params.noise_true
-        self.dist_alpha = network.dist_alpha
+        dense = reference_network_build(network)
+        # an infinite diagonal makes a gain power / dist_alpha 0 at the sender
+        self.dist_alpha = dense["distances"] ** params.alpha_true
+        np.fill_diagonal(self.dist_alpha, math.inf)
         self._reach_cache: dict[tuple[int, float], tuple[int, int]] = {}
-        self.out_mask = [_mask_of(row) for row in network.adjacency]
+        self.out_mask = [_mask_of(row) for row in dense["adjacency"]]
 
     def reach(self, idx: int, power: float) -> tuple[int, int]:
         """Listeners that decode a lone transmission from `idx` at `power`,
@@ -90,15 +96,12 @@ class _RefCore:
             self._reach_cache[key] = masks
         return masks
 
-    def resolve(
-        self, listeners: int, txs: list[_SlotTx], extra: Sequence[tuple[int, float]] = ()
-    ) -> list[tuple[int, int]]:
+    def resolve(self, listeners: int, txs: list[_SlotTx]) -> list[tuple[int, int]]:
         """(listener idx, tx index) pairs under the same delivery rule as
-        :func:`resolve_slot`; `extra` adds interference-only transmitters
-        (used by the phase-offset mode for adjacent-slot overlap)."""
+        :func:`resolve_slot`."""
         if not txs or listeners == 0:
             return []
-        if len(txs) == 1 and not extra:
+        if len(txs) == 1:
             idx, power, _ = txs[0]
             return [(l, 0) for l in _bits(self.reach(idx, power)[0] & listeners)]
         union = 0
@@ -110,15 +113,12 @@ class _RefCore:
         dist_alpha = self.dist_alpha
         gains = [power / dist_alpha[idx, cand] for idx, power, _ in txs]
         # the denominator adds up left to right, gains in transmission order
-        # and then noise plus overlap terms, as a scalar loop per listener
-        # would; np.sum would add pairwise and round differently
+        # and then the noise, as a scalar loop per listener would; np.sum
+        # would add pairwise and round differently
         total = gains[0]
         for g in gains[1:]:
             total = total + g
-        noise_l = self.noise
-        for idx, power in extra:
-            noise_l = noise_l + power / dist_alpha[idx, cand]  # + 0.0 at idx itself
-        total = total + noise_l
+        total = total + self.noise
         hits = np.array([g >= self.beta * (total - g) for g in gains])
         single = np.count_nonzero(hits, axis=0) == 1
         winners = hits[:, single].argmax(axis=0)
@@ -162,17 +162,15 @@ def reference_run_simulation(
     scripted: Optional[
         Sequence[tuple[int, Callable[[dict[int, ProtocolMachine], int], None]]]
     ] = None,
-    phase_offsets: Optional[dict[int, float]] = None,
 ) -> SimTrace:
     """Drive every node's protocol machine until all report completion or
     `max_slots` elapse.
 
     Receptions resolved in slot t reach their listener's inbox at the start
-    of slot t+1 (one slot later with phase offsets, see `sinrsim.engine`).
-    `monitor`, when given, receives every change of the per-node
-    transmission probabilities as (node id, probability on even slots,
-    probability on odd slots) tuples -- exactly the instants at which any
-    per-slot probability invariant could newly fail.  `scripted` events
+    of slot t+1.  `monitor`, when given, receives every change of the
+    per-node transmission probabilities as (node id, probability on even
+    slots, probability on odd slots) tuples -- exactly the instants at which
+    any per-slot probability invariant could newly fail.  `scripted` events
     inject external actions (such as forced resignations) at fixed slots.
     """
     if max_slots <= 0:
@@ -180,11 +178,6 @@ def reference_run_simulation(
     trace = trace or TraceConfig()
     core = _RefCore(network)
     n = network.n
-    offsets: Optional[list[float]] = None
-    if phase_offsets is not None:
-        offsets = [float(phase_offsets.get(v, 0.0)) for v in network.ids]
-        if any(not (0.0 <= o < 1.0) for o in offsets):
-            raise ValueError("phase offsets must lie in [0, 1)")
 
     machines: list[ProtocolMachine] = []
     by_id: dict[int, ProtocolMachine] = {}
@@ -225,7 +218,6 @@ def reference_run_simulation(
 
     pending_slot = -1
     pending: dict[int, list[tuple[int, Any]]] = {}
-    held: Optional[tuple[int, list[_SlotTx]]] = None  # offset mode: (slot, its txs)
 
     first_rx: dict[int, dict[int, int]] = {v: {} for v in network.ids}
     tx_count = dict.fromkeys(network.ids, 0)
@@ -334,24 +326,8 @@ def reference_run_simulation(
                 )
             )
 
-    def overlap_interferers(
-        slot_a: int, txs_a: list[_SlotTx], slot_b: int, txs_b: list[_SlotTx]
-    ) -> list[tuple[int, float]]:
-        """Transmitters of slot_b whose on-air window overlaps any
-        transmission of slot_a; applied as interference to the whole of
-        slot_a (conservative for pairs that do not actually overlap)."""
-        assert offsets is not None
-        out = []
-        for ib, pb, _mb in txs_b:
-            for ia, _pa, _ma in txs_a:
-                if abs((slot_a + offsets[ia]) - (slot_b + offsets[ib])) < 1.0:
-                    out.append((ib, pb))
-                    break
-        return out
-
     last_slot = -1
     completed = False
-    recent_txs: dict[int, list[_SlotTx]] = {}  # offset mode backward lookback
 
     while heap:
         s = heap[0][0]
@@ -465,34 +441,9 @@ def reference_run_simulation(
             fired.append(i)
 
         # 8. physical resolution
-        if offsets is None:
-            if txs:
-                resolved = core.resolve(awake_mask & ~tx_mask, txs)
-                deliver_stats(s, s, txs, resolved)
-        else:
-            # Resolve the previous slot now that its forward neighbours are
-            # known; a held slot cannot be touched by transmissions two or
-            # more slot indices away since offsets stay below one slot.
-            if held is not None:
-                p_slot, p_txs = held
-                extra: list[tuple[int, float]] = []
-                busy = 0
-                for i, _p, _m in p_txs:
-                    busy |= 1 << i
-                back = recent_txs.get(p_slot - 1)
-                if back is not None:
-                    extra.extend(overlap_interferers(p_slot, p_txs, p_slot - 1, back))
-                if p_slot + 1 == s and txs:
-                    extra.extend(overlap_interferers(p_slot, p_txs, s, txs))
-                    for i, _p, _m in txs:
-                        busy |= 1 << i  # half-duplex across overlapping slots
-                resolved = core.resolve(awake_mask & ~busy, p_txs, extra)
-                deliver_stats(p_slot, s, p_txs, resolved)
-                recent_txs = {p_slot: p_txs}
-                held = None
-            if txs:
-                held = (s, txs)
-                push(s + 1, _DELIVER)  # guarantees the hold is flushed
+        if txs:
+            resolved = core.resolve(awake_mask & ~tx_mask, txs)
+            deliver_stats(s, s, txs, resolved)
 
         # 9. regime changes caused by transmitting apply from the next slot
         for i in sorted(set(fired)):
@@ -526,7 +477,6 @@ def reference_run_simulation(
             and n_prewake == 0
             and scripts_left == 0
             and pending_slot < 0
-            and held is None
         ):
             completed = True
             break

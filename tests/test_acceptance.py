@@ -34,6 +34,7 @@ from .conftest import (
     brute_max_degree,
     brute_ring_index,
     random_small_network,
+    reference_network_build,
 )
 
 
@@ -117,8 +118,9 @@ def test_03_fixed_probability_broadcast():
     # the degree convention counts neighbors only; regions then hold at most
     # max_degree + 1 nodes, so check the ones that matter stay within budget
     cap = region_probability_cap(params, net.range_ratio, net.n)
+    adjacency = reference_network_build(net)["adjacency"]
     region_sizes = [
-        1 + int(np.sum(net.adjacency[i])) for i in range(net.n)
+        1 + int(np.sum(adjacency[i])) for i in range(net.n)
     ]
     assert max(region_sizes) <= net.max_degree
 

@@ -23,6 +23,7 @@ from .conftest import (
     brute_expected_far_interference,
     brute_proximity_silence_probability,
     random_small_network,
+    reference_network_build,
 )
 
 
@@ -183,12 +184,13 @@ class TestCertificateOracles:
         v = net.ids[0]
         i = net.index(v)
         limit = 3.0 * net.r_max_global
+        distances = reference_network_build(net)["distances"]
         probs = {
-            u: (0.0 if net.distances[i, j] >= limit else 0.3)
+            u: (0.0 if distances[i, j] >= limit else 0.3)
             for j, u in enumerate(net.ids)
-            if j % 2 == 0 or net.distances[i, j] < limit
+            if j % 2 == 0 or distances[i, j] < limit
         }
-        assert any(net.distances[i] >= limit)
+        assert any(distances[i] >= limit)
         assert expected_far_interference(net, probs, v, 3.0) == 0.0
         assert_matches_oracles(net, probs, v, (params.alpha_hi,))
 
@@ -198,11 +200,12 @@ class TestCertificateOracles:
         net = random_small_network(rng, 220, params)
         probs = mixed_probs(rng, net)
         limit = 3.0 * net.r_max_global
+        distances = reference_network_build(net)["distances"]
         far_counts = [
             sum(
                 1
                 for j, u in enumerate(net.ids)
-                if net.distances[i, j] >= limit and probs.get(u, 0.0) > 0.0
+                if distances[i, j] >= limit and probs.get(u, 0.0) > 0.0
             )
             for i in range(net.n)
         ]

@@ -43,8 +43,7 @@ def scattered_network(seed, n, *, wake_window=0, sleepers=0):
     return build_network(nodes, PARAMS)
 
 
-def run_both(network, factory, max_slots, seed, *, scripts=None, outcome_limit=None,
-             phase_offsets=None):
+def run_both(network, factory, max_slots, seed, *, scripts=None, outcome_limit=None):
     """Both engines on the same input; `scripts` builds a fresh script list
     per run, because forced resignations keep state."""
     runs = []
@@ -58,7 +57,6 @@ def run_both(network, factory, max_slots, seed, *, scripts=None, outcome_limit=N
             trace=TraceConfig(record_outcomes=True, outcome_limit=outcome_limit),
             monitor=lambda slot, changes, out=updates: out.append((slot, list(changes))),
             scripted=scripts() if scripts else None,
-            phase_offsets=phase_offsets,
         )
         runs.append((trace, updates))
     return runs
@@ -138,6 +136,35 @@ class TestMatchesReference:
 
         assert_same_run(run_both(net, factory, 300, seed))
 
+    def test_variable_power_reach_over_several_grid_cells(self):
+        # the true noise lies far below its bound, so a lone transmission
+        # reaches (8 * 27) ** (1/3) = 6, three times the grid cell of side
+        # r_max_global = 2, and multi-transmission slots draw candidates
+        # from several cells in every direction
+        params = NetworkParams(
+            alpha_lo=3.0, alpha_hi=3.0, alpha_true=3.0,
+            beta_lo=1.0, beta_hi=1.0, beta_true=1.0,
+            noise_lo=1.0 / 27.0, noise_hi=1.0, noise_true=1.0 / 27.0,
+            delta=2.0, c_whp=2.0,
+        )
+        rng = np.random.default_rng(90)
+        net = build_network(
+            [Node(i, float(rng.uniform(0, 14)), float(rng.uniform(0, 14)),
+                  float(rng.uniform(1.0, 8.0))) for i in range(16)],
+            params,
+        )
+        bounds = (float(net.powers.min()), float(net.powers.max()))
+
+        def factory(node, rng):
+            schedule = PowerSchedule([(0, bounds[1]), (60, bounds[0])])
+            return VariablePowerBroadcaster(
+                node, rng, prob=0.2, schedule=schedule, duration=150, power_bounds=bounds
+            )
+
+        runs = run_both(net, factory, 200, 3)
+        assert_same_run(runs)
+        assert runs[1][0].multi_tx_slots > 0
+
     @pytest.mark.parametrize("mis", [False, True])
     def test_coloring_and_mis(self, mis):
         net = scattered_network(30 + mis, 10, wake_window=40)
@@ -168,17 +195,6 @@ class TestMatchesReference:
         )
         assert_same_run(runs)
         assert sum(m.resigned_count for m in runs[1][0].machines.values()) == 1
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_phase_offsets(self, seed):
-        net = scattered_network(seed + 60, 12, wake_window=10)
-        rng = np.random.default_rng(seed)
-        offsets = {v: float(rng.uniform(0.0, 1.0)) for v in net.ids}
-        runs = run_both(
-            net, lambda node, rng: FixedProbBroadcaster(node, rng, prob=0.2, budget=300),
-            350, seed, phase_offsets=offsets,
-        )
-        assert_same_run(runs)
 
     def test_checkpoint_pushed_twice_for_one_slot(self):
         class Rearm(ProtocolMachine):

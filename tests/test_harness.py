@@ -418,6 +418,21 @@ class TestCli:
         assert all(word in err for word in words), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["random:-5", "random:abc", "bogus"])
+    @pytest.mark.parametrize("command", ["run-coloring", "run-mis"])
+    def test_bad_async_wakeup_is_a_one_line_error(self, command, mode, tmp_path, capsys):
+        topo = tmp_path / "net.json"
+        main([
+            "generate", "--preset", "uniform", "--n", "4", "--side", "2",
+            "--power", "4", "--seed", "1", "-o", str(topo),
+        ])
+        capsys.readouterr()
+        argv = [command, "--topology", str(topo), "--async-wakeup", mode]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinrsim: error: ") and err.count("\n") == 1
+        assert "--async-wakeup" in err and repr(mode) in err, err
+
     def test_report_subcommand(self, tmp_path, capsys):
         topo = tmp_path / "net.json"
         main([

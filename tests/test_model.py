@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinrsim import model
 from sinrsim.errors import ModelViolationError
+from sinrsim.experiment import halo_pair_count
 from sinrsim.model import (
     Network,
     NetworkParams,
@@ -21,6 +23,7 @@ from sinrsim.topology import chain_topology, random_topology
 from .conftest import (
     brute_longest_chain,
     brute_max_degree,
+    brute_halo_pair_count,
     brute_ring_index,
     pair_network,
     random_small_network,
@@ -131,14 +134,14 @@ class TestNodeValidation:
 
 
 class TestBuildNetwork:
-    def test_dist_alpha_is_cached_and_read_only(self, exact_params):
+    def test_lone_reach_is_cached_and_read_only(self, exact_params):
         net = random_small_network(np.random.default_rng(5), 6, exact_params)
-        expected = net.distances**exact_params.alpha_true
-        np.fill_diagonal(expected, math.inf)
-        assert np.array_equal(net.dist_alpha, expected)
-        assert net.dist_alpha is net.dist_alpha
-        with pytest.raises(ValueError):
-            net.dist_alpha[0, 1] = 1.0
+        exact, slack = net.lone_reach(2, 4.0)
+        assert net.lone_reach(2, 4.0)[0] is exact
+        assert 2 not in exact and set(exact) <= set(slack)
+        for arr in (exact, slack, net.out_indices(2)):
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
     def test_symmetric_pair(self, exact_params):
         net = pair_network(exact_params, d=1.0)
@@ -193,18 +196,69 @@ def _scattered_nodes(seed: int, n: int, ids=None) -> list[Node]:
     ]
 
 
+def bracketed(noise_true: float) -> NetworkParams:
+    """alpha 3 and beta 1 exactly; noise known only to lie in
+    [noise_true, 1], so the lone reach at the true noise exceeds the
+    maximum transmission range by (1 / noise_true) ** (1/3)."""
+    return NetworkParams(
+        alpha_lo=3.0, alpha_hi=3.0, alpha_true=3.0,
+        beta_lo=1.0, beta_hi=1.0, beta_true=1.0,
+        noise_lo=noise_true, noise_hi=1.0, noise_true=noise_true,
+        delta=2.0, c_whp=2.0,
+    )
+
+
 class TestNetworkBuildOracle:
-    """The in-place distance kernel, the flat edge scans and the edge-list
-    chain pass against the dense computation they replaced."""
+    """The grid queries, the per-node index arrays and the on-demand
+    distances and gains against the dense n x n computation they
+    replaced, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def grid_at_every_size(self, monkeypatch):
+        # small networks skip the grid and take every pair as a candidate;
+        # these oracles check the grid lookup at every size
+        monkeypatch.setattr(model, "_ALL_PAIRS_MAX_N", 0)
+
+    def test_all_pairs_and_grid_agree(self, exact_params, monkeypatch):
+        nodes = _scattered_nodes(8, 60)
+        radii = np.linspace(0.5, 9.0, 60)
+        grid = build_network(nodes, exact_params).pairs_within(radii)
+        monkeypatch.setattr(model, "_ALL_PAIRS_MAX_N", 60)
+        every = build_network(nodes, exact_params).pairs_within(radii)
+        for a, b in zip(grid, every):
+            assert a.tobytes() == b.tobytes()
 
     @staticmethod
     def assert_matches_reference(net: Network) -> None:
         ref = reference_network_build(net)
-        assert net.distances.tobytes() == ref["distances"].tobytes()
-        for name in ("adjacency", "bidirectional", "unidirectional"):
-            assert np.array_equal(getattr(net, name), ref[name]), name
         for name in ("out_edges", "in_edges", "max_degree", "longest_chain"):
             assert getattr(net, name) == ref[name], name
+        adjacency = ref["adjacency"]
+        for i in range(net.n):
+            assert np.array_equal(net.out_indices(i), np.flatnonzero(adjacency[i]))
+            assert np.array_equal(net.in_indices(i), np.flatnonzero(adjacency[:, i]))
+        distances = ref["distances"]
+        assert halo_pair_count(net) == brute_halo_pair_count(net)
+        params = net.params
+        dist_alpha = distances**params.alpha_true
+        np.fill_diagonal(dist_alpha, math.inf)
+        floor = params.beta_true * params.noise_true
+        every = np.arange(net.n)
+        for i in range(net.n):
+            assert net.distance_row(i).tobytes() == distances[i].tobytes()
+            assert net.path_loss([i], every).tobytes() == (distances[i] ** params.alpha_true).tobytes()
+            for power in (1.0, 6.0, 40.0, float(net.powers[i])):
+                signal = power / dist_alpha[i]
+                exact, slack = net.lone_reach(i, power)
+                assert np.array_equal(exact, np.flatnonzero(signal >= floor))
+                assert np.array_equal(slack, np.flatnonzero(signal >= floor * (1.0 - 1e-9)))
+        # gathered rows and columns, as the resolver asks for them
+        rng = np.random.default_rng(net.n)
+        for size in (1, 2, 7):
+            rows = rng.choice(net.n, size=min(size, net.n), replace=False)
+            cols = np.sort(rng.choice(net.n, size=min(3 * size, net.n), replace=False))
+            expected = distances[np.ix_(rows, cols)] ** params.alpha_true
+            assert net.path_loss(rows.tolist(), cols).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_negative_coordinates(self, seed, exact_params):
@@ -233,6 +287,32 @@ class TestNetworkBuildOracle:
         self.assert_matches_reference(
             random_topology(300, 14.0, (1.0, 6.0), seed=11, params=exact_params)
         )
+
+    def test_reach_spanning_several_grid_rings(self):
+        # a variable power of 40 against node powers of at most 6, and a
+        # true noise 1/27 of its bound: the lone reach (40 * 27) ** (1/3) =
+        # 10.3 spans more than five grid cells of side r_max_global, the
+        # largest maximum transmission range 6 ** (1/3)
+        params = bracketed(1.0 / 27.0)
+        net = random_topology(300, 40.0, (1.0, 6.0), seed=4, params=params)
+        exact, _slack = net.lone_reach(0, 40.0)
+        assert net.distance_row(0)[exact].max() > 5.0 * net.r_max_global
+        assert halo_pair_count(net) > 0
+        self.assert_matches_reference(net)
+
+    def test_bcast2k_build_holds_no_matrix(self):
+        # the bcast2k benchmark recipe at n = 2000
+        n = 2000
+        params = NetworkParams.exact(alpha=3.0, beta=1.0, delta=2.0, c_whp=2.0)
+        side = 12.0 * math.sqrt(n / 64)
+        nodes = random_topology(n, side, (1.0, 6.0), seed=11, params=params).nodes
+        tracemalloc.start()
+        try:
+            Network(nodes, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
     def test_build_memory_stays_below_three_matrices(self, exact_params):
         n = 500
@@ -278,8 +358,9 @@ class TestLongestDirectedPath:
 
     def test_range_monotone_along_chains(self, exact_params):
         net = chain_topology(6, 0.15, params=exact_params)
+        unidirectional = reference_network_build(net)["unidirectional"]
         for i in range(net.n):
-            for j in np.nonzero(net.unidirectional[i])[0]:
+            for j in np.nonzero(unidirectional[i])[0]:
                 assert net.r_max[i] >= net.r_max[int(j)]
 
 

@@ -52,28 +52,65 @@ def region_probability_cap(params: NetworkParams, range_ratio: float, n: int) ->
     return min(params.delta - 1.0, 1.0) / denom
 
 
-# candidate receivers evaluated per NumPy block in expected_far_interference
-_CANDIDATE_BLOCK = 128
+class RegionBudgetMonitor:
+    """Asserts, at every instant the probabilities change, that the summed
+    transmission probability inside each broadcasting region stays within
+    `limit` -- separately for even and odd slots, since the coloring
+    protocol alternates message classes by slot parity."""
+
+    def __init__(self, network: Network, limit: float, tol: float = 1e-9):
+        self.network = network
+        self.limit = limit
+        self.tol = tol
+        n = network.n
+        self.containing: list[list[int]] = [[] for _ in range(n)]
+        for i in range(n):
+            self.containing[i].append(i)
+            for j in network.out_indices(i).tolist():
+                self.containing[j].append(i)
+        self.even = [0.0] * n
+        self.odd = [0.0] * n
+        self.sum_even = [0.0] * n
+        self.sum_odd = [0.0] * n
+        self.peak = 0.0
+        self.violations: list[tuple[int, int, float]] = []
+
+    def __call__(self, slot: int, updates: list[tuple[int, float, float]]) -> None:
+        affected: set[int] = set()
+        for node_id, even_p, odd_p in updates:
+            i = self.network.index(node_id)
+            de = even_p - self.even[i]
+            do = odd_p - self.odd[i]
+            self.even[i] = even_p
+            self.odd[i] = odd_p
+            for r in self.containing[i]:
+                self.sum_even[r] += de
+                self.sum_odd[r] += do
+                affected.add(r)
+        for r in affected:
+            worst = max(self.sum_even[r], self.sum_odd[r])
+            if worst > self.peak:
+                self.peak = worst
+            if worst > self.limit + self.tol:
+                self.violations.append((slot, self.network.ids[r], worst))
 
 
-def _region_sums(network: Network, probs: Mapping[int, float]) -> list[float]:
-    """Per node, in index order, the probability mass inside its
-    broadcasting region (the node itself first, then its out-neighbours in
-    index order)."""
-    sums = []
-    for node in network.nodes:
-        total = probs.get(node.id, 0.0)
-        for other in network.out_edges[node.id]:
-            total += probs.get(other, 0.0)
-        sums.append(total)
-    return sums
+def _loaded_monitor(network: Network, probs: Mapping[int, float]) -> RegionBudgetMonitor:
+    """A limitless monitor sent one update that sets every node to its
+    probability in `probs` (0 for absent nodes) in both slot parities."""
+    monitor = RegionBudgetMonitor(network, math.inf)
+    monitor(0, [(v, probs.get(v, 0.0), probs.get(v, 0.0)) for v in network.ids])
+    return monitor
 
 
 def region_probability_sums(network: Network, probs: Mapping[int, float]) -> float:
     """Maximum over nodes v of the probability mass inside v's broadcasting
-    region (v itself included).  Used as the live safety assertion during
-    protocol runs."""
-    return max(0.0, *_region_sums(network, probs))
+    region (v itself included)."""
+    return _loaded_monitor(network, probs).peak
+
+
+# candidate receivers evaluated per NumPy block in expected_far_interference
+_CANDIDATE_BLOCK = 128
 
 
 def proximity_silence_probability(

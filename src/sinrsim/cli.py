@@ -17,14 +17,19 @@ from .experiment import (
 from .topology import generate_topology, load_topology, save_topology
 
 
-def _add_seeds(parser: argparse.ArgumentParser) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags every run-* command takes."""
+    parser.add_argument("--topology", required=True)
+    parser.add_argument("--scale", type=float, default=None)
+    parser.add_argument("--csv", help="write per-node rows to this file")
+    parser.add_argument("--trace", help="write a JSONL replay trace (first seed only)")
     parser.add_argument("--seeds", type=int, default=1, help="number of seeded trials")
     parser.add_argument("--seed-base", type=int, default=0, help="first seed value")
 
 
 def _seed_list(args) -> list[int]:
     if args.seeds < 1:
-        raise SystemExit("--seeds must be at least 1")
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     return list(range(args.seed_base, args.seed_base + args.seeds))
 
 
@@ -85,36 +90,23 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     rb = sub.add_parser("run-broadcast", help="run a local-broadcast experiment")
     rb.add_argument("--protocol", required=True, choices=["fixed", "slowstart", "varpower"])
-    rb.add_argument("--topology", required=True)
-    rb.add_argument("--scale", type=float, default=None)
-    rb.add_argument("--csv", help="write per-node rows to this file")
-    rb.add_argument("--trace", help="write a JSONL replay trace (first seed only)")
-    rb.add_argument("--budget-constant", type=float, default=64.0,
-                    help="slow-start global budget constant")
-    rb.add_argument("--high-power-frac", type=float, default=None,
+    _add_run_flags(rb)
+    rb.add_argument("--budget-constant", type=float,
+                    default=ExperimentConfig.slow_start_budget_constant,
+                    help="slow-start global budget constant (default %(default)s)")
+    rb.add_argument("--high-power-frac", type=float,
+                    default=ExperimentConfig.varpower_high_fraction,
                     help="varpower: fraction of the broadcast threshold spent at full "
-                         "power before the power drop (default "
-                         f"{ExperimentConfig.varpower_high_fraction})")
-    _add_seeds(rb)
+                         "power before the power drop (default %(default)s)")
 
     rc = sub.add_parser("run-coloring", help="run the coloring protocol")
-    rc.add_argument("--topology", required=True)
-    rc.add_argument("--scale", type=float, default=None)
-    rc.add_argument("--csv")
-    rc.add_argument("--trace", help="write a JSONL replay trace (first seed only)")
-    rc.add_argument("--async-wakeup", default="none",
-                    help="none, or random:WINDOW for uniform wake slots over [0, WINDOW] "
-                         "(overrides the wake slots of the topology file)")
-    rc.add_argument("--forced-resignations", type=int, default=0)
-    _add_seeds(rc)
-
     rm = sub.add_parser("run-mis", help="run the MIS protocol")
-    rm.add_argument("--topology", required=True)
-    rm.add_argument("--scale", type=float, default=None)
-    rm.add_argument("--csv")
-    rm.add_argument("--trace", help="write a JSONL replay trace (first seed only)")
-    rm.add_argument("--async-wakeup", default="none")
-    _add_seeds(rm)
+    for run in (rc, rm):
+        _add_run_flags(run)
+        run.add_argument("--async-wakeup", default="none",
+                         help="none, or random:WINDOW for uniform wake slots over "
+                              "[0, WINDOW] (overrides the wake slots of the topology file)")
+    rc.add_argument("--forced-resignations", type=int, default=0)
 
     rep = sub.add_parser("report", help="summarize a rows CSV produced by a run")
     rep.add_argument("--csv", required=True)
@@ -130,16 +122,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "generate":
         kwargs = {}
-        for name in ("n", "side", "power", "rows", "cols", "spacing"):
-            value = getattr(args, name)
-            if value is not None:
-                kwargs[name] = value
-        if args.power_lo is not None:
-            kwargs["power_lo"] = args.power_lo
-        if args.power_hi is not None:
-            kwargs["power_hi"] = args.power_hi
-        if args.power_ratio is not None:
-            kwargs["power_ratio"] = args.power_ratio
+        for name in ("n", "side", "power", "rows", "cols", "spacing",
+                     "power_lo", "power_hi", "power_ratio"):
+            if getattr(args, name) is not None:
+                kwargs[name] = getattr(args, name)
         network = generate_topology(args.preset, seed=args.seed, **kwargs)
         save_topology(network, args.output)
         print(
@@ -153,37 +139,27 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(json.dumps(analyze_network(network), indent=2, sort_keys=True))
         return 0
 
-    if args.command == "run-broadcast":
-        config = ExperimentConfig(
-            protocol=args.protocol,
-            topology=args.topology,
-            seeds=_seed_list(args),
-            scale=args.scale,
-            csv_path=args.csv,
-            trace_path=args.trace,
-            slow_start_budget_constant=args.budget_constant,
-            **(
-                {}
-                if args.high_power_frac is None
-                else {"varpower_high_fraction": args.high_power_frac}
-            ),
-        )
-        report = run_experiment(config)
-        print(report_summary(report))
-        return 0 if report.ok else 1
-
-    if args.command in ("run-coloring", "run-mis"):
-        network = _with_wakeup(load_topology(args.topology), args.async_wakeup)
-        config = ExperimentConfig(
-            protocol="mis" if args.command == "run-mis" else "coloring",
-            network=network,
-            seeds=_seed_list(args),
-            scale=args.scale,
-            csv_path=args.csv,
-            trace_path=args.trace,
-            forced_resignations=getattr(args, "forced_resignations", 0),
-        )
-        report = run_experiment(config)
+    if args.command.startswith("run-"):
+        fields = {
+            "seeds": _seed_list(args),
+            "scale": args.scale,
+            "csv_path": args.csv,
+            "trace_path": args.trace,
+        }
+        if args.command == "run-broadcast":
+            fields.update(
+                protocol=args.protocol,
+                topology=args.topology,
+                slow_start_budget_constant=args.budget_constant,
+                varpower_high_fraction=args.high_power_frac,
+            )
+        else:
+            fields.update(
+                protocol="mis" if args.command == "run-mis" else "coloring",
+                network=_with_wakeup(load_topology(args.topology), args.async_wakeup),
+                forced_resignations=getattr(args, "forced_resignations", 0),
+            )
+        report = run_experiment(ExperimentConfig(**fields))
         print(report_summary(report))
         return 0 if report.ok else 1
 

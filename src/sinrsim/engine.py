@@ -74,7 +74,9 @@ def sinr_check(
     """Decide a single reception using the *true* physical parameters.
 
     `interferers` are (node id, power) pairs transmitting simultaneously;
-    neither the sender nor the listener may appear among them.
+    neither the sender nor the listener may appear among them.  This and
+    :func:`resolve_slot` are the reference physical model: the tests and
+    perfbench/run.py replay the engine's slots against them.
     """
     if sender == listener:
         raise ValueError("sender cannot listen to itself")

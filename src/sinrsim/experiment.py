@@ -6,17 +6,19 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .analysis import (
+    RegionBudgetMonitor,
     _far_interference,
+    _loaded_monitor,
     _prob_vector,
-    _region_sums,
     # analyze_network no longer calls this, so perfbench/run.py's wrapper
     # of it measures nothing (0 calls); the import only keeps that wrapper's
     # lookup by name working until the benchmark wraps _far_interference
@@ -38,54 +40,6 @@ from .coloring import ColoringConstants, ColoringMachine, validate_coloring, val
 from .engine import SimTrace, TraceConfig, run_simulation
 from .model import Network
 from .topology import load_topology
-
-
-# ---------------------------------------------------------------------------
-# live probability-budget monitor
-# ---------------------------------------------------------------------------
-
-
-class RegionBudgetMonitor:
-    """Asserts, at every instant the probabilities change, that the summed
-    transmission probability inside each broadcasting region stays within
-    `limit` -- separately for even and odd slots, since the coloring
-    protocol alternates message classes by slot parity."""
-
-    def __init__(self, network: Network, limit: float, tol: float = 1e-9):
-        self.network = network
-        self.limit = limit
-        self.tol = tol
-        n = network.n
-        self.containing: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            self.containing[i].append(i)
-            for j in network.out_indices(i).tolist():
-                self.containing[j].append(i)
-        self.even = [0.0] * n
-        self.odd = [0.0] * n
-        self.sum_even = [0.0] * n
-        self.sum_odd = [0.0] * n
-        self.peak = 0.0
-        self.violations: list[tuple[int, int, float]] = []
-
-    def __call__(self, slot: int, updates: list[tuple[int, float, float]]) -> None:
-        affected: set[int] = set()
-        for node_id, even_p, odd_p in updates:
-            i = self.network.index(node_id)
-            de = even_p - self.even[i]
-            do = odd_p - self.odd[i]
-            self.even[i] = even_p
-            self.odd[i] = odd_p
-            for r in self.containing[i]:
-                self.sum_even[r] += de
-                self.sum_odd[r] += do
-                affected.add(r)
-        for r in affected:
-            worst = max(self.sum_even[r], self.sum_odd[r])
-            if worst > self.peak:
-                self.peak = worst
-            if worst > self.limit + self.tol:
-                self.violations.append((slot, self.network.ids[r], worst))
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +115,60 @@ def report_summary(report: ExperimentReport) -> str:
 
 
 # ---------------------------------------------------------------------------
+# experiment configuration
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ExperimentConfig:
+    """One experiment: a topology, a protocol, and the trial plan."""
+
+    protocol: str  # fixed | slowstart | varpower | coloring | mis
+    topology: Optional[str] = None  # path to a topology file
+    network: Optional[Network] = None  # or an in-memory network
+    seeds: Sequence[int] = (0,)
+    scale: Optional[float] = None
+    n_hint: Optional[int] = None
+    csv_path: Optional[str] = None
+    summary_path: Optional[str] = None
+    trace_path: Optional[str] = None  # JSONL replay records, first seed only
+    slow_start_budget_constant: float = 64.0
+    varpower_high_fraction: float = 0.5
+    forced_resignations: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
+        if self.scale is not None and not (0.0 < self.scale <= 1.0):
+            raise ValueError("scale must lie in (0, 1]")
+        if (self.topology is None) == (self.network is None):
+            raise ValueError("give exactly one of topology path or network")
+        if self.protocol not in ("fixed", "slowstart", "varpower", "coloring", "mis"):
+            raise ValueError(f"unknown protocol {self.protocol!r}")
+        resignations = self.forced_resignations
+        for name, ok, rule in (
+            ("forced_resignations",
+             isinstance(resignations, numbers.Integral) and resignations >= 0, "an integer >= 0"),
+            ("slow_start_budget_constant",
+             0.0 < self.slow_start_budget_constant < math.inf, "finite and > 0"),
+            ("varpower_high_fraction", 0.0 < self.varpower_high_fraction <= 1.0, "in (0, 1]"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+
+# ---------------------------------------------------------------------------
 # broadcast experiments
 # ---------------------------------------------------------------------------
 
 
-def _cap_for(network: Network, n_hint: Optional[int]) -> tuple[float, int]:
+def _cap_for(
+    network: Network, n_hint: Optional[int], scale: Optional[float] = None
+) -> tuple[float, int, float]:
+    """The region cap, with `n_hint` and `scale` defaulted from the network."""
     n_hint = n_hint or network.n
-    return region_probability_cap(network.params, network.range_ratio, n_hint), n_hint
+    scale = network.params.scale if scale is None else scale
+    return region_probability_cap(network.params, network.range_ratio, n_hint), n_hint, scale
 
 
 def halo_pair_count(network: Network) -> int:
@@ -205,6 +206,73 @@ def _maybe_export(trace, trace_path, seed, first_seed):
         trace.export_jsonl(trace_path)
 
 
+def _broadcast_trials(
+    network: Network,
+    seeds: Sequence[int],
+    kind: str,
+    machine: Callable,
+    budget: int,
+    certificates: dict[str, float],
+    *,
+    monitor_limit: Optional[float] = None,
+    instrument_node: Optional[int] = None,
+    guarantee: Optional[Callable] = None,
+    trace_path: Optional[str] = None,
+) -> ExperimentReport:
+    """The trial loop every broadcast protocol shares.  Per seed, all nodes
+    run `machine(node, rng)`; each node's local broadcast is then judged
+    over the `budget` slots after its wake-up, against its broadcasting
+    range or, with `guarantee(machine) -> (level, radius)`, against the
+    certified radius (the row then ends with level and radius).
+
+    `monitor_limit` attaches a live region-budget monitor to every run;
+    with `instrument_node` given, the certificates carry that node's
+    empirical per-slot full-broadcast frequency over all trials
+    ('instrumented_freq' over 'instrumented_slots')."""
+    t0 = time.perf_counter()
+    wake_span = max(node.wake_slot for node in network.nodes)
+    columns = ("seed", "node_id", "protocol", "success", "first_success_slot", "budget")
+    columns += ("level", "radius") if guarantee else ()
+    report = ExperimentReport(kind, columns, rows=[], verdicts=[], certificates=certificates)
+    violations, peak, hits = 0, 0.0, 0
+    for seed in seeds:
+        monitor = RegionBudgetMonitor(network, monitor_limit) if monitor_limit else None
+        trace = run_simulation(
+            network, machine, max_slots=wake_span + budget + 2, seed=seed, monitor=monitor,
+            trace=_trace_config(trace_path, seed, seeds[0]),
+        )
+        _maybe_export(trace, trace_path, seed, seeds[0])
+        if monitor:
+            violations += len(monitor.violations)
+            peak = max(peak, monitor.peak)
+        if instrument_node is not None:
+            hits += trace.full_success_count[instrument_node]
+        for node in network.nodes:
+            certified = guarantee(trace.machines[node.id]) if guarantee else ()
+            window = (node.wake_slot, node.wake_slot + budget)
+            ok = verify_local_broadcast(
+                trace, network, node.id, window, radius=certified[1] if certified else None
+            )
+            report.rows.append(
+                (seed, node.id, kind, ok, trace.first_full_success[node.id], budget, *certified)
+            )
+    good = sum(1 for row in report.rows if row[3])
+    verdict = ("guaranteed radius reached every neighbor" if guarantee
+               else "all nodes broadcast within budget")
+    report.add_verdict(verdict, good == len(report.rows), f"{good}/{len(report.rows)}")
+    if monitor_limit:
+        report.certificates["peak_region_sum"] = peak
+        report.add_verdict(
+            "region probability budget", violations == 0, f"{violations} violations"
+        )
+    slots = budget * len(seeds)
+    if instrument_node is not None and slots:
+        report.certificates["instrumented_freq"] = hits / slots
+        report.certificates["instrumented_slots"] = float(slots)
+    report.wall_clock = time.perf_counter() - t0
+    return report
+
+
 def run_fixed_broadcast(
     network: Network,
     seeds: Sequence[int],
@@ -215,70 +283,17 @@ def run_fixed_broadcast(
     instrument_node: Optional[int] = None,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
-    """Every node runs the fixed-probability broadcaster simultaneously.
-
-    With `instrument_node` given, the certificates carry that node's
-    empirical per-slot full-broadcast frequency aggregated over all trials
-    ('instrumented_freq' over 'instrumented_slots').
-    """
-    t0 = time.perf_counter()
-    params = network.params
-    scale = params.scale if scale is None else scale
-    cap, n_hint = _cap_for(network, n_hint)
+    """Every node runs the fixed-probability broadcaster simultaneously,
+    with probability cap / max_degree for the known-degree budget."""
+    cap, n_hint, scale = _cap_for(network, n_hint, scale)
     prob = cap / max(1, network.max_degree)
-    budget = broadcast_budget(prob, params, n_hint, scale)
-    wake_span = max(node.wake_slot for node in network.nodes)
-    report = ExperimentReport(
-        kind="fixed",
-        columns=("seed", "node_id", "protocol", "success", "first_success_slot", "budget"),
-        rows=[],
-        verdicts=[],
-        certificates={"region_cap": cap, "prob": prob},
+    budget = broadcast_budget(prob, network.params, n_hint, scale)
+    return _broadcast_trials(
+        network, seeds, "fixed",
+        lambda node, rng: FixedProbBroadcaster(node, rng, prob=prob, budget=budget),
+        budget, {"region_cap": cap, "prob": prob},
+        monitor_limit=monitor_limit, instrument_node=instrument_node, trace_path=trace_path,
     )
-    monitor_failures = 0
-    instrumented_hits = 0
-    instrumented_slots = 0
-    for seed in seeds:
-        monitor = (
-            RegionBudgetMonitor(network, monitor_limit) if monitor_limit else None
-        )
-        trace = run_simulation(
-            network,
-            lambda node, rng: FixedProbBroadcaster(node, rng, prob=prob, budget=budget),
-            max_slots=wake_span + budget + 2,
-            seed=seed,
-            monitor=monitor,
-            trace=_trace_config(trace_path, seed, seeds[0]),
-        )
-        _maybe_export(trace, trace_path, seed, seeds[0])
-        if monitor and monitor.violations:
-            monitor_failures += len(monitor.violations)
-        if instrument_node is not None:
-            instrumented_hits += trace.full_success_count[instrument_node]
-            instrumented_slots += budget
-        for node in network.nodes:
-            window = (node.wake_slot, node.wake_slot + budget)
-            ok = verify_local_broadcast(trace, network, node.id, window)
-            report.rows.append(
-                (seed, node.id, "fixed", ok, trace.first_full_success[node.id], budget)
-            )
-    succ_rows = sum(1 for row in report.rows if row[3])
-    report.add_verdict(
-        "all nodes broadcast within budget",
-        succ_rows == len(report.rows),
-        f"{succ_rows}/{len(report.rows)}",
-    )
-    if monitor_limit:
-        report.add_verdict(
-            "region probability budget",
-            monitor_failures == 0,
-            f"{monitor_failures} violations",
-        )
-    if instrument_node is not None and instrumented_slots:
-        report.certificates["instrumented_freq"] = instrumented_hits / instrumented_slots
-        report.certificates["instrumented_slots"] = float(instrumented_slots)
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 def run_slow_start(
@@ -287,16 +302,13 @@ def run_slow_start(
     *,
     scale: Optional[float] = None,
     n_hint: Optional[int] = None,
-    budget_constant: float = 64.0,
-    monitor: bool = True,
+    budget_constant: float = ExperimentConfig.slow_start_budget_constant,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """Slow-start broadcasters without degree knowledge; the region budget
     assertion runs live on every probability change."""
-    t0 = time.perf_counter()
     params = network.params
-    scale = params.scale if scale is None else scale
-    cap, n_hint = _cap_for(network, n_hint)
+    cap, n_hint, scale = _cap_for(network, n_hint, scale)
     prob_cap = cap / 16.0
     log_n = math.log(max(2, n_hint))
     phase_len = max(1, math.ceil(scale * 4.0 * params.c_whp * log_n))
@@ -311,125 +323,54 @@ def run_slow_start(
             * log_n
         ),
     )
-    wake_span = max(node.wake_slot for node in network.nodes)
-    report = ExperimentReport(
-        kind="slowstart",
-        columns=("seed", "node_id", "protocol", "success", "first_success_slot", "budget"),
-        rows=[],
-        verdicts=[],
-        certificates={"region_cap": cap, "prob_cap": prob_cap, "cap_target": cap_target},
+    return _broadcast_trials(
+        network, seeds, "slowstart",
+        lambda node, rng: SlowStartBroadcaster(
+            node, rng, prob_cap=prob_cap, n_hint=n_hint, phase_len=phase_len,
+            cap_slots_target=cap_target, budget=budget,
+        ),
+        budget, {"region_cap": cap, "prob_cap": prob_cap, "cap_target": cap_target},
+        monitor_limit=cap, trace_path=trace_path,
     )
-    total_violations = 0
-    peak = 0.0
-    for seed in seeds:
-        budget_monitor = RegionBudgetMonitor(network, cap) if monitor else None
-        trace = run_simulation(
-            network,
-            lambda node, rng: SlowStartBroadcaster(
-                node,
-                rng,
-                prob_cap=prob_cap,
-                n_hint=n_hint,
-                phase_len=phase_len,
-                cap_slots_target=cap_target,
-                budget=budget,
-            ),
-            max_slots=wake_span + budget + 2,
-            seed=seed,
-            monitor=budget_monitor,
-            trace=_trace_config(trace_path, seed, seeds[0]),
-        )
-        _maybe_export(trace, trace_path, seed, seeds[0])
-        if budget_monitor:
-            total_violations += len(budget_monitor.violations)
-            peak = max(peak, budget_monitor.peak)
-        for node in network.nodes:
-            window = (node.wake_slot, node.wake_slot + budget)
-            ok = verify_local_broadcast(trace, network, node.id, window)
-            report.rows.append(
-                (seed, node.id, "slowstart", ok, trace.first_full_success[node.id], budget)
-            )
-    succ_rows = sum(1 for row in report.rows if row[3])
-    report.certificates["peak_region_sum"] = peak
-    report.add_verdict(
-        "all nodes broadcast within budget",
-        succ_rows == len(report.rows),
-        f"{succ_rows}/{len(report.rows)}",
-    )
-    if monitor:
-        report.add_verdict(
-            "region probability budget", total_violations == 0, f"{total_violations} violations"
-        )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 def run_variable_power(
     network: Network,
     seeds: Sequence[int],
-    schedule_for: Callable[[Any], PowerSchedule],
     *,
-    duration: Optional[int] = None,
+    high_fraction: float = ExperimentConfig.varpower_high_fraction,
     scale: Optional[float] = None,
     n_hint: Optional[int] = None,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
-    """Variable-power broadcasters; success is judged against the radius
+    """Variable-power broadcasters with the fixed protocol's probability.
+    Each node sends at full power for `high_fraction` of the broadcast
+    threshold, then at 0.75 of it (never below the network's least power),
+    for 1.5 thresholds in all; success is judged against the radius
     certified from each node's power profile."""
-    t0 = time.perf_counter()
-    params = network.params
-    scale = params.scale if scale is None else scale
-    cap, n_hint = _cap_for(network, n_hint)
+    cap, n_hint, scale = _cap_for(network, n_hint, scale)
     prob = cap / max(1, network.max_degree)
-    threshold = broadcast_budget(prob, params, n_hint, scale)
-    duration = duration or 2 * threshold
+    threshold = broadcast_budget(prob, network.params, n_hint, scale)
+    duration = math.ceil(1.5 * threshold)
+    split = max(1, int(high_fraction * threshold))
     bounds = (float(network.powers.min()), float(network.powers.max()))
-    wake_span = max(node.wake_slot for node in network.nodes)
-    report = ExperimentReport(
-        kind="varpower",
-        columns=(
-            "seed", "node_id", "protocol", "success",
-            "first_success_slot", "budget", "level", "radius",
-        ),
-        rows=[],
-        verdicts=[],
-        certificates={"region_cap": cap, "prob": prob, "threshold": float(threshold)},
-    )
-    for seed in seeds:
-        trace = run_simulation(
-            network,
-            lambda node, rng: VariablePowerBroadcaster(
-                node,
-                rng,
-                prob=prob,
-                schedule=schedule_for(node),
-                duration=duration,
-                power_bounds=bounds,
-            ),
-            max_slots=wake_span + duration + 2,
-            seed=seed,
-            trace=_trace_config(trace_path, seed, seeds[0]),
+
+    def machine(node, rng):
+        low = max(bounds[0], 0.75 * node.power)
+        pieces = [(0, node.power)] if low >= node.power else [(0, node.power), (split, low)]
+        return VariablePowerBroadcaster(
+            node, rng, prob=prob, schedule=PowerSchedule(pieces),
+            duration=duration, power_bounds=bounds,
         )
-        _maybe_export(trace, trace_path, seed, seeds[0])
-        for node in network.nodes:
-            machine = trace.machines[node.id]
-            level, radius = variable_power_guarantee(
-                machine.power_trace(), prob, params, n_hint, scale
-            )
-            window = (node.wake_slot, node.wake_slot + duration)
-            ok = verify_local_broadcast(trace, network, node.id, window, radius=radius)
-            report.rows.append(
-                (seed, node.id, "varpower", ok, trace.first_full_success[node.id],
-                 duration, level, radius)
-            )
-    succ_rows = sum(1 for row in report.rows if row[3])
-    report.add_verdict(
-        "guaranteed radius reached every neighbor",
-        succ_rows == len(report.rows),
-        f"{succ_rows}/{len(report.rows)}",
+
+    return _broadcast_trials(
+        network, seeds, "varpower", machine, duration,
+        {"region_cap": cap, "prob": prob, "threshold": float(threshold)},
+        guarantee=lambda m: variable_power_guarantee(
+            m.power_trace(), prob, network.params, n_hint, scale
+        ),
+        trace_path=trace_path,
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -445,22 +386,18 @@ def run_coloring(
     scale: Optional[float] = None,
     n_hint: Optional[int] = None,
     forced_resignations: int = 0,
-    max_slots: Optional[int] = None,
-    check_termination: bool = True,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """Full protocol runs with live budget assertion and all validators."""
     t0 = time.perf_counter()
-    params = network.params
-    scale = params.scale if scale is None else scale
-    cap, n_hint = _cap_for(network, n_hint)
+    cap, n_hint, scale = _cap_for(network, n_hint, scale)
     constants = ColoringConstants.derive(
-        params, cap, network.max_degree, network.range_ratio, n_hint, scale
+        network.params, cap, network.max_degree, network.range_ratio, n_hint, scale
     )
     wake_span = max(node.wake_slot for node in network.nodes)
     static_wake = wake_span == 0 and forced_resignations == 0
     budget = constants.termination_budget(network.longest_chain)
-    slots = max_slots or (2 * wake_span + 2 * budget + 16)
+    slots = 2 * wake_span + 2 * budget + 16
     prob_limit = (
         9.0 * network.range_ratio**2 * constants.prob_leader
         + constants.max_degree * constants.prob_std
@@ -532,7 +469,7 @@ def run_coloring(
             machine = trace.machines[v]
             floor_violations += machine.floor_violations
             competes_ok &= machine.max_consecutive_competes <= constants.compete_span
-            if static_wake and check_termination:
+            if static_wake:
                 termination_ok &= (
                     machine.colored_at is not None and machine.colored_at <= budget
                 )
@@ -555,7 +492,7 @@ def run_coloring(
     report.add_verdict("counter floors", floor_violations == 0,
                        f"{floor_violations} violations")
     report.add_verdict("consecutive competes bounded", competes_ok)
-    if static_wake and check_termination:
+    if static_wake:
         report.add_verdict("termination within budget", termination_ok)
     if forced_resignations:
         report.add_verdict("color reuse table honored", reuse_ok)
@@ -644,78 +581,27 @@ def _leader_density_ok(network, colors, constants: ColoringConstants) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExperimentConfig:
-    """One experiment: a topology, a protocol, and the trial plan."""
-
-    protocol: str  # fixed | slowstart | varpower | coloring | mis
-    topology: Optional[str] = None  # path to a topology file
-    network: Optional[Network] = None  # or an in-memory network
-    seeds: Sequence[int] = (0,)
-    scale: Optional[float] = None
-    n_hint: Optional[int] = None
-    csv_path: Optional[str] = None
-    summary_path: Optional[str] = None
-    trace_path: Optional[str] = None  # JSONL replay records, first seed only
-    slow_start_budget_constant: float = 64.0
-    varpower_high_fraction: float = 0.5
-    forced_resignations: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("seeds must not be empty")
-        if self.scale is not None and not (0.0 < self.scale <= 1.0):
-            raise ValueError("scale must lie in (0, 1]")
-        if (self.topology is None) == (self.network is None):
-            raise ValueError("give exactly one of topology path or network")
-        if self.protocol not in ("fixed", "slowstart", "varpower", "coloring", "mis"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute all trials, run the validators, and write the CSV and the
     text summary when paths are configured.  The caller turns `report.ok`
     into the process exit status."""
     network = config.network if config.network is not None else load_topology(config.topology)
     seeds = list(config.seeds)
+    common = {"scale": config.scale, "n_hint": config.n_hint, "trace_path": config.trace_path}
     if config.protocol == "fixed":
-        report = run_fixed_broadcast(
-            network, seeds, scale=config.scale, n_hint=config.n_hint,
-            trace_path=config.trace_path,
-        )
+        report = run_fixed_broadcast(network, seeds, **common)
     elif config.protocol == "slowstart":
         report = run_slow_start(
-            network, seeds, scale=config.scale, n_hint=config.n_hint,
-            budget_constant=config.slow_start_budget_constant,
-            trace_path=config.trace_path,
+            network, seeds, budget_constant=config.slow_start_budget_constant, **common
         )
     elif config.protocol == "varpower":
-        params = network.params
-        scale = params.scale if config.scale is None else config.scale
-        cap, n_hint = _cap_for(network, config.n_hint)
-        prob = cap / max(1, network.max_degree)
-        threshold = broadcast_budget(prob, params, n_hint, scale)
-        duration = math.ceil(1.5 * threshold)
-        split = max(1, int(config.varpower_high_fraction * threshold))
-        floor_power = float(network.powers.min())
-
-        def schedule_for(node):
-            low = max(floor_power, 0.75 * node.power)
-            if low >= node.power:
-                return PowerSchedule([(0, node.power)])
-            return PowerSchedule([(0, node.power), (split, low)])
-
         report = run_variable_power(
-            network, seeds, schedule_for, duration=duration,
-            scale=config.scale, n_hint=config.n_hint,
-            trace_path=config.trace_path,
+            network, seeds, high_fraction=config.varpower_high_fraction, **common
         )
     else:
         report = run_coloring(
             network, seeds, mis=config.protocol == "mis",
-            scale=config.scale, n_hint=config.n_hint,
-            forced_resignations=config.forced_resignations,
-            trace_path=config.trace_path,
+            forced_resignations=config.forced_resignations, **common,
         )
     if config.csv_path:
         report.to_csv(config.csv_path)
@@ -735,7 +621,7 @@ def analyze_network(network: Network, n_hint: Optional[int] = None) -> dict:
     p = cap / max_degree: per-node proximity-silence probability, far
     interference against the margin, and per-region probability sums."""
     params = network.params
-    cap, n_hint = _cap_for(network, n_hint)
+    cap = _cap_for(network, n_hint)[0]
     prob = cap / max(1, network.max_degree)
     probs = dict.fromkeys(network.ids, prob)
     p = _prob_vector(network, probs)
@@ -754,7 +640,7 @@ def analyze_network(network: Network, n_hint: Optional[int] = None) -> dict:
         interference_true = dict(
             zip(network.ids, _far_interference(network, p, network.ids, params.alpha_true))
         )
-    region_sums = dict(zip(network.ids, _region_sums(network, probs)))
+    region_sums = dict(zip(network.ids, _loaded_monitor(network, probs).sum_even))
     return {
         "n": network.n,
         "max_degree": network.max_degree,

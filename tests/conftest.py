@@ -154,6 +154,19 @@ def brute_halo_pair_count(network: Network) -> int:
     return count
 
 
+def brute_region_sums(network: Network, probs) -> list[float]:
+    """Per node, in index order, the probability mass inside its
+    broadcasting region: the node itself first, then its out-neighbours in
+    index order, 0 for nodes absent from `probs`."""
+    sums = []
+    for node in network.nodes:
+        total = probs.get(node.id, 0.0)
+        for other in network.out_edges[node.id]:
+            total += probs.get(other, 0.0)
+        sums.append(total)
+    return sums
+
+
 def brute_proximity_silence_probability(network: Network, probs, node_id: int) -> float:
     """Product of (1 - p) over every node closer than three maximum ranges,
     node by node in index order."""

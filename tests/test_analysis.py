@@ -16,12 +16,14 @@ from sinrsim.analysis import (
     ring_interference_bound,
     variable_power_guarantee,
 )
+from sinrsim.experiment import analyze_network
 from sinrsim.model import NetworkParams, Node, build_network, ring_index
 from sinrsim.topology import grid_topology
 
 from .conftest import (
     brute_expected_far_interference,
     brute_proximity_silence_probability,
+    brute_region_sums,
     random_small_network,
     reference_network_build,
 )
@@ -289,6 +291,22 @@ class TestRegionSums:
         cap = region_probability_cap(params, net.range_ratio, net.n)
         probs = dict.fromkeys(net.ids, cap / net.max_degree)
         assert region_probability_sums(net, probs) <= cap * (1 + 1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_monitor_sums_match_brute_oracle(self, seed):
+        """The monitor adds a region's members in index order, the oracle
+        the region's own node first: equal for one shared probability, and
+        within the last ulp otherwise."""
+        rng = np.random.default_rng(seed)
+        net = random_small_network(rng, int(rng.integers(2, 40)), cap_params())
+        report = analyze_network(net)
+        uniform = dict.fromkeys(net.ids, report["prob"])
+        assert list(report["region_sums"].values()) == brute_region_sums(net, uniform)
+        # uneven probabilities, one node left out of the mapping
+        probs = {v: float(rng.uniform(0.0, 0.5)) for v in net.ids[1:]}
+        assert region_probability_sums(net, probs) == pytest.approx(
+            max(brute_region_sums(net, probs)), rel=1e-12
+        )
 
 
 class TestPowerTrace:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from sinrsim.experiment import (
     run_coloring,
     run_experiment,
     run_fixed_broadcast,
+    run_slow_start,
+    run_variable_power,
 )
 from sinrsim import topology
 from sinrsim.model import NetworkParams
@@ -170,6 +174,34 @@ class TestTopologyFile:
         assert back.node(0).sleep_slot == 500
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_NETWORKS = {
+    "uniform6": lambda: uniform_topology(6, 3.0, 4.0, seed=2),
+    # mixed powers and a thin margin: the 0.75 power level no longer reaches
+    # the edge of the broadcasting range, so the moment of the drop matters
+    "mixed12": lambda: random_topology(
+        12, 5.0, (1.0, 4.0), seed=3,
+        params=NetworkParams.exact(alpha=3.0, beta=1.0, delta=1.2),
+    ),
+}
+GOLDEN_RUNS = {
+    "slowstart": lambda net: run_slow_start(net, [0, 1]),
+    "varpower": lambda net: run_variable_power(net, [0, 1], scale=0.05),
+    "varpower_high030": lambda net: run_variable_power(
+        net, [0, 1], scale=0.05, high_fraction=0.3
+    ),
+}
+
+
+def write_uniform4(tmp_path) -> str:
+    topo = tmp_path / "net.json"
+    main([
+        "generate", "--preset", "uniform", "--n", "4", "--side", "2",
+        "--power", "4", "--seed", "1", "-o", str(topo),
+    ])
+    return str(topo)
+
+
 class TestReports:
     @pytest.fixture()
     def small_report(self):
@@ -197,6 +229,15 @@ class TestReports:
         csv_text = run_fixed_broadcast(net, seeds=[0, 1]).to_csv()
         golden = pathlib.Path(__file__).parent / "golden" / "fixed_broadcast_rows.csv"
         assert csv_text == golden.read_text()
+
+    @pytest.mark.parametrize("topo", sorted(GOLDEN_NETWORKS))
+    @pytest.mark.parametrize("case", sorted(GOLDEN_RUNS))
+    def test_protocol_matches_golden_files(self, case, topo):
+        """Slow-start and variable-power rows and summaries, frozen like
+        the fixed-broadcast golden file."""
+        report = GOLDEN_RUNS[case](GOLDEN_NETWORKS[topo]())
+        assert report.to_csv() == (GOLDEN / f"{case}_{topo}.csv").read_text()
+        assert report_summary(report) + "\n" == (GOLDEN / f"{case}_{topo}.txt").read_text()
 
     def test_summary_mentions_success_rate(self, small_report):
         text = report_summary(small_report)
@@ -235,6 +276,21 @@ class TestExperimentConfig:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="protocol"):
             ExperimentConfig(protocol="frisbee", topology="x.json", seeds=(1,))
+
+    @pytest.mark.parametrize("field,value", [
+        ("forced_resignations", -1),
+        ("forced_resignations", 1.5),
+        ("slow_start_budget_constant", float("nan")),
+        ("slow_start_budget_constant", float("inf")),
+        ("slow_start_budget_constant", 0.0),
+        ("varpower_high_fraction", float("nan")),
+        ("varpower_high_fraction", 0.0),
+        ("varpower_high_fraction", 1.5),
+    ])
+    def test_bad_protocol_constant_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field) as info:
+            ExperimentConfig(protocol="fixed", topology="x.json", **{field: value})
+        assert repr(value) in str(info.value)
 
     def test_runs_and_writes_outputs(self, tmp_path):
         net = uniform_topology(6, 3.0, 4.0, seed=2)
@@ -380,6 +436,34 @@ class TestCli:
                 main(argv)
         assert seen == [ExperimentConfig.varpower_high_fraction, 0.3]
 
+    @pytest.mark.parametrize("command", ["run-broadcast", "run-mis"])
+    def test_seeds_below_one_is_a_one_line_error(self, command, tmp_path, capsys):
+        argv = [command, "--topology", write_uniform4(tmp_path), "--seeds", "0"]
+        if command == "run-broadcast":
+            argv += ["--protocol", "fixed"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinrsim: error: ") and err.count("\n") == 1
+        assert "--seeds" in err and "0" in err, err
+
+    @pytest.mark.parametrize("argv,words", [
+        (["run-coloring", "--forced-resignations", "-1"], ["forced_resignations", "-1"]),
+        (["run-broadcast", "--protocol", "slowstart", "--budget-constant", "nan"],
+         ["slow_start_budget_constant", "nan"]),
+        (["run-broadcast", "--protocol", "varpower", "--high-power-frac", "nan"],
+         ["varpower_high_fraction", "nan"]),
+    ])
+    def test_bad_protocol_constant_flags_are_a_one_line_error(
+        self, argv, words, tmp_path, capsys
+    ):
+        argv = [*argv, "--topology", write_uniform4(tmp_path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinrsim: error: ") and err.count("\n") == 1
+        assert all(word in err for word in words), err
+
     def test_bad_topology_file_is_a_one_line_error(self, tmp_path, capsys):
         topo = tmp_path / "net.json"
         main([
@@ -482,3 +566,28 @@ class TestTraceExport:
             run_fixed_broadcast(net, [0, 1], trace_path=str(path))
         slots = {json.loads(line)["slot"] for line in path.read_text().splitlines()}
         assert len(slots) == 5
+
+
+class TestBenchmarkLookups:
+    def test_traced_names_resolve(self):
+        """perfbench/run.py finds these by name at runtime, and its traced
+        pass wraps several of them; a move that drops one breaks
+        `--trace 1` without failing any other test."""
+        import sinrsim
+        import sinrsim.experiment as ex
+
+        for name in (
+            "verify_local_broadcast", "validate_coloring", "halo_pair_count",
+            "expected_far_interference", "proximity_silence_probability",
+            "run_simulation", "run_experiment", "analyze_network",
+        ):
+            assert callable(getattr(ex, name)), name
+        assert callable(ex.RegionBudgetMonitor.__call__)
+        fields = {f.name for f in dataclasses.fields(ex.ExperimentConfig)}
+        assert "slow_start_budget_constant" in fields
+        for name in (
+            "resolve_slot", "TraceConfig", "FixedProbBroadcaster", "SlowStartBroadcaster",
+            "ColoringMachine", "random_topology",
+        ):
+            assert callable(getattr(sinrsim, name)), name
+        assert callable(sinrsim.NetworkParams.exact)

@@ -16,9 +16,7 @@ from .analysis import (
 from .broadcast import (
     Broadcast,
     FixedProbBroadcaster,
-    PowerSchedule,
     SlowStartBroadcaster,
-    VariablePowerBroadcaster,
     broadcast_budget,
     verify_local_broadcast,
 )

@@ -1,14 +1,14 @@
 """Local-broadcasting protocols as slot-stepped state machines.
 
-Three variants cover the knowledge regimes a node can be in:
+Two machines cover the three knowledge regimes a node can be in:
 
 * :class:`FixedProbBroadcaster` -- the maximum degree is known, so every
-  node simply transmits with the safe fixed probability for a fixed budget;
+  node simply transmits with the safe fixed probability for a fixed budget.
+  Given power pieces, it also runs the variable-power protocol: the power
+  changes from slot to slot, and the achievable radius is certified
+  afterwards from the power profile (:meth:`~FixedProbBroadcaster.power_trace`);
 * :class:`SlowStartBroadcaster` -- the degree is unknown; the probability
-  ramps up geometrically under a hard cap and backs off on every reception;
-* :class:`VariablePowerBroadcaster` -- the transmit power may change from
-  slot to slot; the achievable radius is certified afterwards from the
-  recorded power profile.
+  ramps up geometrically under a hard cap and backs off on every reception.
 
 Success of a run is judged by :func:`verify_local_broadcast` against the
 reception record of a simulation trace.
@@ -34,16 +34,22 @@ class Broadcast(NamedTuple):
     origin: int
 
 
-def broadcast_budget(prob: float, params: NetworkParams, n_hint: int, scale: float) -> int:
+def broadcast_budget(prob: float, params: NetworkParams, n: int, scale: float) -> int:
     """Slots needed so that transmitting with `prob` in each one succeeds
     with probability at least 1 - n**(-c_whp):  ceil(scale * 8c/p * ln n)."""
     if not (0.0 < prob <= 1.0):
         raise ValueError("probability must lie in (0, 1]")
-    return max(1, math.ceil(scale * 8.0 * params.c_whp / prob * math.log(n_hint)))
+    return max(1, math.ceil(scale * 8.0 * params.c_whp / prob * math.log(n)))
 
 
 class FixedProbBroadcaster(ProtocolMachine):
-    """Transmit with a fixed probability for a fixed number of slots."""
+    """Transmit with a fixed probability for a fixed number of slots.
+
+    The power is piecewise constant over the slots since wake-up: each
+    `(start, power)` piece applies until the next one, and the default is
+    the node's own power throughout.  Every scheduled power must lie inside
+    `power_bounds` when those are given.
+    """
 
     def __init__(
         self,
@@ -52,24 +58,41 @@ class FixedProbBroadcaster(ProtocolMachine):
         *,
         prob: float,
         budget: int,
-        payload: Optional[Broadcast] = None,
+        pieces: Optional[Sequence[tuple[int, float]]] = None,
+        power_bounds: Optional[tuple[float, float]] = None,
     ):
         super().__init__(node, rng)
         if not (0.0 < prob <= 1.0):
             raise ValueError("probability must lie in (0, 1]")
         if budget < 1:
             raise ValueError("budget must be at least one slot")
+        pieces = [(0, node.power)] if pieces is None else pieces
+        starts = [s for s, _ in pieces]
+        powers = [p for _, p in pieces]
+        if not starts or starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
+            raise ValueError("pieces must start at 0 and strictly increase")
+        if not all(p > 0.0 for p in powers):
+            raise ValueError("scheduled powers must be positive")
+        if power_bounds is not None and not (
+            power_bounds[0] <= min(powers) and max(powers) <= power_bounds[1]
+        ):
+            raise ProtocolViolationError(
+                f"node {node.id}: scheduled powers [{min(powers)}, {max(powers)}] "
+                f"leave the declared global range {power_bounds}"
+            )
         self.wants_rx = False
         self.prob = prob
         self.budget = budget
-        self.payload = payload if payload is not None else Broadcast(node.id)
+        self.starts = starts
+        self.powers = powers
+        self.payload = Broadcast(node.id)
         self.slots_elapsed = 0
-        self.end_slot: Optional[int] = None
+        self.start_slot: Optional[int] = None
 
     def wake(self, slot: int) -> None:
-        self.end_slot = slot + self.budget
+        self.start_slot = slot
         self.set_prob(0, self.prob)
-        self.schedule(self.end_slot)
+        self.schedule(slot + self.budget)
 
     def poll(self, slot: int) -> None:
         self.slots_elapsed = self.budget
@@ -79,19 +102,33 @@ class FixedProbBroadcaster(ProtocolMachine):
     def on_transmit(self, slot: int, lane: int) -> tuple[Broadcast, float]:
         if self.done:
             raise ProtocolViolationError(f"node {self.node.id} stepped after completion")
-        return self.payload, self.node.power
+        return self.payload, self.powers[bisect_right(self.starts, slot - self.start_slot) - 1]
+
+    def power_trace(self) -> PowerTrace:
+        """Profile of the scheduled powers over the budget, with the pieces
+        clipped to it."""
+        ends = self.starts[1:] + [self.budget]
+        pieces = tuple(
+            (start, min(end, self.budget), power)
+            for start, end, power in zip(self.starts, ends, self.powers)
+            if start < self.budget
+        )
+        return PowerTrace(
+            node_id=self.node.id, interval_start=0, interval_end=self.budget, pieces=pieces
+        )
 
 
 class SlowStartBroadcaster(ProtocolMachine):
     """Geometric probability ramp for the unknown-degree regime.
 
-    Starting from cap/n_hint the probability doubles at every phase
-    boundary up to the hard cap, and is halved (floored at the start value)
-    on every reception, which keeps regional probability mass bounded when
-    neighborhoods get crowded.  The node is finished once it has spent
-    `cap_slots_target` cumulative slots transmitting at the cap -- the
-    budget that makes a broadcast at cap probability succeed whp -- or once
-    the global `budget` runs out.
+    Starting from cap/n, with `n` the node's known estimate of the network
+    size, the probability doubles at every phase boundary up to the hard
+    cap, and is halved (floored at the start value) on every reception,
+    which keeps regional probability mass bounded when neighborhoods get
+    crowded.  The node is finished once it has spent `cap_slots_target`
+    cumulative slots transmitting at the cap -- the budget that makes a
+    broadcast at cap probability succeed whp -- or once the global `budget`
+    runs out.
     """
 
     def __init__(
@@ -100,11 +137,10 @@ class SlowStartBroadcaster(ProtocolMachine):
         rng: np.random.Generator,
         *,
         prob_cap: float,
-        n_hint: int,
+        n: int,
         phase_len: int,
         cap_slots_target: int,
         budget: int,
-        payload: Optional[Broadcast] = None,
     ):
         super().__init__(node, rng)
         if not (0.0 < prob_cap <= 1.0):
@@ -112,11 +148,11 @@ class SlowStartBroadcaster(ProtocolMachine):
         if phase_len < 1 or cap_slots_target < 1 or budget < 1:
             raise ValueError("phase length, cap target and budget must be positive")
         self.prob_cap = prob_cap
-        self.prob_init = prob_cap / n_hint
+        self.prob_init = prob_cap / n
         self.phase_len = phase_len
         self.cap_slots_target = cap_slots_target
         self.budget = budget
-        self.payload = payload if payload is not None else Broadcast(node.id)
+        self.payload = Broadcast(node.id)
 
         self.p_cur = self.prob_init
         self.received_this_phase = 0
@@ -193,99 +229,6 @@ class SlowStartBroadcaster(ProtocolMachine):
 
     def on_transmit(self, slot: int, lane: int) -> tuple[Broadcast, float]:
         return self.payload, self.node.power
-
-
-class PowerSchedule:
-    """Piecewise-constant transmit power over slots relative to wake-up;
-    each (start, power) piece applies until the next one."""
-
-    def __init__(self, pieces: Sequence[tuple[int, float]]):
-        if not pieces:
-            raise ValueError("schedule needs at least one piece")
-        starts = [s for s, _ in pieces]
-        if starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValueError("pieces must start at 0 and strictly increase")
-        if any(p <= 0.0 for _, p in pieces):
-            raise ValueError("scheduled powers must be positive")
-        self.starts = starts
-        self.powers = [p for _, p in pieces]
-
-    def power_at(self, offset: int) -> float:
-        return self.powers[bisect_right(self.starts, offset) - 1]
-
-    def bounds(self) -> tuple[float, float]:
-        return min(self.powers), max(self.powers)
-
-    def trace_pieces(self, duration: int) -> tuple[tuple[int, int, float], ...]:
-        out = []
-        for k, start in enumerate(self.starts):
-            if start >= duration:
-                break
-            end = self.starts[k + 1] if k + 1 < len(self.starts) else duration
-            out.append((start, min(end, duration), self.powers[k]))
-        return tuple(out)
-
-
-class VariablePowerBroadcaster(ProtocolMachine):
-    """Fixed transmission probability, per-slot power from a schedule."""
-
-    def __init__(
-        self,
-        node: Node,
-        rng: np.random.Generator,
-        *,
-        prob: float,
-        schedule: PowerSchedule,
-        duration: int,
-        power_bounds: tuple[float, float],
-        payload: Optional[Broadcast] = None,
-    ):
-        super().__init__(node, rng)
-        if not (0.0 <= prob <= 1.0):
-            raise ValueError("probability must lie in [0, 1]")
-        if duration < 1:
-            raise ValueError("duration must be positive")
-        lo, hi = schedule.bounds()
-        if lo < power_bounds[0] or hi > power_bounds[1]:
-            raise ProtocolViolationError(
-                f"node {node.id}: scheduled powers [{lo}, {hi}] leave the "
-                f"declared global range {power_bounds}"
-            )
-        self.wants_rx = False
-        self.prob = prob
-        self.power_schedule = schedule
-        self.duration = duration
-        self.power_bounds = power_bounds
-        self.payload = payload if payload is not None else Broadcast(node.id)
-        self.start_slot: Optional[int] = None
-
-    def wake(self, slot: int) -> None:
-        self.start_slot = slot
-        if self.prob > 0.0:
-            self.set_prob(0, self.prob)
-        self.schedule(slot + self.duration)
-
-    def poll(self, slot: int) -> None:
-        self.set_prob(0, 0.0)
-        self.done = True
-
-    def on_transmit(self, slot: int, lane: int) -> tuple[Broadcast, float]:
-        power = self.power_schedule.power_at(slot - self.start_slot)
-        lo, hi = self.power_bounds
-        if not (lo <= power <= hi):
-            raise ProtocolViolationError(
-                f"node {self.node.id}: power {power} outside [{lo}, {hi}]"
-            )
-        return self.payload, power
-
-    def power_trace(self) -> PowerTrace:
-        """Profile of the scheduled powers over the transmission interval."""
-        return PowerTrace(
-            node_id=self.node.id,
-            interval_start=0,
-            interval_end=self.duration,
-            pieces=self.power_schedule.trace_pieces(self.duration),
-        )
 
 
 def verify_local_broadcast(

@@ -94,10 +94,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     rb.add_argument("--budget-constant", type=float,
                     default=ExperimentConfig.slow_start_budget_constant,
                     help="slow-start global budget constant (default %(default)s)")
-    rb.add_argument("--high-power-frac", type=float,
-                    default=ExperimentConfig.varpower_high_fraction,
-                    help="varpower: fraction of the broadcast threshold spent at full "
-                         "power before the power drop (default %(default)s)")
 
     rc = sub.add_parser("run-coloring", help="run the coloring protocol")
     rm = sub.add_parser("run-mis", help="run the MIS protocol")
@@ -151,7 +147,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 protocol=args.protocol,
                 topology=args.topology,
                 slow_start_budget_constant=args.budget_constant,
-                varpower_high_fraction=args.high_power_frac,
             )
         else:
             fields.update(

@@ -117,7 +117,7 @@ class ColoringConstants:
         region_cap: float,
         max_degree: int,
         range_ratio: float,
-        n_hint: int,
+        n: int,
         scale: Optional[float] = None,
     ) -> "ColoringConstants":
         scale = params.scale if scale is None else scale
@@ -125,7 +125,7 @@ class ColoringConstants:
         ratio_sq = range_ratio**2
         prob_std = region_cap / (2.0 * degree)
         prob_leader = region_cap / (18.0 * ratio_sq)
-        log_n = math.log(max(2, n_hint))
+        log_n = math.log(max(2, n))
         slots_std = max(1, math.ceil(scale * 8.0 * params.c_whp / prob_std * log_n))
         slots_leader = max(1, math.ceil(scale * 8.0 * params.c_whp / prob_leader * log_n))
         span = math.ceil(38.0 * ratio_sq)

@@ -30,9 +30,7 @@ from .analysis import (
 )
 from .broadcast import (
     FixedProbBroadcaster,
-    PowerSchedule,
     SlowStartBroadcaster,
-    VariablePowerBroadcaster,
     broadcast_budget,
     verify_local_broadcast,
 )
@@ -128,17 +126,18 @@ class ExperimentConfig:
     network: Optional[Network] = None  # or an in-memory network
     seeds: Sequence[int] = (0,)
     scale: Optional[float] = None
-    n_hint: Optional[int] = None
     csv_path: Optional[str] = None
     summary_path: Optional[str] = None
     trace_path: Optional[str] = None  # JSONL replay records, first seed only
     slow_start_budget_constant: float = 64.0
-    varpower_high_fraction: float = 0.5
     forced_resignations: int = 0
 
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("seeds must not be empty")
+        for seed in self.seeds:
+            if not (isinstance(seed, numbers.Integral) and seed >= 0):
+                raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
         if self.scale is not None and not (0.0 < self.scale <= 1.0):
             raise ValueError("scale must lie in (0, 1]")
         if (self.topology is None) == (self.network is None):
@@ -151,7 +150,6 @@ class ExperimentConfig:
              isinstance(resignations, numbers.Integral) and resignations >= 0, "an integer >= 0"),
             ("slow_start_budget_constant",
              0.0 < self.slow_start_budget_constant < math.inf, "finite and > 0"),
-            ("varpower_high_fraction", 0.0 < self.varpower_high_fraction <= 1.0, "in (0, 1]"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -162,13 +160,10 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _cap_for(
-    network: Network, n_hint: Optional[int], scale: Optional[float] = None
-) -> tuple[float, int, float]:
-    """The region cap, with `n_hint` and `scale` defaulted from the network."""
-    n_hint = n_hint or network.n
+def _cap_for(network: Network, scale: Optional[float] = None) -> tuple[float, float]:
+    """The region cap, and `scale` defaulted from the network."""
     scale = network.params.scale if scale is None else scale
-    return region_probability_cap(network.params, network.range_ratio, n_hint), n_hint, scale
+    return region_probability_cap(network.params, network.range_ratio, network.n), scale
 
 
 def halo_pair_count(network: Network) -> int:
@@ -278,16 +273,15 @@ def run_fixed_broadcast(
     seeds: Sequence[int],
     *,
     scale: Optional[float] = None,
-    n_hint: Optional[int] = None,
     monitor_limit: Optional[float] = None,
     instrument_node: Optional[int] = None,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """Every node runs the fixed-probability broadcaster simultaneously,
     with probability cap / max_degree for the known-degree budget."""
-    cap, n_hint, scale = _cap_for(network, n_hint, scale)
+    cap, scale = _cap_for(network, scale)
     prob = cap / max(1, network.max_degree)
-    budget = broadcast_budget(prob, network.params, n_hint, scale)
+    budget = broadcast_budget(prob, network.params, network.n, scale)
     return _broadcast_trials(
         network, seeds, "fixed",
         lambda node, rng: FixedProbBroadcaster(node, rng, prob=prob, budget=budget),
@@ -301,16 +295,15 @@ def run_slow_start(
     seeds: Sequence[int],
     *,
     scale: Optional[float] = None,
-    n_hint: Optional[int] = None,
     budget_constant: float = ExperimentConfig.slow_start_budget_constant,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """Slow-start broadcasters without degree knowledge; the region budget
     assertion runs live on every probability change."""
     params = network.params
-    cap, n_hint, scale = _cap_for(network, n_hint, scale)
+    cap, scale = _cap_for(network, scale)
     prob_cap = cap / 16.0
-    log_n = math.log(max(2, n_hint))
+    log_n = math.log(max(2, network.n))
     phase_len = max(1, math.ceil(scale * 4.0 * params.c_whp * log_n))
     cap_target = max(1, math.ceil(scale * 8.0 * (16.0 / cap) * params.c_whp * log_n))
     budget = max(
@@ -326,7 +319,7 @@ def run_slow_start(
     return _broadcast_trials(
         network, seeds, "slowstart",
         lambda node, rng: SlowStartBroadcaster(
-            node, rng, prob_cap=prob_cap, n_hint=n_hint, phase_len=phase_len,
+            node, rng, prob_cap=prob_cap, n=network.n, phase_len=phase_len,
             cap_slots_target=cap_target, budget=budget,
         ),
         budget, {"region_cap": cap, "prob_cap": prob_cap, "cap_target": cap_target},
@@ -338,36 +331,33 @@ def run_variable_power(
     network: Network,
     seeds: Sequence[int],
     *,
-    high_fraction: float = ExperimentConfig.varpower_high_fraction,
     scale: Optional[float] = None,
-    n_hint: Optional[int] = None,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
-    """Variable-power broadcasters with the fixed protocol's probability.
-    Each node sends at full power for `high_fraction` of the broadcast
-    threshold, then at 0.75 of it (never below the network's least power),
-    for 1.5 thresholds in all; success is judged against the radius
-    certified from each node's power profile."""
-    cap, n_hint, scale = _cap_for(network, n_hint, scale)
+    """Fixed-probability broadcasters with a power drop.  Each node sends
+    at full power for half the broadcast threshold, then at 0.75 of it
+    (never below the network's least power), for 1.5 thresholds in all;
+    success is judged against the radius certified from each node's power
+    profile."""
+    cap, scale = _cap_for(network, scale)
     prob = cap / max(1, network.max_degree)
-    threshold = broadcast_budget(prob, network.params, n_hint, scale)
+    threshold = broadcast_budget(prob, network.params, network.n, scale)
     duration = math.ceil(1.5 * threshold)
-    split = max(1, int(high_fraction * threshold))
+    split = max(1, threshold // 2)
     bounds = (float(network.powers.min()), float(network.powers.max()))
 
     def machine(node, rng):
         low = max(bounds[0], 0.75 * node.power)
         pieces = [(0, node.power)] if low >= node.power else [(0, node.power), (split, low)]
-        return VariablePowerBroadcaster(
-            node, rng, prob=prob, schedule=PowerSchedule(pieces),
-            duration=duration, power_bounds=bounds,
+        return FixedProbBroadcaster(
+            node, rng, prob=prob, budget=duration, pieces=pieces, power_bounds=bounds
         )
 
     return _broadcast_trials(
         network, seeds, "varpower", machine, duration,
         {"region_cap": cap, "prob": prob, "threshold": float(threshold)},
         guarantee=lambda m: variable_power_guarantee(
-            m.power_trace(), prob, network.params, n_hint, scale
+            m.power_trace(), prob, network.params, network.n, scale
         ),
         trace_path=trace_path,
     )
@@ -384,15 +374,14 @@ def run_coloring(
     *,
     mis: bool = False,
     scale: Optional[float] = None,
-    n_hint: Optional[int] = None,
     forced_resignations: int = 0,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """Full protocol runs with live budget assertion and all validators."""
     t0 = time.perf_counter()
-    cap, n_hint, scale = _cap_for(network, n_hint, scale)
+    cap, scale = _cap_for(network, scale)
     constants = ColoringConstants.derive(
-        network.params, cap, network.max_degree, network.range_ratio, n_hint, scale
+        network.params, cap, network.max_degree, network.range_ratio, network.n, scale
     )
     wake_span = max(node.wake_slot for node in network.nodes)
     static_wake = wake_span == 0 and forced_resignations == 0
@@ -587,7 +576,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     into the process exit status."""
     network = config.network if config.network is not None else load_topology(config.topology)
     seeds = list(config.seeds)
-    common = {"scale": config.scale, "n_hint": config.n_hint, "trace_path": config.trace_path}
+    common = {"scale": config.scale, "trace_path": config.trace_path}
     if config.protocol == "fixed":
         report = run_fixed_broadcast(network, seeds, **common)
     elif config.protocol == "slowstart":
@@ -595,9 +584,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             network, seeds, budget_constant=config.slow_start_budget_constant, **common
         )
     elif config.protocol == "varpower":
-        report = run_variable_power(
-            network, seeds, high_fraction=config.varpower_high_fraction, **common
-        )
+        report = run_variable_power(network, seeds, **common)
     else:
         report = run_coloring(
             network, seeds, mis=config.protocol == "mis",
@@ -616,12 +603,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def analyze_network(network: Network, n_hint: Optional[int] = None) -> dict:
+def analyze_network(network: Network) -> dict:
     """The closed-form certificates for the canonical assignment
     p = cap / max_degree: per-node proximity-silence probability, far
     interference against the margin, and per-region probability sums."""
     params = network.params
-    cap = _cap_for(network, n_hint)[0]
+    cap = _cap_for(network)[0]
     prob = cap / max(1, network.max_degree)
     probs = dict.fromkeys(network.ids, prob)
     p = _prob_vector(network, probs)

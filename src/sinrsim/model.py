@@ -320,12 +320,6 @@ class Network:
         """Ascending indices of the in-neighbours of node index `i`."""
         return self._in_nbr[self._in_ptr[i] : self._in_ptr[i + 1]]
 
-    def out_neighbors(self, node_id: int) -> tuple[int, ...]:
-        return self.out_edges[node_id]
-
-    def in_neighbors(self, node_id: int) -> tuple[int, ...]:
-        return self.in_edges[node_id]
-
     def awake_at(self, node_id: int, slot: int) -> bool:
         node = self.node(node_id)
         return node.wake_slot <= slot and (

@@ -246,11 +246,11 @@ def brute_mis_verdict(network: Network, members: set[int]) -> tuple[bool, bool]:
     dominating = True
     for v in network.ids:
         if v in members:
-            for u in network.out_neighbors(v):
+            for u in network.out_edges[v]:
                 if u in members:
                     independent = False
         else:
-            if not any(u in members for u in network.in_neighbors(v)):
+            if not any(u in members for u in network.in_edges[v]):
                 dominating = False
     return independent, dominating
 

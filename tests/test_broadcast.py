@@ -7,9 +7,7 @@ from sinrsim.analysis import region_probability_cap
 from sinrsim.broadcast import (
     Broadcast,
     FixedProbBroadcaster,
-    PowerSchedule,
     SlowStartBroadcaster,
-    VariablePowerBroadcaster,
     broadcast_budget,
     verify_local_broadcast,
 )
@@ -76,10 +74,10 @@ class TestFixedProb:
 
 
 class TestSlowStart:
-    def make(self, node, rng, *, cap=0.16, n_hint=16, phase_len=10,
+    def make(self, node, rng, *, cap=0.16, n=16, phase_len=10,
              target=50, budget=10_000):
         return SlowStartBroadcaster(
-            node, rng, prob_cap=cap, n_hint=n_hint, phase_len=phase_len,
+            node, rng, prob_cap=cap, n=n, phase_len=phase_len,
             cap_slots_target=target, budget=budget,
         )
 
@@ -146,45 +144,58 @@ class TestSlowStart:
             assert "region probability budget" not in names
 
 
+def piecewise(pieces, *, budget=50, prob=0.5, power_bounds=None):
+    return FixedProbBroadcaster(
+        Node(0, 0, 0, 8.0), node_rng(0, 0), prob=prob, budget=budget,
+        pieces=pieces, power_bounds=power_bounds,
+    )
+
+
 class TestPowerSchedule:
     def test_lookup(self):
-        sched = PowerSchedule([(0, 2.0), (10, 1.0), (30, 4.0)])
-        assert sched.power_at(0) == 2.0
-        assert sched.power_at(9) == 2.0
-        assert sched.power_at(10) == 1.0
-        assert sched.power_at(45) == 4.0
+        machine = piecewise([(0, 2.0), (10, 1.0), (30, 4.0)])
+        machine.wake(7)
+        powers = [machine.on_transmit(7 + offset, 0)[1] for offset in (0, 9, 10, 45)]
+        assert powers == [2.0, 2.0, 1.0, 4.0]
 
     def test_must_start_at_zero(self):
+        with pytest.raises(ValueError, match="start at 0"):
+            piecewise([(5, 1.0)])
+
+    @pytest.mark.parametrize("pieces", [
+        [], [(0, 2.0), (0, 1.0)], [(0, 2.0), (3, 0.0)], [(0, float("nan"))],
+    ])
+    def test_malformed_pieces_rejected(self, pieces):
         with pytest.raises(ValueError):
-            PowerSchedule([(5, 1.0)])
+            piecewise(pieces)
 
     def test_trace_pieces_clip_to_duration(self):
-        sched = PowerSchedule([(0, 2.0), (10, 1.0)])
-        assert sched.trace_pieces(15) == ((0, 10, 2.0), (10, 15, 1.0))
-        assert sched.trace_pieces(5) == ((0, 5, 2.0),)
+        pieces = [(0, 2.0), (10, 1.0)]
+        assert piecewise(pieces, budget=15).power_trace().pieces == (
+            (0, 10, 2.0), (10, 15, 1.0)
+        )
+        assert piecewise(pieces, budget=5).power_trace().pieces == ((0, 5, 2.0),)
+
+    def test_default_is_own_power_throughout(self):
+        trace = piecewise(None, budget=20).power_trace()
+        assert trace.pieces == ((0, 20, 8.0),)
 
 
 class TestVariablePower:
     def test_constant_schedule_matches_fixed_behavior(self, exact_params):
         net = pair_network(exact_params)
-        const = PowerSchedule([(0, 8.0)])
 
-        fixed = run_simulation(
-            net,
-            lambda n, r: FixedProbBroadcaster(n, r, prob=0.2, budget=500),
-            max_slots=501,
-            seed=9,
-            trace=TraceConfig(record_outcomes=True),
-        )
-        varp = run_simulation(
-            net,
-            lambda n, r: VariablePowerBroadcaster(
-                n, r, prob=0.2, schedule=const, duration=500, power_bounds=(8.0, 8.0)
-            ),
-            max_slots=501,
-            seed=9,
-            trace=TraceConfig(record_outcomes=True),
-        )
+        def run(**pieces):
+            return run_simulation(
+                net,
+                lambda n, r: FixedProbBroadcaster(n, r, prob=0.2, budget=500, **pieces),
+                max_slots=501,
+                seed=9,
+                trace=TraceConfig(record_outcomes=True),
+            )
+
+        fixed = run()
+        varp = run(pieces=[(0, 8.0)], power_bounds=(8.0, 8.0))
         # same per-node random streams, same lottery: identical slots and powers
         assert [
             (o.slot, tuple((t.sender, t.power) for t in o.transmissions))
@@ -195,43 +206,25 @@ class TestVariablePower:
         ]
 
     def test_trace_counts_match_hand_count(self, exact_params):
-        sched = PowerSchedule([(0, 4.0), (100, 1.0)])
-        machine = VariablePowerBroadcaster(
-            Node(0, 0, 0, 8.0),
-            node_rng(0, 0),
-            prob=0.5,
-            schedule=sched,
-            duration=110,
-            power_bounds=(1.0, 8.0),
-        )
+        machine = piecewise([(0, 4.0), (100, 1.0)], budget=110, power_bounds=(1.0, 8.0))
         trace = machine.power_trace()
         assert trace.levels() == (0.0, 1.0, 4.0)
         assert trace.slots_at_least() == (110, 110, 100)
 
-    def test_zero_probability_never_transmits(self, exact_params):
-        net = pair_network(exact_params)
-        trace = run_simulation(
-            net,
-            lambda n, r: VariablePowerBroadcaster(
-                n, r, prob=0.0, schedule=PowerSchedule([(0, 8.0)]),
-                duration=50, power_bounds=(1.0, 8.0),
-            ),
-            max_slots=51,
-            seed=0,
-        )
-        assert trace.tx_count == {0: 0, 1: 0}
-        assert trace.completed
+    @pytest.mark.parametrize("prob", [0.0, -0.1, 1.5])
+    def test_probability_outside_unit_interval_rejected(self, prob):
+        with pytest.raises(ValueError, match="probability"):
+            piecewise([(0, 8.0)], prob=prob)
+
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            piecewise(None, budget=0)
 
     def test_out_of_bounds_power_rejected(self, exact_params):
         with pytest.raises(ProtocolViolationError):
-            VariablePowerBroadcaster(
-                Node(0, 0, 0, 8.0),
-                node_rng(0, 0),
-                prob=0.5,
-                schedule=PowerSchedule([(0, 16.0)]),
-                duration=10,
-                power_bounds=(1.0, 8.0),
-            )
+            piecewise([(0, 16.0)], budget=10, power_bounds=(1.0, 8.0))
+        with pytest.raises(ProtocolViolationError):
+            piecewise([(0, 4.0), (5, 0.5)], budget=10, power_bounds=(1.0, 8.0))
 
 
 class TestVerifyLocalBroadcast:

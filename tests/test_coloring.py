@@ -112,7 +112,7 @@ class TestLearning:
     def test_one_way_pair_learns_asymmetrically(self):
         # strong node 0 reaches weak node 1; replies die in the channel
         net = coloring_net([Node(0, 0.0, 0.0, 8.0), Node(1, 1.2, 0.0, 1.0)])
-        assert net.out_neighbors(0) == (1,)
+        assert net.out_edges[0] == (1,)
         trace, k = run_protocol(net, seed=3)
         weak = trace.machines[1]
         assert 0 in weak.heard_from and 0 not in weak.confirmed_out
@@ -363,8 +363,8 @@ class TestMis:
             Node(2, -1.2, 0.0, 1.0),
         ]
         net = coloring_net(nodes)
-        assert net.out_neighbors(0) == (1, 2)
-        assert net.in_neighbors(0) == ()
+        assert net.out_edges[0] == (1, 2)
+        assert net.in_edges[0] == ()
         for seed in range(5):
             trace, _ = run_protocol(net, seed=seed, mis=True)
             assert trace.machines[0].color == 0
@@ -391,7 +391,7 @@ class TestValidators:
             Node(3, 0.0, 1.0, power),
         ]
         net = coloring_net(nodes)
-        assert set(net.out_neighbors(0)) == {1, 3}
+        assert set(net.out_edges[0]) == {1, 3}
         k = make_constants()
         verdict = validate_coloring(net, {0: 0, 1: 1, 2: 0, 3: 1}, k)
         assert verdict.valid and verdict.distinct_colors == 2

@@ -9,12 +9,7 @@ import pytest
 
 import sinrsim.engine as engine
 from sinrsim.analysis import region_probability_cap
-from sinrsim.broadcast import (
-    FixedProbBroadcaster,
-    PowerSchedule,
-    SlowStartBroadcaster,
-    VariablePowerBroadcaster,
-)
+from sinrsim.broadcast import FixedProbBroadcaster, SlowStartBroadcaster
 from sinrsim.coloring import ColoringConstants, ColoringMachine
 from sinrsim.engine import ProtocolMachine, TraceConfig, run_simulation
 from sinrsim.errors import ProtocolViolationError, SimulationAbort
@@ -115,7 +110,7 @@ class TestMatchesReference:
 
         def factory(node, rng):
             return SlowStartBroadcaster(
-                node, rng, prob_cap=0.25, n_hint=12, phase_len=6, cap_slots_target=20,
+                node, rng, prob_cap=0.25, n=12, phase_len=6, cap_slots_target=20,
                 budget=500,
             )
 
@@ -128,10 +123,9 @@ class TestMatchesReference:
 
         def factory(node, rng):
             low = max(bounds[0], 0.5 * node.power)
-            schedule = PowerSchedule([(0, node.power), (100, low)] if low < node.power
-                                     else [(0, node.power)])
-            return VariablePowerBroadcaster(
-                node, rng, prob=0.2, schedule=schedule, duration=250, power_bounds=bounds
+            pieces = [(0, node.power), (100, low)] if low < node.power else [(0, node.power)]
+            return FixedProbBroadcaster(
+                node, rng, prob=0.2, budget=250, pieces=pieces, power_bounds=bounds
             )
 
         assert_same_run(run_both(net, factory, 300, seed))
@@ -156,9 +150,9 @@ class TestMatchesReference:
         bounds = (float(net.powers.min()), float(net.powers.max()))
 
         def factory(node, rng):
-            schedule = PowerSchedule([(0, bounds[1]), (60, bounds[0])])
-            return VariablePowerBroadcaster(
-                node, rng, prob=0.2, schedule=schedule, duration=150, power_bounds=bounds
+            return FixedProbBroadcaster(
+                node, rng, prob=0.2, budget=150,
+                pieces=[(0, bounds[1]), (60, bounds[0])], power_bounds=bounds,
             )
 
         runs = run_both(net, factory, 200, 3)

@@ -187,9 +187,6 @@ GOLDEN_NETWORKS = {
 GOLDEN_RUNS = {
     "slowstart": lambda net: run_slow_start(net, [0, 1]),
     "varpower": lambda net: run_variable_power(net, [0, 1], scale=0.05),
-    "varpower_high030": lambda net: run_variable_power(
-        net, [0, 1], scale=0.05, high_fraction=0.3
-    ),
 }
 
 
@@ -283,14 +280,17 @@ class TestExperimentConfig:
         ("slow_start_budget_constant", float("nan")),
         ("slow_start_budget_constant", float("inf")),
         ("slow_start_budget_constant", 0.0),
-        ("varpower_high_fraction", float("nan")),
-        ("varpower_high_fraction", 0.0),
-        ("varpower_high_fraction", 1.5),
     ])
     def test_bad_protocol_constant_rejected(self, field, value):
         with pytest.raises(ValueError, match=field) as info:
             ExperimentConfig(protocol="fixed", topology="x.json", **{field: value})
         assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seeds") as info:
+            ExperimentConfig(protocol="fixed", topology="x.json", seeds=(0, seed))
+        assert repr(seed) in str(info.value)
 
     def test_runs_and_writes_outputs(self, tmp_path):
         net = uniform_topology(6, 3.0, 4.0, seed=2)
@@ -412,30 +412,6 @@ class TestCli:
         ])
         assert main(["run-mis", "--topology", str(topo), "--seeds", "1"]) == 0
 
-    def test_high_power_frac_defaults_to_config(self, tmp_path, monkeypatch):
-        import sinrsim.cli as cli
-
-        topo = tmp_path / "net.json"
-        main([
-            "generate", "--preset", "uniform", "--n", "4", "--side", "2",
-            "--power", "4", "--seed", "1", "-o", str(topo),
-        ])
-        seen = []
-
-        class Stop(Exception):
-            pass
-
-        def fake_run(config):
-            seen.append(config.varpower_high_fraction)
-            raise Stop
-
-        monkeypatch.setattr(cli, "run_experiment", fake_run)
-        base = ["run-broadcast", "--protocol", "varpower", "--topology", str(topo)]
-        for argv in (base, base + ["--high-power-frac", "0.3"]):
-            with pytest.raises(Stop):
-                main(argv)
-        assert seen == [ExperimentConfig.varpower_high_fraction, 0.3]
-
     @pytest.mark.parametrize("command", ["run-broadcast", "run-mis"])
     def test_seeds_below_one_is_a_one_line_error(self, command, tmp_path, capsys):
         argv = [command, "--topology", write_uniform4(tmp_path), "--seeds", "0"]
@@ -451,8 +427,6 @@ class TestCli:
         (["run-coloring", "--forced-resignations", "-1"], ["forced_resignations", "-1"]),
         (["run-broadcast", "--protocol", "slowstart", "--budget-constant", "nan"],
          ["slow_start_budget_constant", "nan"]),
-        (["run-broadcast", "--protocol", "varpower", "--high-power-frac", "nan"],
-         ["varpower_high_fraction", "nan"]),
     ])
     def test_bad_protocol_constant_flags_are_a_one_line_error(
         self, argv, words, tmp_path, capsys
@@ -463,6 +437,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("sinrsim: error: ") and err.count("\n") == 1
         assert all(word in err for word in words), err
+
+    def test_negative_seed_base_is_a_one_line_error(self, tmp_path, capsys):
+        argv = ["run-broadcast", "--protocol", "fixed", "--topology", write_uniform4(tmp_path),
+                "--seed-base", "-3"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinrsim: error: ") and err.count("\n") == 1
+        assert "seeds" in err and "-3" in err, err
 
     def test_bad_topology_file_is_a_one_line_error(self, tmp_path, capsys):
         topo = tmp_path / "net.json"
@@ -584,7 +567,16 @@ class TestBenchmarkLookups:
             assert callable(getattr(ex, name)), name
         assert callable(ex.RegionBudgetMonitor.__call__)
         fields = {f.name for f in dataclasses.fields(ex.ExperimentConfig)}
-        assert "slow_start_budget_constant" in fields
+        assert {"protocol", "network", "seeds", "scale", "slow_start_budget_constant"} <= fields
+        # the traced pass wraps only the methods a class defines itself, so
+        # a callback moved into a base class would silently count 0 calls
+        for cls, methods in (
+            (sinrsim.FixedProbBroadcaster, ("wake", "poll", "on_transmit")),
+            (sinrsim.SlowStartBroadcaster, ("wake", "poll", "on_receive", "on_transmit")),
+            (sinrsim.ColoringMachine, ("wake", "poll", "on_receive", "on_transmit")),
+        ):
+            for method in methods:
+                assert method in cls.__dict__, (cls.__name__, method)
         for name in (
             "resolve_slot", "TraceConfig", "FixedProbBroadcaster", "SlowStartBroadcaster",
             "ColoringMachine", "random_topology",

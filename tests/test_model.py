@@ -145,16 +145,16 @@ class TestBuildNetwork:
 
     def test_symmetric_pair(self, exact_params):
         net = pair_network(exact_params, d=1.0)
-        assert net.out_neighbors(0) == (1,)
-        assert net.out_neighbors(1) == (0,)
+        assert net.out_edges[0] == (1,)
+        assert net.out_edges[1] == (0,)
         assert net.range_ratio == pytest.approx(1.0)
         assert net.longest_chain == 0
 
     def test_one_way_pair(self, exact_params):
         # strong node reaches weak one at 1.2; weak replies die at 0.794
         net = pair_network(exact_params, d=1.2, p0=8.0, p1=1.0)
-        assert net.out_neighbors(0) == (1,)
-        assert net.out_neighbors(1) == ()
+        assert net.out_edges[0] == (1,)
+        assert net.out_edges[1] == ()
         assert net.longest_chain == 1
 
     def test_max_degree_matches_brute_force(self, exact_params):
@@ -344,9 +344,9 @@ class TestLongestDirectedPath:
             Node(2, 3.7, 0.0, 1.0 / 64.0),
         ]
         net = build_network(nodes, exact_params)
-        assert net.out_neighbors(0) == (1,)
-        assert net.out_neighbors(1) == (2,)
-        assert net.out_neighbors(2) == ()
+        assert net.out_edges[0] == (1,)
+        assert net.out_edges[1] == (2,)
+        assert net.out_edges[2] == ()
         assert net.longest_chain == 2
         assert brute_longest_chain(net) == 2
 

@@ -58,10 +58,9 @@ class RegionBudgetMonitor:
     `limit` -- separately for even and odd slots, since the coloring
     protocol alternates message classes by slot parity."""
 
-    def __init__(self, network: Network, limit: float, tol: float = 1e-9):
+    def __init__(self, network: Network, limit: float):
         self.network = network
         self.limit = limit
-        self.tol = tol
         n = network.n
         self.containing: list[list[int]] = [[] for _ in range(n)]
         for i in range(n):
@@ -91,7 +90,7 @@ class RegionBudgetMonitor:
             worst = max(self.sum_even[r], self.sum_odd[r])
             if worst > self.peak:
                 self.peak = worst
-            if worst > self.limit + self.tol:
+            if worst > self.limit + 1e-9:  # 1e-9 absorbs the sums' rounding
                 self.violations.append((slot, self.network.ids[r], worst))
 
 

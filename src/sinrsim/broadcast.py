@@ -86,7 +86,6 @@ class FixedProbBroadcaster(ProtocolMachine):
         self.starts = starts
         self.powers = powers
         self.payload = Broadcast(node.id)
-        self.slots_elapsed = 0
         self.start_slot: Optional[int] = None
 
     def wake(self, slot: int) -> None:
@@ -95,7 +94,6 @@ class FixedProbBroadcaster(ProtocolMachine):
         self.schedule(slot + self.budget)
 
     def poll(self, slot: int) -> None:
-        self.slots_elapsed = self.budget
         self.set_prob(0, 0.0)
         self.done = True
 
@@ -155,7 +153,6 @@ class SlowStartBroadcaster(ProtocolMachine):
         self.payload = Broadcast(node.id)
 
         self.p_cur = self.prob_init
-        self.received_this_phase = 0
         self._phase_idx = 0
         self.cap_slots = 0
         self._cap_since: Optional[int] = None
@@ -213,7 +210,6 @@ class SlowStartBroadcaster(ProtocolMachine):
             return
         if self._phase_of(slot) != self._phase_idx:
             self._phase_idx = self._phase_of(slot)
-            self.received_this_phase = 0
             self._apply(slot, min(self.prob_cap, 2.0 * self.p_cur))
         else:
             self._reschedule(slot)
@@ -221,10 +217,7 @@ class SlowStartBroadcaster(ProtocolMachine):
     def on_receive(self, slot: int, messages) -> None:
         if self.done:
             return
-        if self._phase_of(slot) != self._phase_idx:
-            self._phase_idx = self._phase_of(slot)
-            self.received_this_phase = 0
-        self.received_this_phase += len(messages)
+        self._phase_idx = self._phase_of(slot)
         self._apply(slot, max(self.prob_init, self.p_cur / 2.0))
 
     def on_transmit(self, slot: int, lane: int) -> tuple[Broadcast, float]:

@@ -99,16 +99,11 @@ class ColoringConstants:
     leader_colors: int
     compete_span: int
     listen_slots: int
-    serve_delay: int
     request_budget: int
     learning_budget: int
-    reply_window: int
-    status_ttl: int
-    stale_after: int
     floor_leader_race: int
     floor_color_race: int
     max_degree: int
-    region_cap: float
 
     @classmethod
     def derive(
@@ -144,16 +139,11 @@ class ColoringConstants:
             leader_colors=math.ceil(9.0 * ratio_sq) + 1,
             compete_span=span,
             listen_slots=listen,
-            serve_delay=listen,
             request_budget=(span + 4) * slots_std + degree * slots_leader,
             learning_budget=(2 * degree + 1) * slots_std,
-            reply_window=slots_std,
-            status_ttl=slots_std,
-            stale_after=(span + 4) * slots_std + degree * slots_leader,
             floor_leader_race=-degree * slots_leader,
             floor_color_race=-span * slots_std,
             max_degree=degree,
-            region_cap=region_cap,
         )
 
     def core_budget(self) -> int:
@@ -260,12 +250,6 @@ class ColoringMachine(ProtocolMachine):
         """Earliest slot by which `ticks` more core-eligible slots passed."""
         return self.node.wake_slot + 2 * (self._ticks(anchor) + ticks) - 1
 
-    def _answer_ticks(self, slot: int) -> int:
-        return (slot - self.node.wake_slot) // 2
-
-    def _after_answer_ticks(self, anchor: int, ticks: int) -> int:
-        return self.node.wake_slot + 2 * (self._answer_ticks(anchor) + ticks)
-
     # -- timers -------------------------------------------------------------
 
     def _set_timer(self, name: str, slot: int) -> None:
@@ -321,25 +305,23 @@ class ColoringMachine(ProtocolMachine):
                 )
             kind, target = self._answer_current
             msg = LearnReply(target) if kind == "reply" else LearnAck(target)
-            return msg, self.node.power
-        if self.phase == LEARNING:
-            return LearnReq(), self.node.power
-        if self.phase == COMPETE:
-            return (
-                CounterMsg(self._compete_color, self._c_off + self._ticks(slot + 1)),
-                self.node.power,
+        elif self.phase == LEARNING:
+            msg = LearnReq()
+        elif self.phase == COMPETE:
+            msg = CounterMsg(self._compete_color, self._c_off + self._ticks(slot + 1))
+        elif self.phase == REQUEST:
+            msg = RequestMsg(self._request_leader)
+        elif self.phase == ANNOUNCE:
+            msg = ColorMsg(self.color, True)
+        elif self.phase == COLORED and self._current is not None:
+            msg = AssignMsg(self._current, self._current_color)
+        elif self.phase == COLORED:
+            msg = ColorMsg(self.color, False)
+        else:
+            raise ProtocolViolationError(
+                f"node {self.node.id}: core lane fired in phase {self.phase}"
             )
-        if self.phase == REQUEST:
-            return RequestMsg(self._request_leader), self.node.power
-        if self.phase == ANNOUNCE:
-            return ColorMsg(self.color, True), self.node.power
-        if self.phase == COLORED:
-            if self._current is not None:
-                return AssignMsg(self._current, self._current_color), self.node.power
-            return ColorMsg(self.color, False), self.node.power
-        raise ProtocolViolationError(
-            f"node {self.node.id}: core lane fired in phase {self.phase}"
-        )
+        return msg, self.node.power
 
     def on_receive(self, slot: int, messages: list[tuple[int, Any]]) -> None:
         for sender, msg in messages:
@@ -383,7 +365,7 @@ class ColoringMachine(ProtocolMachine):
     def _status_fresh(self, slot: int, stamped: int, color: int) -> bool:
         # leader colors are beaconed at the (slower) leader probability while
         # their holder serves requests, so their claims live a leader round
-        ttl = self.k.slots_leader if color < self.k.leader_colors else self.k.status_ttl
+        ttl = self.k.slots_leader if color < self.k.leader_colors else self.k.slots_std
         return slot - stamped <= 2 * ttl
 
     def _color_of(self, slot: int, other: int) -> Optional[int]:
@@ -397,7 +379,7 @@ class ColoringMachine(ProtocolMachine):
         for other, heard in self.heard_from.items():
             if other in self.confirmed_out:
                 continue
-            if slot - heard > 2 * self.k.stale_after:
+            if slot - heard > 2 * self.k.request_budget:
                 continue  # presumed gone (asleep or dead)
             if self._color_of(slot, other) is None:
                 return True
@@ -476,21 +458,21 @@ class ColoringMachine(ProtocolMachine):
 
     # -- phase transitions ------------------------------------------------------
 
+    def _drop_phase_timers(self) -> None:
+        for name in ("core", "timeout", "serve"):
+            self._timers.pop(name, None)
+        self._resched()
+
     def _to_wait(self, slot: int, initial: bool = False) -> None:
         self.phase = WAIT
         self.done = False
         self.color = None
         self.colored_at = None
-        self.consecutive_competes = 0
-        self._racing = False
-        self._request_leader = None
         self._current = None
         self._current_color = None
         self._serving_enabled = False
         self._resign_pending = False
-        for name in ("core", "timeout", "serve"):
-            self._timers.pop(name, None)
-        self._resched()
+        self._drop_phase_timers()
         self.set_prob(CORE, 0.0)
         wait = self.k.listen_slots if initial else self.k.slots_std
         self._set_timer("core", self._after_ticks(slot, wait))
@@ -519,9 +501,7 @@ class ColoringMachine(ProtocolMachine):
 
     def _enter_request(self, slot: int, leader: int) -> None:
         self.phase = REQUEST
-        self._racing = False
         self._request_leader = leader
-        self.consecutive_competes = 0
         self.record(slot, "request", leader)
         self.set_prob(CORE, self.k.prob_std)
         self._set_timer("core", self._after_ticks(slot, self.k.slots_std))
@@ -574,7 +554,6 @@ class ColoringMachine(ProtocolMachine):
     def _enter_announce(self, slot: int, color: int) -> None:
         self.phase = ANNOUNCE
         self.color = color
-        self._racing = False
         self._announce_stage = 0
         self.record(slot, "announce", color)
         if color < self.k.leader_colors:
@@ -589,20 +568,16 @@ class ColoringMachine(ProtocolMachine):
         self.phase = COLORED
         self.colored_at = slot
         self.done = True
-        self.consecutive_competes = 0
         self.record(slot, "colored", self.color)
         self.set_prob(CORE, self.k.prob_std)
         if not self.mis and self.color < self.k.leader_colors:
             self._serving_enabled = False
-            self._set_timer("serve", self._after_ticks(slot, self.k.serve_delay))
+            self._set_timer("serve", self._after_ticks(slot, self.k.listen_slots))
 
     def _decide(self, slot: int, color: int) -> None:
         """MIS shortcut: adopt a final color without announcing."""
         self.color = color
-        self._racing = False
-        for name in ("core", "timeout", "serve"):
-            self._timers.pop(name, None)
-        self._resched()
+        self._drop_phase_timers()
         self._enter_colored(slot)
 
     def _resign(self, slot: int) -> None:
@@ -697,7 +672,7 @@ class ColoringMachine(ProtocolMachine):
         if key in self._answer_pending:
             return
         last = self._answer_done.get(key)
-        if last is not None and slot - last <= 4 * self.k.reply_window:
+        if last is not None and slot - last <= 4 * self.k.slots_std:
             return  # answered this handshake already
         self._answer_pending.add(key)
         self._answers.append(key)
@@ -708,9 +683,8 @@ class ColoringMachine(ProtocolMachine):
         if self._answers:
             self._answer_current = self._answers.popleft()
             self.set_prob(ANSWER, self.k.prob_std)
-            self._set_timer(
-                "answer", self._after_answer_ticks(slot, self.k.reply_window)
-            )
+            # answer-lane slots are the core-lane slots shifted by one
+            self._set_timer("answer", self._after_ticks(slot - 1, self.k.slots_std) + 1)
         else:
             self._answer_current = None
             self.set_prob(ANSWER, 0.0)

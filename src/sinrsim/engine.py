@@ -6,9 +6,10 @@ transmission lottery ("transmit with probability p in every eligible slot")
 is sampled as a geometric gap to its next transmission.  By memorylessness
 this is distributionally identical to the per-slot Bernoulli draw, and it
 lets runs spanning tens of millions of slots finish in seconds.  Whenever a
-node's regime changes (a reception, a scheduled phase boundary, a
-transmission of its own), its pending gap is discarded and redrawn, which is
-again exact.
+node's regime changes (a wake-up, a reception, a scheduled phase
+boundary), its pending gap is discarded and redrawn, which is again exact.
+A transmission changes no regime: :meth:`ProtocolMachine.on_transmit` only
+names the message and power, and the lane that fired is redrawn as is.
 
 Determinism contract: a run is fully determined by (network, seed, config).
 Every node draws from its own PCG64 stream seeded by (root seed, node id),
@@ -174,8 +175,14 @@ class ProtocolMachine:
     slot they scheduled arrived) and :meth:`on_receive` -- and supply the
     message for each transmission the engine's lottery fires through
     :meth:`on_transmit`.  All behaviour is steered through lane
-    probabilities and the scheduled slot; the engine takes care of when the
-    lottery actually fires.
+    probabilities, the scheduled slot and `done`; the engine takes care of
+    when the lottery actually fires.
+
+    Those three may change in :meth:`wake`, :meth:`poll`,
+    :meth:`on_receive` and scripted actions only.  :meth:`on_transmit` is a
+    query: it returns ``(payload, power)``, and a machine that changes its
+    lanes, checkpoint or `done` inside it stops the run with a
+    :class:`ProtocolViolationError` naming the node and slot.
     """
 
     LANES = 1
@@ -306,16 +313,14 @@ def _payload_kind(payload: Any) -> str:
 _DELIVER, _WAKE, _SLEEP, _SCRIPT, _CHECK, _TX = range(6)
 
 _SlotTx = tuple[int, float, Any]  # (node index, power, payload)
-# a lone transmission's exact reach, slack reach, out-neighbours and the
-# out-neighbours outside its exact reach, as node indices
-_Reach = tuple[tuple[int, ...], np.ndarray, list[int], list[int]]
 
 
 class _Core:
     """Physical-layer state of one run: awake and transmitting flags per
-    node index, and each (sender, power)'s lone reach as plain sequences.
-    Interference only raises the SINR denominator, so a multi-transmission
-    slot is decided over the listeners inside its senders' reach only."""
+    node index.  Lone reach comes from the network's cache,
+    :meth:`Network.lone_reach`, its only copy.  Interference only raises
+    the SINR denominator, so a multi-transmission slot is decided over the
+    listeners inside its senders' reach only."""
 
     def __init__(self, network: Network):
         self.network = network
@@ -329,24 +334,6 @@ class _Core:
         self.asleep = network.n
         self._awake = np.frombuffer(self.awake, dtype=np.bool_)
         self._sending = np.frombuffer(self.sending, dtype=np.bool_)
-        self._reach: dict[tuple[int, float], _Reach] = {}
-
-    def reach(self, idx: int, power: float) -> _Reach:
-        """For a lone transmission from `idx` at `power`: the listeners that
-        decode it, the slack superset used to filter candidates, the
-        sender's out-neighbours, and those of them outside the exact
-        reach, all ascending.  The engine's one accessor of lone reach: it
-        keeps, per run, plain-sequence views of `Network.lone_reach`."""
-        key = (idx, power)
-        entry = self._reach.get(key)
-        if entry is None:
-            exact, slack = self.network.lone_reach(idx, power)
-            exact = tuple(exact.tolist())
-            out = self.network.out_indices(idx).tolist()
-            inside = set(exact)
-            entry = (exact, slack, out, [u for u in out if u not in inside])
-            self._reach[key] = entry
-        return entry
 
     def resolve(self, txs: list[_SlotTx]) -> list[Sequence[int]]:
         """Ascending indices of the awake, non-transmitting listeners that
@@ -355,13 +342,14 @@ class _Core:
         The sequences are read-only; they may be cached reach sets."""
         if len(txs) == 1:
             idx, power, _ = txs[0]
-            exact = self.reach(idx, power)[0]
+            exact = self.network.lone_reach(idx, power)[0]
             if not self.asleep:
                 return [exact]
             awake = self.awake
             return [[l for l in exact if awake[l]]]
         received: list[list[int]] = [[] for _ in txs]
-        cand = np.concatenate([self.reach(idx, power)[1] for idx, power, _ in txs])
+        reach = self.network.lone_reach
+        cand = np.concatenate([reach(idx, power)[1] for idx, power, _ in txs])
         cand.sort()
         keep = self._awake[cand] & ~self._sending[cand]
         keep[1:] &= cand[1:] != cand[:-1]  # each listener once
@@ -460,7 +448,7 @@ def run_simulation(
     trace = trace or TraceConfig()
     core = _Core(network)
     resolve = core.resolve
-    reach = core.reach
+    reach = network.lone_reach
     n = network.n
     ids = network.ids
 
@@ -652,13 +640,22 @@ def run_simulation(
                     row = next_tx[i]
                     if row[k] != s or not awake[i]:
                         continue
+                    machine = machines[i]
                     cur = i
-                    out = machines[i].on_transmit(s, k)
+                    out = machine.on_transmit(s, k)
                     cur = -1
                     payload, power = out
                     if sending[i]:
                         raise ProtocolViolationError(
                             f"node {ids[i]} transmitted twice in slot {s}"
+                        )
+                    if (
+                        machine._dirty
+                        or machine._checkpoint != synced_cp[i]
+                        or machine.done != done_seen[i]
+                    ):
+                        raise ProtocolViolationError(
+                            f"node {ids[i]} changed its state inside on_transmit in slot {s}"
                         )
                     txs.append((i, power, payload))
                     sending[i] = True
@@ -721,31 +718,12 @@ def run_simulation(
                             )
                         )
 
-            # 9. regime changes caused by transmitting apply from the next slot
+            # 9. the lanes that fired are redrawn from the next slot
             for i, _p, _m in txs:
-                machine = machines[i]
-                dirty = machine._dirty
-                if dirty:
-                    machine._dirty = False
-                    changed.append(i)
-                for k in _draw_lanes(machine, next_tx[i], i, s + 1, heap, not dirty):
+                for k in _draw_lanes(machines[i], next_tx[i], i, s + 1, heap, True):
                     heappush(heap, (s + 1, _TX, i, k))
-                cp = machine._checkpoint
-                if cp != synced_cp[i]:
-                    synced_cp[i] = cp
-                    if cp is not None:
-                        heappush(heap, (cp, _CHECK, i, 0))
-                if machine.done:
-                    if not done_seen[i]:
-                        done_seen[i] = True
-                        n_undone -= 1
-                elif done_seen[i]:
-                    done_seen[i] = False
-                    n_undone += 1
 
             if monitor is not None and changed:
-                if len(changed) > 1:
-                    changed = sorted(set(changed))
                 monitor(s, [(ids[i], *_parity_probs(machines[i])) for i in changed])
 
             if (

@@ -7,7 +7,6 @@ import csv
 import io
 import math
 import numbers
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -52,7 +51,6 @@ class ExperimentReport:
     rows: list[tuple]
     verdicts: list[tuple[str, bool, str]]  # (name, passed, detail)
     certificates: dict[str, float] = field(default_factory=dict)
-    wall_clock: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -138,8 +136,6 @@ class ExperimentConfig:
         for seed in self.seeds:
             if not (isinstance(seed, numbers.Integral) and seed >= 0):
                 raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
-        if self.scale is not None and not (0.0 < self.scale <= 1.0):
-            raise ValueError("scale must lie in (0, 1]")
         if (self.topology is None) == (self.network is None):
             raise ValueError("give exactly one of topology path or network")
         if self.protocol not in ("fixed", "slowstart", "varpower", "coloring", "mis"):
@@ -150,6 +146,7 @@ class ExperimentConfig:
              isinstance(resignations, numbers.Integral) and resignations >= 0, "an integer >= 0"),
             ("slow_start_budget_constant",
              0.0 < self.slow_start_budget_constant < math.inf, "finite and > 0"),
+            ("scale", self.scale is None or 0.0 < self.scale <= 1.0, "in (0, 1]"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -224,7 +221,6 @@ def _broadcast_trials(
     with `instrument_node` given, the certificates carry that node's
     empirical per-slot full-broadcast frequency over all trials
     ('instrumented_freq' over 'instrumented_slots')."""
-    t0 = time.perf_counter()
     wake_span = max(node.wake_slot for node in network.nodes)
     columns = ("seed", "node_id", "protocol", "success", "first_success_slot", "budget")
     columns += ("level", "radius") if guarantee else ()
@@ -264,7 +260,6 @@ def _broadcast_trials(
     if instrument_node is not None and slots:
         report.certificates["instrumented_freq"] = hits / slots
         report.certificates["instrumented_slots"] = float(slots)
-    report.wall_clock = time.perf_counter() - t0
     return report
 
 
@@ -378,7 +373,6 @@ def run_coloring(
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """Full protocol runs with live budget assertion and all validators."""
-    t0 = time.perf_counter()
     cap, scale = _cap_for(network, scale)
     constants = ColoringConstants.derive(
         network.params, cap, network.max_degree, network.range_ratio, network.n, scale
@@ -485,7 +479,6 @@ def run_coloring(
         report.add_verdict("termination within budget", termination_ok)
     if forced_resignations:
         report.add_verdict("color reuse table honored", reuse_ok)
-    report.wall_clock = time.perf_counter() - t0
     return report
 
 

@@ -69,7 +69,7 @@ class NetworkParams:
         if self.c_whp <= 1.0:
             raise ValueError("c_whp must exceed 1")
         if not (0.0 < self.scale <= 1.0):
-            raise ValueError("scale must lie in (0, 1]")
+            raise ValueError(f"scale must lie in (0, 1], got {self.scale!r}")
 
     @classmethod
     def exact(
@@ -115,10 +115,6 @@ class Node:
         if self.sleep_slot is not None and self.sleep_slot <= self.wake_slot:
             raise ValueError(f"node {self.id}: sleep_slot must exceed wake_slot")
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 def max_transmission_range(power: float, params: NetworkParams) -> float:
     """Distance up to which a lone transmission at `power` is decodable no
@@ -162,8 +158,8 @@ class Network:
 
     Construct through :func:`build_network`.  Safe to share read-only across
     concurrently running experiments; the only state added after
-    construction is the cache of lone-reach sets, whose entries are pure
-    functions of their key.
+    construction is the lone-reach cache, whose entries are pure functions
+    of their key; the engine reads lone reach from it alone.
     """
 
     def __init__(self, nodes: Sequence[Node], params: NetworkParams):
@@ -232,7 +228,7 @@ class Network:
         self.in_edges = _edge_tuples(self._in_ptr, self._in_nbr, self.ids)
         self.longest_chain = _longest_unidirectional_path(src, dst, n)
 
-        self._reach: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._reach: dict[tuple[int, float], tuple] = {}
 
     # -- lookups ---------------------------------------------------------
 
@@ -292,25 +288,32 @@ class Network:
             np.array([d for _, d in found], dtype=float),
         )
 
-    def lone_reach(self, i: int, power: float) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the listeners that decode a lone transmission of node
-        index `i` at `power` under the true parameters, ascending: exactly,
-        and as the superset whose signal clears the ``beta * noise`` floor
-        lowered by `_REACH_SLACK`.  Cached per (i, power)."""
+    def lone_reach(
+        self, i: int, power: float
+    ) -> tuple[tuple[int, ...], np.ndarray, tuple[int, ...], tuple[int, ...]]:
+        """A lone transmission of node index `i` at `power` under the true
+        parameters: the listeners that decode it (a tuple); the read-only
+        array of those whose signal clears the ``beta * noise`` floor
+        lowered by `_REACH_SLACK`, a superset; the out-neighbours of `i`;
+        and those of them outside the exact reach.  Node indices, each
+        ascending; cached per (i, power)."""
         key = (i, power)
-        sets = self._reach.get(key)
-        if sets is None:
+        entry = self._reach.get(key)
+        if entry is None:
             params = self.params
             floor = params.beta_true * params.noise_true
             low = floor * (1.0 - _REACH_SLACK)
             radius = (power / low) ** (1.0 / params.alpha_true)
             idx, d = self.within(i, radius * (1.0 + 1e-6))
             signal = power / d**params.alpha_true
-            sets = (idx[signal >= floor], idx[signal >= low])
-            for arr in sets:
-                arr.flags.writeable = False
-            self._reach[key] = sets
-        return sets
+            exact = tuple(idx[signal >= floor].tolist())
+            slack = idx[signal >= low]
+            slack.flags.writeable = False
+            out = tuple(self.out_indices(i).tolist())
+            inside = set(exact)
+            entry = (exact, slack, out, tuple(u for u in out if u not in inside))
+            self._reach[key] = entry
+        return entry
 
     def out_indices(self, i: int) -> np.ndarray:
         """Ascending indices of the out-neighbours of node index `i`."""

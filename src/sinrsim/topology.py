@@ -172,7 +172,6 @@ def chain_topology(
     n: int,
     power_ratio: float,
     params: Optional[NetworkParams] = None,
-    base_power: float = 64.0,
 ) -> Network:
     """Strictly descending powers along a line, spaced so each node reaches
     its successor but never the other way: the worst case that forces the
@@ -191,7 +190,7 @@ def chain_topology(
     step_frac = (1.0 + shrink) / 2.0  # strictly between shrink and 1
     nodes = []
     x = 0.0
-    power = base_power
+    power = 64.0  # the first node's; each next one has `power_ratio` times it
     for i in range(n):
         nodes.append(Node(id=i, x=x, y=0.0, power=power))
         x += step_frac * broadcast_range(power, params)

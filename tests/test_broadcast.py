@@ -57,10 +57,11 @@ class TestFixedProb:
             lambda n, r: FixedProbBroadcaster(n, r, prob=prob, budget=budget),
             max_slots=budget + 10,
             seed=1,
+            trace=TraceConfig(record_outcomes=True),
         )
-        machine = trace.machines[0]
-        assert machine.done and machine.slots_elapsed == budget
+        assert trace.machines[0].done and trace.completed
         assert trace.n_slots == budget + 1  # completion poll fires right after
+        assert max(o.slot for o in trace.outcomes) < budget
 
     def test_stepping_after_completion_rejected(self, exact_params):
         machine = FixedProbBroadcaster(
@@ -112,7 +113,6 @@ class TestSlowStart:
         assert not machine.done
         machine.on_receive(machine.next_checkpoint - 1, [(1, "m")])
         assert machine.p_cur == machine.prob_cap / 2
-        assert machine.received_this_phase == 1
 
     def test_halving_floors_at_start_probability(self, exact_params):
         machine = self.make(Node(0, 0, 0, 1.0), node_rng(0, 0))

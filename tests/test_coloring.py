@@ -76,8 +76,9 @@ class TestFreeCounterValue:
 
 class TestConstants:
     def test_probability_split_obeys_cap(self):
-        k = make_constants(max_degree=6, ratio=1.5, n_hint=32)
-        assert 9 * 1.5**2 * k.prob_leader + 6 * k.prob_std <= k.region_cap * (1 + 1e-9)
+        cap = region_probability_cap(NetworkParams.exact(alpha=3.0, c_whp=2.0), 1.5, 32)
+        k = make_constants(cap=cap, max_degree=6, ratio=1.5, n_hint=32)
+        assert 9 * 1.5**2 * k.prob_leader + 6 * k.prob_std <= cap * (1 + 1e-9)
 
     def test_ceilinged_counts(self):
         k = make_constants(ratio=1.3)
@@ -305,7 +306,7 @@ class TestColoredServing:
         assert len(leaders) == 1
         leader = trace.machines[leaders[0]]
         colored_at = [s for s, kind, _ in leader.log if kind == "colored"][0]
-        serve_open = colored_at + 2 * k.serve_delay
+        serve_open = colored_at + 2 * k.listen_slots
         serves = [(s, d) for s, kind, d in leader.log if kind == "serve"]
         assert len({d["target"] for _s, d in serves}) == net.n - 1
         window = 2 * (net.max_degree * k.slots_leader + k.slots_std)

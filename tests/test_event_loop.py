@@ -190,10 +190,11 @@ class TestMatchesReference:
         assert_same_run(runs)
         assert sum(m.resigned_count for m in runs[1][0].machines.values()) == 1
 
-    def test_checkpoint_pushed_twice_for_one_slot(self):
+    def test_checkpoint_pushed_twice_for_one_slot(self, monkeypatch):
         class Rearm(ProtocolMachine):
-            """Arms slot 10, moves to 6, arms 10 again from the poll at 6
-            (two entries for slot 10 now), and re-arms 10 inside its poll."""
+            """Arms slot 10, is moved to 6 by a script at slot 1, arms 10
+            again from the poll at 6 (two entries for slot 10 now), and
+            re-arms 10 inside its poll."""
 
             def wake(self, slot):
                 self.polls_at_10 = 0
@@ -201,9 +202,6 @@ class TestMatchesReference:
                 self.set_prob(0, 1.0)
 
             def on_transmit(self, slot, lane):
-                if slot == 0:
-                    self.set_prob(0, 0.0)
-                    self.schedule(6)
                 return "x", self.node.power
 
             def poll(self, slot):
@@ -216,11 +214,30 @@ class TestMatchesReference:
                     if self.polls_at_10 == 1:
                         self.schedule(10)
 
+        def silence_and_move(machines, slot):
+            for machine in machines.values():
+                machine.set_prob(0, 0.0)
+                machine.schedule(6)
+
+        popped = []
+
+        def counting_pop(heap):
+            popped.append(heapq.heappop(heap))
+            return popped[-1]
+
+        shim = types.SimpleNamespace(
+            heappush=heapq.heappush, heappop=counting_pop, heapify=heapq.heapify
+        )
+        monkeypatch.setattr(engine, "heapq", shim)
         net = scattered_network(75, 3)
-        runs = run_both(net, Rearm, 40, 0)
+        runs = run_both(net, Rearm, 40, 0, scripts=lambda: [(1, silence_and_move)])
         assert_same_run(runs)
         for machine in runs[1][0].machines.values():
             assert [s for s, kind, _d in machine.log] == [6, 10, 10]
+        # per node: the entries from wake-up and from the poll at 6, then
+        # the one re-armed inside the first poll at 10
+        checks_at_10 = [i for s, kind, i, _k in popped if (s, kind) == (10, engine._CHECK)]
+        assert checks_at_10 == [0, 0, 1, 1, 2, 2, 0, 1, 2]
 
     def test_truncated_outcomes(self):
         net = scattered_network(70, 10)
@@ -318,6 +335,27 @@ class TestErrorAttribution:
         twice = "node 20 transmitted twice in slot 0"
         with pytest.raises(ProtocolViolationError, match=twice) as err:
             run_simulation(trio(), TwoLanes, max_slots=50, seed=0)
+        assert type(err.value) is ProtocolViolationError
+
+    @pytest.mark.parametrize("action", ["set_prob", "schedule", "done"])
+    def test_state_change_in_on_transmit_is_a_bare_violation(self, action):
+        class Changes(ProtocolMachine):
+            def wake(self, slot):
+                self.set_prob(0, 1.0 if self.node.id == 20 else 0.0)
+                self.schedule(slot + 30)
+
+            def on_transmit(self, slot, lane):
+                if slot == 3:
+                    if action == "set_prob":
+                        self.set_prob(0, 0.5)
+                    elif action == "schedule":
+                        self.schedule(slot + 5)
+                    else:
+                        self.done = True
+                return "x", self.node.power
+
+        with pytest.raises(ProtocolViolationError, match=r"^node 20 .* slot 3$") as err:
+            run_simulation(trio(), Changes, max_slots=50, seed=0)
         assert type(err.value) is ProtocolViolationError
 
     def test_scripted_action_error_passes_through(self):

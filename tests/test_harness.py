@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -24,6 +25,7 @@ from sinrsim.model import NetworkParams
 from sinrsim.topology import (
     chain_topology,
     generate_topology,
+    line_topology,
     load_topology,
     random_topology,
     save_topology,
@@ -188,6 +190,46 @@ GOLDEN_RUNS = {
     "slowstart": lambda net: run_slow_start(net, [0, 1]),
     "varpower": lambda net: run_variable_power(net, [0, 1], scale=0.05),
 }
+COLORING_PARAMS = NetworkParams.exact(alpha=3.0, beta=1.0, delta=2.0, c_whp=1.5)
+COLORING_NETWORKS = {
+    "mixed10": lambda: random_topology(10, 5.0, (1.0, 4.0), seed=3, params=COLORING_PARAMS),
+    "async10": lambda: random_topology(
+        10, 5.0, (1.0, 4.0), seed=4, params=COLORING_PARAMS, wake_window=3000
+    ),
+    # halo-free power levels, as acceptance 08 uses for MIS
+    "line12": lambda: line_topology(
+        12, [2 * 1.2**3, 2 * 2.2**3], seed=1, jitter=0.01, params=COLORING_PARAMS
+    ),
+}
+COLORING_GOLDEN_CASES = [
+    ("coloring", "mixed10"), ("coloring", "async10"),
+    ("churn", "mixed10"), ("churn", "async10"), ("mis", "line12"),
+]
+
+
+def coloring_golden_run(case, topo, monkeypatch):
+    """The report of a reduced-scale coloring, churn or MIS run on two
+    seeds, and one sha256 over every machine's log, color and colored_at
+    in every seed's trace."""
+    import sinrsim.experiment as experiment
+
+    traces = []
+    simulate = experiment.run_simulation
+
+    def keep(*args, **kwargs):
+        traces.append(simulate(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(experiment, "run_simulation", keep)
+    report = run_coloring(
+        COLORING_NETWORKS[topo](), [0, 1], mis=case == "mis", scale=0.2,
+        forced_resignations=1 if case == "churn" else 0,
+    )
+    state = [
+        (trace.seed, v, m.log, m.color, m.colored_at)
+        for trace in traces for v, m in sorted(trace.machines.items())
+    ]
+    return report, hashlib.sha256(repr(state).encode()).hexdigest() + "\n"
 
 
 def write_uniform4(tmp_path) -> str:
@@ -235,6 +277,17 @@ class TestReports:
         report = GOLDEN_RUNS[case](GOLDEN_NETWORKS[topo]())
         assert report.to_csv() == (GOLDEN / f"{case}_{topo}.csv").read_text()
         assert report_summary(report) + "\n" == (GOLDEN / f"{case}_{topo}.txt").read_text()
+
+    @pytest.mark.parametrize("case,topo", COLORING_GOLDEN_CASES)
+    def test_coloring_matches_golden_files(self, case, topo, monkeypatch):
+        """Coloring, churn and MIS rows, summaries and machine logs, frozen
+        like the broadcast golden files; the logs pin every protocol event,
+        which the rows alone summarize."""
+        report, digest = coloring_golden_run(case, topo, monkeypatch)
+        assert report.ok
+        assert report.to_csv() == (GOLDEN / f"{case}_{topo}.csv").read_text()
+        assert report_summary(report) + "\n" == (GOLDEN / f"{case}_{topo}.txt").read_text()
+        assert digest == (GOLDEN / f"{case}_{topo}.sha256").read_text()
 
     def test_summary_mentions_success_rate(self, small_report):
         text = report_summary(small_report)
@@ -285,6 +338,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=field) as info:
             ExperimentConfig(protocol="fixed", topology="x.json", **{field: value})
         assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, 1.5, -1.0])
+    def test_bad_scale_names_the_value(self, value):
+        with pytest.raises(ValueError, match="^scale ") as info:
+            ExperimentConfig(protocol="fixed", topology="x.json", scale=value)
+        assert str(info.value).endswith(f"got {value!r}")
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_bad_seed_rejected(self, seed):
@@ -438,6 +497,17 @@ class TestCli:
         assert err.startswith("sinrsim: error: ") and err.count("\n") == 1
         assert all(word in err for word in words), err
 
+    @pytest.mark.parametrize("command", ["run-broadcast", "run-coloring"])
+    def test_bad_scale_is_a_one_line_error(self, command, tmp_path, capsys):
+        argv = [command, "--topology", write_uniform4(tmp_path), "--scale", "nan"]
+        if command == "run-broadcast":
+            argv += ["--protocol", "fixed"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinrsim: error: ") and err.count("\n") == 1
+        assert "scale" in err and "nan" in err, err
+
     def test_negative_seed_base_is_a_one_line_error(self, tmp_path, capsys):
         argv = ["run-broadcast", "--protocol", "fixed", "--topology", write_uniform4(tmp_path),
                 "--seed-base", "-3"]
@@ -583,3 +653,22 @@ class TestBenchmarkLookups:
         ):
             assert callable(getattr(sinrsim, name)), name
         assert callable(sinrsim.NetworkParams.exact)
+
+        # the traced pass's layer counts: a run recorded with outcomes, and
+        # one multi-transmission slot replayed through the reference
+        # resolver over the nodes `awake_at` that slot
+        net = random_topology(8, 2.0, (1.0, 4.0), seed=1, wake_window=5)
+        sim = ex.run_simulation(
+            net, lambda node, rng: sinrsim.FixedProbBroadcaster(node, rng, prob=0.3, budget=60),
+            70, 0, trace=sinrsim.TraceConfig(record_outcomes=True),
+        )
+        assert sim.n_slots > 0 and sim.eventful_slots == len(sim.outcomes)
+        multi = [o for o in sim.outcomes if len(o.transmissions) > 1]
+        assert multi and sum(len(o.receptions) for o in sim.outcomes) > 0
+        outcome = multi[0]
+        awake = {v for v in net.ids if net.awake_at(v, outcome.slot)}
+        ref = sinrsim.resolve_slot(net, list(outcome.transmissions), awake=awake)
+        got = sorted((listener, tx.sender) for listener, tx in outcome.receptions)
+        assert got == sorted((listener, tx.sender) for listener, tx in ref.receptions)
+        # it also counts awake listeners from each node's wake and sleep slot
+        assert all(0 <= node.wake_slot <= 5 and node.sleep_slot is None for node in net.nodes)

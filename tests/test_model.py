@@ -31,6 +31,24 @@ from .conftest import (
 )
 
 
+def assert_lone_reach_matches(net, ref, i, power):
+    """All four parts of ``net.lone_reach(i, power)`` against the dense
+    distances and adjacency of `reference_network_build`: the exact reach,
+    the slack superset, the out-neighbours and those outside the exact
+    reach."""
+    params = net.params
+    dist_alpha = ref["distances"][i] ** params.alpha_true
+    dist_alpha[i] = math.inf  # a gain of 0 at the sender itself
+    signal = power / dist_alpha
+    floor = params.beta_true * params.noise_true
+    out_row = ref["adjacency"][i]
+    exact, slack, out, missing = net.lone_reach(i, power)
+    assert exact == tuple(np.flatnonzero(signal >= floor).tolist())
+    assert np.array_equal(slack, np.flatnonzero(signal >= floor * (1.0 - 1e-9)))
+    assert out == tuple(np.flatnonzero(out_row).tolist())
+    assert missing == tuple(np.flatnonzero(out_row & (signal < floor)).tolist())
+
+
 def params_with(**kw):
     defaults = dict(
         alpha_lo=2.0, alpha_hi=2.0, alpha_true=2.0,
@@ -102,6 +120,12 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=f"{field} must be a finite number"):
             params_with(**{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, -0.5, 1.5])
+    def test_scale_out_of_range_names_the_value(self, value):
+        with pytest.raises(ValueError, match=r"^scale must lie in \(0, 1\], got ") as info:
+            NetworkParams.exact(scale=value)
+        assert str(info.value).endswith(repr(value))
+
     def test_exact_rejects_nan_delta(self):
         with pytest.raises(ValueError, match="delta must be a finite number"):
             NetworkParams.exact(alpha=3.0, delta=math.nan)
@@ -136,10 +160,13 @@ class TestNodeValidation:
 class TestBuildNetwork:
     def test_lone_reach_is_cached_and_read_only(self, exact_params):
         net = random_small_network(np.random.default_rng(5), 6, exact_params)
-        exact, slack = net.lone_reach(2, 4.0)
-        assert net.lone_reach(2, 4.0)[0] is exact
+        entry = net.lone_reach(2, 4.0)
+        assert net.lone_reach(2, 4.0) is entry
+        exact, slack, out, missing = entry
+        assert all(type(part) is tuple for part in (exact, out, missing))
         assert 2 not in exact and set(exact) <= set(slack)
-        for arr in (exact, slack, net.out_indices(2)):
+        assert_lone_reach_matches(net, reference_network_build(net), 2, 4.0)
+        for arr in (slack, net.out_indices(2)):
             with pytest.raises(ValueError):
                 arr[...] = 0
 
@@ -240,18 +267,12 @@ class TestNetworkBuildOracle:
         distances = ref["distances"]
         assert halo_pair_count(net) == brute_halo_pair_count(net)
         params = net.params
-        dist_alpha = distances**params.alpha_true
-        np.fill_diagonal(dist_alpha, math.inf)
-        floor = params.beta_true * params.noise_true
         every = np.arange(net.n)
         for i in range(net.n):
             assert net.distance_row(i).tobytes() == distances[i].tobytes()
             assert net.path_loss([i], every).tobytes() == (distances[i] ** params.alpha_true).tobytes()
             for power in (1.0, 6.0, 40.0, float(net.powers[i])):
-                signal = power / dist_alpha[i]
-                exact, slack = net.lone_reach(i, power)
-                assert np.array_equal(exact, np.flatnonzero(signal >= floor))
-                assert np.array_equal(slack, np.flatnonzero(signal >= floor * (1.0 - 1e-9)))
+                assert_lone_reach_matches(net, ref, i, power)
         # gathered rows and columns, as the resolver asks for them
         rng = np.random.default_rng(net.n)
         for size in (1, 2, 7):
@@ -295,8 +316,8 @@ class TestNetworkBuildOracle:
         # largest maximum transmission range 6 ** (1/3)
         params = bracketed(1.0 / 27.0)
         net = random_topology(300, 40.0, (1.0, 6.0), seed=4, params=params)
-        exact, _slack = net.lone_reach(0, 40.0)
-        assert net.distance_row(0)[exact].max() > 5.0 * net.r_max_global
+        exact = net.lone_reach(0, 40.0)[0]
+        assert net.distance_row(0)[list(exact)].max() > 5.0 * net.r_max_global
         assert halo_pair_count(net) > 0
         self.assert_matches_reference(net)
 

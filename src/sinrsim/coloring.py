@@ -207,9 +207,11 @@ class ColoringMachine(ProtocolMachine):
         self.resigned_count = 0
         self.floor_violations = 0
 
-        # link knowledge
+        # link knowledge; both only grow, so the heard senders not (yet)
+        # confirmed are kept apart for the dominance test
         self.heard_from: dict[int, int] = {}  # sender -> last slot heard
         self.confirmed_out: set[int] = set()  # nodes known to hear us
+        self._unconfirmed: set[int] = set()  # heard_from keys - confirmed_out
         self.known_colored: dict[int, tuple[int, int]] = {}  # node -> (color, slot)
         self.taken_colors: dict[int, tuple[int, int]] = {}  # color -> (owner, slot)
 
@@ -324,39 +326,35 @@ class ColoringMachine(ProtocolMachine):
         return msg, self.node.power
 
     def on_receive(self, slot: int, messages: list[tuple[int, Any]]) -> None:
+        heard = self.heard_from
         for sender, msg in messages:
-            self.heard_from[sender] = slot
-            if isinstance(msg, LearnReq):
-                self._queue_answer(slot, "reply", sender)
-            elif isinstance(msg, LearnReply):
-                if msg.target == self.node.id:
-                    self.confirmed_out.add(sender)
-                    self._queue_answer(slot, "ack", sender)
-            elif isinstance(msg, LearnAck):
-                if msg.target == self.node.id:
-                    self.confirmed_out.add(sender)
-            elif isinstance(msg, ColorMsg):
+            if sender not in heard and sender not in self.confirmed_out:
+                self._unconfirmed.add(sender)
+            heard[sender] = slot
+            kind = type(msg)  # the common kinds first
+            if kind is ColorMsg:
                 self._saw_color(slot, sender, msg.color, msg.fresh)
-            elif isinstance(msg, CounterMsg):
+            elif kind is CounterMsg:
                 self._saw_counter(slot, sender, msg)
-            elif isinstance(msg, RequestMsg):
+            elif kind is LearnReq:
+                self._queue_answer(slot, "reply", sender)
+            elif kind is LearnReply:
+                if msg.target == self.node.id:
+                    self._confirm(sender)
+                    self._queue_answer(slot, "ack", sender)
+            elif kind is LearnAck:
+                if msg.target == self.node.id:
+                    self._confirm(sender)
+            elif kind is RequestMsg:
                 if msg.leader == self.node.id:
                     self._saw_request(slot, sender)
-            elif isinstance(msg, AssignMsg):
-                # only colored leaders assign: keep the sender's color claim
-                # alive through its long service windows, during which it
-                # pauses its own color beacons
-                entry = self.known_colored.get(sender)
-                if entry is not None:
-                    self.known_colored[sender] = (entry[0], slot)
-                    owner = self.taken_colors.get(entry[0])
-                    if owner is not None and owner[0] == sender:
-                        self.taken_colors[entry[0]] = (sender, slot)
-                if msg.target == self.node.id and self.phase == REQUEST:
-                    self.record(slot, "assigned", msg.color)
-                    self._clear_timer("timeout")
-                    self._enter_compete(slot, msg.color)
-        if self.phase in (COMPETE, REQUEST, ANNOUNCE) and self._dominated(slot):
+            elif kind is AssignMsg:
+                self._saw_assign(slot, sender, msg)
+        if (
+            self._unconfirmed
+            and self.phase in (COMPETE, REQUEST, ANNOUNCE)
+            and self._dominated(slot)
+        ):
             self.record(slot, "dominated_abort", None)
             self._to_wait(slot)
 
@@ -374,14 +372,16 @@ class ColoringMachine(ProtocolMachine):
             return entry[0]
         return None
 
+    def _confirm(self, sender: int) -> None:
+        self.confirmed_out.add(sender)
+        self._unconfirmed.discard(sender)
+
     def _dominated(self, slot: int) -> bool:
         """An uncolored node reaches us that we cannot answer."""
-        for other, heard in self.heard_from.items():
-            if other in self.confirmed_out:
-                continue
-            if slot - heard > 2 * self.k.request_budget:
-                continue  # presumed gone (asleep or dead)
-            if self._color_of(slot, other) is None:
+        oldest = slot - 2 * self.k.request_budget  # earlier: presumed gone
+        heard = self.heard_from
+        for other in self._unconfirmed:
+            if heard[other] >= oldest and self._color_of(slot, other) is None:
                 return True
         return False
 
@@ -444,6 +444,21 @@ class ColoringMachine(ProtocolMachine):
                 self.record(slot, "reset", {"from": mine, "to": fresh, "by": sender})
                 self._c_off = fresh - ticks
                 self._set_win_timer(slot)
+
+    def _saw_assign(self, slot: int, sender: int, msg: AssignMsg) -> None:
+        # only colored leaders assign: keep the sender's color claim alive
+        # through its long service windows, during which it pauses its own
+        # color beacons
+        entry = self.known_colored.get(sender)
+        if entry is not None:
+            self.known_colored[sender] = (entry[0], slot)
+            owner = self.taken_colors.get(entry[0])
+            if owner is not None and owner[0] == sender:
+                self.taken_colors[entry[0]] = (sender, slot)
+        if msg.target == self.node.id and self.phase == REQUEST:
+            self.record(slot, "assigned", msg.color)
+            self._clear_timer("timeout")
+            self._enter_compete(slot, msg.color)
 
     def _saw_request(self, slot: int, sender: int) -> None:
         if self.phase not in (ANNOUNCE, COLORED):

@@ -263,7 +263,7 @@ class SimTrace:
     outcomes: Optional[list[SlotOutcome]] = None
     eventful_slots: int = 0
     outcomes_truncated: bool = False  # outcome_limit dropped records
-    heap_pops: int = 0  # event-queue entries taken off the heap
+    heap_pops: int = 0  # lane, checkpoint, wake, sleep and script entries taken off the heap
     stale_tx_entries: int = 0  # popped lane entries that were redrawn or whose node slept
     multi_tx_slots: int = 0  # eventful slots with more than one transmission
 
@@ -309,10 +309,13 @@ def _payload_kind(payload: Any) -> str:
 # ---------------------------------------------------------------------------
 
 # heap entries are (slot, kind, node index, lane); within a slot they pop in
-# kind order, which is also the order the loop handles them in
-_DELIVER, _WAKE, _SLEEP, _SCRIPT, _CHECK, _TX = range(6)
+# kind order, which is also the order the loop handles them in.  Receptions
+# need no entry: the loop visits the slot after a reception by itself.
+_WAKE, _SLEEP, _SCRIPT, _CHECK, _TX = range(5)
 
 _SlotTx = tuple[int, float, Any]  # (node index, power, payload)
+# Network.lone_reach: (exact reach, slack superset, out-neighbours, missing)
+_LoneReach = tuple[tuple[int, ...], np.ndarray, tuple[int, ...], tuple[int, ...]]
 
 
 class _Core:
@@ -335,27 +338,31 @@ class _Core:
         self._awake = np.frombuffer(self.awake, dtype=np.bool_)
         self._sending = np.frombuffer(self.sending, dtype=np.bool_)
 
-    def resolve(self, txs: list[_SlotTx]) -> list[Sequence[int]]:
+    def resolve(self, txs: list[_SlotTx]) -> tuple[list[Sequence[int]], list[_LoneReach]]:
         """Ascending indices of the awake, non-transmitting listeners that
         decode each transmission, under the same delivery rule as
-        :func:`resolve_slot`; the transmitters are flagged in `sending`.
-        The sequences are read-only; they may be cached reach sets."""
+        :func:`resolve_slot`, and each transmission's
+        :meth:`Network.lone_reach` entry; the transmitters are flagged in
+        `sending`.  The sequences are read-only; they may be cached reach
+        sets."""
+        reach = self.network.lone_reach
         if len(txs) == 1:
             idx, power, _ = txs[0]
-            exact = self.network.lone_reach(idx, power)[0]
+            entry = reach(idx, power)
+            exact = entry[0]
             if not self.asleep:
-                return [exact]
+                return [exact], [entry]
             awake = self.awake
-            return [[l for l in exact if awake[l]]]
+            return [[l for l in exact if awake[l]]], [entry]
         received: list[list[int]] = [[] for _ in txs]
-        reach = self.network.lone_reach
-        cand = np.concatenate([reach(idx, power)[1] for idx, power, _ in txs])
+        entries = [reach(idx, power) for idx, power, _ in txs]
+        cand = np.concatenate([entry[1] for entry in entries])
         cand.sort()
         keep = self._awake[cand] & ~self._sending[cand]
         keep[1:] &= cand[1:] != cand[:-1]  # each listener once
         cand = cand[keep]
         if cand.size == 0:
-            return received
+            return received, entries
         # gains of every sender, far ones included, bit for bit as a dense
         # distance ** alpha matrix would give them
         gains = np.array([power for _, power, _ in txs])[:, None] / self.network.path_loss(
@@ -371,7 +378,7 @@ class _Core:
         winners = hits[:, single].argmax(axis=0)
         for l, t in zip(cand[single].tolist(), winners.tolist()):
             received[t].append(l)
-        return received
+        return received, entries
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
@@ -389,36 +396,45 @@ def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
     return 1.0 - even, 1.0 - odd
 
 
+def _lane_slot(lane: Lane, rng: np.random.Generator, from_slot: int) -> Optional[int]:
+    """The lane's next transmission slot from `from_slot` on, or None if it
+    never fires: a geometric number of eligible slots is skipped."""
+    prob = lane.prob
+    if prob <= 0.0:
+        return None
+    gap = 0 if prob >= 1.0 else int(math.log1p(-rng.random()) / math.log1p(-prob))
+    period = lane.period
+    slot = from_slot if period == 1 else from_slot + (lane.phase - from_slot) % period
+    return slot + gap * period
+
+
 def _draw_lanes(
     machine: ProtocolMachine,
     row: list[Optional[int]],
     i: int,
     from_slot: int,
     heap: list[tuple[int, int, int, int]],
-    idle_only: bool,
 ) -> list[int]:
-    """Draw the next transmission slot of machine i's lanes (only those with
-    none pending if `idle_only`) from `from_slot` on: a geometric number of
-    eligible slots is skipped.  Lanes landing on `from_slot` itself are
-    returned instead of pushed, for a caller still processing that slot."""
+    """Draw the next transmission slot of every lane of machine i from
+    `from_slot` on.  Lanes landing on `from_slot` itself are returned
+    instead of pushed, for a caller still processing that slot."""
     immediate: list[int] = []
+    rng = machine.rng
     for k, lane in enumerate(machine.lanes):
-        if idle_only and row[k] is not None:
-            continue
-        prob = lane.prob
-        if prob <= 0.0:
-            row[k] = None
-            continue
-        gap = 0 if prob >= 1.0 else int(math.log1p(-machine.rng.random()) / math.log1p(-prob))
-        period = lane.period
-        slot = from_slot if period == 1 else from_slot + (lane.phase - from_slot) % period
-        slot += gap * period
-        row[k] = slot
+        slot = row[k] = _lane_slot(lane, rng, from_slot)
         if slot == from_slot:
             immediate.append(k)
-        else:
+        elif slot is not None:
             heapq.heappush(heap, (slot, _TX, i, k))
     return immediate
+
+
+def _add(items: list | tuple[()], item: Any) -> list:
+    """`items` with `item` appended; an empty tuple becomes a new list."""
+    if items:
+        items.append(item)
+        return items
+    return [item]
 
 
 def run_simulation(
@@ -448,7 +464,6 @@ def run_simulation(
     trace = trace or TraceConfig()
     core = _Core(network)
     resolve = core.resolve
-    reach = network.lone_reach
     n = network.n
     ids = network.ids
 
@@ -503,117 +518,120 @@ def run_simulation(
 
     last_slot = -1
     completed = False
-    s = -1
     cur = -1  # index of the machine whose callback is running, else -1
+    none: tuple[int, ...] = ()  # a slot's list until it has an entry
     try:
-        while heap:
-            s, kind, idx, lane = heap[0]
+        while True:
+            # the next slot: the heap's first, or the one after a reception,
+            # which has no heap entry of its own
+            head = heap[0][0] if heap else max_slots
+            s = pending_slot if 0 <= pending_slot < head else head
             if s >= max_slots:
                 break
             last_slot = s
 
-            # file the slot's events by kind; entries pop in (kind, node,
-            # lane) order, so each list is already ascending
-            wakes: list[int] = []
-            sleeps: list[int] = []
-            script_ids: list[int] = []
-            polls: list[int] = []
-            tx_cand: list[tuple[int, int]] = []
-            while True:
-                heappop(heap)
-                heap_pops += 1
-                if kind == _TX:
-                    tx_cand.append((idx, lane))
-                elif kind == _CHECK:
-                    polls.append(idx)
-                elif kind == _WAKE:
-                    wakes.append(idx)
-                elif kind == _SLEEP:
-                    sleeps.append(idx)
-                elif kind == _SCRIPT:
-                    script_ids.append(idx)
-                if not heap or heap[0][0] != s:
-                    break
-                _, kind, idx, lane = heap[0]
-            n_cand = len(tx_cand)
-            touched: list[int] = []
-            touch_all = False
+            # take the slot's entries off the heap; they pop in (kind, node,
+            # lane) order, so both lists are ascending.  `rare` holds every
+            # entry but a transmission's; a list stays `none` until it has
+            # an entry.
+            tx_cand: list[tuple[int, int]] | tuple[()] = none
+            rare = touched = changed = none
+            if head == s:
+                tx_cand = []
+                while True:
+                    _, kind, idx, lane = heappop(heap)
+                    heap_pops += 1
+                    if kind == _TX:
+                        tx_cand.append((idx, lane))
+                    else:
+                        rare = _add(rare, (kind, idx))
+                    if not heap or heap[0][0] != s:
+                        break
 
-            # 1. deliver receptions resolved for this slot
+            # 1. deliver receptions resolved for the previous slot; only
+            # the listeners whose lanes, checkpoint or `done` changed are
+            # touched, since step 6 finds nothing to do for the others
             if pending_slot == s:
+                touched = []
                 for i in pending if pending_sorted else sorted(pending):
                     machine = machines[i]
                     if awake[i] and machine.wants_rx:
                         cur = i
                         machine.on_receive(s, pending[i])
                         cur = -1
-                        touched.append(i)
+                        if (
+                            machine._dirty
+                            or machine._checkpoint != synced_cp[i]
+                            or machine.done != done_seen[i]
+                        ):
+                            touched.append(i)
                 pending = {}
                 pending_slot = -1
 
-            # 2. wake-ups
-            for i in wakes:
-                awake[i] = True
-                core.asleep -= 1
-                n_prewake -= 1
-                n_undone += 1
-                cur = i
-                machines[i].wake(s)
-                cur = -1
-                touched.append(i)
+            touch_all = False
+            if rare:
+                touched = list(touched)
+                polled = -1
+                for kind, i in rare:
+                    if kind == _WAKE:
+                        # 2. wake-ups
+                        awake[i] = True
+                        core.asleep -= 1
+                        n_prewake -= 1
+                        n_undone += 1
+                        cur = i
+                        machines[i].wake(s)
+                        cur = -1
+                        touched.append(i)
+                    elif kind == _SLEEP:
+                        # 3. departures
+                        if awake[i]:
+                            awake[i] = False
+                            core.asleep += 1
+                            next_tx[i] = [None] * len(next_tx[i])
+                            if not done_seen[i]:
+                                done_seen[i] = True
+                                n_undone -= 1
+                    elif kind == _SCRIPT:
+                        # 4. scripted external actions (may touch any
+                        # machine); an action returning truthy cancels every
+                        # script still pending
+                        touch_all = True
+                        if scripts_cancelled:
+                            continue
+                        if scripts[i][1](by_id, s):
+                            scripts_cancelled = True
+                            scripts_left = 0
+                        else:
+                            scripts_left -= 1
+                    elif i != polled:
+                        # 5. scheduled polls, once per node, validated
+                        # against the machine's current plan (a checkpoint
+                        # may have been pushed more than once)
+                        polled = i
+                        machine = machines[i]
+                        if awake[i] and machine._checkpoint == s:
+                            machine._checkpoint = None
+                            synced_cp[i] = None
+                            cur = i
+                            machine.poll(s)
+                            cur = -1
+                            touched.append(i)
+                if touch_all:
+                    touched = range(n)
+                elif len(touched) > 1:
+                    touched = sorted(set(touched))
 
-            # 3. departures
-            for i in sleeps:
-                if awake[i]:
-                    awake[i] = False
-                    core.asleep += 1
-                    next_tx[i] = [None] * len(next_tx[i])
-                    if not done_seen[i]:
-                        done_seen[i] = True
-                        n_undone -= 1
-
-            # 4. scripted external actions (may touch any machine); an action
-            # returning truthy cancels every script still pending
-            if script_ids:
-                for k in script_ids:
-                    if scripts_cancelled:
-                        continue
-                    if scripts[k][1](by_id, s):
-                        scripts_cancelled = True
-                        scripts_left = 0
-                    else:
-                        scripts_left -= 1
-                touch_all = True
-
-            # 5. scheduled polls, validated against the machine's current
-            # plan (a checkpoint may have been pushed more than once)
-            if len(polls) > 1:
-                polls = sorted(set(polls))
-            for i in polls:
-                machine = machines[i]
-                if awake[i] and machine._checkpoint == s:
-                    machine._checkpoint = None
-                    synced_cp[i] = None
-                    cur = i
-                    machine.poll(s)
-                    cur = -1
-                    touched.append(i)
-
-            # 6. regime changes effective for this very slot
-            changed: list[int] = []
-            if touch_all:
-                touched = range(n)
-            elif len(touched) > 1:
-                touched = sorted(set(touched))
+            # 6. regime changes effective for this very slot, in node order
+            # (the listeners alone are in order already)
             for i in touched:
                 machine = machines[i]
                 if machine._dirty:
                     machine._dirty = False
-                    changed.append(i)
+                    changed = _add(changed, i)
                     if awake[i]:
-                        for k in _draw_lanes(machine, next_tx[i], i, s, heap, False):
-                            tx_cand.append((i, k))
-                            n_cand += 1
+                        for k in _draw_lanes(machine, next_tx[i], i, s, heap):
+                            tx_cand = _add(tx_cand, (i, k))
                     else:
                         next_tx[i] = [None] * len(next_tx[i])
                 if awake[i]:
@@ -631,20 +649,24 @@ def run_simulation(
                     n_undone += 1
 
             # 7. this slot's transmissions: lanes still due now, in (node,
-            # lane) order; other entries are stale (redrawn, or node asleep)
-            txs: list[_SlotTx] = []
-            if n_cand:
-                if n_cand > 1:
+            # lane) order; other entries are stale (redrawn, or node asleep).
+            # The lane that fired is redrawn from the next slot at once: no
+            # other lane of the node changed, and nothing else draws from
+            # its stream before the next slot.
+            txs: list[_SlotTx] | tuple[()] = none
+            if tx_cand:
+                txs = []
+                if len(tx_cand) > 1:
                     tx_cand.sort()  # a repeated entry finds its lane already fired
                 for i, k in tx_cand:
                     row = next_tx[i]
                     if row[k] != s or not awake[i]:
+                        stale_tx += 1
                         continue
                     machine = machines[i]
                     cur = i
-                    out = machine.on_transmit(s, k)
+                    payload, power = machine.on_transmit(s, k)
                     cur = -1
-                    payload, power = out
                     if sending[i]:
                         raise ProtocolViolationError(
                             f"node {ids[i]} transmitted twice in slot {s}"
@@ -659,48 +681,48 @@ def run_simulation(
                         )
                     txs.append((i, power, payload))
                     sending[i] = True
-                    row[k] = None
-                stale_tx += n_cand - len(txs)
+                    slot = row[k] = _lane_slot(machine.lanes[k], machine.rng, s + 1)
+                    if slot is not None:
+                        heappush(heap, (slot, _TX, i, k))
 
             # 8. physical resolution and delivery: statistics, the
             # listeners' inboxes and the record
             if txs:
-                received = resolve(txs)
+                received, entries = resolve(txs)
                 eventful += 1
                 lone = len(txs) == 1
                 if not lone:
                     multi_tx += 1
-                for (i, power, payload), rx in zip(txs, received):
+                for (i, power, payload), rx, entry in zip(txs, received, entries):
                     sending[i] = False
                     tx_counts[i] += 1
                     # full success: every awake out-neighbour decoded; a
                     # lone transmission reaches every awake node of its
                     # exact reach, so only the out-neighbours outside it
                     # can miss it
-                    _exact, _slack, out_nbrs, missing = reach(i, power)
                     if lone:
+                        missing = entry[3]
                         full = not any(awake[u] for u in missing) if missing else True
                     else:
                         heard = set(rx)
-                        full = all(u in heard or not awake[u] for u in out_nbrs)
+                        full = all(u in heard or not awake[u] for u in entry[2])
                     if full:
                         full_counts[i] += 1
                         if first_full[i] is None:
                             first_full[i] = s
                     sender_id = ids[i]
+                    message = (sender_id, payload)
                     for l in rx:
                         row_rx = rx_rows[l]
                         if sender_id not in row_rx:
                             row_rx[sender_id] = s
                         inbox = pending.get(l)
                         if inbox is None:
-                            pending[l] = [(sender_id, payload)]
+                            pending[l] = [message]
                         else:
-                            inbox.append((sender_id, payload))
+                            inbox.append(message)
                 if pending:
                     pending_sorted = lone
-                    if pending_slot < 0:
-                        heappush(heap, (s + 1, _DELIVER, 0, 0))
                     pending_slot = s + 1
                 if outcomes is not None:
                     if trace.outcome_limit is not None and len(outcomes) >= trace.outcome_limit:
@@ -717,11 +739,6 @@ def run_simulation(
                                 receptions=tuple((ids[l], records[t]) for l, t in pairs),
                             )
                         )
-
-            # 9. the lanes that fired are redrawn from the next slot
-            for i, _p, _m in txs:
-                for k in _draw_lanes(machines[i], next_tx[i], i, s + 1, heap, True):
-                    heappush(heap, (s + 1, _TX, i, k))
 
             if monitor is not None and changed:
                 monitor(s, [(ids[i], *_parity_probs(machines[i])) for i in changed])

@@ -255,6 +255,20 @@ def brute_mis_verdict(network: Network, members: set[int]) -> tuple[bool, bool]:
     return independent, dominating
 
 
+def full_scan_dominated(machine, slot: int) -> bool:
+    """`ColoringMachine._dominated` as a scan of all of `heard_from`: some
+    sender that is not confirmed, was heard within the staleness window and
+    holds no fresh color."""
+    for other, heard in machine.heard_from.items():
+        if other in machine.confirmed_out:
+            continue
+        if slot - heard > 2 * machine.k.request_budget:
+            continue  # presumed gone (asleep or dead)
+        if machine._color_of(slot, other) is None:
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # single-machine driver (engine stand-in for transition unit tests)
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import collections
+import copy
 import math
 
 import numpy as np
@@ -24,7 +26,14 @@ from sinrsim.engine import TraceConfig, node_rng, run_simulation
 from sinrsim.model import NetworkParams, Node, build_network
 from sinrsim.topology import clique_topology
 
-from .conftest import brute_free_counter, brute_mis_verdict, drive_machine, random_small_network
+from .conftest import (
+    brute_free_counter,
+    brute_mis_verdict,
+    drive_machine,
+    full_scan_dominated,
+    random_small_network,
+)
+from .test_harness import COLORING_GOLDEN_CASES, GOLDEN, coloring_golden_run
 
 
 def make_constants(params=None, cap=None, max_degree=2, ratio=1.0, n_hint=4, scale=1.0):
@@ -254,6 +263,101 @@ class TestCompete:
                 resets = [s for s, kind, _ in trace.machines[v].log if kind == "reset"]
                 assert all(s <= heard_at for s in resets)
         assert checked > 0
+
+
+class TestReceive:
+    HANDLERS = ("_queue_answer", "_confirm", "_saw_color", "_saw_counter",
+                "_saw_request", "_saw_assign")
+    # one message of each class from node 9 at slot 5, addressed to node 0
+    # where it names a target, and the handler calls it must make
+    ROUTES = [
+        (LearnReq(), [("_queue_answer", (5, "reply", 9))]),
+        (LearnReply(target=0), [("_confirm", (9,)), ("_queue_answer", (5, "ack", 9))]),
+        (LearnAck(target=0), [("_confirm", (9,))]),
+        (CounterMsg(0, 3), [("_saw_counter", (5, 9, CounterMsg(0, 3)))]),
+        (ColorMsg(4, True), [("_saw_color", (5, 9, 4, True))]),
+        (RequestMsg(leader=0), [("_saw_request", (5, 9))]),
+        (AssignMsg(target=0, color=7), [("_saw_assign", (5, 9, AssignMsg(0, 7)))]),
+    ]
+
+    @staticmethod
+    def listening_machine(monkeypatch):
+        """A node in its learning phase whose message handlers only record
+        their calls."""
+        machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), make_constants())
+        machine.wake(0)
+        calls = []
+        for name in TestReceive.HANDLERS:
+            monkeypatch.setattr(
+                machine, name, lambda *args, name=name: calls.append((name, args))
+            )
+        return machine, calls
+
+    def test_routes_cover_every_message_class(self):
+        kinds = {type(msg) for msg, _calls in self.ROUTES}
+        assert kinds == {LearnReq, LearnReply, LearnAck, CounterMsg, ColorMsg,
+                         RequestMsg, AssignMsg}
+
+    @pytest.mark.parametrize("msg,expected", ROUTES, ids=[type(m).__name__ for m, _ in ROUTES])
+    def test_each_message_reaches_its_handler(self, msg, expected, monkeypatch):
+        machine, calls = self.listening_machine(monkeypatch)
+        machine.on_receive(5, [(9, msg)])
+        assert calls == expected
+        assert machine.heard_from == {9: 5}
+
+    def test_other_payloads_only_stamp_the_sender(self, monkeypatch):
+        machine, calls = self.listening_machine(monkeypatch)
+
+        def state():
+            kept = {
+                name: copy.deepcopy(value) for name, value in vars(machine).items()
+                if name not in ("rng", "lanes", "heard_from", "_unconfirmed")
+            }
+            return kept, [(ln.period, ln.phase, ln.prob) for ln in machine.lanes]
+
+        before = state()
+        # a plain tuple shaped like a ColorMsg is not one
+        machine.on_receive(5, [(9, "x"), (8, 42), (7, (4, True))])
+        assert calls == []
+        assert machine.heard_from == {9: 5, 8: 5, 7: 5}
+        assert machine._unconfirmed == {7, 8, 9}
+        assert state() == before
+
+    def test_dominance_ends_with_the_staleness_window(self, monkeypatch):
+        machine, _calls = self.listening_machine(monkeypatch)
+        machine.on_receive(5, [(9, "x")])
+        last = 5 + 2 * machine.k.request_budget  # the last slot 9 counts
+        for slot in (5, last - 1, last, last + 1):
+            assert machine._dominated(slot) is full_scan_dominated(machine, slot)
+        assert machine._dominated(last) and not machine._dominated(last + 1)
+
+    @pytest.mark.parametrize("case,topo", COLORING_GOLDEN_CASES)
+    def test_dominance_matches_full_scan(self, case, topo, monkeypatch):
+        """Before and after every inbox and poll of the coloring, churn and
+        MIS golden runs, `_dominated` answers as a scan of all of
+        `heard_from` does, and the kept unconfirmed senders are the heard
+        ones not confirmed; the runs stay golden."""
+        answers = collections.Counter()
+
+        def check(machine, slot):
+            assert machine._unconfirmed == machine.heard_from.keys() - machine.confirmed_out
+            expected = full_scan_dominated(machine, slot)
+            assert machine._dominated(slot) is expected
+            answers[expected] += 1
+
+        def checked(method):
+            def callback(self, slot, *args):
+                check(self, slot)
+                method(self, slot, *args)
+                check(self, slot)
+
+            return callback
+
+        for name in ("on_receive", "poll"):
+            monkeypatch.setattr(ColoringMachine, name, checked(getattr(ColoringMachine, name)))
+        _report, digest = coloring_golden_run(case, topo, monkeypatch)
+        assert digest == (GOLDEN / f"{case}_{topo}.sha256").read_text()
+        assert answers[True] > 0 and answers[False] > 0
 
 
 class TestColoredServing:

@@ -148,7 +148,9 @@ class TestFastPathEquivalence:
             core.awake[i] = True
         for i in senders:
             core.sending[i] = True
-        fast = core.resolve([(i, powers[i], None) for i in senders])
+        fast, entries = core.resolve([(i, powers[i], None) for i in senders])
+        # the network's cached lone-reach entries, one per transmission
+        assert all(e is net.lone_reach(i, powers[i]) for e, i in zip(entries, senders, strict=True))
         assert len(fast) == len(txs)
         assert all(rx == sorted(rx) for rx in fast)
         fast_pairs = {(net.ids[l], txs[t].sender) for t, rx in enumerate(fast) for l in rx}
@@ -158,7 +160,8 @@ class TestFastPathEquivalence:
         # alone, node 0 reaches the boundary listener
         lone = _Core(net)
         lone.awake[n - 1] = True
-        assert lone.resolve([(0, 8.0, None)]) == [[n - 1]]
+        received, (entry,) = lone.resolve([(0, 8.0, None)])
+        assert received == [[n - 1]] and entry is net.lone_reach(0, 8.0)
 
 
 class ChatterMachine(ProtocolMachine):

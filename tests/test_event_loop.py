@@ -81,6 +81,21 @@ def assert_same_run(runs):
     assert ref.eventful_slots > 0
 
 
+def counted_pops(monkeypatch):
+    """The entries the engine takes off its heap, in order."""
+    popped = []
+
+    def counting_pop(heap):
+        popped.append(heapq.heappop(heap))
+        return popped[-1]
+
+    shim = types.SimpleNamespace(
+        heappush=heapq.heappush, heappop=counting_pop, heapify=heapq.heapify
+    )
+    monkeypatch.setattr(engine, "heapq", shim)
+    return popped
+
+
 def coloring_constants(network, scale):
     cap = region_probability_cap(network.params, network.range_ratio, network.n)
     return ColoringConstants.derive(
@@ -219,16 +234,7 @@ class TestMatchesReference:
                 machine.set_prob(0, 0.0)
                 machine.schedule(6)
 
-        popped = []
-
-        def counting_pop(heap):
-            popped.append(heapq.heappop(heap))
-            return popped[-1]
-
-        shim = types.SimpleNamespace(
-            heappush=heapq.heappush, heappop=counting_pop, heapify=heapq.heapify
-        )
-        monkeypatch.setattr(engine, "heapq", shim)
+        popped = counted_pops(monkeypatch)
         net = scattered_network(75, 3)
         runs = run_both(net, Rearm, 40, 0, scripts=lambda: [(1, silence_and_move)])
         assert_same_run(runs)
@@ -390,19 +396,56 @@ class OddSlotToggler(ProtocolMachine):
         return "x", self.node.power
 
 
+class OneShot(ProtocolMachine):
+    """Node 0 transmits once within the first thousand slots, at slot 3,
+    and is done from a poll at that slot on; the other nodes are done on
+    their first reception."""
+
+    def wake(self, slot):
+        if self.node.id == 0:
+            self.configure_lane(0, 1000, 3)
+            self.set_prob(0, 1.0)
+            self.schedule(3)
+
+    def poll(self, slot):
+        self.done = True
+
+    def on_receive(self, slot, messages):
+        self.record(slot, "rx", messages)
+        self.done = True
+
+    def on_transmit(self, slot, lane):
+        return "x", self.node.power
+
+
+class TestDelivery:
+    def pair(self):
+        return build_network([Node(0, 0.0, 0.0, 8.0), Node(1, 1.0, 0.0, 8.0)], PARAMS)
+
+    def test_reception_reaches_the_next_slot_without_a_heap_entry(self, monkeypatch):
+        popped = counted_pops(monkeypatch)
+        runs = run_both(self.pair(), OneShot, 50, 0)
+        assert_same_run(runs)
+        trace = runs[1][0]
+        assert trace.machines[1].log == [(4, "rx", [(0, "x")])]
+        # nothing else is due at slot 4, and the run ends there
+        assert trace.completed and trace.n_slots == 5
+        assert [entry[0] for entry in popped] == [0, 0, 3, 3]
+        assert trace.heap_pops == len(popped)
+
+    def test_reception_due_at_max_slots_is_not_delivered(self, monkeypatch):
+        popped = counted_pops(monkeypatch)
+        runs = run_both(self.pair(), OneShot, 4, 0)
+        assert_same_run(runs)
+        trace = runs[1][0]
+        assert trace.machines[1].log == []
+        assert not trace.completed and trace.n_slots == 4
+        assert trace.heap_pops == len(popped) == 4
+
+
 class TestLoopCounters:
     def test_heap_and_stale_entry_counts(self, monkeypatch):
-        popped = []
-
-        def counting_pop(heap):
-            entry = heapq.heappop(heap)
-            popped.append(entry)
-            return entry
-
-        shim = types.SimpleNamespace(
-            heappush=heapq.heappush, heappop=counting_pop, heapify=heapq.heapify
-        )
-        monkeypatch.setattr(engine, "heapq", shim)
+        popped = counted_pops(monkeypatch)
         net = scattered_network(80, 12, sleepers=4)
         trace = run_simulation(net, OddSlotToggler, max_slots=400, seed=3,
                                trace=TraceConfig(record_outcomes=True))

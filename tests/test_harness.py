@@ -672,3 +672,26 @@ class TestBenchmarkLookups:
         assert got == sorted((listener, tx.sender) for listener, tx in ref.receptions)
         # it also counts awake listeners from each node's wake and sleep slot
         assert all(0 <= node.wake_slot <= 5 and node.sleep_slot is None for node in net.nodes)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_committed_bench_files_are_sound():
+    """Every committed BENCH_*.json trajectory file holds a correct run
+    without failed trials on both sides, and only metrics the benchmark
+    defines, named `<workload>.<metric>`."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"] + spec["per_layer"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        doc = json.loads(path.read_text())
+        for side in ("parent", "change"):
+            result = doc[side]["result"]
+            assert result["correct"] is True and result["failed"] == 0, (path.name, side)
+            assert result["metrics"], (path.name, side)
+            for name in result["metrics"]:
+                workload, _, metric = name.partition(".")
+                assert workload in workloads and metric in metrics, (path.name, side, name)

@@ -153,17 +153,12 @@ class SlowStartBroadcaster(ProtocolMachine):
         self.payload = Broadcast(node.id)
 
         self.p_cur = self.prob_init
-        self._phase_idx = 0
         self.cap_slots = 0
         self._cap_since: Optional[int] = None
         self.start_slot: Optional[int] = None
         self.end_slot: Optional[int] = None
-        self.completed_at_cap = False
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _phase_of(self, slot: int) -> int:
-        return (slot - self.start_slot) // self.phase_len
 
     def _sync_cap(self, slot: int) -> None:
         if self._cap_since is not None:
@@ -187,7 +182,8 @@ class SlowStartBroadcaster(ProtocolMachine):
         if self.p_cur < self.prob_cap:
             # next absolute phase boundary; while at the cap doubling is a
             # no-op so those boundaries need no events
-            boundary = self.start_slot + (self._phase_of(slot) + 1) * self.phase_len
+            phase = (slot - self.start_slot) // self.phase_len
+            boundary = self.start_slot + (phase + 1) * self.phase_len
             candidates.append(boundary)
         if self._cap_since is not None:
             candidates.append(slot + (self.cap_slots_target - self.cap_slots))
@@ -201,23 +197,19 @@ class SlowStartBroadcaster(ProtocolMachine):
         self._apply(slot, self.p_cur)
 
     def poll(self, slot: int) -> None:
+        """Stop at the end of the budget or of the cap time, or double at
+        the next phase boundary, where a reception moves the checkpoint."""
         self._sync_cap(slot)
         if slot >= self.end_slot or self.cap_slots >= self.cap_slots_target:
-            self.completed_at_cap = self.cap_slots >= self.cap_slots_target
             self._cap_since = None
             self.set_prob(0, 0.0)
             self.done = True
-            return
-        if self._phase_of(slot) != self._phase_idx:
-            self._phase_idx = self._phase_of(slot)
-            self._apply(slot, min(self.prob_cap, 2.0 * self.p_cur))
         else:
-            self._reschedule(slot)
+            self._apply(slot, min(self.prob_cap, 2.0 * self.p_cur))
 
-    def on_receive(self, slot: int, messages) -> None:
+    def on_receive(self, slot: int, sender: int, payload) -> None:
         if self.done:
             return
-        self._phase_idx = self._phase_of(slot)
         self._apply(slot, max(self.prob_init, self.p_cur / 2.0))
 
     def on_transmit(self, slot: int, lane: int) -> tuple[Broadcast, float]:

@@ -141,17 +141,17 @@ def _dispatch(args: argparse.Namespace) -> int:
             "scale": args.scale,
             "csv_path": args.csv,
             "trace_path": args.trace,
+            "network": load_topology(args.topology),
         }
         if args.command == "run-broadcast":
             fields.update(
                 protocol=args.protocol,
-                topology=args.topology,
                 slow_start_budget_constant=args.budget_constant,
             )
         else:
             fields.update(
                 protocol="mis" if args.command == "run-mis" else "coloring",
-                network=_with_wakeup(load_topology(args.topology), args.async_wakeup),
+                network=_with_wakeup(fields["network"], args.async_wakeup),
                 forced_resignations=getattr(args, "forced_resignations", 0),
             )
         report = run_experiment(ExperimentConfig(**fields))

@@ -325,31 +325,29 @@ class ColoringMachine(ProtocolMachine):
             )
         return msg, self.node.power
 
-    def on_receive(self, slot: int, messages: list[tuple[int, Any]]) -> None:
-        heard = self.heard_from
-        for sender, msg in messages:
-            if sender not in heard and sender not in self.confirmed_out:
-                self._unconfirmed.add(sender)
-            heard[sender] = slot
-            kind = type(msg)  # the common kinds first
-            if kind is ColorMsg:
-                self._saw_color(slot, sender, msg.color, msg.fresh)
-            elif kind is CounterMsg:
-                self._saw_counter(slot, sender, msg)
-            elif kind is LearnReq:
-                self._queue_answer(slot, "reply", sender)
-            elif kind is LearnReply:
-                if msg.target == self.node.id:
-                    self._confirm(sender)
-                    self._queue_answer(slot, "ack", sender)
-            elif kind is LearnAck:
-                if msg.target == self.node.id:
-                    self._confirm(sender)
-            elif kind is RequestMsg:
-                if msg.leader == self.node.id:
-                    self._saw_request(slot, sender)
-            elif kind is AssignMsg:
-                self._saw_assign(slot, sender, msg)
+    def on_receive(self, slot: int, sender: int, payload: Any) -> None:
+        if sender not in self.heard_from and sender not in self.confirmed_out:
+            self._unconfirmed.add(sender)
+        self.heard_from[sender] = slot
+        kind = type(payload)  # the common kinds first
+        if kind is ColorMsg:
+            self._saw_color(slot, sender, payload.color, payload.fresh)
+        elif kind is CounterMsg:
+            self._saw_counter(slot, sender, payload)
+        elif kind is LearnReq:
+            self._queue_answer(slot, "reply", sender)
+        elif kind is LearnReply:
+            if payload.target == self.node.id:
+                self._confirm(sender)
+                self._queue_answer(slot, "ack", sender)
+        elif kind is LearnAck:
+            if payload.target == self.node.id:
+                self._confirm(sender)
+        elif kind is RequestMsg:
+            if payload.leader == self.node.id:
+                self._saw_request(slot, sender)
+        elif kind is AssignMsg:
+            self._saw_assign(slot, sender, payload)
         if (
             self._unconfirmed
             and self.phase in (COMPETE, REQUEST, ANNOUNCE)

@@ -174,7 +174,9 @@ class ProtocolMachine:
     Subclasses react to engine callbacks -- :meth:`wake`, :meth:`poll` (a
     slot they scheduled arrived) and :meth:`on_receive` -- and supply the
     message for each transmission the engine's lottery fires through
-    :meth:`on_transmit`.  All behaviour is steered through lane
+    :meth:`on_transmit`.  A listener decodes at most one transmission per
+    slot, so :meth:`on_receive` gets one ``(sender id, payload)`` per call,
+    at most one call per slot.  All behaviour is steered through lane
     probabilities, the scheduled slot and `done`; the engine takes care of
     when the lottery actually fires.
 
@@ -205,7 +207,7 @@ class ProtocolMachine:
     def poll(self, slot: int) -> None:
         pass
 
-    def on_receive(self, slot: int, messages: list[tuple[int, Any]]) -> None:
+    def on_receive(self, slot: int, sender: int, payload: Any) -> None:
         pass
 
     def on_transmit(self, slot: int, lane: int) -> tuple[Any, float]:
@@ -446,18 +448,22 @@ def run_simulation(
     trace: Optional[TraceConfig] = None,
     monitor: Optional[Callable[[int, list[tuple[int, float, float]]], None]] = None,
     scripted: Optional[
-        Sequence[tuple[int, Callable[[dict[int, ProtocolMachine], int], None]]]
+        tuple[int, Callable[[dict[int, ProtocolMachine], int], Optional[int]]]
     ] = None,
 ) -> SimTrace:
     """Drive every node's protocol machine until all report completion or
     `max_slots` elapse.
 
-    Receptions resolved in slot t reach their listener's inbox at the start
-    of slot t+1.  `monitor`, when given, receives every change of the
-    per-node transmission probabilities as (node id, probability on even
-    slots, probability on odd slots) tuples -- exactly the instants at which
-    any per-slot probability invariant could newly fail.  `scripted` events
-    inject external actions (such as forced resignations) at fixed slots.
+    A reception resolved in slot t reaches its listener at the start of
+    slot t+1 as one ``on_receive(t + 1, sender id, payload)`` call.
+    `monitor`, when given, receives every change of the per-node
+    transmission probabilities as (node id, probability on even slots,
+    probability on odd slots) tuples -- exactly the instants at which any
+    per-slot probability invariant could newly fail.  `scripted` is
+    ``(first slot, action)``: ``action(machines by id, slot)`` injects an
+    external event (such as a forced resignation) and returns the later
+    slot of its next call, or None; the run cannot complete while a call
+    before `max_slots` is pending.
     """
     if max_slots <= 0:
         raise ValueError("max_slots must be positive")
@@ -492,16 +498,14 @@ def run_simulation(
             if node.sleep_slot is not None and node.sleep_slot < max_slots:
                 heap.append((node.sleep_slot, _SLEEP, i, 0))
 
-    scripts = sorted(scripted or [], key=lambda item: item[0])
-    for k, (slot, _fn) in enumerate(scripts):
-        if slot < max_slots:
-            heap.append((slot, _SCRIPT, k, 0))
+    first_slot, action = scripted or (max_slots, None)
+    script_pending = first_slot < max_slots
+    if script_pending:
+        heap.append((first_slot, _SCRIPT, 0, 0))
     heapq.heapify(heap)
-    scripts_left = sum(1 for slot, _fn in scripts if slot < max_slots)
-    scripts_cancelled = False
 
     pending_slot = -1
-    pending: dict[int, list[tuple[int, Any]]] = {}  # listener index -> inbox
+    pending: dict[int, tuple[int, Any]] = {}  # listener index -> (sender id, payload)
     pending_sorted = True  # filled by one transmission, so in listener order
 
     first_rx: dict[int, dict[int, int]] = {v: {} for v in ids}
@@ -556,8 +560,9 @@ def run_simulation(
                 for i in pending if pending_sorted else sorted(pending):
                     machine = machines[i]
                     if awake[i] and machine.wants_rx:
+                        sender_id, payload = pending[i]
                         cur = i
-                        machine.on_receive(s, pending[i])
+                        machine.on_receive(s, sender_id, payload)
                         cur = -1
                         if (
                             machine._dirty
@@ -593,17 +598,15 @@ def run_simulation(
                                 done_seen[i] = True
                                 n_undone -= 1
                     elif kind == _SCRIPT:
-                        # 4. scripted external actions (may touch any
-                        # machine); an action returning truthy cancels every
-                        # script still pending
+                        # 4. the scripted external action (may touch any
+                        # machine), and its next call
                         touch_all = True
-                        if scripts_cancelled:
-                            continue
-                        if scripts[i][1](by_id, s):
-                            scripts_cancelled = True
-                            scripts_left = 0
-                        else:
-                            scripts_left -= 1
+                        nxt = action(by_id, s)
+                        if nxt is not None and nxt <= s:
+                            raise ValueError(f"scripted action at slot {s} returned slot {nxt}")
+                        script_pending = nxt is not None and nxt < max_slots
+                        if script_pending:
+                            heappush(heap, (nxt, _SCRIPT, 0, 0))
                     elif i != polled:
                         # 5. scheduled polls, once per node, validated
                         # against the machine's current plan (a checkpoint
@@ -634,13 +637,14 @@ def run_simulation(
                             tx_cand = _add(tx_cand, (i, k))
                     else:
                         next_tx[i] = [None] * len(next_tx[i])
-                if awake[i]:
-                    cp = machine._checkpoint
-                    if cp != synced_cp[i]:
-                        synced_cp[i] = cp
-                        if cp is not None:
-                            heappush(heap, (cp, _CHECK, i, 0))
-                if machine.done or not awake[i]:
+                if not awake[i]:
+                    continue  # its wake-up or departure keeps its count
+                cp = machine._checkpoint
+                if cp != synced_cp[i]:
+                    synced_cp[i] = cp
+                    if cp is not None:
+                        heappush(heap, (cp, _CHECK, i, 0))
+                if machine.done:
                     if not done_seen[i]:
                         done_seen[i] = True
                         n_undone -= 1
@@ -686,7 +690,7 @@ def run_simulation(
                         heappush(heap, (slot, _TX, i, k))
 
             # 8. physical resolution and delivery: statistics, the
-            # listeners' inboxes and the record
+            # listeners' receptions and the record
             if txs:
                 received, entries = resolve(txs)
                 eventful += 1
@@ -716,11 +720,7 @@ def run_simulation(
                         row_rx = rx_rows[l]
                         if sender_id not in row_rx:
                             row_rx[sender_id] = s
-                        inbox = pending.get(l)
-                        if inbox is None:
-                            pending[l] = [message]
-                        else:
-                            inbox.append(message)
+                        pending[l] = message
                 if pending:
                     pending_sorted = lone
                     pending_slot = s + 1
@@ -746,7 +746,7 @@ def run_simulation(
             if (
                 n_undone == 0
                 and n_prewake == 0
-                and scripts_left == 0
+                and not script_pending
                 and pending_slot < 0
             ):
                 completed = True

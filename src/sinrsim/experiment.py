@@ -36,7 +36,6 @@ from .broadcast import (
 from .coloring import ColoringConstants, ColoringMachine, validate_coloring, validate_mis
 from .engine import SimTrace, TraceConfig, run_simulation
 from .model import Network
-from .topology import load_topology
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +116,13 @@ def report_summary(report: ExperimentReport) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: a topology, a protocol, and the trial plan."""
+    """One experiment: a network, a protocol, and the trial plan."""
 
     protocol: str  # fixed | slowstart | varpower | coloring | mis
-    topology: Optional[str] = None  # path to a topology file
-    network: Optional[Network] = None  # or an in-memory network
+    network: Network
     seeds: Sequence[int] = (0,)
     scale: Optional[float] = None
     csv_path: Optional[str] = None
-    summary_path: Optional[str] = None
     trace_path: Optional[str] = None  # JSONL replay records, first seed only
     slow_start_budget_constant: float = 64.0
     forced_resignations: int = 0
@@ -136,8 +133,6 @@ class ExperimentConfig:
         for seed in self.seeds:
             if not (isinstance(seed, numbers.Integral) and seed >= 0):
                 raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
-        if (self.topology is None) == (self.network is None):
-            raise ValueError("give exactly one of topology path or network")
         if self.protocol not in ("fixed", "slowstart", "varpower", "coloring", "mis"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         resignations = self.forced_resignations
@@ -483,11 +478,12 @@ def run_coloring(
 
 
 def _resignation_script(count: int, constants: ColoringConstants, wake_span: int):
-    """Probe the network periodically and force `count` resignations of
-    colored non-leader nodes; once done, cancel the remaining probes so the
-    run can stop as soon as everyone has recovered."""
+    """A scripted probe, ``(first slot, probe)``, forcing `count` resignations
+    of colored non-leader nodes, at most one per call; it ends once they all
+    landed, so the run can stop as soon as everyone has recovered."""
 
-    state = {"resigned": 0, "victims": set()}
+    victims: set[int] = set()
+    calls = 0
     # probes start once the first followers can plausibly be colored and
     # repeat on a short cadence until both resignations landed
     start = wake_span + 2 * (
@@ -500,23 +496,22 @@ def _resignation_script(count: int, constants: ColoringConstants, wake_span: int
     probes = 2000
 
     def probe(machines, slot):
-        if state["resigned"] >= count:
-            return True
+        nonlocal calls
+        calls += 1
         for node_id in sorted(machines):
             m = machines[node_id]
             if (
                 m.phase == "colored"
                 and m.color is not None
                 and m.color >= constants.leader_colors
-                and node_id not in state["victims"]
+                and node_id not in victims
             ):
                 m.force_resign(slot)
-                state["victims"].add(node_id)
-                state["resigned"] += 1
+                victims.add(node_id)
                 break
-        return state["resigned"] >= count
+        return None if len(victims) >= count or calls >= probes else slot + interval
 
-    return [(start + k * interval, probe) for k in range(probes)]
+    return start, probe
 
 
 def _reuse_consistent(trace: SimTrace, network: Network) -> bool:
@@ -564,10 +559,10 @@ def _leader_density_ok(network, colors, constants: ColoringConstants) -> bool:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute all trials, run the validators, and write the CSV and the
-    text summary when paths are configured.  The caller turns `report.ok`
-    into the process exit status."""
-    network = config.network if config.network is not None else load_topology(config.topology)
+    """Execute all trials, run the validators, and write the CSV when a
+    path is configured.  The caller turns `report.ok` into the process exit
+    status."""
+    network = config.network
     seeds = list(config.seeds)
     common = {"scale": config.scale, "trace_path": config.trace_path}
     if config.protocol == "fixed":
@@ -585,9 +580,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
     if config.csv_path:
         report.to_csv(config.csv_path)
-    if config.summary_path:
-        with open(config.summary_path, "w", encoding="utf-8") as fh:
-            fh.write(report_summary(report) + "\n")
     return report
 
 

@@ -50,7 +50,7 @@ class NetworkParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not _is_number(value, float, numbers.Real) or not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if not (self.alpha_lo <= self.alpha_true <= self.alpha_hi):
             raise ValueError("alpha bounds must bracket alpha_true")
@@ -101,19 +101,29 @@ class Node:
     sleep_slot: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "power"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"node {self.id}: {name} must be finite")
-        for name in ("wake_slot", "sleep_slot"):
+        for name in ("id", "wake_slot", "sleep_slot"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Integral):
+            if value is None and name == "sleep_slot":
+                continue
+            if not _is_number(value, int, numbers.Integral):
                 raise ValueError(f"node {self.id}: {name} must be an integer, got {value!r}")
+        for name in ("x", "y", "power"):
+            value = getattr(self, name)
+            if not _is_number(value, float, numbers.Real):
+                raise ValueError(f"node {self.id}: {name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"node {self.id}: {name} must be finite")
         if self.power <= 0.0:
             raise ValueError(f"node {self.id}: power must be positive")
         if self.wake_slot < 0:
             raise ValueError(f"node {self.id}: wake_slot must be >= 0")
         if self.sleep_slot is not None and self.sleep_slot <= self.wake_slot:
             raise ValueError(f"node {self.id}: sleep_slot must exceed wake_slot")
+
+
+def _is_number(value: object, exact: type, kind: type) -> bool:
+    """A `kind` number and no bool; an `exact` instance skips the slow ABC check."""
+    return type(value) is exact or (isinstance(value, kind) and not isinstance(value, bool))
 
 
 def max_transmission_range(power: float, params: NetworkParams) -> float:

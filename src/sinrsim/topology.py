@@ -64,6 +64,11 @@ def load_topology(path: str) -> Network:
         except json.JSONDecodeError as exc:
             raise ValueError(f"topology file {path} is not valid JSON: {exc}") from exc
     try:
+        if not (isinstance(doc, dict) and isinstance(doc["params"], dict)):
+            raise ValueError(f"topology file {path}: params must be an object")
+        entries = doc["nodes"]
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValueError(f"topology file {path}: nodes must be a list of objects")
         params = NetworkParams(**{name: doc["params"][name] for name in _PARAM_FIELDS})
         nodes = [
             Node(
@@ -74,7 +79,7 @@ def load_topology(path: str) -> Network:
                 wake_slot=entry.get("wake_slot", 0),
                 sleep_slot=entry.get("sleep_slot"),
             )
-            for entry in doc["nodes"]
+            for entry in entries
         ]
     except KeyError as exc:
         raise ValueError(f"topology file {path} misses field {exc}") from exc

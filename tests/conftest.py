@@ -276,8 +276,13 @@ def full_scan_dominated(machine, slot: int) -> bool:
 
 def drive_machine(machine, *, until: int, inbox=()) -> None:
     """Honors wake, scheduled polls and scripted receptions for one machine
-    in isolation; the transmission lottery itself never fires."""
-    queue = sorted(inbox)  # (slot, sender, message)
+    in isolation; the transmission lottery itself never fires.  As in the
+    engine, a slot delivers at most one reception, in one `on_receive`
+    call."""
+    queue = sorted(inbox, key=lambda entry: entry[0])  # (slot, sender, message)
+    slots = [entry[0] for entry in queue]
+    if len(set(slots)) < len(slots):
+        raise ValueError(f"two receptions scheduled in one slot: {slots}")
     machine.wake(machine.node.wake_slot)
     pos = 0
     slot = machine.node.wake_slot
@@ -289,11 +294,8 @@ def drive_machine(machine, *, until: int, inbox=()) -> None:
             return
         slot = min(candidates)
         if nxt_inbox == slot:
-            batch = []
-            while pos < len(queue) and queue[pos][0] == slot:
-                batch.append((queue[pos][1], queue[pos][2]))
-                pos += 1
-            machine.on_receive(slot, batch)
+            machine.on_receive(*queue[pos])
+            pos += 1
         if machine.next_checkpoint == slot:
             machine.schedule(None)
             machine.poll(slot)

@@ -3,16 +3,18 @@
 
 Every slot's events are collected into sets and sorted, each protocol
 callback runs under its own error guard, and a slot's receptions travel as
-(listener, transmission) pairs from resolution to delivery.  It consumes
-the same per-node random streams in the same order as the engine, so on any
-input both give identical traces, machine logs and monitor updates.
+(listener, transmission) pairs from resolution to per-listener inbox lists,
+each of which must hold exactly one message when it is delivered.  It
+consumes the same per-node random streams in the same order as the engine,
+so on any input both give identical traces, machine logs and monitor
+updates.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -160,7 +162,7 @@ def reference_run_simulation(
     trace: Optional[TraceConfig] = None,
     monitor: Optional[Callable[[int, list[tuple[int, float, float]]], None]] = None,
     scripted: Optional[
-        Sequence[tuple[int, Callable[[dict[int, ProtocolMachine], int], None]]]
+        tuple[int, Callable[[dict[int, ProtocolMachine], int], Optional[int]]]
     ] = None,
 ) -> SimTrace:
     """Drive every node's protocol machine until all report completion or
@@ -170,8 +172,9 @@ def reference_run_simulation(
     of slot t+1.  `monitor`, when given, receives every change of the
     per-node transmission probabilities as (node id, probability on even
     slots, probability on odd slots) tuples -- exactly the instants at which
-    any per-slot probability invariant could newly fail.  `scripted` events
-    inject external actions (such as forced resignations) at fixed slots.
+    any per-slot probability invariant could newly fail.  `scripted` is a
+    ``(first slot, action)`` pair; the action returns the slot of its next
+    call, or None.
     """
     if max_slots <= 0:
         raise ValueError("max_slots must be positive")
@@ -209,12 +212,13 @@ def reference_run_simulation(
             if node.sleep_slot is not None and node.sleep_slot < max_slots:
                 push(node.sleep_slot, _SLEEP, i)
 
-    scripts = sorted(scripted or [], key=lambda item: item[0])
-    for k, (slot, _fn) in enumerate(scripts):
-        if slot < max_slots:
-            push(slot, _SCRIPT, k)
-    scripts_left = sum(1 for slot, _fn in scripts if slot < max_slots)
-    scripts_cancelled = False
+    action = None
+    script_pending = False
+    if scripted is not None:
+        first_slot, action = scripted
+        if first_slot < max_slots:
+            push(first_slot, _SCRIPT)
+            script_pending = True
 
     pending_slot = -1
     pending: dict[int, list[tuple[int, Any]]] = {}
@@ -343,7 +347,7 @@ def reference_run_simulation(
         wakes: set[int] = set()
         sleeps: set[int] = set()
         polls: set[int] = set()
-        script_ids: set[int] = set()
+        script_due = False
         tx_candidates: list[tuple[int, int]] = []
         for _, _, kind, idx, lane in bucket:
             if kind == _WAKE:
@@ -351,7 +355,7 @@ def reference_run_simulation(
             elif kind == _SLEEP:
                 sleeps.add(idx)
             elif kind == _SCRIPT:
-                script_ids.add(idx)
+                script_due = True
             elif kind == _CHECK:
                 polls.add(idx)
             elif kind == _TX:
@@ -360,10 +364,16 @@ def reference_run_simulation(
         # 1. deliver receptions resolved for this slot
         if pending_slot == s:
             for i in sorted(pending):
+                msgs = pending[i]
+                if len(msgs) != 1:  # one decoded transmission per listener and slot
+                    raise AssertionError(f"listener index {i} holds {msgs} at slot {s}")
                 machine = machines[i]
                 if awake[i] and machine.wants_rx:
-                    msgs = pending[i]
-                    guarded(machine, s, lambda m=machine, x=msgs: m.on_receive(s, x))
+                    sender, payload = msgs[0]
+                    guarded(
+                        machine, s,
+                        lambda m=machine, x=sender, y=payload: m.on_receive(s, x, y),
+                    )
                     touched.add(i)
             pending = {}
             pending_slot = -1
@@ -387,17 +397,15 @@ def reference_run_simulation(
                     next_tx[i][k] = None
                 track_done(i)
 
-        # 4. scripted external actions (may touch any machine); an action
-        # returning truthy cancels every script still pending
-        if script_ids:
-            for k in sorted(script_ids):
-                if scripts_cancelled:
-                    continue
-                if scripts[k][1](by_id, s):
-                    scripts_cancelled = True
-                    scripts_left = 0
-                else:
-                    scripts_left -= 1
+        # 4. the scripted external action (may touch any machine) and the
+        # slot of its next call
+        if script_due:
+            nxt = action(by_id, s)
+            if nxt is not None and nxt <= s:
+                raise ValueError(f"scripted action at slot {s} returned slot {nxt}")
+            script_pending = nxt is not None and nxt < max_slots
+            if script_pending:
+                push(nxt, _SCRIPT)
             touched.update(range(n))
 
         # 5. scheduled polls, validated against the machine's current plan
@@ -419,7 +427,8 @@ def reference_run_simulation(
                 for k in resample(i, s, defer_at=s):
                     tx_candidates.append((i, k))
             sync_checkpoint(i)
-            track_done(i)
+            if awake[i]:  # a sleeping node is counted by its wake-up or departure
+                track_done(i)
 
         # 7. this slot's transmissions
         txs: list[_SlotTx] = []
@@ -475,7 +484,7 @@ def reference_run_simulation(
         if (
             n_undone == 0
             and n_prewake == 0
-            and scripts_left == 0
+            and not script_pending
             and pending_slot < 0
         ):
             completed = True

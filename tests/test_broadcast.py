@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from sinrsim.model import NetworkParams, Node, build_network
 from sinrsim.topology import clique_topology
 
 from .conftest import pair_network
+from .test_event_loop import scattered_network
+from .test_harness import GOLDEN, GOLDEN_NETWORKS, GOLDEN_RUNS
 
 
 def lone_network(params):
@@ -111,14 +114,14 @@ class TestSlowStart:
         while machine.p_cur < machine.prob_cap:  # ride the ramp up
             machine.poll(machine.next_checkpoint)
         assert not machine.done
-        machine.on_receive(machine.next_checkpoint - 1, [(1, "m")])
+        machine.on_receive(machine.next_checkpoint - 1, 1, "m")
         assert machine.p_cur == machine.prob_cap / 2
 
     def test_halving_floors_at_start_probability(self, exact_params):
         machine = self.make(Node(0, 0, 0, 1.0), node_rng(0, 0))
         machine.wake(0)
         for slot in range(1, 6):
-            machine.on_receive(slot, [(1, "m")])
+            machine.on_receive(slot, 1, "m")
         assert machine.p_cur == machine.prob_init
 
     def test_completion_by_cap_time(self, exact_params):
@@ -130,8 +133,8 @@ class TestSlowStart:
             seed=2,
         )
         machine = trace.machines[0]
-        assert machine.done and machine.completed_at_cap
-        assert machine.cap_slots == 40
+        assert machine.done and machine.cap_slots == 40
+        assert trace.completed and trace.n_slots <= machine.end_slot  # before the budget
 
     def test_region_sums_stay_bounded_live(self, exact_params):
         """Clique runs with the live assertion attached (reduced scale)."""
@@ -142,6 +145,55 @@ class TestSlowStart:
             )
             names = [name for name, ok, _ in report.verdicts if not ok]
             assert "region probability budget" not in names
+
+
+class TestSlowStartPolls:
+    """Every poll either stops the machine or lands on a phase boundary
+    below the cap and doubles the probability there: a checkpoint is the
+    next boundary, the end of the cap time or the end of the budget, and a
+    reception moves it to the next boundary."""
+
+    @staticmethod
+    def checked_polls(monkeypatch):
+        seen = collections.Counter()
+        poll = SlowStartBroadcaster.poll
+
+        def checked(self, slot):
+            before = self.p_cur
+            poll(self, slot)
+            if self.done:
+                seen["cap" if self.cap_slots >= self.cap_slots_target else "budget"] += 1
+                return
+            assert slot > self.start_slot
+            assert (slot - self.start_slot) % self.phase_len == 0
+            assert before < self.prob_cap
+            assert self.p_cur == min(self.prob_cap, 2.0 * before)
+            seen["boundary"] += 1
+
+        monkeypatch.setattr(SlowStartBroadcaster, "poll", checked)
+        return seen
+
+    @pytest.mark.parametrize("topo", sorted(GOLDEN_NETWORKS))
+    def test_golden_runs(self, topo, monkeypatch):
+        seen = self.checked_polls(monkeypatch)
+        report = GOLDEN_RUNS["slowstart"](GOLDEN_NETWORKS[topo]())
+        assert report.to_csv() == (GOLDEN / f"slowstart_{topo}.csv").read_text()
+        assert seen["boundary"] > 0 and seen["cap"] + seen["budget"] > 0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_scattered_networks_with_a_binding_cap_target(self, seed, monkeypatch):
+        seen = self.checked_polls(monkeypatch)
+        net = scattered_network(seed + 10, 12, wake_window=20)
+
+        def factory(node, rng):
+            return SlowStartBroadcaster(
+                node, rng, prob_cap=0.25, n=12, phase_len=6, cap_slots_target=20,
+                budget=500,
+            )
+
+        trace = run_simulation(net, factory, max_slots=600, seed=seed)
+        assert trace.completed
+        assert seen["boundary"] > 0 and seen["cap"] > 0
 
 
 def piecewise(pieces, *, budget=50, prob=0.5, power_bounds=None):

@@ -137,6 +137,11 @@ class TestWaitTransitions:
         drive_machine(machine, until=listen_end + 2, inbox=inbox)
         return listen_end
 
+    def test_drive_machine_delivers_one_reception_per_slot(self):
+        machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), make_constants())
+        with pytest.raises(ValueError, match="one slot"):
+            drive_machine(machine, until=10, inbox=[(3, 9, LearnReq()), (3, 8, LearnReq())])
+
     def test_unblocked_node_competes(self):
         k = make_constants()
         machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), k)
@@ -301,7 +306,7 @@ class TestReceive:
     @pytest.mark.parametrize("msg,expected", ROUTES, ids=[type(m).__name__ for m, _ in ROUTES])
     def test_each_message_reaches_its_handler(self, msg, expected, monkeypatch):
         machine, calls = self.listening_machine(monkeypatch)
-        machine.on_receive(5, [(9, msg)])
+        machine.on_receive(5, 9, msg)
         assert calls == expected
         assert machine.heard_from == {9: 5}
 
@@ -317,7 +322,8 @@ class TestReceive:
 
         before = state()
         # a plain tuple shaped like a ColorMsg is not one
-        machine.on_receive(5, [(9, "x"), (8, 42), (7, (4, True))])
+        for sender, payload in ((9, "x"), (8, 42), (7, (4, True))):
+            machine.on_receive(5, sender, payload)
         assert calls == []
         assert machine.heard_from == {9: 5, 8: 5, 7: 5}
         assert machine._unconfirmed == {7, 8, 9}
@@ -325,7 +331,7 @@ class TestReceive:
 
     def test_dominance_ends_with_the_staleness_window(self, monkeypatch):
         machine, _calls = self.listening_machine(monkeypatch)
-        machine.on_receive(5, [(9, "x")])
+        machine.on_receive(5, 9, "x")
         last = 5 + 2 * machine.k.request_budget  # the last slot 9 counts
         for slot in (5, last - 1, last, last + 1):
             assert machine._dominated(slot) is full_scan_dominated(machine, slot)
@@ -333,8 +339,8 @@ class TestReceive:
 
     @pytest.mark.parametrize("case,topo", COLORING_GOLDEN_CASES)
     def test_dominance_matches_full_scan(self, case, topo, monkeypatch):
-        """Before and after every inbox and poll of the coloring, churn and
-        MIS golden runs, `_dominated` answers as a scan of all of
+        """Before and after every reception and poll of the coloring, churn
+        and MIS golden runs, `_dominated` answers as a scan of all of
         `heard_from` does, and the kept unconfirmed senders are the heard
         ones not confirmed; the runs stay golden."""
         answers = collections.Counter()
@@ -439,7 +445,7 @@ class TestColoredServing:
             lambda n, r: ColoringMachine(n, r, k),
             max_slots=4 * budget,
             seed=2,
-            scripted=[(budget, snapshot_and_resign)],
+            scripted=(budget, snapshot_and_resign),
         )
         assert first_colors, "script found no colored non-leader"
         (victim, old_color), = first_colors.items()

@@ -175,9 +175,8 @@ class ChatterMachine(ProtocolMachine):
     def wake(self, slot):
         self.set_prob(0, self.prob)
 
-    def on_receive(self, slot, messages):
-        for sender, _payload in messages:
-            self.heard.append((slot, sender))
+    def on_receive(self, slot, sender, payload):
+        self.heard.append((slot, sender))
 
     def on_transmit(self, slot, lane):
         return ("tick", self.node.id), self.node.power

@@ -39,8 +39,8 @@ def scattered_network(seed, n, *, wake_window=0, sleepers=0):
 
 
 def run_both(network, factory, max_slots, seed, *, scripts=None, outcome_limit=None):
-    """Both engines on the same input; `scripts` builds a fresh script list
-    per run, because forced resignations keep state."""
+    """Both engines on the same input; `scripts` builds a fresh script per
+    run, because forced resignations keep state."""
     runs = []
     for simulate in (reference_run_simulation, run_simulation):
         updates = []
@@ -236,7 +236,7 @@ class TestMatchesReference:
 
         popped = counted_pops(monkeypatch)
         net = scattered_network(75, 3)
-        runs = run_both(net, Rearm, 40, 0, scripts=lambda: [(1, silence_and_move)])
+        runs = run_both(net, Rearm, 40, 0, scripts=lambda: (1, silence_and_move))
         assert_same_run(runs)
         for machine in runs[1][0].machines.values():
             assert [s for s, kind, _d in machine.log] == [6, 10, 10]
@@ -280,7 +280,7 @@ class Faulty(ProtocolMachine):
     def poll(self, slot):
         self._maybe_fail("poll", slot)
 
-    def on_receive(self, slot, messages):
+    def on_receive(self, slot, sender, payload):
         self._maybe_fail("on_receive", slot)
 
     def on_transmit(self, slot, lane):
@@ -372,7 +372,7 @@ class TestErrorAttribution:
             raise LookupError("script")
 
         with pytest.raises(LookupError, match="script"):
-            run_simulation(trio(), factory, max_slots=50, seed=0, scripted=[(7, script)])
+            run_simulation(trio(), factory, max_slots=50, seed=0, scripted=(7, script))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +389,7 @@ class OddSlotToggler(ProtocolMachine):
         self.configure_lane(0, 2, 1)
         self.set_prob(0, 0.3)
 
-    def on_receive(self, slot, messages):
+    def on_receive(self, slot, sender, payload):
         self.set_prob(0, 0.5 if self.lanes[0].prob == 0.3 else 0.3)
 
     def on_transmit(self, slot, lane):
@@ -410,8 +410,8 @@ class OneShot(ProtocolMachine):
     def poll(self, slot):
         self.done = True
 
-    def on_receive(self, slot, messages):
-        self.record(slot, "rx", messages)
+    def on_receive(self, slot, sender, payload):
+        self.record(slot, "rx", (sender, payload))
         self.done = True
 
     def on_transmit(self, slot, lane):
@@ -427,7 +427,7 @@ class TestDelivery:
         runs = run_both(self.pair(), OneShot, 50, 0)
         assert_same_run(runs)
         trace = runs[1][0]
-        assert trace.machines[1].log == [(4, "rx", [(0, "x")])]
+        assert trace.machines[1].log == [(4, "rx", (0, "x"))]
         # nothing else is due at slot 4, and the run ends there
         assert trace.completed and trace.n_slots == 5
         assert [entry[0] for entry in popped] == [0, 0, 3, 3]
@@ -441,6 +441,76 @@ class TestDelivery:
         assert trace.machines[1].log == []
         assert not trace.completed and trace.n_slots == 4
         assert trace.heap_pops == len(popped) == 4
+
+
+class Idle(ProtocolMachine):
+    """Done from its wake-up on; never transmits."""
+
+    def wake(self, slot):
+        self.done = True
+
+
+class TestScript:
+    """`scripted=(first_slot, action)`: the action returns its next slot or
+    None, and the run cannot complete while a call is pending."""
+
+    @pytest.mark.parametrize("simulate", [reference_run_simulation, run_simulation])
+    def test_none_ends_the_chain(self, simulate):
+        calls = []
+
+        def action(machines, slot):
+            calls.append(slot)
+            return slot + 5 if len(calls) < 3 else None
+
+        trace = simulate(trio(), Idle, 100, 0, scripted=(3, action))
+        assert calls == [3, 8, 13]
+        assert trace.completed and trace.n_slots == 14
+
+    @pytest.mark.parametrize("simulate", [reference_run_simulation, run_simulation])
+    @pytest.mark.parametrize("offset", [0, -1])
+    def test_a_slot_not_after_the_current_one_raises(self, simulate, offset):
+        def action(machines, slot):
+            return slot + offset
+
+        with pytest.raises(ValueError, match=f"slot 7 returned slot {7 + offset}"):
+            simulate(trio(), Idle, 100, 0, scripted=(7, action))
+
+    @pytest.mark.parametrize("simulate", [reference_run_simulation, run_simulation])
+    def test_a_node_waking_after_the_run_leaves_the_count_alone(self, simulate):
+        """Node 30 wakes at slot 5, after the run; the action at slot 1
+        touches every machine and must not count it as done, because
+        node 10 is still running."""
+
+        class Busy(Idle):
+            def wake(self, slot):
+                self.done = self.node.id != 10
+
+        trace = simulate(trio(), Busy, 5, 0, scripted=(1, lambda machines, slot: None))
+        assert not trace.completed and trace.n_slots == 5
+
+    def test_probe_stops_after_its_last_call(self):
+        k = coloring_constants(scattered_network(50, 6), 0.3)
+        start, probe = _resignation_script(1, k, 0)
+        slots = [start]
+        while (nxt := probe({}, slots[-1])) is not None:
+            slots.append(nxt)
+        interval = 8 * k.slots_std
+        assert slots == [start + j * interval for j in range(2000)]
+
+    def test_probe_stops_at_max_slots(self):
+        k = coloring_constants(scattered_network(50, 6), 0.3)
+        start, probe = _resignation_script(1, k, 0)
+        interval = 8 * k.slots_std
+        max_slots = start + 3 * interval + 1
+        calls = []
+
+        def nobody_to_resign(machines, slot):
+            calls.append(slot)
+            return probe({}, slot)
+
+        trace = run_simulation(trio(), Idle, max_slots, 0, scripted=(start, nobody_to_resign))
+        assert calls == [start + j * interval for j in range(4)]
+        assert trace.completed and trace.n_slots == calls[-1] + 1
 
 
 class TestLoopCounters:

@@ -312,20 +312,15 @@ class TestReports:
 
 
 class TestExperimentConfig:
+    NET = uniform_topology(4, 2.0, 4.0, seed=0)
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
-            ExperimentConfig(protocol="fixed", topology="x.json", seeds=())
-
-    def test_needs_exactly_one_topology_source(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(protocol="fixed", seeds=(1,))
-        net = uniform_topology(4, 2.0, 4.0, seed=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(protocol="fixed", topology="x.json", network=net, seeds=(1,))
+            ExperimentConfig(protocol="fixed", network=self.NET, seeds=())
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="protocol"):
-            ExperimentConfig(protocol="frisbee", topology="x.json", seeds=(1,))
+            ExperimentConfig(protocol="frisbee", network=self.NET, seeds=(1,))
 
     @pytest.mark.parametrize("field,value", [
         ("forced_resignations", -1),
@@ -336,37 +331,34 @@ class TestExperimentConfig:
     ])
     def test_bad_protocol_constant_rejected(self, field, value):
         with pytest.raises(ValueError, match=field) as info:
-            ExperimentConfig(protocol="fixed", topology="x.json", **{field: value})
+            ExperimentConfig(protocol="fixed", network=self.NET, **{field: value})
         assert repr(value) in str(info.value)
 
     @pytest.mark.parametrize("value", [float("nan"), 0.0, 1.5, -1.0])
     def test_bad_scale_names_the_value(self, value):
         with pytest.raises(ValueError, match="^scale ") as info:
-            ExperimentConfig(protocol="fixed", topology="x.json", scale=value)
+            ExperimentConfig(protocol="fixed", network=self.NET, scale=value)
         assert str(info.value).endswith(f"got {value!r}")
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seeds") as info:
-            ExperimentConfig(protocol="fixed", topology="x.json", seeds=(0, seed))
+            ExperimentConfig(protocol="fixed", network=self.NET, seeds=(0, seed))
         assert repr(seed) in str(info.value)
 
     def test_runs_and_writes_outputs(self, tmp_path):
         net = uniform_topology(6, 3.0, 4.0, seed=2)
         csv_path = tmp_path / "rows.csv"
-        summary_path = tmp_path / "summary.txt"
         report = run_experiment(
             ExperimentConfig(
                 protocol="fixed",
                 network=net,
                 seeds=(0,),
                 csv_path=str(csv_path),
-                summary_path=str(summary_path),
             )
         )
         assert report.ok
         assert csv_path.read_text().startswith("seed,node_id")
-        assert "[PASS]" in summary_path.read_text()
 
 
 class TestMonitor:
@@ -531,6 +523,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("sinrsim: error: ") and "NaN" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit,words", [
+        (lambda doc: doc["nodes"][1].update(x="0.0"), ["node 1: x", "'0.0'"]),
+        (lambda doc: doc["nodes"][2].update(id=[2]), ["node [2]: id", "integer"]),
+        (lambda doc: doc.update(nodes={"0": doc["nodes"][0]}), ["FILE", "nodes", "list"]),
+        (lambda doc: doc.update(params=[]), ["FILE", "params", "object"]),
+        (lambda doc: doc["nodes"][0].update(wake_slot=None), ["node 0: wake_slot", "None"]),
+    ], ids=["string-coordinate", "list-id", "nodes-object", "params-list", "null-wake-slot"])
+    def test_malformed_topology_is_a_one_line_error(self, edit, words, tmp_path, capsys):
+        topo = write_uniform4(tmp_path)
+        doc = json.loads(pathlib.Path(topo).read_text())
+        edit(doc)
+        pathlib.Path(topo).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["analyze", "--topology", topo]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinrsim: error: ") and err.count("\n") == 1
+        assert all(word.replace("FILE", topo) in err for word in words), err
 
     def test_missing_topology_file_is_a_one_line_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"

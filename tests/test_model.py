@@ -114,6 +114,7 @@ class TestParamValidation:
             ("c_whp", math.inf),
             ("scale", math.nan),
             ("beta_lo", "1.0"),
+            ("scale", True),
         ],
     )
     def test_rejects_non_finite_fields(self, field, value):
@@ -155,6 +156,28 @@ class TestNodeValidation:
     def test_rejects_non_integral_slots(self, field, value):
         with pytest.raises(ValueError, match=f"node 7: {field} must be an integer"):
             Node(7, 0.0, 0.0, 1.0, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x", "0.0"), ("y", None), ("power", True), ("x", [1.0]), ("wake_slot", True),
+         ("wake_slot", None)],
+    )
+    def test_rejects_non_numbers_and_bools(self, field, value):
+        fields = dict(id=7, x=0.0, y=0.0, power=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"node 7: {field} must be an? ") as info:
+            Node(**fields)
+        assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize("value", [[2], "2", 2.0, True, None])
+    def test_rejects_a_non_integral_id(self, value):
+        with pytest.raises(ValueError, match=r": id must be an integer, got ") as info:
+            Node(value, 0.0, 0.0, 1.0)
+        assert repr(value) in str(info.value)
+
+    def test_numpy_numbers_pass(self):
+        node = Node(np.int64(3), np.float64(1.5), np.float32(2.0), np.int32(4), np.int64(2))
+        assert (node.id, node.x, node.y, node.power, node.wake_slot) == (3, 1.5, 2.0, 4, 2)
 
 
 class TestBuildNetwork:

@@ -48,8 +48,10 @@ class FixedProbBroadcaster(ProtocolMachine):
     The power is piecewise constant over the slots since wake-up: each
     `(start, power)` piece applies until the next one, and the default is
     the node's own power throughout.  Every scheduled power must lie inside
-    `power_bounds` when those are given.
+    `power_bounds` when those are given.  It never reacts to a reception.
     """
+
+    WANTS_RX = False
 
     def __init__(
         self,
@@ -80,7 +82,6 @@ class FixedProbBroadcaster(ProtocolMachine):
                 f"node {node.id}: scheduled powers [{min(powers)}, {max(powers)}] "
                 f"leave the declared global range {power_bounds}"
             )
-        self.wants_rx = False
         self.prob = prob
         self.budget = budget
         self.starts = starts

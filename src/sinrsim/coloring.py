@@ -201,6 +201,7 @@ class ColoringMachine(ProtocolMachine):
         self.phase = LEARNING
         self.color: Optional[int] = None
         self.colored_at: Optional[int] = None
+        self._beacon: Optional[ColorMsg] = None  # the steady beacon while colored
         self.competes_visited = 0
         self.consecutive_competes = 0
         self.max_consecutive_competes = 0
@@ -318,7 +319,7 @@ class ColoringMachine(ProtocolMachine):
         elif self.phase == COLORED and self._current is not None:
             msg = AssignMsg(self._current, self._current_color)
         elif self.phase == COLORED:
-            msg = ColorMsg(self.color, False)
+            msg = self._beacon
         else:
             raise ProtocolViolationError(
                 f"node {self.node.id}: core lane fired in phase {self.phase}"
@@ -580,6 +581,7 @@ class ColoringMachine(ProtocolMachine):
     def _enter_colored(self, slot: int) -> None:
         self.phase = COLORED
         self.colored_at = slot
+        self._beacon = ColorMsg(self.color, False)
         self.done = True
         self.record(slot, "colored", self.color)
         self.set_prob(CORE, self.k.prob_std)

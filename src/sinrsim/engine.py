@@ -185,16 +185,24 @@ class ProtocolMachine:
     query: it returns ``(payload, power)``, and a machine that changes its
     lanes, checkpoint or `done` inside it stops the run with a
     :class:`ProtocolViolationError` naming the node and slot.
+
+    Two class attributes describe a machine to the engine: `LANES`, its
+    number of lanes, and `WANTS_RX`.  A class that sets `WANTS_RX` to False
+    gets no :meth:`on_receive` calls, and the engine keeps no inbox for it;
+    its receptions still count in the trace.  The engine owns `rng`, the
+    node's stream: it draws the lottery from it ahead, in blocks, and
+    rewinds the stream to where one draw per gap would have left it when
+    the run ends.  A machine never draws from `rng`.
     """
 
     LANES = 1
+    WANTS_RX = True
 
     def __init__(self, node: Node, rng: np.random.Generator):
         self.node = node
         self.rng = rng
         self.lanes = [Lane() for _ in range(self.LANES)]
         self.done = False
-        self.wants_rx = True
         self.log: list[tuple[int, str, Any]] = []
         self._checkpoint: Optional[int] = None
         self._dirty = False
@@ -317,7 +325,7 @@ _WAKE, _SLEEP, _SCRIPT, _CHECK, _TX = range(5)
 
 _SlotTx = tuple[int, float, Any]  # (node index, power, payload)
 # Network.lone_reach: (exact reach, slack superset, out-neighbours, missing)
-_LoneReach = tuple[tuple[int, ...], np.ndarray, tuple[int, ...], tuple[int, ...]]
+_LoneReach = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 class _Core:
@@ -337,8 +345,6 @@ class _Core:
         # nodes whose awake flag is clear; an overcount only costs the
         # filtering that a count of 0 lets a lone transmission skip
         self.asleep = network.n
-        self._awake = np.frombuffer(self.awake, dtype=np.bool_)
-        self._sending = np.frombuffer(self.sending, dtype=np.bool_)
 
     def resolve(self, txs: list[_SlotTx]) -> tuple[list[Sequence[int]], list[_LoneReach]]:
         """Ascending indices of the awake, non-transmitting listeners that
@@ -346,7 +352,12 @@ class _Core:
         :func:`resolve_slot`, and each transmission's
         :meth:`Network.lone_reach` entry; the transmitters are flagged in
         `sending`.  The sequences are read-only; they may be cached reach
-        sets."""
+        sets.
+
+        A multi-transmission slot has a few senders and candidates, so it
+        is decided in Python floats around one array call, the path losses
+        (:meth:`Network.path_loss`): the IEEE operations are those of a
+        dense matrix evaluation, bit for bit."""
         reach = self.network.lone_reach
         if len(txs) == 1:
             idx, power, _ = txs[0]
@@ -358,28 +369,27 @@ class _Core:
             return [[l for l in exact if awake[l]]], [entry]
         received: list[list[int]] = [[] for _ in txs]
         entries = [reach(idx, power) for idx, power, _ in txs]
-        cand = np.concatenate([entry[1] for entry in entries])
-        cand.sort()
-        keep = self._awake[cand] & ~self._sending[cand]
-        keep[1:] &= cand[1:] != cand[:-1]  # each listener once
-        cand = cand[keep]
-        if cand.size == 0:
+        union: set[int] = set()
+        for entry in entries:
+            union.update(entry[1])
+        awake, sending = self.awake, self.sending
+        cand = sorted([l for l in union if awake[l] and not sending[l]])
+        if not cand:
             return received, entries
-        # gains of every sender, far ones included, bit for bit as a dense
-        # distance ** alpha matrix would give them
-        gains = np.array([power for _, power, _ in txs])[:, None] / self.network.path_loss(
-            [idx for idx, _, _ in txs], cand
-        )
-        # the denominator adds up left to right, gains in transmission order
-        # and then the noise, as a scalar loop per listener would; an
-        # accumulation is sequential by definition, where np.sum may add
-        # pairwise and round differently
-        total = np.add.accumulate(gains, axis=0)[-1] + self.noise
-        hits = gains >= self.beta * (total - gains)
-        single = np.count_nonzero(hits, axis=0) == 1
-        winners = hits[:, single].argmax(axis=0)
-        for l, t in zip(cand[single].tolist(), winners.tolist()):
-            received[t].append(l)
+        # gains of every sender, far ones included
+        losses = self.network.path_loss([idx for idx, _, _ in txs], cand).tolist()
+        gains = [[power / loss for loss in row] for (_, power, _), row in zip(txs, losses)]
+        beta, noise = self.beta, self.noise
+        for l, column in zip(cand, zip(*gains)):
+            # the denominator adds up left to right, gains in transmission
+            # order and then the noise
+            total = 0.0
+            for g in column:
+                total += g
+            total += noise
+            hits = [t for t, g in enumerate(column) if g >= beta * (total - g)]
+            if len(hits) == 1:
+                received[hits[0]].append(l)
         return received, entries
 
 
@@ -398,13 +408,47 @@ def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
     return 1.0 - even, 1.0 - odd
 
 
-def _lane_slot(lane: Lane, rng: np.random.Generator, from_slot: int) -> Optional[int]:
-    """The lane's next transmission slot from `from_slot` on, or None if it
-    never fires: a geometric number of eligible slots is skipped."""
+# uniforms per block: every node's block is held for the whole run, so a
+# larger one costs memory at large n for little time saved per draw
+_BLOCK = 8
+
+
+class _Uniforms:
+    """Every node's stream read ahead in blocks of `_BLOCK` uniforms, all
+    blocks in one array of 8 bytes per value.  `rewind` puts each stream
+    back where one draw per value taken would have left it."""
+
+    __slots__ = ("rngs", "values", "blocks", "taken")
+
+    def __init__(self, rngs: list[np.random.Generator]):
+        self.rngs = rngs
+        self.blocks = np.empty((len(rngs), _BLOCK))
+        self.values = memoryview(self.blocks.reshape(-1))  # reads Python floats
+        self.taken = [_BLOCK] * len(rngs)  # values taken from each block
+
+    def draw(self, i: int) -> float:
+        """Node index `i`'s next uniform."""
+        k = self.taken[i]
+        if k == _BLOCK:
+            self.rngs[i].random(out=self.blocks[i])
+            k = 0
+        self.taken[i] = k + 1
+        return self.values[i * _BLOCK + k]
+
+    def rewind(self) -> None:
+        for rng, k in zip(self.rngs, self.taken):
+            if k < _BLOCK:
+                rng.bit_generator.advance(k - _BLOCK)
+
+
+def _lane_slot(lane: Lane, uniforms: _Uniforms, i: int, from_slot: int) -> Optional[int]:
+    """The next transmission slot of a lane of node index `i` from
+    `from_slot` on, or None if it never fires: a geometric number of
+    eligible slots is skipped."""
     prob = lane.prob
     if prob <= 0.0:
         return None
-    gap = 0 if prob >= 1.0 else int(math.log1p(-rng.random()) / math.log1p(-prob))
+    gap = 0 if prob >= 1.0 else int(math.log1p(-uniforms.draw(i)) / math.log1p(-prob))
     period = lane.period
     slot = from_slot if period == 1 else from_slot + (lane.phase - from_slot) % period
     return slot + gap * period
@@ -412,6 +456,7 @@ def _lane_slot(lane: Lane, rng: np.random.Generator, from_slot: int) -> Optional
 
 def _draw_lanes(
     machine: ProtocolMachine,
+    uniforms: _Uniforms,
     row: list[Optional[int]],
     i: int,
     from_slot: int,
@@ -421,9 +466,8 @@ def _draw_lanes(
     `from_slot` on.  Lanes landing on `from_slot` itself are returned
     instead of pushed, for a caller still processing that slot."""
     immediate: list[int] = []
-    rng = machine.rng
     for k, lane in enumerate(machine.lanes):
-        slot = row[k] = _lane_slot(lane, rng, from_slot)
+        slot = row[k] = _lane_slot(lane, uniforms, i, from_slot)
         if slot == from_slot:
             immediate.append(k)
         elif slot is not None:
@@ -481,6 +525,8 @@ def run_simulation(
         by_id[node.id] = machine
 
     next_tx: list[list[Optional[int]]] = [[None] * len(m.lanes) for m in machines]
+    uniforms = _Uniforms([m.rng for m in machines])
+    hears = [m.WANTS_RX for m in machines]
     synced_cp: list[Optional[int]] = [None] * n
     awake = core.awake  # flags per node index
     sending = core.sending  # this slot's transmitters
@@ -559,7 +605,7 @@ def run_simulation(
                 touched = []
                 for i in pending if pending_sorted else sorted(pending):
                     machine = machines[i]
-                    if awake[i] and machine.wants_rx:
+                    if awake[i]:
                         sender_id, payload = pending[i]
                         cur = i
                         machine.on_receive(s, sender_id, payload)
@@ -633,7 +679,7 @@ def run_simulation(
                     machine._dirty = False
                     changed = _add(changed, i)
                     if awake[i]:
-                        for k in _draw_lanes(machine, next_tx[i], i, s, heap):
+                        for k in _draw_lanes(machine, uniforms, next_tx[i], i, s, heap):
                             tx_cand = _add(tx_cand, (i, k))
                     else:
                         next_tx[i] = [None] * len(next_tx[i])
@@ -685,7 +731,7 @@ def run_simulation(
                         )
                     txs.append((i, power, payload))
                     sending[i] = True
-                    slot = row[k] = _lane_slot(machine.lanes[k], machine.rng, s + 1)
+                    slot = row[k] = _lane_slot(machine.lanes[k], uniforms, i, s + 1)
                     if slot is not None:
                         heappush(heap, (slot, _TX, i, k))
 
@@ -720,7 +766,8 @@ def run_simulation(
                         row_rx = rx_rows[l]
                         if sender_id not in row_rx:
                             row_rx[sender_id] = s
-                        pending[l] = message
+                        if hears[l]:
+                            pending[l] = message
                 if pending:
                     pending_sorted = lone
                     pending_slot = s + 1
@@ -755,6 +802,8 @@ def run_simulation(
         if cur < 0 or isinstance(exc, SimulationAbort):
             raise
         raise SimulationAbort(ids[cur], s, exc) from exc
+    finally:
+        uniforms.rewind()
 
     return SimTrace(
         seed=seed,

@@ -260,14 +260,24 @@ class Network:
         bit the row a dense distance matrix would hold; 0 at `i` itself."""
         return self._pair_dist(i, slice(None))
 
-    def path_loss(self, senders, others: np.ndarray) -> np.ndarray:
+    def path_loss(self, senders: Sequence[int], others: Sequence[int]) -> np.ndarray:
         """``dist ** alpha_true`` from each node index in `senders` (rows)
-        to each in `others` (columns).  Array ufuncs only: a scalar ``**``
-        can differ from the array ``np.power`` in the last ulp, and these
-        values must match what a dense matrix would hold bit for bit."""
-        dx = self.positions[senders, 0, None] - self.positions[others, 0]
-        dy = self.positions[senders, 1, None] - self.positions[others, 1]
-        return np.sqrt(dx * dx + dy * dy) ** self.params.alpha_true
+        to each in `others` (columns), bit for bit what a dense matrix
+        would hold.  The distances are scalar Python, as in :meth:`within`;
+        the power is one array ``**``, because a scalar ``**`` can differ
+        from the array ``np.power`` in the last ulp."""
+        coords = self._coords
+        rows = []
+        for i in senders:
+            x, y = coords[i]
+            row = []
+            for j in others:
+                xj, yj = coords[j]
+                dx = x - xj
+                dy = y - yj
+                row.append(math.sqrt(dx * dx + dy * dy))
+            rows.append(row)
+        return np.array(rows) ** self.params.alpha_true
 
     def within(self, i: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the nodes other than `i` at distance at most `radius`
@@ -300,13 +310,13 @@ class Network:
 
     def lone_reach(
         self, i: int, power: float
-    ) -> tuple[tuple[int, ...], np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """A lone transmission of node index `i` at `power` under the true
-        parameters: the listeners that decode it (a tuple); the read-only
-        array of those whose signal clears the ``beta * noise`` floor
-        lowered by `_REACH_SLACK`, a superset; the out-neighbours of `i`;
-        and those of them outside the exact reach.  Node indices, each
-        ascending; cached per (i, power)."""
+        parameters: the listeners that decode it; those whose signal clears
+        the ``beta * noise`` floor lowered by `_REACH_SLACK`, a superset;
+        the out-neighbours of `i`; and those of them outside the exact
+        reach.  Tuples of node indices, each ascending; cached per
+        (i, power)."""
         key = (i, power)
         entry = self._reach.get(key)
         if entry is None:
@@ -317,8 +327,7 @@ class Network:
             idx, d = self.within(i, radius * (1.0 + 1e-6))
             signal = power / d**params.alpha_true
             exact = tuple(idx[signal >= floor].tolist())
-            slack = idx[signal >= low]
-            slack.flags.writeable = False
+            slack = tuple(idx[signal >= low].tolist())
             out = tuple(self.out_indices(i).tolist())
             inside = set(exact)
             entry = (exact, slack, out, tuple(u for u in out if u not in inside))

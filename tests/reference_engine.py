@@ -291,7 +291,8 @@ def reference_run_simulation(
         for l, t in resolved:
             sender_id = network.ids[txs[t][0]]
             listener_id = network.ids[l]
-            got.setdefault(l, []).append((sender_id, txs[t][2]))
+            if machines[l].WANTS_RX:
+                got.setdefault(l, []).append((sender_id, txs[t][2]))
             rx_masks[t] |= 1 << l
             row = first_rx[listener_id]
             if sender_id not in row:
@@ -368,7 +369,7 @@ def reference_run_simulation(
                 if len(msgs) != 1:  # one decoded transmission per listener and slot
                     raise AssertionError(f"listener index {i} holds {msgs} at slot {s}")
                 machine = machines[i]
-                if awake[i] and machine.wants_rx:
+                if awake[i]:
                     sender, payload = msgs[0]
                     guarded(
                         machine, s,

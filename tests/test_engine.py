@@ -115,7 +115,73 @@ class TestResolveSlot:
             )
 
 
+def array_resolve(network, awake, sending, txs):
+    """The array formulation of `_Core.resolve` for several transmissions,
+    kept as its oracle: candidates gathered with `np.concatenate`, a dense
+    block of ``dist ** alpha`` from array distances, and the denominators
+    summed with `np.add.accumulate`, which adds in transmission order."""
+    params = network.params
+    received = [[] for _ in txs]
+    cand = np.concatenate(
+        [np.array(network.lone_reach(idx, power)[1], dtype=np.intp) for idx, power, _ in txs]
+    )
+    cand.sort()
+    keep = np.frombuffer(awake, dtype=np.bool_)[cand] & ~np.frombuffer(sending, dtype=np.bool_)[cand]
+    keep[1:] &= cand[1:] != cand[:-1]  # each listener once
+    cand = cand[keep]
+    if cand.size == 0:
+        return received
+    senders = [idx for idx, _, _ in txs]
+    dx = network.positions[senders, 0, None] - network.positions[cand, 0]
+    dy = network.positions[senders, 1, None] - network.positions[cand, 1]
+    gains = np.array([power for _, power, _ in txs])[:, None] / (
+        np.sqrt(dx * dx + dy * dy) ** params.alpha_true
+    )
+    total = np.add.accumulate(gains, axis=0)[-1] + params.noise_true
+    hits = gains >= params.beta_true * (total - gains)
+    single = np.count_nonzero(hits, axis=0) == 1
+    winners = hits[:, single].argmax(axis=0)
+    for l, t in zip(cand[single].tolist(), winners.tolist()):
+        received[t].append(l)
+    return received
+
+
 class TestFastPathEquivalence:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_core_resolver_matches_array_oracle(self, data):
+        """Receiver lists equal to the array formulation's, order included,
+        for 2 to 24 senders, some far outside the others' reach, at powers
+        off the node powers and with random sleepers."""
+        seed = data.draw(st.integers(0, 100_000))
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(25, 70))
+        far = data.draw(st.integers(0, 4))
+        alpha = data.draw(st.sampled_from([2.5, 3.0, 4.0]))
+        beta = data.draw(st.sampled_from([1.0, 1.5]))
+        params = sinr_params(alpha=alpha, beta=beta)
+        base = random_small_network(rng, n, params)
+        # far nodes, each beyond reach of the cluster and of each other
+        side = math.sqrt(n) * 1.6
+        nodes = [*base.nodes] + [
+            Node(n + j, side * (6.0 + 5.0 * j), side * float(rng.uniform(0, 1)),
+                 float(rng.uniform(1.0, 8.0)))
+            for j in range(far)
+        ]
+        net = build_network(nodes, params)
+        k = data.draw(st.integers(2, 24))
+        senders = sorted(rng.choice(net.n, size=k, replace=False).tolist())
+        powers = [float(net.powers[i] * rng.uniform(0.5, 1.5)) for i in senders]
+        core = _Core(net)
+        for i in range(net.n):
+            core.awake[i] = rng.random() < 0.8
+        for i in senders:
+            core.awake[i] = True
+            core.sending[i] = True
+        txs = [(i, power, None) for i, power in zip(senders, powers)]
+        received, _ = core.resolve(txs)
+        assert [list(rx) for rx in received] == array_resolve(net, core.awake, core.sending, txs)
+
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_core_resolver_matches_reference(self, data):

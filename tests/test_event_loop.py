@@ -11,7 +11,7 @@ import sinrsim.engine as engine
 from sinrsim.analysis import region_probability_cap
 from sinrsim.broadcast import FixedProbBroadcaster, SlowStartBroadcaster
 from sinrsim.coloring import ColoringConstants, ColoringMachine
-from sinrsim.engine import ProtocolMachine, TraceConfig, run_simulation
+from sinrsim.engine import ProtocolMachine, TraceConfig, node_rng, run_simulation
 from sinrsim.errors import ProtocolViolationError, SimulationAbort
 from sinrsim.experiment import _resignation_script
 from sinrsim.model import NetworkParams, Node, build_network
@@ -536,3 +536,122 @@ class TestLoopCounters:
         assert not trace.outcomes_truncated
         assert trace.multi_tx_slots > 0
         assert trace.eventful_slots - trace.multi_tx_slots == single
+
+
+class Chatter(ProtocolMachine):
+    """Transmits with probability 0.2 forever; logs every reception."""
+
+    def wake(self, slot):
+        self.set_prob(0, 0.2)
+
+    def on_receive(self, slot, sender, payload):
+        self.record(slot, "rx", sender)
+
+    def on_transmit(self, slot, lane):
+        return "x", self.node.power
+
+
+class DeafChatter(Chatter):
+    WANTS_RX = False
+
+
+class Beacon(Chatter):
+    """Done from its wake-up on, as a colored node is, yet node 0 keeps
+    transmitting in every slot."""
+
+    def wake(self, slot):
+        self.done = True
+        if self.node.id == 0:
+            self.set_prob(0, 1.0)
+
+
+class DeafBeacon(Beacon):
+    WANTS_RX = False
+
+
+class TestDeafListeners:
+    """A machine class with `WANTS_RX = False` gets no inbox."""
+
+    def test_same_counters_without_on_receive(self):
+        net = scattered_network(7, 12)
+        hearing = run_simulation(net, Chatter, 300, 4)
+        deaf = run_simulation(net, DeafChatter, 300, 4)
+        assert deaf.heap_pops == hearing.heap_pops
+        assert deaf.eventful_slots == hearing.eventful_slots
+        assert deaf.tx_count == hearing.tx_count
+        assert deaf.first_rx == hearing.first_rx
+        assert any(m.log for m in hearing.machines.values())
+        assert not any(m.log for m in deaf.machines.values())
+
+    def test_a_reception_nobody_reads_takes_no_slot(self):
+        """Every node is done at slot 0; a pending delivery would keep the
+        run going, and node 0 causes one in every slot."""
+        pair = build_network([Node(0, 0.0, 0.0, 8.0), Node(1, 1.0, 0.0, 8.0)], PARAMS)
+        hearing = run_both(pair, Beacon, 50, 0)
+        assert_same_run(hearing)
+        trace = hearing[1][0]
+        assert not trace.completed and trace.n_slots == 50
+        assert [slot for slot, _, _ in trace.machines[1].log] == list(range(1, 50))
+        deaf = run_both(pair, DeafBeacon, 50, 0)
+        assert_same_run(deaf)
+        trace = deaf[1][0]
+        assert trace.completed and trace.n_slots == 1 and trace.eventful_slots == 1
+        assert trace.first_rx[1] == {0: 0} and trace.machines[1].log == []
+
+
+class LateCrash(ProtocolMachine):
+    """Transmits with probability 0.4 and fails when it transmits at slot
+    60 or later."""
+
+    def wake(self, slot):
+        self.set_prob(0, 0.4)
+
+    def on_transmit(self, slot, lane):
+        if slot >= 60:
+            raise RuntimeError("late")
+        return "x", self.node.power
+
+
+class TestDrawsInBlocks:
+    """The engine reads each node's uniforms ahead in blocks and rewinds
+    the streams when the run ends, on every path out of the loop."""
+
+    def test_blocks_match_scalar_draws(self):
+        uniforms = engine._Uniforms([node_rng(5, 2), node_rng(5, 3)])
+        scalar = [node_rng(5, 2), node_rng(5, 3)]
+        # two nodes taking turns, each across three block boundaries
+        count = 2 * (3 * engine._BLOCK + 3)
+        assert [uniforms.draw(j % 2) for j in range(count)] == [
+            scalar[j % 2].random() for j in range(count)
+        ]
+        uniforms.rewind()
+        for rng, other in zip(uniforms.rngs, scalar):
+            assert rng.bit_generator.state == other.bit_generator.state
+            assert rng.random() == other.random()
+
+    def test_streams_rewound_after_an_abort(self):
+        net = scattered_network(9, 6)
+        runs = []
+        for simulate in (reference_run_simulation, run_simulation):
+            made = []
+
+            def factory(node, rng, made=made):
+                made.append(LateCrash(node, rng))
+                return made[-1]
+
+            with pytest.raises(SimulationAbort) as err:
+                simulate(net, factory, 200, 3)
+            runs.append((err.value.node_id, err.value.slot, [m.rng.bit_generator.state for m in made]))
+        assert runs[0] == runs[1]
+
+        def draws(v, state):
+            """The uniforms node v drew to reach `state`, one per gap."""
+            rng = node_rng(3, v)
+            for count in range(1000):
+                if rng.bit_generator.state == state:
+                    return count
+                rng.random()
+            raise AssertionError(f"node {v} drew more than 1000 uniforms")
+
+        # the rewind crossed block boundaries
+        assert max(draws(v, state) for v, state in zip(net.ids, runs[0][2])) > engine._BLOCK

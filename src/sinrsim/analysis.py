@@ -56,7 +56,8 @@ class RegionBudgetMonitor:
     """Asserts, at every instant the probabilities change, that the summed
     transmission probability inside each broadcasting region stays within
     `limit` -- separately for even and odd slots, since the coloring
-    protocol alternates message classes by slot parity."""
+    protocol alternates message classes by slot parity.  Updates name nodes
+    by index; violations name the region's node by id."""
 
     def __init__(self, network: Network, limit: float):
         self.network = network
@@ -76,8 +77,7 @@ class RegionBudgetMonitor:
 
     def __call__(self, slot: int, updates: list[tuple[int, float, float]]) -> None:
         affected: set[int] = set()
-        for node_id, even_p, odd_p in updates:
-            i = self.network.index(node_id)
+        for i, even_p, odd_p in updates:
             de = even_p - self.even[i]
             do = odd_p - self.odd[i]
             self.even[i] = even_p
@@ -98,7 +98,7 @@ def _loaded_monitor(network: Network, probs: Mapping[int, float]) -> RegionBudge
     """A limitless monitor sent one update that sets every node to its
     probability in `probs` (0 for absent nodes) in both slot parities."""
     monitor = RegionBudgetMonitor(network, math.inf)
-    monitor(0, [(v, probs.get(v, 0.0), probs.get(v, 0.0)) for v in network.ids])
+    monitor(0, [(i, probs.get(v, 0.0), probs.get(v, 0.0)) for i, v in enumerate(network.ids)])
     return monitor
 
 

@@ -109,13 +109,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return _run_command(args)
     except (ValueError, OSError) as exc:
         print(f"sinrsim: error: {exc}", file=sys.stderr)
         return 2
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _run_command(args: argparse.Namespace) -> int:
     if args.command == "generate":
         kwargs = {}
         for name in ("n", "side", "power", "rows", "cols", "spacing",

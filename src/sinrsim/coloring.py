@@ -216,32 +216,31 @@ class ColoringMachine(ProtocolMachine):
         self.known_colored: dict[int, tuple[int, int]] = {}  # node -> (color, slot)
         self.taken_colors: dict[int, tuple[int, int]] = {}  # color -> (owner, slot)
 
+        # one timer per lane: the core lane's next phase step and the end
+        # of the answer window.  Every phase has two stages at most; each
+        # phase entry resets the stage to 0 and arms the step.
+        self._step_at: Optional[int] = None
+        self._answer_at: Optional[int] = None
+        self._stage = 0
+        self._deadline = 0  # learning's and request's last step
+
         # compete bookkeeping (offsets against the eligible-slot count)
         self._compete_color = 0
         self._zeta = 0
-        self._racing = False
         self._c_off = 0
         self._d_off: dict[int, int] = {}
 
         # request / colored bookkeeping
         self._request_leader: Optional[int] = None
         self._queue: deque[int] = deque()
-        self._queued: set[int] = set()
-        self._serving_enabled = False
-        self._current: Optional[int] = None
-        self._current_color: Optional[int] = None
-        self.reuse: dict[int, int] = {}
-        self._serve_count = 0
+        self._assign: Optional[AssignMsg] = None  # set for a service window
+        self.reuse: dict[int, int] = {}  # requester -> color; only grows
         self._resign_pending = False
-        self._announce_stage = 0
 
         # answer lane
         self._answers: deque[tuple[str, int]] = deque()
-        self._answer_pending: set[tuple[str, int]] = set()
         self._answer_done: dict[tuple[str, int], int] = {}
         self._answer_current: Optional[tuple[str, int]] = None
-
-        self._timers: dict[str, int] = {}
 
     # -- eligible-slot arithmetic -----------------------------------------
 
@@ -255,49 +254,39 @@ class ColoringMachine(ProtocolMachine):
 
     # -- timers -------------------------------------------------------------
 
-    def _set_timer(self, name: str, slot: int) -> None:
-        self._timers[name] = slot
-        self._resched()
-
-    def _clear_timer(self, name: str) -> None:
-        if self._timers.pop(name, None) is not None:
-            self._resched()
-
     def _resched(self) -> None:
-        self.schedule(min(self._timers.values()) if self._timers else None)
+        step, answer = self._step_at, self._answer_at
+        if step is None or (answer is not None and answer < step):
+            step = answer
+        self.schedule(step)
+
+    def _arm(self, slot: Optional[int]) -> None:
+        """The next phase step falls on `slot` (None: no step)."""
+        self._step_at = slot
+        self._resched()
 
     def poll(self, slot: int) -> None:
-        due = sorted(name for name, t in self._timers.items() if t <= slot)
-        for name in due:
-            del self._timers[name]
+        step = self._step_at is not None and self._step_at <= slot
+        answer = self._answer_at is not None and self._answer_at <= slot
+        if step:
+            self._step_at = None
+        if answer:
+            self._answer_at = None
         self._resched()
-        for name in due:
-            self._dispatch(name, slot)
-
-    def _dispatch(self, name: str, slot: int) -> None:
-        if name == "answer":
+        if answer:
             self._answer_window_done(slot)
-        elif name == "core":
-            self._core_timer(slot)
-        elif name == "learn_end":
-            if self.phase == LEARNING:
-                self._learning_over(slot)
-        elif name == "timeout":
-            if self.phase == REQUEST:
-                self.record(slot, "request_timeout", self._request_leader)
-                self._to_wait(slot)
-        elif name == "serve":
-            self._serve_timer(slot)
+        if step:
+            self._phase_step(slot)
 
     # -- engine callbacks ----------------------------------------------------
 
     def wake(self, slot: int) -> None:
         self.configure_lane(CORE, 2, self.node.wake_slot % 2)
         self.configure_lane(ANSWER, 2, (self.node.wake_slot + 1) % 2)
-        self.phase = LEARNING
+        self.phase, self._stage = LEARNING, 0
         self.set_prob(CORE, self.k.prob_std)
-        self._set_timer("core", self._after_ticks(slot, self.k.slots_std))
-        self._set_timer("learn_end", self._after_ticks(slot, self.k.learning_budget))
+        self._deadline = self._after_ticks(slot, self.k.learning_budget)
+        self._arm(self._after_ticks(slot, self.k.slots_std))
         self.record(slot, "wake", None)
 
     def on_transmit(self, slot: int, lane: int) -> tuple[Any, float]:
@@ -316,10 +305,8 @@ class ColoringMachine(ProtocolMachine):
             msg = RequestMsg(self._request_leader)
         elif self.phase == ANNOUNCE:
             msg = ColorMsg(self.color, True)
-        elif self.phase == COLORED and self._current is not None:
-            msg = AssignMsg(self._current, self._current_color)
         elif self.phase == COLORED:
-            msg = self._beacon
+            msg = self._beacon if self._assign is None else self._assign
         else:
             raise ProtocolViolationError(
                 f"node {self.node.id}: core lane fired in phase {self.phase}"
@@ -423,7 +410,7 @@ class ColoringMachine(ProtocolMachine):
             # signals a genuinely broken coloring, so accept it as a
             # resignation trigger there.
             if fresh or not self.mis:
-                if self._current is not None:
+                if self._assign is not None:
                     self._resign_pending = True  # finish the assignment in flight
                 else:
                     self._resign(slot)
@@ -433,7 +420,7 @@ class ColoringMachine(ProtocolMachine):
             return
         ticks = self._ticks(slot + 1)
         self._d_off[sender] = msg.value - ticks
-        if self._racing:
+        if self._stage:  # racing
             mine = self._c_off + ticks
             if abs(mine - msg.value) <= self._zeta:
                 fresh = free_counter_value(
@@ -456,7 +443,6 @@ class ColoringMachine(ProtocolMachine):
                 self.taken_colors[entry[0]] = (sender, slot)
         if msg.target == self.node.id and self.phase == REQUEST:
             self.record(slot, "assigned", msg.color)
-            self._clear_timer("timeout")
             self._enter_compete(slot, msg.color)
 
     def _saw_request(self, slot: int, sender: int) -> None:
@@ -464,32 +450,24 @@ class ColoringMachine(ProtocolMachine):
             return
         if self.color is None or self.color >= self.k.leader_colors or self.mis:
             return
-        if sender != self._current and sender not in self._queued:
+        serving = self._assign
+        if (serving is None or sender != serving.target) and sender not in self._queue:
             self._queue.append(sender)
-            self._queued.add(sender)
-        if self.phase == COLORED and self._serving_enabled and self._current is None:
+        if self.phase == COLORED and self._stage and serving is None:
             self._try_serve(slot)
 
     # -- phase transitions ------------------------------------------------------
 
-    def _drop_phase_timers(self) -> None:
-        for name in ("core", "timeout", "serve"):
-            self._timers.pop(name, None)
-        self._resched()
-
     def _to_wait(self, slot: int, initial: bool = False) -> None:
-        self.phase = WAIT
+        self.phase, self._stage = WAIT, 0
         self.done = False
         self.color = None
         self.colored_at = None
-        self._current = None
-        self._current_color = None
-        self._serving_enabled = False
+        self._assign = None
         self._resign_pending = False
-        self._drop_phase_timers()
         self.set_prob(CORE, 0.0)
         wait = self.k.listen_slots if initial else self.k.slots_std
-        self._set_timer("core", self._after_ticks(slot, wait))
+        self._arm(self._after_ticks(slot, wait))
 
     def _wait_test(self, slot: int) -> None:
         if self.mis:
@@ -498,7 +476,7 @@ class ColoringMachine(ProtocolMachine):
                     self._decide(slot, 1)
                     return
         if self._dominated(slot):
-            self._set_timer("core", self._after_ticks(slot, self.k.slots_std))
+            self._arm(self._after_ticks(slot, self.k.slots_std))
             return
         if not self.mis:
             leaders = sorted(
@@ -514,18 +492,17 @@ class ColoringMachine(ProtocolMachine):
         self._enter_compete(slot, 0)
 
     def _enter_request(self, slot: int, leader: int) -> None:
-        self.phase = REQUEST
+        self.phase, self._stage = REQUEST, 0
         self._request_leader = leader
         self.record(slot, "request", leader)
         self.set_prob(CORE, self.k.prob_std)
-        self._set_timer("core", self._after_ticks(slot, self.k.slots_std))
-        self._set_timer("timeout", self._after_ticks(slot, self.k.request_budget))
+        self._deadline = self._after_ticks(slot, self.k.request_budget)
+        self._arm(self._after_ticks(slot, self.k.slots_std))
 
     def _enter_compete(self, slot: int, color: int, consecutive: bool = False) -> None:
-        self.phase = COMPETE
+        self.phase, self._stage = COMPETE, 0
         self._compete_color = color
         self._zeta = self.k.slots_leader if color == 0 else self.k.slots_std
-        self._racing = False
         self._d_off = {}
         self.competes_visited += 1
         self.consecutive_competes = self.consecutive_competes + 1 if consecutive else 1
@@ -534,11 +511,10 @@ class ColoringMachine(ProtocolMachine):
         )
         self.record(slot, "compete", color)
         self.set_prob(CORE, 0.0)
-        self._timers.pop("timeout", None)
-        self._set_timer("core", self._after_ticks(slot, self.k.slots_std))
+        self._arm(self._after_ticks(slot, self.k.slots_std))
 
-    def _start_racing(self, slot: int) -> None:
-        self._racing = True
+    def _start_race(self, slot: int) -> None:
+        self._stage = 1
         ticks = self._ticks(slot + 1)
         start = free_counter_value(
             [off + ticks for off in self._d_off.values()], self._zeta
@@ -563,43 +539,41 @@ class ColoringMachine(ProtocolMachine):
         # exceeds the finish line
         need = self.k.slots_std + 1 - self._c_off
         win = self.node.wake_slot + 2 * (need - 1)
-        self._set_timer("core", max(win, slot + 1))
+        self._arm(max(win, slot + 1))
 
     def _enter_announce(self, slot: int, color: int) -> None:
-        self.phase = ANNOUNCE
+        self.phase, self._stage = ANNOUNCE, 0
         self.color = color
-        self._announce_stage = 0
         self.record(slot, "announce", color)
         if color < self.k.leader_colors:
             self.set_prob(CORE, self.k.prob_leader)
-            self._set_timer("core", self._after_ticks(slot, self.k.slots_leader))
-        else:
-            self._announce_stage = 1
+            self._arm(self._after_ticks(slot, self.k.slots_leader))
+        else:  # a follower announces in the second stage only
+            self._stage = 1
             self.set_prob(CORE, self.k.prob_std)
-            self._set_timer("core", self._after_ticks(slot, 2 * self.k.slots_std))
+            self._arm(self._after_ticks(slot, 2 * self.k.slots_std))
 
     def _enter_colored(self, slot: int) -> None:
-        self.phase = COLORED
+        self.phase, self._stage = COLORED, 0
         self.colored_at = slot
         self._beacon = ColorMsg(self.color, False)
         self.done = True
         self.record(slot, "colored", self.color)
         self.set_prob(CORE, self.k.prob_std)
         if not self.mis and self.color < self.k.leader_colors:
-            self._serving_enabled = False
-            self._set_timer("serve", self._after_ticks(slot, self.k.listen_slots))
+            self._arm(self._after_ticks(slot, self.k.listen_slots))  # serving starts
+        else:
+            self._arm(None)
 
     def _decide(self, slot: int, color: int) -> None:
         """MIS shortcut: adopt a final color without announcing."""
         self.color = color
-        self._drop_phase_timers()
         self._enter_colored(slot)
 
     def _resign(self, slot: int) -> None:
         self.resigned_count += 1
         self.record(slot, "resign", self.color)
         self._queue.clear()
-        self._queued.clear()
         self._to_wait(slot)
 
     def force_resign(self, slot: int) -> None:
@@ -607,18 +581,30 @@ class ColoringMachine(ProtocolMachine):
         if self.phase == COLORED:
             self._resign(slot)
 
-    # -- timer dispatch bodies ---------------------------------------------------
+    # -- phase steps ---------------------------------------------------------
 
-    def _core_timer(self, slot: int) -> None:
-        if self.phase == LEARNING:
-            self.set_prob(CORE, 0.0)  # request window over; keep listening
-        elif self.phase == WAIT:
+    def _phase_step(self, slot: int) -> None:
+        """The core lane's step, by phase and stage: learning and request
+        send for a round (0) and then listen until `_deadline` (1); compete
+        listens (0) and then races (1); announce beacons at the leader (0)
+        and then at the standard probability (1); a serving leader listens
+        (0) and then serves one requester per window (1)."""
+        phase = self.phase
+        if phase == WAIT:
             self._wait_test(slot)
-        elif self.phase == REQUEST:
-            self.set_prob(CORE, 0.0)  # transmissions done, awaiting assignment
-        elif self.phase == COMPETE:
-            if not self._racing:
-                self._start_racing(slot)
+        elif phase in (LEARNING, REQUEST) and not self._stage:
+            # requests sent; keep listening until the deadline
+            self._stage = 1
+            self.set_prob(CORE, 0.0)
+            self._arm(self._deadline)
+        elif phase == LEARNING:
+            self._learning_over(slot)
+        elif phase == REQUEST:
+            self.record(slot, "request_timeout", self._request_leader)
+            self._to_wait(slot)
+        elif phase == COMPETE:
+            if not self._stage:
+                self._start_race(slot)
             else:
                 color = (
                     self._compete_color
@@ -627,46 +613,32 @@ class ColoringMachine(ProtocolMachine):
                 )
                 self.record(slot, "won", color)
                 self._enter_announce(slot, color)
-        elif self.phase == ANNOUNCE:
-            if self._announce_stage == 0:
-                self._announce_stage = 1
+        elif phase == ANNOUNCE:
+            if not self._stage:
+                self._stage = 1
                 self.set_prob(CORE, self.k.prob_std)
-                self._set_timer("core", self._after_ticks(slot, self.k.slots_std))
+                self._arm(self._after_ticks(slot, self.k.slots_std))
             else:
                 self._enter_colored(slot)
-
-    def _serve_timer(self, slot: int) -> None:
-        if self.phase != COLORED:
-            return
-        if not self._serving_enabled:
-            self._serving_enabled = True
-            self._try_serve(slot)
-            return
-        # a service window just ended
-        self._current = None
-        self._current_color = None
-        if self._resign_pending:
-            self._resign(slot)
-            return
-        self._try_serve(slot)
+        else:  # COLORED: the listen or a service window ended; serve on
+            self._stage = 1
+            self._assign = None
+            if self._resign_pending:
+                self._resign(slot)
+            else:
+                self._try_serve(slot)
 
     def _try_serve(self, slot: int) -> None:
+        """Open a service window for the next requester, if one waits."""
         if self._queue:
             target = self._queue.popleft()
-            self._queued.discard(target)
-            color = self.reuse.get(target)
-            if color is None:
-                color = self._serve_count * self.k.compete_span + self.k.compete_span
-                self._serve_count += 1
-                self.reuse[target] = color
-            self._current = target
-            self._current_color = color
+            span = self.k.compete_span
+            color = self.reuse.setdefault(target, (len(self.reuse) + 1) * span)
+            self._assign = AssignMsg(target, color)
             self.record(slot, "serve", {"target": target, "color": color})
             self.set_prob(CORE, self.k.prob_leader)
-            self._set_timer("serve", self._after_ticks(slot, self.k.slots_leader))
+            self._arm(self._after_ticks(slot, self.k.slots_leader))
         else:
-            self._current = None
-            self._current_color = None
             self.set_prob(CORE, self.k.prob_std)
 
     def _learning_over(self, slot: int) -> None:
@@ -684,12 +656,11 @@ class ColoringMachine(ProtocolMachine):
 
     def _queue_answer(self, slot: int, kind: str, target: int) -> None:
         key = (kind, target)
-        if key in self._answer_pending:
+        if key == self._answer_current or key in self._answers:
             return
         last = self._answer_done.get(key)
         if last is not None and slot - last <= 4 * self.k.slots_std:
             return  # answered this handshake already
-        self._answer_pending.add(key)
         self._answers.append(key)
         if self._answer_current is None:
             self._next_answer(slot)
@@ -699,15 +670,14 @@ class ColoringMachine(ProtocolMachine):
             self._answer_current = self._answers.popleft()
             self.set_prob(ANSWER, self.k.prob_std)
             # answer-lane slots are the core-lane slots shifted by one
-            self._set_timer("answer", self._after_ticks(slot - 1, self.k.slots_std) + 1)
+            self._answer_at = self._after_ticks(slot - 1, self.k.slots_std) + 1
+            self._resched()
         else:
             self._answer_current = None
             self.set_prob(ANSWER, 0.0)
 
     def _answer_window_done(self, slot: int) -> None:
-        if self._answer_current is not None:
-            self._answer_pending.discard(self._answer_current)
-            self._answer_done[self._answer_current] = slot
+        self._answer_done[self._answer_current] = slot
         self._next_answer(slot)
 
 

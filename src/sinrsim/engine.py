@@ -394,11 +394,12 @@ class _Core:
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
-    """Per-slot transmission probability on even/odd absolute slots."""
+    """Per-slot transmission probability on even/odd absolute slots.  A
+    lane of odd period has eligible slots of both parities."""
     even = 1.0
     odd = 1.0
     for lane in machine.lanes:
-        if lane.period == 1:
+        if lane.period % 2:
             even *= 1.0 - lane.prob
             odd *= 1.0 - lane.prob
         elif lane.phase % 2 == 0:
@@ -501,7 +502,7 @@ def run_simulation(
     A reception resolved in slot t reaches its listener at the start of
     slot t+1 as one ``on_receive(t + 1, sender id, payload)`` call.
     `monitor`, when given, receives every change of the per-node
-    transmission probabilities as (node id, probability on even slots,
+    transmission probabilities as (node index, probability on even slots,
     probability on odd slots) tuples -- exactly the instants at which any
     per-slot probability invariant could newly fail.  `scripted` is
     ``(first slot, action)``: ``action(machines by id, slot)`` injects an
@@ -531,8 +532,7 @@ def run_simulation(
     awake = core.awake  # flags per node index
     sending = core.sending  # this slot's transmitters
     done_seen = [False] * n
-    n_undone = 0
-    n_prewake = 0
+    n_live = 0  # nodes yet to wake, and awake nodes not done: the run waits for them
 
     heap: list[tuple[int, int, int, int]] = []
     heappush = heapq.heappush
@@ -540,7 +540,7 @@ def run_simulation(
     for i, node in enumerate(network.nodes):
         if node.wake_slot < max_slots:
             heap.append((node.wake_slot, _WAKE, i, 0))
-            n_prewake += 1
+            n_live += 1
             if node.sleep_slot is not None and node.sleep_slot < max_slots:
                 heap.append((node.sleep_slot, _SLEEP, i, 0))
 
@@ -628,8 +628,6 @@ def run_simulation(
                         # 2. wake-ups
                         awake[i] = True
                         core.asleep -= 1
-                        n_prewake -= 1
-                        n_undone += 1
                         cur = i
                         machines[i].wake(s)
                         cur = -1
@@ -642,7 +640,7 @@ def run_simulation(
                             next_tx[i] = [None] * len(next_tx[i])
                             if not done_seen[i]:
                                 done_seen[i] = True
-                                n_undone -= 1
+                                n_live -= 1
                     elif kind == _SCRIPT:
                         # 4. the scripted external action (may touch any
                         # machine), and its next call
@@ -693,10 +691,10 @@ def run_simulation(
                 if machine.done:
                     if not done_seen[i]:
                         done_seen[i] = True
-                        n_undone -= 1
+                        n_live -= 1
                 elif done_seen[i]:
                     done_seen[i] = False
-                    n_undone += 1
+                    n_live += 1
 
             # 7. this slot's transmissions: lanes still due now, in (node,
             # lane) order; other entries are stale (redrawn, or node asleep).
@@ -788,14 +786,9 @@ def run_simulation(
                         )
 
             if monitor is not None and changed:
-                monitor(s, [(ids[i], *_parity_probs(machines[i])) for i in changed])
+                monitor(s, [(i, *_parity_probs(machines[i])) for i in changed])
 
-            if (
-                n_undone == 0
-                and n_prewake == 0
-                and not script_pending
-                and pending_slot < 0
-            ):
+            if n_live == 0 and not script_pending and pending_slot < 0:
                 completed = True
                 break
     except Exception as exc:

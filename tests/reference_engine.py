@@ -143,7 +143,7 @@ def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
     even = 1.0
     odd = 1.0
     for lane in machine.lanes:
-        if lane.period == 1:
+        if lane.period % 2:
             even *= 1.0 - lane.prob
             odd *= 1.0 - lane.prob
         elif lane.phase % 2 == 0:
@@ -170,8 +170,8 @@ def reference_run_simulation(
 
     Receptions resolved in slot t reach their listener's inbox at the start
     of slot t+1.  `monitor`, when given, receives every change of the
-    per-node transmission probabilities as (node id, probability on even
-    slots, probability on odd slots) tuples -- exactly the instants at which
+    per-node transmission probabilities as (node index, probability on
+    even slots, probability on odd slots) tuples -- exactly the instants at which
     any per-slot probability invariant could newly fail.  `scripted` is a
     ``(first slot, action)`` pair; the action returns the slot of its next
     call, or None.
@@ -479,7 +479,7 @@ def reference_run_simulation(
             updates = []
             for i in sorted(changed_probs):
                 even, odd = _parity_probs(machines[i])
-                updates.append((network.ids[i], even, odd))
+                updates.append((i, even, odd))
             monitor(s, updates)
 
         if (

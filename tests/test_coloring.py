@@ -119,6 +119,25 @@ class TestLearning:
             assert u in machine.heard_from
             assert u in machine.confirmed_out
 
+    def test_learning_ends_after_its_budget(self):
+        """The requests stop after one standard round; the phase ends
+        `learning_budget` eligible slots after the wake-up, answers to a
+        neighbour's request notwithstanding."""
+        k = make_constants()
+
+        def driven(until):
+            machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), k)
+            drive_machine(machine, until=until, inbox=[(3, 9, LearnReq())])
+            return machine
+
+        stop = driven(0)._after_ticks(0, k.slots_std)
+        assert driven(stop - 1).lanes[0].prob == k.prob_std
+        machine = driven(stop)
+        assert machine.lanes[0].prob == 0.0 and machine.phase == "learning"
+        end = machine._after_ticks(0, k.learning_budget)
+        learned = [s for s, kind, _d in driven(end + 1).log if kind == "learned"]
+        assert learned == [end]
+
     def test_one_way_pair_learns_asymmetrically(self):
         # strong node 0 reaches weak node 1; replies die in the channel
         net = coloring_net([Node(0, 0.0, 0.0, 8.0), Node(1, 1.2, 0.0, 1.0)])
@@ -183,7 +202,9 @@ class TestWaitTransitions:
         inbox = [(3, 9, LearnReply(target=0)), (end - 1, 9, ColorMsg(2))]
         drive_machine(machine, until=end + 2 * (k.request_budget + 4) + 8, inbox=inbox)
         assert machine.phase == "wait"
-        assert any(kind == "request_timeout" for _s, kind, _d in machine.log)
+        entry = next(s for s, kind, _d in machine.log if kind == "request")
+        timeout = next(s for s, kind, _d in machine.log if kind == "request_timeout")
+        assert timeout == machine._after_ticks(entry, k.request_budget)
 
     def test_assignment_moves_to_compete(self):
         k = make_constants(scale=0.05)
@@ -364,6 +385,34 @@ class TestReceive:
         _report, digest = coloring_golden_run(case, topo, monkeypatch)
         assert digest == (GOLDEN / f"{case}_{topo}.sha256").read_text()
         assert answers[True] > 0 and answers[False] > 0
+
+
+class TestSteps:
+    @pytest.mark.parametrize("case,topo", COLORING_GOLDEN_CASES)
+    def test_checkpoint_stays_ahead_of_the_slot(self, case, topo, monkeypatch):
+        """After every wake-up and poll of the coloring, churn and MIS
+        golden runs the next checkpoint is None or a later slot.  A
+        reception may arrive in the slot of a due checkpoint, whose poll
+        follows it, but never moves the checkpoint before its own slot.  So
+        every step and answer window is polled in its own slot, and one
+        poll finds at most one of each due; the runs stay golden."""
+        seen = collections.Counter()
+
+        def checked(method, earliest):
+            def callback(self, slot, *args):
+                method(self, slot, *args)
+                cp = self.next_checkpoint
+                assert cp is None or cp >= slot + earliest
+                seen["none" if cp is None else "now" if cp == slot else "later"] += 1
+
+            return callback
+
+        for name, earliest in (("wake", 1), ("poll", 1), ("on_receive", 0)):
+            method = getattr(ColoringMachine, name)
+            monkeypatch.setattr(ColoringMachine, name, checked(method, earliest))
+        _report, digest = coloring_golden_run(case, topo, monkeypatch)
+        assert digest == (GOLDEN / f"{case}_{topo}.sha256").read_text()
+        assert seen["none"] > 0 and seen["later"] > 0
 
 
 class TestColoredServing:

@@ -443,6 +443,35 @@ class TestDelivery:
         assert trace.heap_pops == len(popped) == 4
 
 
+class Shaped(ProtocolMachine):
+    """Done at once, with one lane of the shape its node id names."""
+
+    SHAPES = {10: (3, 0, 1.0), 20: (2, 1, 0.5), 30: (1, 0, 0.25)}  # period, phase, prob
+
+    def wake(self, slot):
+        period, phase, prob = self.SHAPES[self.node.id]
+        self.configure_lane(0, period, phase)
+        self.set_prob(0, prob)
+        self.done = True
+
+    def on_transmit(self, slot, lane):
+        return "x", self.node.power
+
+
+class TestMonitorFeed:
+    def test_updates_name_indices_and_odd_periods_fill_both_parities(self):
+        """Node 10's period of 3 puts its slots on both parities, node 20
+        sends on odd slots only and node 30 on every slot; the monitor
+        hears of each by node index."""
+        runs = run_both(trio(), Shaped, 100, 0)
+        assert_same_run(runs)
+        for _trace, updates in runs:
+            assert updates == [
+                (0, [(0, 1.0, 1.0), (1, 0.0, 0.5)]),
+                (5, [(2, 0.25, 0.25)]),
+            ]
+
+
 class Idle(ProtocolMachine):
     """Done from its wake-up on; never transmits."""
 

@@ -365,7 +365,7 @@ class TestMonitor:
     def test_detects_budget_violation(self):
         net = uniform_topology(4, 2.0, 4.0, seed=3)
         monitor = RegionBudgetMonitor(net, limit=0.5)
-        monitor(7, [(v, 0.2, 0.2) for v in net.ids])
+        monitor(7, [(i, 0.2, 0.2) for i in range(net.n)])
         assert monitor.violations  # all four nodes share one region: 0.8 > 0.5
         slot, _region, value = monitor.violations[0]
         assert slot == 7 and value > 0.5
@@ -373,7 +373,7 @@ class TestMonitor:
     def test_quiet_until_limit(self):
         net = uniform_topology(4, 2.0, 4.0, seed=3)
         monitor = RegionBudgetMonitor(net, limit=0.9)
-        monitor(1, [(v, 0.2, 0.0) for v in net.ids])
+        monitor(1, [(i, 0.2, 0.0) for i in range(net.n)])
         assert not monitor.violations
         assert monitor.peak == pytest.approx(0.8)
 

@@ -14,7 +14,12 @@ from .experiment import (
     report_summary,
     run_experiment,
 )
-from .topology import generate_topology, load_topology, save_topology
+from .topology import _PRESET_FLAGS, generate_topology, load_topology, save_topology
+
+# every preset's flags, typed by their defaults; each preset refuses the others
+_GENERATE_FLAGS = {
+    name: type(default) for flags in _PRESET_FLAGS.values() for name, default in flags.items()
+}
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -72,18 +77,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     gen = sub.add_parser("generate", help="write a topology file")
     gen.add_argument("--preset", required=True,
-                     choices=["random", "uniform", "grid", "chain", "clique"])
+                     choices=list(_PRESET_FLAGS))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", required=True)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--side", type=float)
-    gen.add_argument("--power", type=float)
-    gen.add_argument("--power-lo", type=float)
-    gen.add_argument("--power-hi", type=float)
-    gen.add_argument("--rows", type=int)
-    gen.add_argument("--cols", type=int)
-    gen.add_argument("--spacing", type=float)
-    gen.add_argument("--power-ratio", type=float)
+    for name, kind in _GENERATE_FLAGS.items():
+        gen.add_argument("--" + name.replace("_", "-"), type=kind)
 
     ana = sub.add_parser("analyze", help="print interference certificates")
     ana.add_argument("--topology", required=True)
@@ -117,11 +115,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _run_command(args: argparse.Namespace) -> int:
     if args.command == "generate":
-        kwargs = {}
-        for name in ("n", "side", "power", "rows", "cols", "spacing",
-                     "power_lo", "power_hi", "power_ratio"):
-            if getattr(args, name) is not None:
-                kwargs[name] = getattr(args, name)
+        kwargs = {
+            name: getattr(args, name) for name in _GENERATE_FLAGS
+            if getattr(args, name) is not None
+        }
         network = generate_topology(args.preset, seed=args.seed, **kwargs)
         save_topology(network, args.output)
         print(

@@ -136,9 +136,12 @@ class ExperimentConfig:
         if self.protocol not in ("fixed", "slowstart", "varpower", "coloring", "mis"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         resignations = self.forced_resignations
+        churn = self.protocol == "coloring"  # the only protocol with resignations
         for name, ok, rule in (
             ("forced_resignations",
-             isinstance(resignations, numbers.Integral) and resignations >= 0, "an integer >= 0"),
+             isinstance(resignations, numbers.Integral)
+             and (resignations >= 0 if churn else resignations == 0),
+             "an integer >= 0" if churn else f"0 for protocol {self.protocol!r}"),
             ("slow_start_budget_constant",
              0.0 < self.slow_start_budget_constant < math.inf, "finite and > 0"),
             ("scale", self.scale is None or 0.0 < self.scale <= 1.0, "in (0, 1]"),
@@ -175,22 +178,30 @@ def halo_pair_count(network: Network) -> int:
 _TRACE_OUTCOME_LIMIT = 100_000  # eventful slots kept for a --trace file
 
 
-def _trace_config(trace_path, seed, first_seed):
-    if trace_path and seed == first_seed:
-        return TraceConfig(record_outcomes=True, outcome_limit=_TRACE_OUTCOME_LIMIT)
-    return None
-
-
-def _maybe_export(trace, trace_path, seed, first_seed):
-    if trace_path and seed == first_seed:
+def _simulate(network, factory, max_slots, seed, *, limit=None, scripted=None, trace_path=None):
+    """The seeded run every experiment makes: with `limit`, a live
+    region-budget monitor asserts it; with `trace_path`, the outcomes (up to
+    `_TRACE_OUTCOME_LIMIT` eventful slots) are exported there as JSONL.
+    Returns the trace and the monitor, None without a limit."""
+    monitor = RegionBudgetMonitor(network, limit) if limit else None
+    config = (TraceConfig(record_outcomes=True, outcome_limit=_TRACE_OUTCOME_LIMIT)
+              if trace_path else None)
+    # looked up at call time and given `trace` by keyword: tests and the
+    # benchmark's traced pass replace `run_simulation` in this module
+    trace = run_simulation(
+        network, factory, max_slots=max_slots, seed=seed, monitor=monitor,
+        scripted=scripted, trace=config,
+    )
+    if trace_path:
         if trace.outcomes_truncated:
             warnings.warn(
                 f"trace {trace_path} holds only the first {_TRACE_OUTCOME_LIMIT} "
                 "eventful slots of the run",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         trace.export_jsonl(trace_path)
+    return trace, monitor
 
 
 def _broadcast_trials(
@@ -202,7 +213,6 @@ def _broadcast_trials(
     certificates: dict[str, float],
     *,
     monitor_limit: Optional[float] = None,
-    instrument_node: Optional[int] = None,
     guarantee: Optional[Callable] = None,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
@@ -211,28 +221,20 @@ def _broadcast_trials(
     over the `budget` slots after its wake-up, against its broadcasting
     range or, with `guarantee(machine) -> (level, radius)`, against the
     certified radius (the row then ends with level and radius).
-
-    `monitor_limit` attaches a live region-budget monitor to every run;
-    with `instrument_node` given, the certificates carry that node's
-    empirical per-slot full-broadcast frequency over all trials
-    ('instrumented_freq' over 'instrumented_slots')."""
+    `monitor_limit` attaches a live region-budget monitor to every run."""
     wake_span = max(node.wake_slot for node in network.nodes)
     columns = ("seed", "node_id", "protocol", "success", "first_success_slot", "budget")
     columns += ("level", "radius") if guarantee else ()
     report = ExperimentReport(kind, columns, rows=[], verdicts=[], certificates=certificates)
-    violations, peak, hits = 0, 0.0, 0
+    violations, peak = 0, 0.0
     for seed in seeds:
-        monitor = RegionBudgetMonitor(network, monitor_limit) if monitor_limit else None
-        trace = run_simulation(
-            network, machine, max_slots=wake_span + budget + 2, seed=seed, monitor=monitor,
-            trace=_trace_config(trace_path, seed, seeds[0]),
+        trace, monitor = _simulate(
+            network, machine, wake_span + budget + 2, seed, limit=monitor_limit,
+            trace_path=trace_path if seed == seeds[0] else None,
         )
-        _maybe_export(trace, trace_path, seed, seeds[0])
         if monitor:
             violations += len(monitor.violations)
             peak = max(peak, monitor.peak)
-        if instrument_node is not None:
-            hits += trace.full_success_count[instrument_node]
         for node in network.nodes:
             certified = guarantee(trace.machines[node.id]) if guarantee else ()
             window = (node.wake_slot, node.wake_slot + budget)
@@ -251,10 +253,6 @@ def _broadcast_trials(
         report.add_verdict(
             "region probability budget", violations == 0, f"{violations} violations"
         )
-    slots = budget * len(seeds)
-    if instrument_node is not None and slots:
-        report.certificates["instrumented_freq"] = hits / slots
-        report.certificates["instrumented_slots"] = float(slots)
     return report
 
 
@@ -263,8 +261,6 @@ def run_fixed_broadcast(
     seeds: Sequence[int],
     *,
     scale: Optional[float] = None,
-    monitor_limit: Optional[float] = None,
-    instrument_node: Optional[int] = None,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """Every node runs the fixed-probability broadcaster simultaneously,
@@ -275,8 +271,7 @@ def run_fixed_broadcast(
     return _broadcast_trials(
         network, seeds, "fixed",
         lambda node, rng: FixedProbBroadcaster(node, rng, prob=prob, budget=budget),
-        budget, {"region_cap": cap, "prob": prob},
-        monitor_limit=monitor_limit, instrument_node=instrument_node, trace_path=trace_path,
+        budget, {"region_cap": cap, "prob": prob}, trace_path=trace_path,
     )
 
 
@@ -368,6 +363,11 @@ def run_coloring(
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """Full protocol runs with live budget assertion and all validators."""
+    if mis and forced_resignations:
+        # MIS colors are 0/1: the script would find no non-leader to resign
+        raise ValueError(
+            f"forced_resignations applies to coloring only, got {forced_resignations!r} for MIS"
+        )
     cap, scale = _cap_for(network, scale)
     constants = ColoringConstants.derive(
         network.params, cap, network.max_degree, network.range_ratio, network.n, scale
@@ -381,16 +381,10 @@ def run_coloring(
         + constants.max_degree * constants.prob_std
     )
 
-    kind = "mis" if mis else "coloring"
-    columns = (
-        ("seed", "node_id", "mis", "colored_at_slot", "competes_visited", "resigned_count")
-        if mis
-        else ("seed", "node_id", "final_color", "colored_at_slot",
-              "competes_visited", "resigned_count")
-    )
     report = ExperimentReport(
-        kind=kind,
-        columns=columns,
+        kind="mis" if mis else "coloring",
+        columns=("seed", "node_id", "mis" if mis else "final_color", "colored_at_slot",
+                 "competes_visited", "resigned_count"),
         rows=[],
         verdicts=[],
         certificates={
@@ -402,78 +396,60 @@ def run_coloring(
         },
     )
 
-    all_valid = True
-    all_within = True
-    all_leader_ok = True
-    monitor_violations = 0
-    floor_violations = 0
-    density_ok = True
-    competes_ok = True
-    termination_ok = True
-    reuse_ok = True
+    # every verdict in report order; the two in `counts` pass on no violations
+    counts = {"region probability budget": 0, "counter floors": 0}
+    checks: dict[str, bool] = dict.fromkeys(
+        ["validator"]
+        + ([] if mis else ["color count within bound", "leader independence", "leader density"])
+        + [*counts, "consecutive competes bounded"]
+        + (["termination within budget"] if static_wake else [])
+        + (["color reuse table honored"] if forced_resignations else []),
+        True,
+    )
     peak = 0.0
-
     for seed in seeds:
-        monitor = RegionBudgetMonitor(network, prob_limit)
-        scripted = (
-            _resignation_script(forced_resignations, constants, wake_span)
-            if forced_resignations
-            else None
+        trace, monitor = _simulate(
+            network, lambda node, rng: ColoringMachine(node, rng, constants, mis=mis),
+            slots, seed, limit=prob_limit,
+            scripted=(_resignation_script(forced_resignations, constants, wake_span)
+                      if forced_resignations else None),
+            trace_path=trace_path if seed == seeds[0] else None,
         )
-        trace = run_simulation(
-            network,
-            lambda node, rng: ColoringMachine(node, rng, constants, mis=mis),
-            max_slots=slots,
-            seed=seed,
-            monitor=monitor,
-            scripted=scripted,
-            trace=_trace_config(trace_path, seed, seeds[0]),
-        )
-        _maybe_export(trace, trace_path, seed, seeds[0])
-        monitor_violations += len(monitor.violations)
+        counts["region probability budget"] += len(monitor.violations)
         peak = max(peak, monitor.peak)
         colors = {v: trace.machines[v].color for v in network.ids}
         if mis:
-            members = {v: (None if c is None else c == 0) for v, c in colors.items()}
-            verdict = validate_mis(network, members)
-            all_valid &= verdict.ok
+            # 1 for members: MIS members end with color 0
+            values = {v: None if c is None else int(c == 0) for v, c in colors.items()}
+            checks["validator"] &= validate_mis(network, values).ok
         else:
+            values = colors
             verdict = validate_coloring(network, colors, constants)
-            all_valid &= verdict.complete and verdict.valid
-            all_within &= verdict.within_bound
-            all_leader_ok &= verdict.leader_independent
-            density_ok &= _leader_density_ok(network, colors, constants)
+            checks["validator"] &= verdict.complete and verdict.valid
+            checks["color count within bound"] &= verdict.within_bound
+            checks["leader independence"] &= verdict.leader_independent
+            checks["leader density"] &= _leader_density_ok(network, colors, constants)
         for v in network.ids:
             machine = trace.machines[v]
-            floor_violations += machine.floor_violations
-            competes_ok &= machine.max_consecutive_competes <= constants.compete_span
+            counts["counter floors"] += machine.floor_violations
+            checks["consecutive competes bounded"] &= (
+                machine.max_consecutive_competes <= constants.compete_span
+            )
             if static_wake:
-                termination_ok &= (
+                checks["termination within budget"] &= (
                     machine.colored_at is not None and machine.colored_at <= budget
                 )
-            value = colors[v] if not mis else (None if colors[v] is None else int(colors[v] == 0))
             report.rows.append(
-                (seed, v, value, machine.colored_at,
+                (seed, v, values[v], machine.colored_at,
                  machine.competes_visited, machine.resigned_count)
             )
         if forced_resignations:
-            reuse_ok &= _reuse_consistent(trace, network)
+            checks["color reuse table honored"] &= _reuse_consistent(trace, network)
 
     report.certificates["peak_region_sum"] = peak
-    report.add_verdict("validator", all_valid)
-    if not mis:
-        report.add_verdict("color count within bound", all_within)
-        report.add_verdict("leader independence", all_leader_ok)
-        report.add_verdict("leader density", density_ok)
-    report.add_verdict("region probability budget", monitor_violations == 0,
-                       f"{monitor_violations} violations")
-    report.add_verdict("counter floors", floor_violations == 0,
-                       f"{floor_violations} violations")
-    report.add_verdict("consecutive competes bounded", competes_ok)
-    if static_wake:
-        report.add_verdict("termination within budget", termination_ok)
-    if forced_resignations:
-        report.add_verdict("color reuse table honored", reuse_ok)
+    checks.update((name, count == 0) for name, count in counts.items())
+    for name, passed in checks.items():
+        report.add_verdict(name, passed, f"{counts[name]} violations" if name in counts else "")
     return report
 
 

@@ -9,7 +9,9 @@ The file format is JSON with two top-level fields::
      "nodes": [{"id": 0, "x": 1.0, "y": 2.0, "power": 1.0,
                 "wake_slot": 0, "sleep_slot": null}, ...]}
 
-All numbers are decimal; lengths and powers are in abstract units.
+All numbers are decimal; lengths and powers are in abstract units.  Keys
+other than these are refused, so a misspelt one cannot silently fall back
+to its default.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ _PARAM_FIELDS = (
     "noise_lo", "noise_hi", "noise_true",
     "delta", "c_whp", "scale",
 )
+_NODE_FIELDS = ("id", "x", "y", "power", "wake_slot", "sleep_slot")
 
 # nodes closer than this fraction of the area side are resampled
 _MIN_SEPARATION = 1e-6
@@ -69,6 +72,16 @@ def load_topology(path: str) -> Network:
         entries = doc["nodes"]
         if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
             raise ValueError(f"topology file {path}: nodes must be a list of objects")
+        for where, entry, known in [
+            ("params", doc["params"], _PARAM_FIELDS),
+            *((f"node {e.get('id')!r}", e, _NODE_FIELDS) for e in entries),
+        ]:
+            unknown = sorted(set(entry) - set(known))
+            if unknown:
+                raise ValueError(
+                    f"topology file {path}: {where} has unknown keys "
+                    + ", ".join(map(repr, unknown))
+                )
         params = NetworkParams(**{name: doc["params"][name] for name in _PARAM_FIELDS})
         nodes = [
             Node(

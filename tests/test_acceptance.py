@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sinrsim.analysis import (
+    RegionBudgetMonitor,
     expected_far_interference,
     proximity_silence_probability,
     region_probability_cap,
@@ -109,7 +110,9 @@ def test_02_interference_certificates():
 # -- 3: fixed-probability local broadcasting ------------------------------------
 
 
-def test_03_fixed_probability_broadcast():
+def test_03_fixed_probability_broadcast(monkeypatch):
+    import sinrsim.experiment as experiment
+
     t0 = time.perf_counter()
     params = NetworkParams.exact(alpha=3.0, beta=1.0, delta=2.0, c_whp=2.0)
     net = random_topology(64, 12.0, (1.0, 6.0), seed=11, params=params)
@@ -123,22 +126,33 @@ def test_03_fixed_probability_broadcast():
     ]
     assert max(region_sizes) <= net.max_degree
 
+    # every run carries a live region-budget monitor against the cap, and
+    # node 0's count of full-broadcast slots is kept from each trace
+    monitors: list[RegionBudgetMonitor] = []
+    hits: list[int] = []
+    simulate = experiment.run_simulation
+
+    def watched(*args, **kwargs):
+        monitors.append(RegionBudgetMonitor(net, cap))
+        trace = simulate(*args, **{**kwargs, "monitor": monitors[-1]})
+        hits.append(trace.full_success_count[0])
+        return trace
+
+    monkeypatch.setattr(experiment, "run_simulation", watched)
     seeds = list(range(100))
-    report = run_fixed_broadcast(
-        net, seeds, scale=1.0, monitor_limit=cap, instrument_node=0
-    )
+    report = run_fixed_broadcast(net, seeds, scale=1.0)
     by_seed: dict[int, bool] = {}
     for seed, _node, _proto, ok, _first, _budget in report.rows:
         by_seed[seed] = by_seed.get(seed, True) and ok
     good_trials = sum(by_seed.values())
     assert good_trials >= 99
 
-    monitor_ok = [ok for name, ok, _ in report.verdicts if name == "region probability budget"]
-    assert monitor_ok and monitor_ok[0]
+    monitor_ok = [not monitor.violations for monitor in monitors]
+    assert len(monitor_ok) == len(seeds) and all(monitor_ok)
 
     prob = report.certificates["prob"]
-    freq = report.certificates["instrumented_freq"]
-    slots = report.certificates["instrumented_slots"]
+    slots = report.rows[0][5] * len(seeds)  # the budget, per trial
+    freq = sum(hits) / slots
     floor = prob / 8.0
     sigma = math.sqrt(floor * (1.0 - floor) / slots)
     assert freq >= floor - 2.0 * sigma

@@ -1,4 +1,5 @@
 import dataclasses
+import filecmp
 import hashlib
 import json
 import math
@@ -325,6 +326,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field,value", [
         ("forced_resignations", -1),
         ("forced_resignations", 1.5),
+        ("forced_resignations", 1),  # the fixed protocol has no resignation script
         ("slow_start_budget_constant", float("nan")),
         ("slow_start_budget_constant", float("inf")),
         ("slow_start_budget_constant", 0.0),
@@ -333,6 +335,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=field) as info:
             ExperimentConfig(protocol="fixed", network=self.NET, **{field: value})
         assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize("protocol", ["slowstart", "varpower", "mis"])
+    def test_resignations_only_for_coloring(self, protocol):
+        rule = f"forced_resignations must be 0 for protocol '{protocol}', got 2"
+        with pytest.raises(ValueError, match=rule):
+            ExperimentConfig(protocol=protocol, network=self.NET, forced_resignations=2)
+        ExperimentConfig(protocol="coloring", network=self.NET, forced_resignations=2)
+
+    def test_mis_run_refuses_resignations(self):
+        with pytest.raises(ValueError, match="forced_resignations"):
+            run_coloring(self.NET, [0], mis=True, forced_resignations=1)
 
     @pytest.mark.parametrize("value", [float("nan"), 0.0, 1.5, -1.0])
     def test_bad_scale_names_the_value(self, value):
@@ -530,7 +543,10 @@ class TestCli:
         (lambda doc: doc.update(nodes={"0": doc["nodes"][0]}), ["FILE", "nodes", "list"]),
         (lambda doc: doc.update(params=[]), ["FILE", "params", "object"]),
         (lambda doc: doc["nodes"][0].update(wake_slot=None), ["node 0: wake_slot", "None"]),
-    ], ids=["string-coordinate", "list-id", "nodes-object", "params-list", "null-wake-slot"])
+        (lambda doc: doc["nodes"][2].update(wake=500), ["FILE", "node 2", "unknown", "'wake'"]),
+        (lambda doc: doc["params"].update(nosie_lo=1.0), ["FILE", "params", "'nosie_lo'"]),
+    ], ids=["string-coordinate", "list-id", "nodes-object", "params-list", "null-wake-slot",
+            "unknown-node-key", "unknown-params-key"])
     def test_malformed_topology_is_a_one_line_error(self, edit, words, tmp_path, capsys):
         topo = write_uniform4(tmp_path)
         doc = json.loads(pathlib.Path(topo).read_text())
@@ -629,6 +645,29 @@ class TestTraceExport:
             run_fixed_broadcast(net, [0, 1], trace_path=str(path))
         slots = {json.loads(line)["slot"] for line in path.read_text().splitlines()}
         assert len(slots) == 5
+
+    def test_coloring_trace_is_the_first_seeds_run(self, tmp_path):
+        from sinrsim.analysis import region_probability_cap
+        from sinrsim.coloring import ColoringConstants, ColoringMachine
+        from sinrsim.engine import TraceConfig, run_simulation
+
+        net = COLORING_NETWORKS["mixed10"]()
+        path = tmp_path / "trace.jsonl"
+        run_coloring(net, [0, 1], scale=0.2, trace_path=str(path))
+
+        cap = region_probability_cap(net.params, net.range_ratio, net.n)
+        k = ColoringConstants.derive(
+            net.params, cap, net.max_degree, net.range_ratio, net.n, 0.2
+        )
+        direct = run_simulation(
+            net, lambda node, rng: ColoringMachine(node, rng, k),
+            2 * k.termination_budget(net.longest_chain) + 16, 0,
+            trace=TraceConfig(record_outcomes=True),
+        )
+        expected = tmp_path / "direct.jsonl"
+        direct.export_jsonl(str(expected))
+        # a byte comparison: pytest's diff of two long texts takes minutes
+        assert expected.stat().st_size and filecmp.cmp(path, expected, shallow=False)
 
 
 class TestBenchmarkLookups:

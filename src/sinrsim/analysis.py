@@ -63,11 +63,8 @@ class RegionBudgetMonitor:
         self.network = network
         self.limit = limit
         n = network.n
-        self.containing: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            self.containing[i].append(i)
-            for j in network.out_indices(i).tolist():
-                self.containing[j].append(i)
+        # the regions containing node i: its own and its in-neighbours'
+        self.containing = [sorted([i, *network.in_indices(i).tolist()]) for i in range(n)]
         self.even = [0.0] * n
         self.odd = [0.0] * n
         self.sum_even = [0.0] * n
@@ -227,6 +224,15 @@ def ring_interference_bound(
     )
 
 
+def whp_slots(prob: float, params: NetworkParams, n: int, scale: float) -> float:
+    """Slots after which a node transmitting with `prob` in each has
+    completed its local broadcast with probability at least 1 - n**(-c_whp),
+    unrounded: ``scale * 8 * c_whp / prob * ln n``.  The fixed budget, the
+    variable-power threshold, coloring's round lengths and slow start's cap
+    target all come from it."""
+    return scale * 8.0 * params.c_whp / prob * math.log(n)
+
+
 # -- variable transmission power --------------------------------------------
 
 
@@ -286,12 +292,12 @@ def variable_power_guarantee(
     """Highest power level transmitted often enough to carry a full local
     broadcast, and the radius it guarantees.
 
-    A level qualifies when its slot count exceeds ``scale * 8 * c_whp / p *
-    ln(n)``.  Returns ``(0, 0.0)`` when no positive level qualifies.
+    A level qualifies when its slot count exceeds :func:`whp_slots`.
+    Returns ``(0, 0.0)`` when no positive level qualifies.
     """
     if p <= 0.0 or p > 1.0:
         raise ValueError("transmission probability must lie in (0, 1]")
-    threshold = scale * 8.0 * params.c_whp / p * math.log(n)
+    threshold = whp_slots(p, params, n, scale)
     levels = trace.levels()
     counts = trace.slots_at_least()
     best = 0

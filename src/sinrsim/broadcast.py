@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .analysis import PowerTrace
+from .analysis import PowerTrace, whp_slots
 from .engine import ProtocolMachine, SimTrace
 from .errors import ProtocolViolationError
 from .model import Network, NetworkParams, Node
@@ -35,11 +35,11 @@ class Broadcast(NamedTuple):
 
 
 def broadcast_budget(prob: float, params: NetworkParams, n: int, scale: float) -> int:
-    """Slots needed so that transmitting with `prob` in each one succeeds
-    with probability at least 1 - n**(-c_whp):  ceil(scale * 8c/p * ln n)."""
+    """:func:`~sinrsim.analysis.whp_slots` rounded up to a whole slot
+    count of at least 1."""
     if not (0.0 < prob <= 1.0):
         raise ValueError("probability must lie in (0, 1]")
-    return max(1, math.ceil(scale * 8.0 * params.c_whp / prob * math.log(n)))
+    return max(1, math.ceil(whp_slots(prob, params, n, scale)))
 
 
 class FixedProbBroadcaster(ProtocolMachine):

@@ -4,9 +4,12 @@ run-mis, report."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
+
+import numpy as np
 
 from .experiment import (
     ExperimentConfig,
@@ -14,6 +17,7 @@ from .experiment import (
     report_summary,
     run_experiment,
 )
+from .model import build_network
 from .topology import _PRESET_FLAGS, generate_topology, load_topology, save_topology
 
 # every preset's flags, typed by their defaults; each preset refuses the others
@@ -52,17 +56,9 @@ def _with_wakeup(network, mode: str):
             f"--async-wakeup expects 'none' or 'random:WINDOW' with a "
             f"non-negative integer WINDOW, got {mode!r}"
         )
-    import numpy as np
-
-    from .model import Node, build_network
-
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((window, 0xAA))))
     nodes = [
-        Node(
-            id=node.id, x=node.x, y=node.y, power=node.power,
-            wake_slot=int(rng.integers(0, window + 1)),
-            sleep_slot=node.sleep_slot,
-        )
+        dataclasses.replace(node, wake_slot=int(rng.integers(0, window + 1)))
         for node in network.nodes
     ]
     return build_network(nodes, network.params)
@@ -90,8 +86,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     rb.add_argument("--protocol", required=True, choices=["fixed", "slowstart", "varpower"])
     _add_run_flags(rb)
     rb.add_argument("--budget-constant", type=float,
-                    default=ExperimentConfig.slow_start_budget_constant,
-                    help="slow-start global budget constant (default %(default)s)")
+                    help="slow-start global budget constant (default 64; "
+                         "slowstart only)")
 
     rc = sub.add_parser("run-coloring", help="run the coloring protocol")
     rm = sub.add_parser("run-mis", help="run the MIS protocol")

@@ -32,6 +32,7 @@ from typing import Any, Mapping, NamedTuple, Optional
 
 import numpy as np
 
+from .broadcast import broadcast_budget
 from .engine import ProtocolMachine
 from .errors import ProtocolViolationError
 from .model import Network, NetworkParams, Node
@@ -118,19 +119,13 @@ class ColoringConstants:
         scale = params.scale if scale is None else scale
         degree = max(1, max_degree)
         ratio_sq = range_ratio**2
+        # `degree` nodes at prob_std and 9 ratio_sq leaders each take half the cap
         prob_std = region_cap / (2.0 * degree)
         prob_leader = region_cap / (18.0 * ratio_sq)
-        log_n = math.log(max(2, n))
-        slots_std = max(1, math.ceil(scale * 8.0 * params.c_whp / prob_std * log_n))
-        slots_leader = max(1, math.ceil(scale * 8.0 * params.c_whp / prob_leader * log_n))
+        slots_std = broadcast_budget(prob_std, params, max(2, n), scale)
+        slots_leader = broadcast_budget(prob_leader, params, max(2, n), scale)
         span = math.ceil(38.0 * ratio_sq)
         listen = (span + 3) * slots_std
-        budget_sum = 9.0 * ratio_sq * prob_leader + degree * prob_std
-        if budget_sum > region_cap * (1.0 + 1e-9):
-            raise ValueError(
-                "probability split violates the per-region budget: "
-                f"{budget_sum} > {region_cap}"
-            )
         return cls(
             prob_std=prob_std,
             prob_leader=prob_leader,

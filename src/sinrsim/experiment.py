@@ -124,7 +124,7 @@ class ExperimentConfig:
     scale: Optional[float] = None
     csv_path: Optional[str] = None
     trace_path: Optional[str] = None  # JSONL replay records, first seed only
-    slow_start_budget_constant: float = 64.0
+    slow_start_budget_constant: Optional[float] = None  # slowstart only; None is 64
     forced_resignations: int = 0
 
     def __post_init__(self) -> None:
@@ -135,15 +135,17 @@ class ExperimentConfig:
                 raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
         if self.protocol not in ("fixed", "slowstart", "varpower", "coloring", "mis"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        resignations = self.forced_resignations
+        resignations, constant = self.forced_resignations, self.slow_start_budget_constant
         churn = self.protocol == "coloring"  # the only protocol with resignations
+        slow = self.protocol == "slowstart"  # the only one with a budget constant
         for name, ok, rule in (
             ("forced_resignations",
              isinstance(resignations, numbers.Integral)
              and (resignations >= 0 if churn else resignations == 0),
              "an integer >= 0" if churn else f"0 for protocol {self.protocol!r}"),
             ("slow_start_budget_constant",
-             0.0 < self.slow_start_budget_constant < math.inf, "finite and > 0"),
+             constant is None or (slow and 0.0 < constant < math.inf),
+             "finite and > 0" if slow else f"unset for protocol {self.protocol!r}"),
             ("scale", self.scale is None or 0.0 < self.scale <= 1.0, "in (0, 1]"),
         ):
             if not ok:
@@ -155,10 +157,12 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _cap_for(network: Network, scale: Optional[float] = None) -> tuple[float, float]:
-    """The region cap, and `scale` defaulted from the network."""
+def _cap_for(network: Network, scale: Optional[float] = None) -> tuple[float, float, float]:
+    """The region cap, the fixed probability cap / max_degree that respects
+    it when the degree is known, and `scale` defaulted from the network."""
     scale = network.params.scale if scale is None else scale
-    return region_probability_cap(network.params, network.range_ratio, network.n), scale
+    cap = region_probability_cap(network.params, network.range_ratio, network.n)
+    return cap, cap / max(1, network.max_degree), scale
 
 
 def halo_pair_count(network: Network) -> int:
@@ -265,8 +269,7 @@ def run_fixed_broadcast(
 ) -> ExperimentReport:
     """Every node runs the fixed-probability broadcaster simultaneously,
     with probability cap / max_degree for the known-degree budget."""
-    cap, scale = _cap_for(network, scale)
-    prob = cap / max(1, network.max_degree)
+    cap, prob, scale = _cap_for(network, scale)
     budget = broadcast_budget(prob, network.params, network.n, scale)
     return _broadcast_trials(
         network, seeds, "fixed",
@@ -280,17 +283,17 @@ def run_slow_start(
     seeds: Sequence[int],
     *,
     scale: Optional[float] = None,
-    budget_constant: float = ExperimentConfig.slow_start_budget_constant,
+    budget_constant: float = 64.0,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """Slow-start broadcasters without degree knowledge; the region budget
     assertion runs live on every probability change."""
     params = network.params
-    cap, scale = _cap_for(network, scale)
+    cap, _, scale = _cap_for(network, scale)
     prob_cap = cap / 16.0
     log_n = math.log(max(2, network.n))
     phase_len = max(1, math.ceil(scale * 4.0 * params.c_whp * log_n))
-    cap_target = max(1, math.ceil(scale * 8.0 * (16.0 / cap) * params.c_whp * log_n))
+    cap_target = broadcast_budget(prob_cap, params, max(2, network.n), scale)
     budget = max(
         1,
         math.ceil(
@@ -324,8 +327,7 @@ def run_variable_power(
     (never below the network's least power), for 1.5 thresholds in all;
     success is judged against the radius certified from each node's power
     profile."""
-    cap, scale = _cap_for(network, scale)
-    prob = cap / max(1, network.max_degree)
+    cap, prob, scale = _cap_for(network, scale)
     threshold = broadcast_budget(prob, network.params, network.n, scale)
     duration = math.ceil(1.5 * threshold)
     split = max(1, threshold // 2)
@@ -368,7 +370,7 @@ def run_coloring(
         raise ValueError(
             f"forced_resignations applies to coloring only, got {forced_resignations!r} for MIS"
         )
-    cap, scale = _cap_for(network, scale)
+    cap, _, scale = _cap_for(network, scale)
     constants = ColoringConstants.derive(
         network.params, cap, network.max_degree, network.range_ratio, network.n, scale
     )
@@ -544,9 +546,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.protocol == "fixed":
         report = run_fixed_broadcast(network, seeds, **common)
     elif config.protocol == "slowstart":
-        report = run_slow_start(
-            network, seeds, budget_constant=config.slow_start_budget_constant, **common
-        )
+        if config.slow_start_budget_constant is not None:
+            common["budget_constant"] = config.slow_start_budget_constant
+        report = run_slow_start(network, seeds, **common)
     elif config.protocol == "varpower":
         report = run_variable_power(network, seeds, **common)
     else:
@@ -569,8 +571,7 @@ def analyze_network(network: Network) -> dict:
     p = cap / max_degree: per-node proximity-silence probability, far
     interference against the margin, and per-region probability sums."""
     params = network.params
-    cap = _cap_for(network)[0]
-    prob = cap / max(1, network.max_degree)
+    cap, prob, _ = _cap_for(network)
     probs = dict.fromkeys(network.ids, prob)
     p = _prob_vector(network, probs)
     margin = (params.delta - 1.0) * params.noise_hi / 2.0

@@ -15,8 +15,11 @@ from sinrsim.analysis import (
     region_probability_sums,
     ring_interference_bound,
     variable_power_guarantee,
+    whp_slots,
 )
-from sinrsim.experiment import analyze_network
+from sinrsim.broadcast import broadcast_budget
+from sinrsim.coloring import ColoringConstants
+from sinrsim.experiment import analyze_network, run_slow_start
 from sinrsim.model import NetworkParams, Node, build_network, ring_index
 from sinrsim.topology import grid_topology
 
@@ -352,6 +355,72 @@ class TestVariablePowerGuarantee:
     def test_all_idle_gives_nothing(self):
         trace = PowerTrace(0, 0, 50, ())
         assert variable_power_guarantee(trace, 0.5, self.params(), 4) == (0, 0.0)
+
+
+class TestWhpSlots:
+    """The fixed budget, the variable-power threshold, coloring's round
+    lengths and slow start's cap target come from `whp_slots`.  The
+    expressions each call site used to write out, in their own operation
+    order, are the oracle here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c_whp=st.floats(1.01, 10.0),
+        delta=st.floats(1.01, 4.0),
+        n=st.integers(1, 10_000),
+        max_degree=st.integers(0, 200),
+        ratio=st.floats(1.0, 8.0),
+        scale=st.floats(1e-3, 1.0),
+    )
+    def test_budgets_match_the_written_out_rule(self, c_whp, delta, n, max_degree, ratio,
+                                                 scale):
+        params = NetworkParams.exact(alpha=3.0, delta=delta, c_whp=c_whp)
+        cap = region_probability_cap(params, ratio, n)
+        degree = max(1, max_degree)
+        p = cap / degree
+        log_n, log_n2 = math.log(n), math.log(max(2, n))
+
+        # fixed broadcast's budget and the variable-power threshold
+        assert broadcast_budget(p, params, n, scale) == max(
+            1, math.ceil(scale * 8.0 * c_whp / p * log_n)
+        )
+        threshold = scale * 8.0 * c_whp / p * log_n
+        assert whp_slots(p, params, n, scale) == threshold
+        slots = max(1, math.floor(threshold))
+        for count in (slots, slots + 1):
+            trace = PowerTrace(0, 0, count, ((0, count, 4.0),))
+            level, _ = variable_power_guarantee(trace, p, params, n, scale)
+            assert level == (1 if count > threshold else 0)
+
+        # coloring's round lengths; their probabilities split the cap in half
+        k = ColoringConstants.derive(params, cap, max_degree, ratio, n, scale)
+        prob_std = cap / (2.0 * degree)
+        prob_leader = cap / (18.0 * ratio**2)
+        assert k.slots_std == max(1, math.ceil(scale * 8.0 * c_whp / prob_std * log_n2))
+        assert k.slots_leader == max(
+            1, math.ceil(scale * 8.0 * c_whp / prob_leader * log_n2)
+        )
+        assert 9.0 * ratio**2 * k.prob_leader + degree * k.prob_std <= cap * (1.0 + 1e-9)
+
+        # slow start's cap target, as run_slow_start derives it
+        assert broadcast_budget(cap / 16.0, params, max(2, n), scale) == max(
+            1, math.ceil(scale * 8.0 * (16.0 / cap) * c_whp * log_n2)
+        )
+
+    def test_single_node_values(self):
+        params = NetworkParams.exact(alpha=3.0, c_whp=2.0)
+        assert whp_slots(0.5, params, 1, 1.0) == 0.0
+        assert broadcast_budget(0.5, params, 1, 1.0) == 1
+        # threshold 0: a single slot at a level certifies it
+        trace = PowerTrace(0, 0, 1, ((0, 1, 8.0),))
+        assert variable_power_guarantee(trace, 0.5, params, 1)[0] == 1
+        # coloring and slow start floor ln n at ln 2
+        k = ColoringConstants.derive(params, 1.0 / 120.0, 0, 1.0, 1)
+        assert (k.slots_std, k.slots_leader) == (2662, 23956)
+        net = build_network([Node(0, 0.0, 0.0, 1.0)], params)
+        report = run_slow_start(net, [0])
+        assert report.certificates["cap_target"] == 21294
+        assert report.rows == [(0, 0, "slowstart", True, None, 31)]
 
 
 class TestFacts:

@@ -326,15 +326,28 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field,value", [
         ("forced_resignations", -1),
         ("forced_resignations", 1.5),
-        ("forced_resignations", 1),  # the fixed protocol has no resignation script
+        ("forced_resignations", 1),  # slow start has no resignation script
         ("slow_start_budget_constant", float("nan")),
         ("slow_start_budget_constant", float("inf")),
         ("slow_start_budget_constant", 0.0),
     ])
     def test_bad_protocol_constant_rejected(self, field, value):
         with pytest.raises(ValueError, match=field) as info:
-            ExperimentConfig(protocol="fixed", network=self.NET, **{field: value})
+            ExperimentConfig(protocol="slowstart", network=self.NET, **{field: value})
         assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize("protocol", ["fixed", "varpower", "coloring", "mis"])
+    def test_budget_constant_only_for_slowstart(self, protocol):
+        rule = f"slow_start_budget_constant must be unset for protocol '{protocol}', got 64.0"
+        with pytest.raises(ValueError, match=rule):
+            ExperimentConfig(protocol=protocol, network=self.NET, slow_start_budget_constant=64.0)
+        ExperimentConfig(protocol="slowstart", network=self.NET, slow_start_budget_constant=64.0)
+
+    def test_unset_budget_constant_is_64(self):
+        config = ExperimentConfig(protocol="slowstart", network=self.NET, scale=0.05)
+        assert run_experiment(config).rows == run_slow_start(
+            self.NET, [0], scale=0.05, budget_constant=64.0
+        ).rows
 
     @pytest.mark.parametrize("protocol", ["slowstart", "varpower", "mis"])
     def test_resignations_only_for_coloring(self, protocol):
@@ -491,6 +504,9 @@ class TestCli:
         (["run-coloring", "--forced-resignations", "-1"], ["forced_resignations", "-1"]),
         (["run-broadcast", "--protocol", "slowstart", "--budget-constant", "nan"],
          ["slow_start_budget_constant", "nan"]),
+        # slow start alone reads the constant, so any other protocol refuses it
+        (["run-broadcast", "--protocol", "fixed", "--budget-constant", "0.001"],
+         ["slow_start_budget_constant", "'fixed'", "0.001"]),
     ])
     def test_bad_protocol_constant_flags_are_a_one_line_error(
         self, argv, words, tmp_path, capsys

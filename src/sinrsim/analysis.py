@@ -225,9 +225,10 @@ def ring_interference_bound(
 
 
 def whp_slots(prob: float, params: NetworkParams, n: int, scale: float) -> float:
-    """Slots after which a node transmitting with `prob` in each has
-    completed its local broadcast with probability at least 1 - n**(-c_whp),
-    unrounded: ``scale * 8 * c_whp / prob * ln n``.  The fixed budget, the
+    """Unrounded slot count ``scale * 8 * c_whp / prob * ln n``.  At
+    scale = 1, a node transmitting with `prob` in each of that many slots has
+    completed its local broadcast with probability at least 1 - n**(-c_whp);
+    a scale below 1 voids that guarantee.  The fixed budget, the
     variable-power threshold, coloring's round lengths and slow start's cap
     target all come from it."""
     return scale * 8.0 * params.c_whp / prob * math.log(n)

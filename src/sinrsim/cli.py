@@ -86,8 +86,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     rb.add_argument("--protocol", required=True, choices=["fixed", "slowstart", "varpower"])
     _add_run_flags(rb)
     rb.add_argument("--budget-constant", type=float,
-                    help="slow-start global budget constant (default 64; "
-                         "slowstart only)")
+                    help="slow-start global budget constant (slowstart only; "
+                         "unset keeps run_slow_start's default)")
 
     rc = sub.add_parser("run-coloring", help="run the coloring protocol")
     rm = sub.add_parser("run-mis", help="run the MIS protocol")

@@ -124,7 +124,7 @@ class ExperimentConfig:
     scale: Optional[float] = None
     csv_path: Optional[str] = None
     trace_path: Optional[str] = None  # JSONL replay records, first seed only
-    slow_start_budget_constant: Optional[float] = None  # slowstart only; None is 64
+    slow_start_budget_constant: Optional[float] = None  # slowstart only; None: run_slow_start's default
     forced_resignations: int = 0
 
     def __post_init__(self) -> None:

@@ -326,14 +326,16 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field,value", [
         ("forced_resignations", -1),
         ("forced_resignations", 1.5),
-        ("forced_resignations", 1),  # slow start has no resignation script
+        ("forced_resignations", 1),  # the fixed protocol has no resignation script
         ("slow_start_budget_constant", float("nan")),
         ("slow_start_budget_constant", float("inf")),
         ("slow_start_budget_constant", 0.0),
     ])
     def test_bad_protocol_constant_rejected(self, field, value):
+        # slow start alone reads the budget constant; the rest run on fixed
+        protocol = "slowstart" if field == "slow_start_budget_constant" else "fixed"
         with pytest.raises(ValueError, match=field) as info:
-            ExperimentConfig(protocol="slowstart", network=self.NET, **{field: value})
+            ExperimentConfig(protocol=protocol, network=self.NET, **{field: value})
         assert repr(value) in str(info.value)
 
     @pytest.mark.parametrize("protocol", ["fixed", "varpower", "coloring", "mis"])
@@ -349,7 +351,7 @@ class TestExperimentConfig:
             self.NET, [0], scale=0.05, budget_constant=64.0
         ).rows
 
-    @pytest.mark.parametrize("protocol", ["slowstart", "varpower", "mis"])
+    @pytest.mark.parametrize("protocol", ["fixed", "slowstart", "varpower", "mis"])
     def test_resignations_only_for_coloring(self, protocol):
         rule = f"forced_resignations must be 0 for protocol '{protocol}', got 2"
         with pytest.raises(ValueError, match=rule):

@@ -48,22 +48,20 @@ class FixedProbBroadcaster(ProtocolMachine):
     The power is piecewise constant over the slots since wake-up: each
     `(start, power)` piece applies until the next one, and the default is
     the node's own power throughout.  Every scheduled power must lie inside
-    `power_bounds` when those are given.  It never reacts to a reception.
+    `power_bounds` when those are given.  It never reacts to a reception,
+    so it defines no `on_receive` and the engine keeps no inbox for it.
     """
-
-    WANTS_RX = False
 
     def __init__(
         self,
         node: Node,
-        rng: np.random.Generator,
         *,
         prob: float,
         budget: int,
         pieces: Optional[Sequence[tuple[int, float]]] = None,
         power_bounds: Optional[tuple[float, float]] = None,
     ):
-        super().__init__(node, rng)
+        super().__init__(node)
         if not (0.0 < prob <= 1.0):
             raise ValueError("probability must lie in (0, 1]")
         if budget < 1:
@@ -133,7 +131,6 @@ class SlowStartBroadcaster(ProtocolMachine):
     def __init__(
         self,
         node: Node,
-        rng: np.random.Generator,
         *,
         prob_cap: float,
         n: int,
@@ -141,7 +138,7 @@ class SlowStartBroadcaster(ProtocolMachine):
         cap_slots_target: int,
         budget: int,
     ):
-        super().__init__(node, rng)
+        super().__init__(node)
         if not (0.0 < prob_cap <= 1.0):
             raise ValueError("probability cap must lie in (0, 1]")
         if phase_len < 1 or cap_slots_target < 1 or budget < 1:

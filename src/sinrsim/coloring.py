@@ -30,8 +30,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping, NamedTuple, Optional
 
-import numpy as np
-
 from .broadcast import broadcast_budget
 from .engine import ProtocolMachine
 from .errors import ProtocolViolationError
@@ -184,12 +182,11 @@ class ColoringMachine(ProtocolMachine):
     def __init__(
         self,
         node: Node,
-        rng: np.random.Generator,
         constants: ColoringConstants,
         *,
         mis: bool = False,
     ):
-        super().__init__(node, rng)
+        super().__init__(node)
         self.k = constants
         self.mis = mis
 

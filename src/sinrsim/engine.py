@@ -12,9 +12,9 @@ A transmission changes no regime: :meth:`ProtocolMachine.on_transmit` only
 names the message and power, and the lane that fired is redrawn as is.
 
 Determinism contract: a run is fully determined by (network, seed, config).
-Every node draws from its own PCG64 stream seeded by (root seed, node id),
-so one node's behaviour never perturbs another's randomness; the event loop
-itself consumes no randomness.
+The engine draws each node's lottery from the node's own PCG64 stream,
+seeded by (root seed, node id), so one node's behaviour never perturbs
+another's randomness; nothing else draws from the streams.
 """
 
 from __future__ import annotations
@@ -186,21 +186,17 @@ class ProtocolMachine:
     lanes, checkpoint or `done` inside it stops the run with a
     :class:`ProtocolViolationError` naming the node and slot.
 
-    Two class attributes describe a machine to the engine: `LANES`, its
-    number of lanes, and `WANTS_RX`.  A class that sets `WANTS_RX` to False
-    gets no :meth:`on_receive` calls, and the engine keeps no inbox for it;
-    its receptions still count in the trace.  The engine owns `rng`, the
-    node's stream: it draws the lottery from it ahead, in blocks, and
-    rewinds the stream to where one draw per gap would have left it when
-    the run ends.  A machine never draws from `rng`.
+    `LANES`, a class attribute, is the machine's number of lanes.  A class
+    whose :meth:`on_receive` is this base class's gets no calls, and the
+    engine keeps no inbox for it; its receptions still count in the trace.
+    A machine holds protocol state only: the engine owns the node's random
+    stream and draws the lottery from it.
     """
 
     LANES = 1
-    WANTS_RX = True
 
-    def __init__(self, node: Node, rng: np.random.Generator):
+    def __init__(self, node: Node):
         self.node = node
-        self.rng = rng
         self.lanes = [Lane() for _ in range(self.LANES)]
         self.done = False
         self.log: list[tuple[int, str, Any]] = []
@@ -270,6 +266,7 @@ class SimTrace:
     tx_count: dict[int, int]
     full_success_count: dict[int, int]
     first_full_success: dict[int, Optional[int]]
+    draws: dict[int, int]  # uniforms taken from each node's stream
     outcomes: Optional[list[SlotOutcome]] = None
     eventful_slots: int = 0
     outcomes_truncated: bool = False  # outcome_limit dropped records
@@ -416,30 +413,30 @@ _BLOCK = 8
 
 class _Uniforms:
     """Every node's stream read ahead in blocks of `_BLOCK` uniforms, all
-    blocks in one array of 8 bytes per value.  `rewind` puts each stream
-    back where one draw per value taken would have left it."""
+    blocks in one array of 8 bytes per value."""
 
-    __slots__ = ("rngs", "values", "blocks", "taken")
+    __slots__ = ("rngs", "values", "blocks", "taken", "refills")
 
     def __init__(self, rngs: list[np.random.Generator]):
         self.rngs = rngs
         self.blocks = np.empty((len(rngs), _BLOCK))
         self.values = memoryview(self.blocks.reshape(-1))  # reads Python floats
         self.taken = [_BLOCK] * len(rngs)  # values taken from each block
+        self.refills = [0] * len(rngs)  # blocks read from each stream
 
     def draw(self, i: int) -> float:
         """Node index `i`'s next uniform."""
         k = self.taken[i]
         if k == _BLOCK:
             self.rngs[i].random(out=self.blocks[i])
+            self.refills[i] += 1
             k = 0
         self.taken[i] = k + 1
         return self.values[i * _BLOCK + k]
 
-    def rewind(self) -> None:
-        for rng, k in zip(self.rngs, self.taken):
-            if k < _BLOCK:
-                rng.bit_generator.advance(k - _BLOCK)
+    def counts(self) -> list[int]:
+        """Uniforms taken from each stream so far."""
+        return [(r - 1) * _BLOCK + k for r, k in zip(self.refills, self.taken)]
 
 
 def _lane_slot(lane: Lane, uniforms: _Uniforms, i: int, from_slot: int) -> Optional[int]:
@@ -486,7 +483,7 @@ def _add(items: list | tuple[()], item: Any) -> list:
 
 def run_simulation(
     network: Network,
-    factory: Callable[[Node, np.random.Generator], ProtocolMachine],
+    factory: Callable[[Node], ProtocolMachine],
     max_slots: int,
     seed: int,
     *,
@@ -518,16 +515,13 @@ def run_simulation(
     n = network.n
     ids = network.ids
 
-    machines: list[ProtocolMachine] = []
-    by_id: dict[int, ProtocolMachine] = {}
-    for node in network.nodes:
-        machine = factory(node, node_rng(seed, node.id))
-        machines.append(machine)
-        by_id[node.id] = machine
+    machines = [factory(node) for node in network.nodes]
+    by_id = dict(zip(ids, machines))
 
     next_tx: list[list[Optional[int]]] = [[None] * len(m.lanes) for m in machines]
-    uniforms = _Uniforms([m.rng for m in machines])
-    hears = [m.WANTS_RX for m in machines]
+    uniforms = _Uniforms([node_rng(seed, v) for v in ids])
+    # an inbox for each machine whose class reads its receptions
+    hears = [type(m).on_receive is not ProtocolMachine.on_receive for m in machines]
     synced_cp: list[Optional[int]] = [None] * n
     awake = core.awake  # flags per node index
     sending = core.sending  # this slot's transmitters
@@ -795,8 +789,6 @@ def run_simulation(
         if cur < 0 or isinstance(exc, SimulationAbort):
             raise
         raise SimulationAbort(ids[cur], s, exc) from exc
-    finally:
-        uniforms.rewind()
 
     return SimTrace(
         seed=seed,
@@ -807,6 +799,7 @@ def run_simulation(
         tx_count=dict(zip(ids, tx_counts)),
         full_success_count=dict(zip(ids, full_counts)),
         first_full_success=dict(zip(ids, first_full)),
+        draws=dict(zip(ids, uniforms.counts())),
         outcomes=outcomes,
         eventful_slots=eventful,
         outcomes_truncated=truncated,

@@ -221,7 +221,7 @@ def _broadcast_trials(
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """The trial loop every broadcast protocol shares.  Per seed, all nodes
-    run `machine(node, rng)`; each node's local broadcast is then judged
+    run `machine(node)`; each node's local broadcast is then judged
     over the `budget` slots after its wake-up, against its broadcasting
     range or, with `guarantee(machine) -> (level, radius)`, against the
     certified radius (the row then ends with level and radius).
@@ -273,7 +273,7 @@ def run_fixed_broadcast(
     budget = broadcast_budget(prob, network.params, network.n, scale)
     return _broadcast_trials(
         network, seeds, "fixed",
-        lambda node, rng: FixedProbBroadcaster(node, rng, prob=prob, budget=budget),
+        lambda node: FixedProbBroadcaster(node, prob=prob, budget=budget),
         budget, {"region_cap": cap, "prob": prob}, trace_path=trace_path,
     )
 
@@ -283,11 +283,14 @@ def run_slow_start(
     seeds: Sequence[int],
     *,
     scale: Optional[float] = None,
-    budget_constant: float = 64.0,
+    budget_constant: Optional[float] = None,
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """Slow-start broadcasters without degree knowledge; the region budget
-    assertion runs live on every probability change."""
+    assertion runs live on every probability change.  The budget is
+    `budget_constant` (64 when None) times scale (max_degree + log n)
+    range_ratio^2 log n slots."""
+    budget_constant = 64.0 if budget_constant is None else budget_constant
     params = network.params
     cap, _, scale = _cap_for(network, scale)
     prob_cap = cap / 16.0
@@ -306,8 +309,8 @@ def run_slow_start(
     )
     return _broadcast_trials(
         network, seeds, "slowstart",
-        lambda node, rng: SlowStartBroadcaster(
-            node, rng, prob_cap=prob_cap, n=network.n, phase_len=phase_len,
+        lambda node: SlowStartBroadcaster(
+            node, prob_cap=prob_cap, n=network.n, phase_len=phase_len,
             cap_slots_target=cap_target, budget=budget,
         ),
         budget, {"region_cap": cap, "prob_cap": prob_cap, "cap_target": cap_target},
@@ -333,11 +336,11 @@ def run_variable_power(
     split = max(1, threshold // 2)
     bounds = (float(network.powers.min()), float(network.powers.max()))
 
-    def machine(node, rng):
+    def machine(node):
         low = max(bounds[0], 0.75 * node.power)
         pieces = [(0, node.power)] if low >= node.power else [(0, node.power), (split, low)]
         return FixedProbBroadcaster(
-            node, rng, prob=prob, budget=duration, pieces=pieces, power_bounds=bounds
+            node, prob=prob, budget=duration, pieces=pieces, power_bounds=bounds
         )
 
     return _broadcast_trials(
@@ -408,10 +411,11 @@ def run_coloring(
         + (["color reuse table honored"] if forced_resignations else []),
         True,
     )
+    first_problem = ""  # the validator's, in the first seed it failed
     peak = 0.0
     for seed in seeds:
         trace, monitor = _simulate(
-            network, lambda node, rng: ColoringMachine(node, rng, constants, mis=mis),
+            network, lambda node: ColoringMachine(node, constants, mis=mis),
             slots, seed, limit=prob_limit,
             scripted=(_resignation_script(forced_resignations, constants, wake_span)
                       if forced_resignations else None),
@@ -423,14 +427,20 @@ def run_coloring(
         if mis:
             # 1 for members: MIS members end with color 0
             values = {v: None if c is None else int(c == 0) for v, c in colors.items()}
-            checks["validator"] &= validate_mis(network, values).ok
+            verdict = validate_mis(network, values)
+            valid = verdict.ok
         else:
             values = colors
             verdict = validate_coloring(network, colors, constants)
-            checks["validator"] &= verdict.complete and verdict.valid
+            # missing colors and equal-colored links come first among
+            # the problems; leader ones, after them, have their own verdict
+            valid = verdict.valid
             checks["color count within bound"] &= verdict.within_bound
             checks["leader independence"] &= verdict.leader_independent
             checks["leader density"] &= _leader_density_ok(network, colors, constants)
+        if not valid and not first_problem:
+            first_problem = f"seed {seed}: {verdict.problems[0]}"
+        checks["validator"] &= valid
         for v in network.ids:
             machine = trace.machines[v]
             counts["counter floors"] += machine.floor_violations
@@ -450,8 +460,10 @@ def run_coloring(
 
     report.certificates["peak_region_sum"] = peak
     checks.update((name, count == 0) for name, count in counts.items())
+    details = {name: f"{count} violations" for name, count in counts.items()}
+    details["validator"] = first_problem
     for name, passed in checks.items():
-        report.add_verdict(name, passed, f"{counts[name]} violations" if name in counts else "")
+        report.add_verdict(name, passed, details.get(name, ""))
     return report
 
 
@@ -512,23 +524,18 @@ def _reuse_consistent(trace: SimTrace, network: Network) -> bool:
 def _leader_density_ok(network, colors, constants: ColoringConstants) -> bool:
     """Geometric density of the final leader set: at most ceil(9 ratio^2)
     other leaders within one maximum range, ceil(19 ratio^2) within two."""
-    leaders = [
-        v for v in network.ids
-        if colors.get(v) is not None and colors[v] < constants.leader_colors
-    ]
+    is_leader = np.array([
+        (c := colors.get(v)) is not None and c < constants.leader_colors for v in network.ids
+    ], dtype=bool)
     ratio_sq = network.range_ratio**2
     lim1 = math.ceil(9.0 * ratio_sq)
     lim2 = math.ceil(19.0 * ratio_sq)
-    is_leader = np.zeros(network.n, dtype=bool)
-    is_leader[[network.index(v) for v in leaders]] = True
-    for v in leaders:
-        others, d = network.within(network.index(v), 2.0 * network.r_max_global)
-        lead = is_leader[others]
-        near = int(np.count_nonzero(d[lead] <= network.r_max_global))
-        near2 = int(np.count_nonzero(lead))
-        if near > lim1 or near2 > lim2:
-            return False
-    return True
+    # one query: leaders reach out two maximum ranges, everyone else nowhere
+    src, dst, d = network.pairs_within(np.where(is_leader, 2.0 * network.r_max_global, 0.0))
+    lead = is_leader[src] & is_leader[dst]
+    near2 = np.bincount(src[lead], minlength=network.n)
+    near = np.bincount(src[lead & (d <= network.r_max_global)], minlength=network.n)
+    return bool((near <= lim1).all() and (near2 <= lim2).all())
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +553,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.protocol == "fixed":
         report = run_fixed_broadcast(network, seeds, **common)
     elif config.protocol == "slowstart":
-        if config.slow_start_budget_constant is not None:
-            common["budget_constant"] = config.slow_start_budget_constant
-        report = run_slow_start(network, seeds, **common)
+        report = run_slow_start(
+            network, seeds, budget_constant=config.slow_start_budget_constant, **common
+        )
     elif config.protocol == "varpower":
         report = run_variable_power(network, seeds, **common)
     else:

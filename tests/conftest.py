@@ -154,6 +154,26 @@ def brute_halo_pair_count(network: Network) -> int:
     return count
 
 
+def brute_leader_density_ok(network: Network, colors, leader_colors: int) -> bool:
+    """The leader density verdict, one radius query per leader: at most
+    ceil(9 ratio^2) other leaders within one maximum range, ceil(19
+    ratio^2) within two."""
+    leaders = [v for v in network.ids if colors.get(v) is not None and colors[v] < leader_colors]
+    ratio_sq = network.range_ratio**2
+    lim1 = math.ceil(9.0 * ratio_sq)
+    lim2 = math.ceil(19.0 * ratio_sq)
+    is_leader = np.zeros(network.n, dtype=bool)
+    is_leader[[network.index(v) for v in leaders]] = True
+    for v in leaders:
+        others, d = network.within(network.index(v), 2.0 * network.r_max_global)
+        lead = is_leader[others]
+        near = int(np.count_nonzero(d[lead] <= network.r_max_global))
+        near2 = int(np.count_nonzero(lead))
+        if near > lim1 or near2 > lim2:
+            return False
+    return True
+
+
 def brute_region_sums(network: Network, probs) -> list[float]:
     """Per node, in index order, the probability mass inside its
     broadcasting region: the node itself first, then its out-neighbours in

@@ -6,8 +6,8 @@ callback runs under its own error guard, and a slot's receptions travel as
 (listener, transmission) pairs from resolution to per-listener inbox lists,
 each of which must hold exactly one message when it is delivered.  It
 consumes the same per-node random streams in the same order as the engine,
-so on any input both give identical traces, machine logs and monitor
-updates.
+one uniform per geometric gap, so on any input both give identical traces,
+draw counts, machine logs and monitor updates.
 """
 
 from __future__ import annotations
@@ -30,14 +30,6 @@ from sinrsim.errors import ProtocolViolationError, SimulationAbort
 from sinrsim.model import Network, Node
 
 from .conftest import reference_network_build
-
-
-def _geometric_gap(rng: np.random.Generator, prob: float) -> int:
-    """Number of eligible slots skipped before the next transmission."""
-    if prob >= 1.0:
-        return 0
-    u = rng.random()
-    return int(math.log1p(-u) / math.log1p(-prob))
 
 
 def _first_eligible(slot: int, period: int, phase: int) -> int:
@@ -155,7 +147,7 @@ def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
 
 def reference_run_simulation(
     network: Network,
-    factory: Callable[[Node, np.random.Generator], ProtocolMachine],
+    factory: Callable[[Node], ProtocolMachine],
     max_slots: int,
     seed: int,
     *,
@@ -185,9 +177,21 @@ def reference_run_simulation(
     machines: list[ProtocolMachine] = []
     by_id: dict[int, ProtocolMachine] = {}
     for node in network.nodes:
-        machine = factory(node, node_rng(seed, node.id))
+        machine = factory(node)
         machines.append(machine)
         by_id[node.id] = machine
+    rngs = [node_rng(seed, node.id) for node in network.nodes]
+    draws = [0] * n  # uniforms taken from each stream
+    # a machine whose class leaves on_receive to the base class hears nothing
+    hears = [type(m).on_receive is not ProtocolMachine.on_receive for m in machines]
+
+    def gap(i: int, prob: float) -> int:
+        """Eligible slots node index i skips before its next transmission;
+        a prob below 1 takes one uniform from its stream."""
+        if prob >= 1.0:
+            return 0
+        draws[i] += 1
+        return int(math.log1p(-rngs[i].random()) / math.log1p(-prob))
 
     next_tx: list[list[Optional[int]]] = [[None] * len(m.lanes) for m in machines]
     synced_cp: list[Optional[int]] = [None] * n
@@ -253,8 +257,7 @@ def reference_run_simulation(
             if lane.prob <= 0.0:
                 next_tx[i][k] = None
                 continue
-            gap = _geometric_gap(machine.rng, lane.prob)
-            slot = _first_eligible(from_slot, lane.period, lane.phase) + gap * lane.period
+            slot = _first_eligible(from_slot, lane.period, lane.phase) + gap(i, lane.prob) * lane.period
             next_tx[i][k] = slot
             if slot == defer_at:
                 immediate.append(k)
@@ -291,7 +294,7 @@ def reference_run_simulation(
         for l, t in resolved:
             sender_id = network.ids[txs[t][0]]
             listener_id = network.ids[l]
-            if machines[l].WANTS_RX:
+            if hears[l]:
                 got.setdefault(l, []).append((sender_id, txs[t][2]))
             rx_masks[t] |= 1 << l
             row = first_rx[listener_id]
@@ -465,10 +468,9 @@ def reference_run_simulation(
             else:
                 for k2, lane in enumerate(machine.lanes):
                     if next_tx[i][k2] is None and lane.prob > 0.0:
-                        gap = _geometric_gap(machine.rng, lane.prob)
                         slot2 = (
                             _first_eligible(s + 1, lane.period, lane.phase)
-                            + gap * lane.period
+                            + gap(i, lane.prob) * lane.period
                         )
                         next_tx[i][k2] = slot2
                         push(slot2, _TX, i, k2)
@@ -500,6 +502,7 @@ def reference_run_simulation(
         tx_count=tx_count,
         full_success_count=full_success,
         first_full_success=first_full,
+        draws=dict(zip(network.ids, draws)),
         outcomes=outcomes,
         eventful_slots=eventful,
         outcomes_truncated=truncated,

@@ -12,7 +12,7 @@ from sinrsim.broadcast import (
     broadcast_budget,
     verify_local_broadcast,
 )
-from sinrsim.engine import TraceConfig, node_rng, run_simulation
+from sinrsim.engine import TraceConfig, run_simulation
 from sinrsim.errors import ProtocolViolationError
 from sinrsim.experiment import RegionBudgetMonitor, run_slow_start
 from sinrsim.model import NetworkParams, Node, build_network
@@ -32,7 +32,7 @@ class TestFixedProb:
         net = lone_network(exact_params)
         trace = run_simulation(
             net,
-            lambda n, r: FixedProbBroadcaster(n, r, prob=1.0, budget=37),
+            lambda n: FixedProbBroadcaster(n, prob=1.0, budget=37),
             max_slots=100,
             seed=0,
         )
@@ -43,7 +43,7 @@ class TestFixedProb:
         net = lone_network(exact_params)
         trace = run_simulation(
             net,
-            lambda n, r: FixedProbBroadcaster(n, r, prob=0.25, budget=100_000),
+            lambda n: FixedProbBroadcaster(n, prob=0.25, budget=100_000),
             max_slots=100_001,
             seed=5,
         )
@@ -57,7 +57,7 @@ class TestFixedProb:
         net = lone_network(params)
         trace = run_simulation(
             net,
-            lambda n, r: FixedProbBroadcaster(n, r, prob=prob, budget=budget),
+            lambda n: FixedProbBroadcaster(n, prob=prob, budget=budget),
             max_slots=budget + 10,
             seed=1,
             trace=TraceConfig(record_outcomes=True),
@@ -68,7 +68,7 @@ class TestFixedProb:
 
     def test_stepping_after_completion_rejected(self, exact_params):
         machine = FixedProbBroadcaster(
-            Node(0, 0, 0, 1.0), node_rng(0, 0), prob=0.5, budget=5
+            Node(0, 0, 0, 1.0), prob=0.5, budget=5
         )
         machine.wake(0)
         machine.poll(5)
@@ -78,10 +78,10 @@ class TestFixedProb:
 
 
 class TestSlowStart:
-    def make(self, node, rng, *, cap=0.16, n=16, phase_len=10,
+    def make(self, node, *, cap=0.16, n=16, phase_len=10,
              target=50, budget=10_000):
         return SlowStartBroadcaster(
-            node, rng, prob_cap=cap, n=n, phase_len=phase_len,
+            node, prob_cap=cap, n=n, phase_len=phase_len,
             cap_slots_target=target, budget=budget,
         )
 
@@ -90,7 +90,7 @@ class TestSlowStart:
         phases = math.ceil(math.log2(16))
         trace = run_simulation(
             net,
-            lambda n, r: self.make(n, r),
+            self.make,
             max_slots=10 * (phases + 2),
             seed=0,
         )
@@ -101,15 +101,15 @@ class TestSlowStart:
         net = clique_topology(4, params=exact_params)
         cap = 0.02
 
-        def factory(n, r):
-            return self.make(n, r, cap=cap, target=200, budget=4_000)
+        def factory(n):
+            return self.make(n, cap=cap, target=200, budget=4_000)
 
         trace = run_simulation(net, factory, max_slots=4_001, seed=3)
         for machine in trace.machines.values():
             assert machine.p_cur <= cap + 1e-15
 
     def test_reception_halves_probability(self, exact_params):
-        machine = self.make(Node(0, 0, 0, 1.0), node_rng(0, 0))
+        machine = self.make(Node(0, 0, 0, 1.0))
         machine.wake(0)
         while machine.p_cur < machine.prob_cap:  # ride the ramp up
             machine.poll(machine.next_checkpoint)
@@ -118,7 +118,7 @@ class TestSlowStart:
         assert machine.p_cur == machine.prob_cap / 2
 
     def test_halving_floors_at_start_probability(self, exact_params):
-        machine = self.make(Node(0, 0, 0, 1.0), node_rng(0, 0))
+        machine = self.make(Node(0, 0, 0, 1.0))
         machine.wake(0)
         for slot in range(1, 6):
             machine.on_receive(slot, 1, "m")
@@ -128,7 +128,7 @@ class TestSlowStart:
         net = lone_network(exact_params)
         trace = run_simulation(
             net,
-            lambda n, r: self.make(n, r, target=40, budget=100_000),
+            lambda n: self.make(n, target=40, budget=100_000),
             max_slots=100_001,
             seed=2,
         )
@@ -185,9 +185,9 @@ class TestSlowStartPolls:
         seen = self.checked_polls(monkeypatch)
         net = scattered_network(seed + 10, 12, wake_window=20)
 
-        def factory(node, rng):
+        def factory(node):
             return SlowStartBroadcaster(
-                node, rng, prob_cap=0.25, n=12, phase_len=6, cap_slots_target=20,
+                node, prob_cap=0.25, n=12, phase_len=6, cap_slots_target=20,
                 budget=500,
             )
 
@@ -198,7 +198,7 @@ class TestSlowStartPolls:
 
 def piecewise(pieces, *, budget=50, prob=0.5, power_bounds=None):
     return FixedProbBroadcaster(
-        Node(0, 0, 0, 8.0), node_rng(0, 0), prob=prob, budget=budget,
+        Node(0, 0, 0, 8.0), prob=prob, budget=budget,
         pieces=pieces, power_bounds=power_bounds,
     )
 
@@ -240,7 +240,7 @@ class TestVariablePower:
         def run(**pieces):
             return run_simulation(
                 net,
-                lambda n, r: FixedProbBroadcaster(n, r, prob=0.2, budget=500, **pieces),
+                lambda n: FixedProbBroadcaster(n, prob=0.2, budget=500, **pieces),
                 max_slots=501,
                 seed=9,
                 trace=TraceConfig(record_outcomes=True),
@@ -284,7 +284,7 @@ class TestVerifyLocalBroadcast:
         net = pair_network(params, d=d)
         trace = run_simulation(
             net,
-            lambda n, r: FixedProbBroadcaster(n, r, prob=0.05, budget=budget),
+            lambda n: FixedProbBroadcaster(n, prob=0.05, budget=budget),
             max_slots=budget + 2,
             seed=21,
         )
@@ -296,7 +296,7 @@ class TestVerifyLocalBroadcast:
         )
         trace = run_simulation(
             net,
-            lambda n, r: FixedProbBroadcaster(n, r, prob=0.5, budget=10),
+            lambda n: FixedProbBroadcaster(n, prob=0.5, budget=10),
             max_slots=12,
             seed=0,
         )

@@ -22,12 +22,14 @@ from sinrsim.coloring import (
     validate_coloring,
     validate_mis,
 )
-from sinrsim.engine import TraceConfig, node_rng, run_simulation
-from sinrsim.model import NetworkParams, Node, build_network
+from sinrsim.engine import TraceConfig, run_simulation
+from sinrsim.experiment import _leader_density_ok
+from sinrsim.model import NetworkParams, Node, broadcast_range, build_network
 from sinrsim.topology import clique_topology
 
 from .conftest import (
     brute_free_counter,
+    brute_leader_density_ok,
     brute_mis_verdict,
     drive_machine,
     full_scan_dominated,
@@ -56,7 +58,7 @@ def run_protocol(net, seed, *, mis=False, scale=1.0, n_hint=None, record=False,
     budget = k.termination_budget(net.longest_chain)
     trace = run_simulation(
         net,
-        lambda n, r: ColoringMachine(n, r, k, mis=mis),
+        lambda n: ColoringMachine(n, k, mis=mis),
         max_slots=max_slots or (2 * budget + 16),
         seed=seed,
         trace=TraceConfig(record_outcomes=True) if record else None,
@@ -126,7 +128,7 @@ class TestLearning:
         k = make_constants()
 
         def driven(until):
-            machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), k)
+            machine = ColoringMachine(Node(0, 0, 0, 1.0), k)
             drive_machine(machine, until=until, inbox=[(3, 9, LearnReq())])
             return machine
 
@@ -157,27 +159,27 @@ class TestWaitTransitions:
         return listen_end
 
     def test_drive_machine_delivers_one_reception_per_slot(self):
-        machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), make_constants())
+        machine = ColoringMachine(Node(0, 0, 0, 1.0), make_constants())
         with pytest.raises(ValueError, match="one slot"):
             drive_machine(machine, until=10, inbox=[(3, 9, LearnReq()), (3, 8, LearnReq())])
 
     def test_unblocked_node_competes(self):
         k = make_constants()
-        machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), k)
+        machine = ColoringMachine(Node(0, 0, 0, 1.0), k)
         self.wake_past_learning(machine)
         assert machine.phase == "compete"
         assert machine._compete_color == 0
 
     def test_uncolored_dominator_blocks(self):
         k = make_constants()
-        machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), k)
+        machine = ColoringMachine(Node(0, 0, 0, 1.0), k)
         inbox = [(3, 9, CounterMsg(0, -4))]  # node 9 reaches us, we never reach it
         self.wake_past_learning(machine, inbox)
         assert machine.phase == "wait"
 
     def test_colored_dominator_releases(self):
         k = make_constants()
-        machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), k)
+        machine = ColoringMachine(Node(0, 0, 0, 1.0), k)
         end = machine._after_ticks(0, k.learning_budget + k.listen_slots)
         inbox = [(end - 1, 9, ColorMsg(k.leader_colors + 5))]
         self.wake_past_learning(machine, inbox)
@@ -185,7 +187,7 @@ class TestWaitTransitions:
 
     def test_colored_bidirectional_leader_attracts_request(self):
         k = make_constants()
-        machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), k)
+        machine = ColoringMachine(Node(0, 0, 0, 1.0), k)
         end = machine._after_ticks(0, k.learning_budget + k.listen_slots)
         inbox = [
             (3, 9, LearnReply(target=0)),  # node 9 is bidirectional
@@ -197,7 +199,7 @@ class TestWaitTransitions:
 
     def test_request_times_out_back_to_wait(self):
         k = make_constants(scale=0.05)
-        machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), k)
+        machine = ColoringMachine(Node(0, 0, 0, 1.0), k)
         end = machine._after_ticks(0, k.learning_budget + k.listen_slots)
         inbox = [(3, 9, LearnReply(target=0)), (end - 1, 9, ColorMsg(2))]
         drive_machine(machine, until=end + 2 * (k.request_budget + 4) + 8, inbox=inbox)
@@ -208,7 +210,7 @@ class TestWaitTransitions:
 
     def test_assignment_moves_to_compete(self):
         k = make_constants(scale=0.05)
-        machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), k)
+        machine = ColoringMachine(Node(0, 0, 0, 1.0), k)
         end = machine._after_ticks(0, k.learning_budget + k.listen_slots)
         inbox = [
             (3, 9, LearnReply(target=0)),
@@ -310,7 +312,7 @@ class TestReceive:
     def listening_machine(monkeypatch):
         """A node in its learning phase whose message handlers only record
         their calls."""
-        machine = ColoringMachine(Node(0, 0, 0, 1.0), node_rng(0, 0), make_constants())
+        machine = ColoringMachine(Node(0, 0, 0, 1.0), make_constants())
         machine.wake(0)
         calls = []
         for name in TestReceive.HANDLERS:
@@ -337,7 +339,7 @@ class TestReceive:
         def state():
             kept = {
                 name: copy.deepcopy(value) for name, value in vars(machine).items()
-                if name not in ("rng", "lanes", "heard_from", "_unconfirmed")
+                if name not in ("lanes", "heard_from", "_unconfirmed")
             }
             return kept, [(ln.period, ln.phase, ln.prob) for ln in machine.lanes]
 
@@ -491,7 +493,7 @@ class TestColoredServing:
 
         trace = run_simulation(
             net,
-            lambda n, r: ColoringMachine(n, r, k),
+            lambda n: ColoringMachine(n, k),
             max_slots=4 * budget,
             seed=2,
             scripted=(budget, snapshot_and_resign),
@@ -588,3 +590,67 @@ class TestValidators:
         )
         assert verdict.independent == independent
         assert verdict.dominating == dominating
+
+
+def clusters(sizes, power=8.0):
+    """Equal-power clusters of the given sizes, each on a circle of radius
+    0.1 r around (0, 0), (1.5 r, 0), (-1.5 r, 0), ... for the broadcasting
+    range r: a cluster's nodes are within one range of each other, the
+    centre cluster's within two of the others'."""
+    params = NetworkParams.exact(alpha=3.0, c_whp=2.0)
+    r = broadcast_range(power, params)
+    centres = [0.0, 1.5 * r, -1.5 * r]
+    nodes = []
+    for centre, size in zip(centres, sizes):
+        for j in range(size):
+            angle = 2.0 * math.pi * j / size
+            nodes.append(Node(len(nodes), centre + 0.1 * r * math.cos(angle),
+                              0.1 * r * math.sin(angle), power))
+    return build_network(nodes, params)
+
+
+class TestLeaderDensity:
+    """`_leader_density_ok`, one batched radius query, against the scan of
+    one query per leader."""
+
+    @pytest.mark.parametrize("leaders, ok", [(10, True), (11, False)])
+    def test_leaders_of_a_clique(self, leaders, ok):
+        """Ratio 1: at most 9 other leaders within one range."""
+        net = clique_topology(12, params=NetworkParams.exact(alpha=3.0, c_whp=2.0))
+        k = make_constants()
+        assert net.range_ratio == 1.0
+        colors = {v: v % k.leader_colors if v < leaders else k.leader_colors + v
+                  for v in net.ids}
+        colors[11] = None  # uncolored nodes are no leaders
+        assert _leader_density_ok(net, colors, k) is ok
+        assert brute_leader_density_ok(net, colors, k.leader_colors) is ok
+
+    @pytest.mark.parametrize("side, ok", [(5, True), (6, False)])
+    def test_leaders_within_two_ranges(self, side, ok):
+        """Ratio 1: at most 19 other leaders within two ranges; a centre
+        leader has 9 within one range and 2 * side within two."""
+        net = clusters([10, side, side])
+        k = make_constants()
+        assert net.range_ratio == 1.0
+        colors = dict.fromkeys(net.ids, 0)  # every node a leader
+        assert _leader_density_ok(net, colors, k) is ok
+        assert brute_leader_density_ok(net, colors, k.leader_colors) is ok
+
+    @given(seed=st.integers(0, 5000), n=st.sampled_from([6, 30, 150]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_query_per_leader(self, seed, n):
+        """Dense random placements, both below and above the all-pairs
+        size of `pairs_within`, with a random share of leaders."""
+        rng = np.random.default_rng(seed)
+        side = 0.3 * math.sqrt(n)
+        nodes = [Node(i, float(rng.uniform(0, side)), float(rng.uniform(0, side)),
+                      float(rng.uniform(1.0, 2.0))) for i in range(n)]
+        net = build_network(nodes, NetworkParams.exact(alpha=3.0, c_whp=2.0))
+        k = make_constants()
+        share = rng.uniform(0.0, 1.0)
+        colors = {v: None if rng.uniform() < 0.1 else
+                  int(rng.integers(0, k.leader_colors)) if rng.uniform() < share else
+                  k.leader_colors for v in net.ids}
+        assert _leader_density_ok(net, colors, k) == brute_leader_density_ok(
+            net, colors, k.leader_colors
+        )

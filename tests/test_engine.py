@@ -10,7 +10,6 @@ from sinrsim.engine import (
     TraceConfig,
     Transmission,
     _Core,
-    node_rng,
     resolve_slot,
     run_simulation,
     sinr_check,
@@ -233,8 +232,8 @@ class TestFastPathEquivalence:
 class ChatterMachine(ProtocolMachine):
     """Transmits with a fixed probability forever; logs receptions."""
 
-    def __init__(self, node, rng, prob=1.0):
-        super().__init__(node, rng)
+    def __init__(self, node, prob=1.0):
+        super().__init__(node)
         self.prob = prob
         self.heard: list[tuple[int, int]] = []
 
@@ -269,8 +268,8 @@ class TestRunSimulation:
     def test_delivery_is_next_slot(self, exact_params):
         net = pair_network(exact_params, d=1.0)
 
-        def factory(node, rng):
-            return ChatterMachine(node, rng, prob=1.0 if node.id == 0 else 0.0)
+        def factory(node):
+            return ChatterMachine(node, prob=1.0 if node.id == 0 else 0.0)
 
         trace = run_simulation(net, factory, max_slots=5, seed=1)
         heard = trace.machines[1].heard
@@ -284,7 +283,7 @@ class TestRunSimulation:
         def run():
             return run_simulation(
                 net,
-                lambda node, r: ChatterMachine(node, r, prob=0.2),
+                lambda node: ChatterMachine(node, prob=0.2),
                 max_slots=400,
                 seed=99,
                 trace=TraceConfig(record_outcomes=True),
@@ -298,10 +297,10 @@ class TestRunSimulation:
     def test_seed_changes_trace(self, exact_params):
         net = pair_network(exact_params)
         t1 = run_simulation(
-            net, lambda n, r: ChatterMachine(n, r, 0.3), max_slots=300, seed=1
+            net, lambda n: ChatterMachine(n, 0.3), max_slots=300, seed=1
         )
         t2 = run_simulation(
-            net, lambda n, r: ChatterMachine(n, r, 0.3), max_slots=300, seed=2
+            net, lambda n: ChatterMachine(n, 0.3), max_slots=300, seed=2
         )
         assert t1.tx_count != t2.tx_count
 
@@ -310,7 +309,7 @@ class TestRunSimulation:
         net = random_small_network(rng, 8, exact_params)
         trace = run_simulation(
             net,
-            lambda node, r: ChatterMachine(node, r, prob=0.4),
+            lambda node: ChatterMachine(node, prob=0.4),
             max_slots=500,
             seed=7,
             trace=TraceConfig(record_outcomes=True),
@@ -332,7 +331,7 @@ class TestRunSimulation:
         net = pair_network(exact_params)
         trace = run_simulation(
             net,
-            lambda node, r: ChatterMachine(node, r, prob=1.0),
+            lambda node: ChatterMachine(node, prob=1.0),
             max_slots=50,
             seed=3,
         )
@@ -344,7 +343,7 @@ class TestRunSimulation:
         net = build_network([Node(0, 0.0, 0.0, 8.0)], exact_params)
         trace = run_simulation(
             net,
-            lambda node, r: ChatterMachine(node, r, prob=0.25),
+            lambda node: ChatterMachine(node, prob=0.25),
             max_slots=100_000,
             seed=12,
         )
@@ -356,7 +355,7 @@ class TestRunSimulation:
         def run(limit):
             return run_simulation(
                 net,
-                lambda node, r: ChatterMachine(node, r, prob=1.0),
+                lambda node: ChatterMachine(node, prob=1.0),
                 max_slots=20,
                 seed=0,
                 trace=TraceConfig(record_outcomes=True, outcome_limit=limit),
@@ -372,8 +371,8 @@ class TestRunSimulation:
             [Node(0, 0, 0, 8.0, sleep_slot=10), Node(1, 1, 0, 8.0)], exact_params
         )
 
-        def factory(node, rng):
-            return ChatterMachine(node, rng, prob=1.0 if node.id == 0 else 0.0)
+        def factory(node):
+            return ChatterMachine(node, prob=1.0 if node.id == 0 else 0.0)
 
         trace = run_simulation(net, factory, max_slots=50, seed=0)
         assert trace.tx_count[0] == 10  # slots 0..9 only

@@ -306,6 +306,25 @@ class TestReports:
         assert "[FAIL]" in text
         assert "node 3" in text
 
+    @pytest.mark.parametrize("mis, problem", [(False, "uncolored nodes"),
+                                              (True, "undecided nodes")])
+    def test_failing_validator_names_its_first_problem(self, mis, problem, monkeypatch):
+        import sinrsim.experiment as experiment
+
+        simulate = experiment.run_simulation
+
+        def first_slot_only(network, factory, *, max_slots, seed, **kwargs):
+            # nobody is colored after one slot
+            return simulate(network, factory, max_slots=1, seed=seed, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_simulation", first_slot_only)
+        net = COLORING_NETWORKS["mixed10"]()
+        report = run_coloring(net, [3, 4], mis=mis, scale=0.2)
+        assert report.verdicts[0] == (
+            "validator", False, f"seed 3: {problem}: {list(net.ids)[:8]}"
+        )
+        assert f"[FAIL] validator -- seed 3: {problem}: [" in report_summary(report)
+
     def test_exit_contract(self, small_report):
         assert small_report.ok
         small_report.add_verdict("synthetic", False)
@@ -347,9 +366,9 @@ class TestExperimentConfig:
 
     def test_unset_budget_constant_is_64(self):
         config = ExperimentConfig(protocol="slowstart", network=self.NET, scale=0.05)
-        assert run_experiment(config).rows == run_slow_start(
-            self.NET, [0], scale=0.05, budget_constant=64.0
-        ).rows
+        rows = run_experiment(config).rows
+        assert rows == run_slow_start(self.NET, [0], scale=0.05).rows
+        assert rows == run_slow_start(self.NET, [0], scale=0.05, budget_constant=64.0).rows
 
     @pytest.mark.parametrize("protocol", ["fixed", "slowstart", "varpower", "mis"])
     def test_resignations_only_for_coloring(self, protocol):
@@ -639,7 +658,7 @@ class TestTraceExport:
         net = uniform_topology(4, 2.0, 4.0, seed=8)
         trace = run_simulation(
             net,
-            lambda n, r: FixedProbBroadcaster(n, r, prob=0.3, budget=50),
+            lambda n: FixedProbBroadcaster(n, prob=0.3, budget=50),
             max_slots=52,
             seed=0,
             trace=TraceConfig(record_outcomes=True),
@@ -678,7 +697,7 @@ class TestTraceExport:
             net.params, cap, net.max_degree, net.range_ratio, net.n, 0.2
         )
         direct = run_simulation(
-            net, lambda node, rng: ColoringMachine(node, rng, k),
+            net, lambda node: ColoringMachine(node, k),
             2 * k.termination_budget(net.longest_chain) + 16, 0,
             trace=TraceConfig(record_outcomes=True),
         )
@@ -726,7 +745,7 @@ class TestBenchmarkLookups:
         # resolver over the nodes `awake_at` that slot
         net = random_topology(8, 2.0, (1.0, 4.0), seed=1, wake_window=5)
         sim = ex.run_simulation(
-            net, lambda node, rng: sinrsim.FixedProbBroadcaster(node, rng, prob=0.3, budget=60),
+            net, lambda node: sinrsim.FixedProbBroadcaster(node, prob=0.3, budget=60),
             70, 0, trace=sinrsim.TraceConfig(record_outcomes=True),
         )
         assert sim.n_slots > 0 and sim.eventful_slots == len(sim.outcomes)

@@ -20,8 +20,6 @@ import math
 from bisect import bisect_right
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .analysis import PowerTrace, whp_slots
 from .engine import ProtocolMachine, SimTrace
 from .errors import ProtocolViolationError
@@ -99,7 +97,11 @@ class FixedProbBroadcaster(ProtocolMachine):
     def on_transmit(self, slot: int, lane: int) -> tuple[Broadcast, float]:
         if self.done:
             raise ProtocolViolationError(f"node {self.node.id} stepped after completion")
-        return self.payload, self.powers[bisect_right(self.starts, slot - self.start_slot) - 1]
+        return self.payload, self.power_at(slot)
+
+    def power_at(self, slot: int) -> float:
+        """The scheduled power in `slot`, a slot after the wake-up."""
+        return self.powers[bisect_right(self.starts, slot - self.start_slot) - 1]
 
     def power_trace(self) -> PowerTrace:
         """Profile of the scheduled powers over the budget, with the pieces
@@ -235,11 +237,9 @@ def verify_local_broadcast(
     if radius is None:
         receivers = network.out_edges[sender]
     else:
-        row = network.distance_row(network.index(sender))
-        receivers = [network.ids[j] for j in np.flatnonzero(row <= radius).tolist()]
+        near, _ = network.within(network.index(sender), radius)
+        receivers = [network.ids[j] for j in near.tolist()]
     for other in receivers:
-        if other == sender:
-            continue
         node = network.node(other)
         if node.wake_slot > start or (node.sleep_slot is not None and node.sleep_slot < end):
             continue  # not awake throughout; outside the guarantee

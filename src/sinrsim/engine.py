@@ -10,6 +10,9 @@ node's regime changes (a wake-up, a reception, a scheduled phase
 boundary), its pending gap is discarded and redrawn, which is again exact.
 A transmission changes no regime: :meth:`ProtocolMachine.on_transmit` only
 names the message and power, and the lane that fired is redrawn as is.
+A run of fixed broadcasters alone changes no regime after the wake-ups, so
+it needs no event queue: every node's transmission slots are drawn up
+front, sorted once and swept in order.
 
 Determinism contract: a run is fully determined by (network, seed, config).
 The engine draws each node's lottery from the node's own PCG64 stream,
@@ -22,13 +25,14 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ProtocolViolationError, SimulationAbort
-from .model import Network, Node
+from .model import Network, Node, _is_number
 
 __all__ = [
     "Transmission",
@@ -255,9 +259,19 @@ class TraceConfig:
     record_outcomes: bool = False  # keep full per-slot transmissions + receptions
     outcome_limit: Optional[int] = None  # cap on recorded eventful slots
 
+    def __post_init__(self) -> None:
+        limit = self.outcome_limit
+        if limit is not None and not (_is_number(limit, int, numbers.Integral) and limit >= 0):
+            raise ValueError(f"outcome_limit must be a non-negative integer or None, got {limit!r}")
+
 
 @dataclass
 class SimTrace:
+    """What a run did.  The loop counters describe the event loop; a run
+    swept as a schedule (fixed broadcasters alone, see
+    :func:`run_simulation`) takes nothing off a heap, so its `heap_pops`
+    and `stale_tx_entries` are 0."""
+
     seed: int
     n_slots: int
     completed: bool
@@ -343,27 +357,18 @@ class _Core:
         # filtering that a count of 0 lets a lone transmission skip
         self.asleep = network.n
 
-    def resolve(self, txs: list[_SlotTx]) -> tuple[list[Sequence[int]], list[_LoneReach]]:
-        """Ascending indices of the awake, non-transmitting listeners that
-        decode each transmission, under the same delivery rule as
-        :func:`resolve_slot`, and each transmission's
-        :meth:`Network.lone_reach` entry; the transmitters are flagged in
-        `sending`.  The sequences are read-only; they may be cached reach
-        sets.
+    def resolve(self, txs: list[_SlotTx]) -> tuple[list[list[int]], list[_LoneReach]]:
+        """For a slot with several transmissions, the ascending indices of
+        the awake listeners outside `sending` that decode each one, under
+        the same delivery rule as :func:`resolve_slot`, and each
+        transmission's :meth:`Network.lone_reach` entry.  The transmitters
+        must be flagged in `sending`.
 
-        A multi-transmission slot has a few senders and candidates, so it
-        is decided in Python floats around one array call, the path losses
+        Such a slot has a few senders and candidates, so it is decided in
+        Python floats around one array call, the path losses
         (:meth:`Network.path_loss`): the IEEE operations are those of a
         dense matrix evaluation, bit for bit."""
         reach = self.network.lone_reach
-        if len(txs) == 1:
-            idx, power, _ = txs[0]
-            entry = reach(idx, power)
-            exact = entry[0]
-            if not self.asleep:
-                return [exact], [entry]
-            awake = self.awake
-            return [[l for l in exact if awake[l]]], [entry]
         received: list[list[int]] = [[] for _ in txs]
         entries = [reach(idx, power) for idx, power, _ in txs]
         union: set[int] = set()
@@ -388,6 +393,101 @@ class _Core:
             if len(hits) == 1:
                 received[hits[0]].append(l)
         return received, entries
+
+
+def _ledger(
+    network: Network, core: _Core, hears: Sequence[bool], trace: TraceConfig
+) -> tuple[Callable[[int, list[_SlotTx], dict[int, tuple[int, Any]]], None], Callable[[], dict]]:
+    """Step 8 of a slot, which the event loop and the schedule sweep share:
+    ``settle(slot, txs, pending)`` resolves the slot's transmissions,
+    counts them and their full successes, files first receptions, puts each
+    reception of a listener in `hears` into `pending` (listener index ->
+    (sender id, payload)) and records the outcome.  The senders must be
+    flagged in ``core.sending``; `settle` clears the flags.  ``fields()``
+    gives the :class:`SimTrace` fields filled so far."""
+    ids = network.ids
+    n = network.n
+    reach = network.lone_reach
+    resolve = core.resolve
+    awake, sending = core.awake, core.sending
+    first_rx: dict[int, dict[int, int]] = {v: {} for v in ids}
+    rx_rows = [first_rx[v] for v in ids]
+    tx_counts = [0] * n
+    full_counts = [0] * n
+    first_full: list[Optional[int]] = [None] * n
+    outcomes: Optional[list[SlotOutcome]] = [] if trace.record_outcomes else None
+    limit = trace.outcome_limit
+    eventful = multi_tx = 0
+    truncated = False
+
+    def settle(s: int, txs: list[_SlotTx], pending: dict[int, tuple[int, Any]]) -> None:
+        nonlocal eventful, multi_tx, truncated
+        eventful += 1
+        lone = len(txs) == 1
+        if lone:
+            # a lone transmission reaches the awake nodes of its exact reach
+            entry = reach(txs[0][0], txs[0][1])
+            exact = entry[0]
+            received: Sequence[Sequence[int]] = (
+                (exact,) if not core.asleep else ([l for l in exact if awake[l]],)
+            )
+            entries: Sequence[_LoneReach] = (entry,)
+        else:
+            multi_tx += 1
+            received, entries = resolve(txs)
+        for (i, power, payload), rx, entry in zip(txs, received, entries):
+            sending[i] = False
+            tx_counts[i] += 1
+            # full success: every awake out-neighbour decoded; a lone
+            # transmission reaches every awake node of its exact reach, so
+            # only the out-neighbours outside it can miss it
+            if lone:
+                missing = entry[3]
+                full = not any(awake[u] for u in missing) if missing else True
+            else:
+                heard = set(rx)
+                full = all(u in heard or not awake[u] for u in entry[2])
+            if full:
+                full_counts[i] += 1
+                if first_full[i] is None:
+                    first_full[i] = s
+            sender_id = ids[i]
+            message = (sender_id, payload)
+            for l in rx:
+                row_rx = rx_rows[l]
+                if sender_id not in row_rx:
+                    row_rx[sender_id] = s
+                if hears[l]:
+                    pending[l] = message
+        if outcomes is not None:
+            if limit is not None and len(outcomes) >= limit:
+                truncated = True
+            else:
+                records = [Transmission(ids[i], s, power, payload) for i, power, payload in txs]
+                pairs = [(l, t) for t, rx in enumerate(received) for l in rx]
+                if not lone:
+                    pairs.sort()
+                outcomes.append(
+                    SlotOutcome(
+                        slot=s,
+                        transmissions=tuple(records),
+                        receptions=tuple((ids[l], records[t]) for l, t in pairs),
+                    )
+                )
+
+    def fields() -> dict:
+        return dict(
+            first_rx=first_rx,
+            tx_count=dict(zip(ids, tx_counts)),
+            full_success_count=dict(zip(ids, full_counts)),
+            first_full_success=dict(zip(ids, first_full)),
+            outcomes=outcomes,
+            eventful_slots=eventful,
+            outcomes_truncated=truncated,
+            multi_tx_slots=multi_tx,
+        )
+
+    return settle, fields
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
@@ -506,22 +606,30 @@ def run_simulation(
     external event (such as a forced resignation) and returns the later
     slot of its next call, or None; the run cannot complete while a call
     before `max_slots` is pending.
+
+    A run without a script whose machines are all exactly
+    :class:`~sinrsim.broadcast.FixedProbBroadcaster` never reacts to what
+    it hears, so it is swept as an open-loop schedule with no heap
+    (:func:`_run_schedule`); the trace is the one the event loop gives.
     """
     if max_slots <= 0:
         raise ValueError("max_slots must be positive")
     trace = trace or TraceConfig()
+    machines = [factory(node) for node in network.nodes]
+    from .broadcast import FixedProbBroadcaster  # broadcast.py imports this module
+
+    if scripted is None and all(type(m) is FixedProbBroadcaster for m in machines):
+        return _run_schedule(network, machines, max_slots, seed, trace, monitor)
     core = _Core(network)
-    resolve = core.resolve
     n = network.n
     ids = network.ids
-
-    machines = [factory(node) for node in network.nodes]
     by_id = dict(zip(ids, machines))
 
     next_tx: list[list[Optional[int]]] = [[None] * len(m.lanes) for m in machines]
     uniforms = _Uniforms([node_rng(seed, v) for v in ids])
     # an inbox for each machine whose class reads its receptions
     hears = [type(m).on_receive is not ProtocolMachine.on_receive for m in machines]
+    settle, fields = _ledger(network, core, hears, trace)
     synced_cp: list[Optional[int]] = [None] * n
     awake = core.awake  # flags per node index
     sending = core.sending  # this slot's transmitters
@@ -548,17 +656,8 @@ def run_simulation(
     pending: dict[int, tuple[int, Any]] = {}  # listener index -> (sender id, payload)
     pending_sorted = True  # filled by one transmission, so in listener order
 
-    first_rx: dict[int, dict[int, int]] = {v: {} for v in ids}
-    rx_rows = [first_rx[v] for v in ids]
-    tx_counts = [0] * n
-    full_counts = [0] * n
-    first_full: list[Optional[int]] = [None] * n
-    outcomes: Optional[list[SlotOutcome]] = [] if trace.record_outcomes else None
-    truncated = False
-    eventful = 0
     heap_pops = 0
     stale_tx = 0
-    multi_tx = 0
 
     last_slot = -1
     completed = False
@@ -728,56 +827,12 @@ def run_simulation(
                         heappush(heap, (slot, _TX, i, k))
 
             # 8. physical resolution and delivery: statistics, the
-            # listeners' receptions and the record
+            # listeners' receptions and the record (shared with the schedule)
             if txs:
-                received, entries = resolve(txs)
-                eventful += 1
-                lone = len(txs) == 1
-                if not lone:
-                    multi_tx += 1
-                for (i, power, payload), rx, entry in zip(txs, received, entries):
-                    sending[i] = False
-                    tx_counts[i] += 1
-                    # full success: every awake out-neighbour decoded; a
-                    # lone transmission reaches every awake node of its
-                    # exact reach, so only the out-neighbours outside it
-                    # can miss it
-                    if lone:
-                        missing = entry[3]
-                        full = not any(awake[u] for u in missing) if missing else True
-                    else:
-                        heard = set(rx)
-                        full = all(u in heard or not awake[u] for u in entry[2])
-                    if full:
-                        full_counts[i] += 1
-                        if first_full[i] is None:
-                            first_full[i] = s
-                    sender_id = ids[i]
-                    message = (sender_id, payload)
-                    for l in rx:
-                        row_rx = rx_rows[l]
-                        if sender_id not in row_rx:
-                            row_rx[sender_id] = s
-                        if hears[l]:
-                            pending[l] = message
+                settle(s, txs, pending)
                 if pending:
-                    pending_sorted = lone
+                    pending_sorted = len(txs) == 1
                     pending_slot = s + 1
-                if outcomes is not None:
-                    if trace.outcome_limit is not None and len(outcomes) >= trace.outcome_limit:
-                        truncated = True
-                    else:
-                        records = [Transmission(ids[i], s, power, payload) for i, power, payload in txs]
-                        pairs = [(l, t) for t, rx in enumerate(received) for l in rx]
-                        if not lone:
-                            pairs.sort()
-                        outcomes.append(
-                            SlotOutcome(
-                                slot=s,
-                                transmissions=tuple(records),
-                                receptions=tuple((ids[l], records[t]) for l, t in pairs),
-                            )
-                        )
 
             if monitor is not None and changed:
                 monitor(s, [(i, *_parity_probs(machines[i])) for i in changed])
@@ -795,15 +850,136 @@ def run_simulation(
         n_slots=(last_slot + 1) if completed else max_slots,
         completed=completed,
         machines=by_id,
-        first_rx=first_rx,
-        tx_count=dict(zip(ids, tx_counts)),
-        full_success_count=dict(zip(ids, full_counts)),
-        first_full_success=dict(zip(ids, first_full)),
         draws=dict(zip(ids, uniforms.counts())),
-        outcomes=outcomes,
-        eventful_slots=eventful,
-        outcomes_truncated=truncated,
         heap_pops=heap_pops,
         stale_tx_entries=stale_tx,
-        multi_tx_slots=multi_tx,
+        **fields(),
+    )
+
+
+def _run_schedule(
+    network: Network,
+    machines: list[ProtocolMachine],
+    max_slots: int,
+    seed: int,
+    trace: TraceConfig,
+    monitor: Optional[Callable[[int, list[tuple[int, float, float]]], None]],
+) -> SimTrace:
+    """:func:`run_simulation` for a run of fixed broadcasters alone, as an
+    open-loop schedule.  Such a machine never hears, and its lane and
+    checkpoint are set once, at its wake-up: so each node's transmission
+    slots follow from its wake-up, its departure, its budget and its own
+    stream.  They are the geometric gaps the event loop would draw, up to
+    the first of its budget end, its departure and `max_slots`.  Every
+    event is one integer ``(slot * 5 + kind) * n + node index``; sorted,
+    the integers come in the event loop's (slot, kind, node) order, and
+    one sweep over them gives the same run through the same step 8.  The
+    power comes from the machine's `power_at`, as in its `on_transmit`,
+    and its `poll` runs at the budget end."""
+    n = network.n
+    ids = network.ids
+    core = _Core(network)
+    awake, sending = core.awake, core.sending
+    settle, fields = _ledger(network, core, bytearray(n), trace)
+    log1p = math.log1p
+    timeline: list[int] = []
+    draws = [0] * n
+    last = -1  # the slot the last node stops in: its budget end or departure
+    cur = s = -1
+    try:
+        for i, (node, machine) in enumerate(zip(network.nodes, machines)):
+            s = node.wake_slot
+            if s >= max_slots:
+                continue
+            cur = i
+            machine.wake(s)
+            cur = -1
+            timeline.append((s * 5 + _WAKE) * n + i)
+            end = s + machine.budget
+            leave = node.sleep_slot
+            if leave is not None and leave < max_slots:
+                timeline.append((leave * 5 + _SLEEP) * n + i)
+            if leave is not None and leave <= end:
+                end = leave  # gone before its poll: never done
+            elif end < max_slots:
+                timeline.append((end * 5 + _CHECK) * n + i)
+            last = max(last, end)
+            stop = min(end, max_slots)
+            prob = machine.prob
+            if prob >= 1.0:  # every slot, and no draw
+                timeline.extend(range((s * 5 + _TX) * n + i, (stop * 5 + _TX) * n + i, 5 * n))
+                continue
+            # the gaps of `_lane_slot`, from the stream read in blocks
+            rng = node_rng(seed, ids[i])
+            log_q = log1p(-prob)
+            block: list[float] = []
+            k = 0
+            fired = len(timeline)
+            while True:
+                if k == len(block):
+                    block = rng.random(_BLOCK).tolist()
+                    k = 0
+                s += int(log1p(-block[k]) / log_q)
+                k += 1
+                if s >= stop:
+                    break
+                timeline.append((s * 5 + _TX) * n + i)
+                s += 1
+            draws[i] = len(timeline) - fired + 1
+        timeline.sort()
+        timeline.append(max_slots * 5 * n)  # a slot after the run: settles the last one
+
+        flat = [m.powers[0] if len(m.powers) == 1 else None for m in machines]
+        payloads = [m.payload for m in machines]
+        pending: dict[int, tuple[int, Any]] = {}  # stays empty: nobody hears
+        txs: list[_SlotTx] = []
+        changed: list[int] = []
+        slot = -1
+        for key in timeline:
+            q, i = divmod(key, n)
+            s, kind = divmod(q, 5)
+            if s != slot:
+                if txs:
+                    settle(slot, txs, pending)
+                    txs = []
+                if changed:
+                    if monitor is not None:
+                        monitor(slot, [(j, *_parity_probs(machines[j])) for j in sorted(changed)])
+                    changed = []
+                if s == max_slots:
+                    break
+                slot = s
+            if kind == _TX:
+                power = flat[i]
+                if power is None:
+                    power = machines[i].power_at(s)
+                sending[i] = True
+                txs.append((i, power, payloads[i]))
+            elif kind == _WAKE:
+                awake[i] = True
+                core.asleep -= 1
+                changed.append(i)
+            elif kind == _SLEEP:
+                awake[i] = False
+                core.asleep += 1
+            else:
+                machine = machines[i]
+                machine._checkpoint = None
+                cur = i
+                machine.poll(s)
+                cur = -1
+                changed.append(i)
+    except Exception as exc:
+        if cur < 0 or isinstance(exc, SimulationAbort):
+            raise
+        raise SimulationAbort(ids[cur], s, exc) from exc
+
+    completed = 0 <= last < max_slots
+    return SimTrace(
+        seed=seed,
+        n_slots=last + 1 if completed else max_slots,
+        completed=completed,
+        machines=dict(zip(ids, machines)),
+        draws=dict(zip(ids, draws)),
+        **fields(),
     )

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinrsim.analysis import region_probability_cap
 from sinrsim.broadcast import (
@@ -12,13 +14,13 @@ from sinrsim.broadcast import (
     broadcast_budget,
     verify_local_broadcast,
 )
-from sinrsim.engine import TraceConfig, run_simulation
+from sinrsim.engine import SimTrace, TraceConfig, run_simulation
 from sinrsim.errors import ProtocolViolationError
 from sinrsim.experiment import RegionBudgetMonitor, run_slow_start
 from sinrsim.model import NetworkParams, Node, build_network
 from sinrsim.topology import clique_topology
 
-from .conftest import pair_network
+from .conftest import pair_network, random_small_network
 from .test_event_loop import scattered_network
 from .test_harness import GOLDEN, GOLDEN_NETWORKS, GOLDEN_RUNS
 
@@ -317,3 +319,30 @@ class TestVerifyLocalBroadcast:
     def test_custom_radius_restricts_audience(self, exact_params):
         net, trace = self.run_pair(exact_params, d=1.0)
         assert verify_local_broadcast(trace, net, 0, (0, 2000), radius=0.5)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_radius_audience_matches_distance_row(self, data):
+        """The grid query picks the nodes a full distance row does, a node
+        exactly on the radius included and one an ulp beyond it left out:
+        node `j` alone never heard the sender, so the verdict fails
+        exactly when `j` is an intended receiver."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        net = random_small_network(rng, data.draw(st.integers(2, 60)), NetworkParams.exact())
+        i, j = (int(k) for k in rng.choice(net.n, size=2, replace=False))
+        sender, other = net.ids[i], net.ids[j]
+        d = net.dist(sender, other)
+        radius = data.draw(st.sampled_from(
+            [d, math.nextafter(d, 0.0), math.nextafter(d, math.inf), 3.0 * d]))
+        row = net.distance_row(i)
+        expected = [net.ids[k] for k in np.flatnonzero(row <= radius).tolist() if k != i]
+        assert [net.ids[k] for k in net.within(i, radius)[0].tolist()] == expected
+        first_rx = {v: ({} if v == other else {sender: 0}) for v in net.ids}
+        trace = SimTrace(
+            seed=0, n_slots=10, completed=True, machines=dict.fromkeys(net.ids),
+            first_rx=first_rx, tx_count={}, full_success_count={},
+            first_full_success={}, draws={},
+        )
+        assert verify_local_broadcast(trace, net, sender, (0, 10), radius=radius) == (
+            other not in expected
+        )

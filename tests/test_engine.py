@@ -223,10 +223,7 @@ class TestFastPathEquivalence:
         reference = resolve_slot(net, txs, awake=awake)
         assert fast_pairs == {(l, tx.sender) for l, tx in reference.receptions}
         # alone, node 0 reaches the boundary listener
-        lone = _Core(net)
-        lone.awake[n - 1] = True
-        received, (entry,) = lone.resolve([(0, 8.0, None)])
-        assert received == [[n - 1]] and entry is net.lone_reach(0, 8.0)
+        assert n - 1 in net.lone_reach(0, 8.0)[0]
 
 
 class ChatterMachine(ProtocolMachine):
@@ -365,6 +362,21 @@ class TestRunSimulation:
         assert len(cut.outcomes) == 5 and cut.outcomes_truncated
         whole = run(None)
         assert len(whole.outcomes) == 20 and not whole.outcomes_truncated
+
+    @pytest.mark.parametrize("limit", [-1, 2.5, "3", True])
+    def test_outcome_limit_must_be_a_count(self, limit):
+        with pytest.raises(ValueError, match="outcome_limit"):
+            TraceConfig(record_outcomes=True, outcome_limit=limit)
+
+    def test_outcome_limit_zero_records_nothing(self, exact_params):
+        trace = run_simulation(
+            pair_network(exact_params, d=1.0),
+            lambda node: ChatterMachine(node, prob=1.0),
+            max_slots=5,
+            seed=0,
+            trace=TraceConfig(record_outcomes=True, outcome_limit=np.int64(0)),
+        )
+        assert trace.outcomes == [] and trace.outcomes_truncated
 
     def test_sleeping_node_stops_participating(self, exact_params):
         net = build_network(

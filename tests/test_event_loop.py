@@ -6,6 +6,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sinrsim.engine as engine
 from sinrsim.analysis import region_probability_cap
@@ -187,10 +189,12 @@ class TestMatchesReference:
 
     def test_sleeping_nodes(self):
         net = scattered_network(40, 12, wake_window=10, sleepers=5)
-        runs = run_both(
+        assert_same_run(run_both(
             net, lambda node: FixedProbBroadcaster(node, prob=0.2, budget=400),
             500, 2,
-        )
+        ))
+        # in the event loop, a sleeper leaves stale lane entries behind
+        runs = run_both(net, OddSlotToggler, 500, 2)
         assert_same_run(runs)
         assert runs[1][0].stale_tx_entries > 0
 
@@ -253,6 +257,120 @@ class TestMatchesReference:
         )
         assert_same_run(runs)
         assert runs[1][0].outcomes_truncated and len(runs[1][0].outcomes) == 25
+
+
+class TestScheduleMatchesReference:
+    """A run of fixed broadcasters alone is swept as a schedule; the
+    reference engine steps it through its per-slot loop."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_fixed_broadcast_runs(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        n = data.draw(st.integers(2, 12))
+        budget = data.draw(st.integers(1, 120))
+        prob = data.draw(st.sampled_from([1.0, 0.5, 0.3, 0.12]))
+        wake_window = data.draw(st.integers(0, 60))
+        # up to well past every budget end, so budgets run past it or not
+        max_slots = data.draw(st.integers(1, wake_window + budget + 20))
+        pieces = data.draw(st.booleans())
+        limit = data.draw(st.sampled_from([None, 0, 3, 20]))
+        side = 1.6 * np.sqrt(n)
+        nodes = []
+        for i in range(n):
+            wake = int(rng.integers(0, wake_window + 1))
+            # stays, or leaves before, at or after its budget end
+            leave = [None, wake + int(rng.integers(1, budget + 1)), wake + budget,
+                     wake + budget + int(rng.integers(1, 30))][int(rng.integers(0, 4))]
+            nodes.append(Node(i, float(rng.uniform(0, side)), float(rng.uniform(0, side)),
+                              float(rng.uniform(1.0, 8.0)), wake_slot=wake, sleep_slot=leave))
+        net = build_network(nodes, PARAMS)
+        schedules = {}
+        for node in nodes:
+            starts = sorted({0, *rng.integers(1, budget + 10, size=3).tolist()}) if pieces else [0]
+            schedules[node.id] = [(t, float(rng.uniform(0.5, 8.0))) for t in starts]
+
+        def factory(node):
+            return FixedProbBroadcaster(node, prob=prob, budget=budget, pieces=schedules[node.id])
+
+        runs = run_both(net, factory, max_slots, 0, outcome_limit=limit)
+        assume(runs[0][0].eventful_slots > 0)
+        assert_same_run(runs)
+        (ref, _), (new, _) = runs
+        for v in net.ids:
+            assert new.machines[v].power_trace() == ref.machines[v].power_trace()
+
+
+class HearingBroadcaster(FixedProbBroadcaster):
+    """A fixed broadcaster that logs what it hears."""
+
+    def on_receive(self, slot, sender, payload):
+        self.record(slot, "rx", sender)
+
+
+class TestSchedulePath:
+    """The engine sweeps a run of fixed broadcasters alone as a schedule,
+    with no lane draws and no heap; a script or a hearing machine puts the
+    run through the event loop."""
+
+    def lane_draws(self, monkeypatch):
+        calls = []
+
+        def counting(lane, uniforms, i, from_slot):
+            calls.append(i)
+            return real(lane, uniforms, i, from_slot)
+
+        real = engine._lane_slot
+        monkeypatch.setattr(engine, "_lane_slot", counting)
+        return calls
+
+    def run(self, factory, **kwargs):
+        net = scattered_network(60, 14, wake_window=30, sleepers=4)
+        return run_simulation(net, factory, 400, 5, trace=TraceConfig(record_outcomes=True),
+                              **kwargs)
+
+    @staticmethod
+    def fixed(node):
+        return FixedProbBroadcaster(node, prob=0.15, budget=300)
+
+    def test_fixed_run_is_a_schedule(self, monkeypatch):
+        calls = self.lane_draws(monkeypatch)
+        trace = self.run(self.fixed)
+        assert calls == []
+        assert trace.heap_pops == 0 and trace.stale_tx_entries == 0
+        assert trace.eventful_slots > 0 and sum(trace.draws.values()) > 0
+
+    @pytest.mark.parametrize("simulate", [reference_run_simulation, run_simulation])
+    def test_a_run_nobody_wakes_in_does_not_complete(self, simulate):
+        late = build_network(
+            [Node(0, 0.0, 0.0, 8.0, wake_slot=9), Node(1, 1.0, 0.0, 8.0, wake_slot=12)], PARAMS
+        )
+        trace = simulate(late, self.fixed, 9, 0)
+        assert (trace.completed, trace.n_slots, trace.eventful_slots) == (False, 9, 0)
+        assert trace.draws == {0: 0, 1: 0}
+
+    def test_a_script_takes_the_event_loop(self, monkeypatch):
+        schedule = self.run(self.fixed)
+        calls = self.lane_draws(monkeypatch)
+        scripted = self.run(self.fixed, scripted=(3, lambda machines, slot: None))
+        assert calls and scripted.heap_pops > 0
+        # a script that changes nothing changes no result
+        assert scripted.outcomes == schedule.outcomes
+        assert scripted.first_rx == schedule.first_rx
+        assert scripted.draws == schedule.draws
+        assert (scripted.n_slots, scripted.completed) == (schedule.n_slots, schedule.completed)
+
+    def test_a_hearing_machine_takes_the_event_loop(self, monkeypatch):
+        calls = self.lane_draws(monkeypatch)
+
+        def factory(node):
+            if node.id == 0:
+                return HearingBroadcaster(node, prob=0.15, budget=300)
+            return self.fixed(node)
+
+        trace = self.run(factory)
+        assert calls and trace.heap_pops > 0
+        assert trace.machines[0].log
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,7 @@ class FixedProbBroadcaster(ProtocolMachine):
     def on_transmit(self, slot: int, lane: int) -> tuple[Broadcast, float]:
         if self.done:
             raise ProtocolViolationError(f"node {self.node.id} stepped after completion")
-        return self.payload, self.power_at(slot)
-
-    def power_at(self, slot: int) -> float:
-        """The scheduled power in `slot`, a slot after the wake-up."""
-        return self.powers[bisect_right(self.starts, slot - self.start_slot) - 1]
+        return self.payload, self.powers[bisect_right(self.starts, slot - self.start_slot) - 1]
 
     def power_trace(self) -> PowerTrace:
         """Profile of the scheduled powers over the budget, with the pieces

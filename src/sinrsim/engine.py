@@ -539,6 +539,12 @@ class _Uniforms:
         return [(r - 1) * _BLOCK + k for r, k in zip(self.refills, self.taken)]
 
 
+def _gap(u: float, log_q: float) -> int:
+    """The geometric number of eligible slots a lane of probability p < 1
+    skips before it fires, from the uniform `u`; `log_q` is log1p(-p)."""
+    return int(math.log1p(-u) / log_q)
+
+
 def _lane_slot(lane: Lane, uniforms: _Uniforms, i: int, from_slot: int) -> Optional[int]:
     """The next transmission slot of a lane of node index `i` from
     `from_slot` on, or None if it never fires: a geometric number of
@@ -546,7 +552,7 @@ def _lane_slot(lane: Lane, uniforms: _Uniforms, i: int, from_slot: int) -> Optio
     prob = lane.prob
     if prob <= 0.0:
         return None
-    gap = 0 if prob >= 1.0 else int(math.log1p(-uniforms.draw(i)) / math.log1p(-prob))
+    gap = 0 if prob >= 1.0 else _gap(uniforms.draw(i), math.log1p(-prob))
     period = lane.period
     slot = from_slot if period == 1 else from_slot + (lane.phase - from_slot) % period
     return slot + gap * period
@@ -866,25 +872,24 @@ def _run_schedule(
     monitor: Optional[Callable[[int, list[tuple[int, float, float]]], None]],
 ) -> SimTrace:
     """:func:`run_simulation` for a run of fixed broadcasters alone, as an
-    open-loop schedule.  Such a machine never hears, and its lane and
-    checkpoint are set once, at its wake-up: so each node's transmission
-    slots follow from its wake-up, its departure, its budget and its own
-    stream.  They are the geometric gaps the event loop would draw, up to
-    the first of its budget end, its departure and `max_slots`.  Every
-    event is one integer ``(slot * 5 + kind) * n + node index``; sorted,
-    the integers come in the event loop's (slot, kind, node) order, and
-    one sweep over them gives the same run through the same step 8.  The
-    power comes from the machine's `power_at`, as in its `on_transmit`,
-    and its `poll` runs at the budget end."""
+    open-loop schedule.  Such a machine never hears, and the one lane and
+    the checkpoint that its `wake` sets hold until its `poll` there ends
+    its run: so each node's transmission slots follow from its wake-up, its
+    departure, that plan and its own stream.  They are the gaps the event
+    loop would draw (:func:`_gap`), up to the first of the checkpoint, the
+    departure and `max_slots`.  Every event is one integer
+    ``(slot * 5 + kind) * n + node index``; sorted, the integers come in
+    the event loop's (slot, kind, node) order, and one sweep over them
+    calls each machine's `on_transmit` and `poll` in the event loop's slots
+    and gives the same run through the same step 8."""
     n = network.n
     ids = network.ids
     core = _Core(network)
     awake, sending = core.awake, core.sending
     settle, fields = _ledger(network, core, bytearray(n), trace)
-    log1p = math.log1p
     timeline: list[int] = []
     draws = [0] * n
-    last = -1  # the slot the last node stops in: its budget end or departure
+    last = -1  # the slot the last node stops in: its poll or departure
     cur = s = -1
     try:
         for i, (node, machine) in enumerate(zip(network.nodes, machines)):
@@ -895,7 +900,10 @@ def _run_schedule(
             machine.wake(s)
             cur = -1
             timeline.append((s * 5 + _WAKE) * n + i)
-            end = s + machine.budget
+            (lane,) = machine.lanes
+            end = machine._checkpoint
+            if end is None:
+                end = max_slots  # never polled in the run
             leave = node.sleep_slot
             if leave is not None and leave < max_slots:
                 timeline.append((leave * 5 + _SLEEP) * n + i)
@@ -905,13 +913,17 @@ def _run_schedule(
                 timeline.append((end * 5 + _CHECK) * n + i)
             last = max(last, end)
             stop = min(end, max_slots)
-            prob = machine.prob
-            if prob >= 1.0:  # every slot, and no draw
-                timeline.extend(range((s * 5 + _TX) * n + i, (stop * 5 + _TX) * n + i, 5 * n))
+            prob, period = lane.prob, lane.period
+            s += (lane.phase - s) % period  # the first eligible slot
+            if prob <= 0.0:
+                continue
+            if prob >= 1.0:  # every eligible slot, and no draw
+                step = 5 * period * n
+                timeline.extend(range((s * 5 + _TX) * n + i, (stop * 5 + _TX) * n + i, step))
                 continue
             # the gaps of `_lane_slot`, from the stream read in blocks
             rng = node_rng(seed, ids[i])
-            log_q = log1p(-prob)
+            log_q = math.log1p(-prob)
             block: list[float] = []
             k = 0
             fired = len(timeline)
@@ -919,18 +931,17 @@ def _run_schedule(
                 if k == len(block):
                     block = rng.random(_BLOCK).tolist()
                     k = 0
-                s += int(log1p(-block[k]) / log_q)
+                s += _gap(block[k], log_q) * period
                 k += 1
                 if s >= stop:
                     break
                 timeline.append((s * 5 + _TX) * n + i)
-                s += 1
+                s += period
             draws[i] = len(timeline) - fired + 1
         timeline.sort()
         timeline.append(max_slots * 5 * n)  # a slot after the run: settles the last one
 
-        flat = [m.powers[0] if len(m.powers) == 1 else None for m in machines]
-        payloads = [m.payload for m in machines]
+        transmit = [m.on_transmit for m in machines]
         pending: dict[int, tuple[int, Any]] = {}  # stays empty: nobody hears
         txs: list[_SlotTx] = []
         changed: list[int] = []
@@ -950,24 +961,30 @@ def _run_schedule(
                     break
                 slot = s
             if kind == _TX:
-                power = flat[i]
-                if power is None:
-                    power = machines[i].power_at(s)
+                cur = i
+                payload, power = transmit[i](s, 0)
+                cur = -1
                 sending[i] = True
-                txs.append((i, power, payloads[i]))
-            elif kind == _WAKE:
+                txs.append((i, power, payload))
+                continue
+            machine = machines[i]
+            if kind == _WAKE:
                 awake[i] = True
                 core.asleep -= 1
-                changed.append(i)
             elif kind == _SLEEP:
                 awake[i] = False
                 core.asleep += 1
             else:
-                machine = machines[i]
                 machine._checkpoint = None
                 cur = i
                 machine.poll(s)
                 cur = -1
+                if machine.lanes[0].prob > 0.0 or machine._checkpoint is not None or not machine.done:
+                    raise ProtocolViolationError(
+                        f"node {ids[i]}: its poll in slot {s} did not end its open-loop plan"
+                    )
+            if machine._dirty:  # as in step 6 of the event loop
+                machine._dirty = False
                 changed.append(i)
     except Exception as exc:
         if cur < 0 or isinstance(exc, SimulationAbort):

@@ -10,6 +10,7 @@ from sinrsim.engine import (
     TraceConfig,
     Transmission,
     _Core,
+    _ledger,
     resolve_slot,
     run_simulation,
     sinr_check,
@@ -222,8 +223,18 @@ class TestFastPathEquivalence:
         awake = {net.ids[i] for i in [*senders, *listeners]}
         reference = resolve_slot(net, txs, awake=awake)
         assert fast_pairs == {(l, tx.sender) for l, tx in reference.receptions}
-        # alone, node 0 reaches the boundary listener
-        assert n - 1 in net.lone_reach(0, 8.0)[0]
+        # alone, node 0 reaches the boundary listener through step 8's
+        # exact lone-reach path: the one place it can differ from the
+        # float path of `resolve`
+        lone = _Core(net)
+        lone.awake[n - 1] = True
+        lone.sending[0] = True
+        settle, fields = _ledger(net, lone, bytearray(n), TraceConfig(record_outcomes=True))
+        settle(7, [(0, 8.0, None)], {})
+        got = fields()
+        assert got["first_rx"][net.ids[n - 1]] == {net.ids[0]: 7}
+        assert [l for l, _ in got["outcomes"][0].receptions] == [net.ids[n - 1]]
+        assert not lone.sending[0]
 
 
 class ChatterMachine(ProtocolMachine):

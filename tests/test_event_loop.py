@@ -360,6 +360,44 @@ class TestSchedulePath:
         assert scripted.draws == schedule.draws
         assert (scripted.n_slots, scripted.completed) == (schedule.n_slots, schedule.completed)
 
+    def test_transmissions_go_through_on_transmit(self, monkeypatch):
+        sent = []
+        real = FixedProbBroadcaster.on_transmit
+
+        def logged(machine, slot, lane):
+            sent.append((slot, machine.node.id))
+            return real(machine, slot, lane)
+
+        monkeypatch.setattr(FixedProbBroadcaster, "on_transmit", logged)
+        trace = self.run(self.fixed)
+        assert sent == sorted(sent)  # in slot order, nodes in index order
+        assert len(sent) == sum(trace.tx_count.values()) > 0
+
+    def test_the_schedule_follows_the_plan_wake_sets(self, monkeypatch):
+        # a lane of period 3 and a shorter checkpoint than the budget: the
+        # sweep reads both from the machine, as the event loop does
+        real = FixedProbBroadcaster.wake
+
+        def wake(machine, slot):
+            real(machine, slot)
+            machine.configure_lane(0, 3, machine.node.id % 3)
+            machine.schedule(slot + 150)
+
+        monkeypatch.setattr(FixedProbBroadcaster, "wake", wake)
+        calls = self.lane_draws(monkeypatch)
+        net = scattered_network(61, 14, wake_window=30, sleepers=4)
+        for prob in (0.2, 1.0):
+            runs = run_both(net, lambda node: FixedProbBroadcaster(node, prob=prob, budget=300),
+                            400, 5)
+            assert_same_run(runs)
+            assert runs[1][0].completed and runs[1][0].n_slots <= 30 + 151
+        assert calls == []
+
+    def test_a_poll_that_leaves_the_plan_running_is_refused(self, monkeypatch):
+        monkeypatch.setattr(FixedProbBroadcaster, "poll", lambda machine, slot: None)
+        with pytest.raises(ProtocolViolationError, match="did not end its open-loop plan"):
+            self.run(self.fixed)
+
     def test_a_hearing_machine_takes_the_event_loop(self, monkeypatch):
         calls = self.lane_draws(monkeypatch)
 

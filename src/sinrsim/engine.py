@@ -260,6 +260,8 @@ class TraceConfig:
     outcome_limit: Optional[int] = None  # cap on recorded eventful slots
 
     def __post_init__(self) -> None:
+        if not isinstance(self.record_outcomes, bool):
+            raise ValueError(f"record_outcomes must be a bool, got {self.record_outcomes!r}")
         limit = self.outcome_limit
         if limit is not None and not (_is_number(limit, int, numbers.Integral) and limit >= 0):
             raise ValueError(f"outcome_limit must be a non-negative integer or None, got {limit!r}")
@@ -267,10 +269,10 @@ class TraceConfig:
 
 @dataclass
 class SimTrace:
-    """What a run did.  The loop counters describe the event loop; a run
-    swept as a schedule (fixed broadcasters alone, see
-    :func:`run_simulation`) takes nothing off a heap, so its `heap_pops`
-    and `stale_tx_entries` are 0."""
+    """What a run did, assembled for both engine paths by :func:`_ledger`.
+    The loop counters describe the event loop; a run swept as a schedule
+    (fixed broadcasters alone, see :func:`run_simulation`) pops no heap, so
+    its `heap_pops` and `stale_tx_entries` are 0."""
 
     seed: int
     n_slots: int
@@ -397,14 +399,20 @@ class _Core:
 
 def _ledger(
     network: Network, core: _Core, hears: Sequence[bool], trace: TraceConfig
-) -> tuple[Callable[[int, list[_SlotTx], dict[int, tuple[int, Any]]], None], Callable[[], dict]]:
-    """Step 8 of a slot, which the event loop and the schedule sweep share:
-    ``settle(slot, txs, pending)`` resolves the slot's transmissions,
-    counts them and their full successes, files first receptions, puts each
-    reception of a listener in `hears` into `pending` (listener index ->
-    (sender id, payload)) and records the outcome.  The senders must be
-    flagged in ``core.sending``; `settle` clears the flags.  ``fields()``
-    gives the :class:`SimTrace` fields filled so far."""
+) -> tuple[Callable[[int, list[_SlotTx], dict[int, tuple[int, Any]]], None], Callable[..., SimTrace]]:
+    """Step 8 of a slot and the run's trace, which the event loop and the
+    schedule sweep share: ``settle(slot, txs, pending)`` resolves the
+    slot's transmissions, counts them and their full successes, files first
+    receptions, puts each reception of a listener in `hears` into `pending`
+    (listener index -> (sender id, payload)) and records the outcome.  The
+    senders must be flagged in ``core.sending``; `settle` clears the flags.
+    ``finish(seed, n_slots, completed, machines, draws, **loop_counters)``
+    returns the :class:`SimTrace`; `machines` and `draws` go by node index.
+
+    Closures, apart from `_Core`: as a method reading ``self``, `settle` ran
+    `color32` 6.5% slower (6/6 pairs); closures kept on `_Core` form a cycle,
+    +0.45 MB `bcast2k` peak RSS (8/8).  Here and below, a pair is one
+    perfbench/run.py run of each variant, on a 2-vCPU x86-64 host."""
     ids = network.ids
     n = network.n
     reach = network.lone_reach
@@ -475,19 +483,18 @@ def _ledger(
                     )
                 )
 
-    def fields() -> dict:
-        return dict(
-            first_rx=first_rx,
-            tx_count=dict(zip(ids, tx_counts)),
+    def finish(seed: int, n_slots: int, completed: bool, machines: Sequence[ProtocolMachine],
+               draws: Sequence[int], **loop_counters: int) -> SimTrace:
+        return SimTrace(
+            seed=seed, n_slots=n_slots, completed=completed, machines=dict(zip(ids, machines)),
+            first_rx=first_rx, tx_count=dict(zip(ids, tx_counts)),
             full_success_count=dict(zip(ids, full_counts)),
-            first_full_success=dict(zip(ids, first_full)),
-            outcomes=outcomes,
-            eventful_slots=eventful,
-            outcomes_truncated=truncated,
-            multi_tx_slots=multi_tx,
+            first_full_success=dict(zip(ids, first_full)), draws=dict(zip(ids, draws)),
+            outcomes=outcomes, eventful_slots=eventful, outcomes_truncated=truncated,
+            multi_tx_slots=multi_tx, **loop_counters,
         )
 
-    return settle, fields
+    return settle, finish
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
@@ -506,37 +513,34 @@ def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
     return 1.0 - even, 1.0 - odd
 
 
-# uniforms per block: every node's block is held for the whole run, so a
-# larger one costs memory at large n for little time saved per draw
+# uniforms per block; a larger one saves little time per draw
 _BLOCK = 8
 
 
-class _Uniforms:
-    """Every node's stream read ahead in blocks of `_BLOCK` uniforms, all
-    blocks in one array of 8 bytes per value."""
+class _Stream:
+    """A node's random stream, read ahead in blocks of `_BLOCK` uniforms."""
 
-    __slots__ = ("rngs", "values", "blocks", "taken", "refills")
+    __slots__ = ("rng", "block", "taken", "refills")
 
-    def __init__(self, rngs: list[np.random.Generator]):
-        self.rngs = rngs
-        self.blocks = np.empty((len(rngs), _BLOCK))
-        self.values = memoryview(self.blocks.reshape(-1))  # reads Python floats
-        self.taken = [_BLOCK] * len(rngs)  # values taken from each block
-        self.refills = [0] * len(rngs)  # blocks read from each stream
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.block: list[float] = []
+        self.taken = _BLOCK  # values taken from the block
+        self.refills = 0  # blocks read
 
-    def draw(self, i: int) -> float:
-        """Node index `i`'s next uniform."""
-        k = self.taken[i]
+    def draw(self) -> float:
+        """The stream's next uniform."""
+        k = self.taken
         if k == _BLOCK:
-            self.rngs[i].random(out=self.blocks[i])
-            self.refills[i] += 1
+            self.block = self.rng.random(_BLOCK).tolist()
+            self.refills += 1
             k = 0
-        self.taken[i] = k + 1
-        return self.values[i * _BLOCK + k]
+        self.taken = k + 1
+        return self.block[k]
 
-    def counts(self) -> list[int]:
-        """Uniforms taken from each stream so far."""
-        return [(r - 1) * _BLOCK + k for r, k in zip(self.refills, self.taken)]
+    def count(self) -> int:
+        """Uniforms taken so far."""
+        return (self.refills - 1) * _BLOCK + self.taken
 
 
 def _gap(u: float, log_q: float) -> int:
@@ -545,40 +549,20 @@ def _gap(u: float, log_q: float) -> int:
     return int(math.log1p(-u) / log_q)
 
 
-def _lane_slot(lane: Lane, uniforms: _Uniforms, i: int, from_slot: int) -> Optional[int]:
-    """The next transmission slot of a lane of node index `i` from
-    `from_slot` on, or None if it never fires: a geometric number of
-    eligible slots is skipped."""
+def _lane_slot(lane: Lane, stream: _Stream, from_slot: int) -> Optional[int]:
+    """The next transmission slot of a lane from `from_slot` on, or None if
+    it never fires: a geometric number of eligible slots is skipped."""
     prob = lane.prob
     if prob <= 0.0:
         return None
-    gap = 0 if prob >= 1.0 else _gap(uniforms.draw(i), math.log1p(-prob))
+    gap = 0 if prob >= 1.0 else _gap(stream.draw(), math.log1p(-prob))
     period = lane.period
     slot = from_slot if period == 1 else from_slot + (lane.phase - from_slot) % period
     return slot + gap * period
 
 
-def _draw_lanes(
-    machine: ProtocolMachine,
-    uniforms: _Uniforms,
-    row: list[Optional[int]],
-    i: int,
-    from_slot: int,
-    heap: list[tuple[int, int, int, int]],
-) -> list[int]:
-    """Draw the next transmission slot of every lane of machine i from
-    `from_slot` on.  Lanes landing on `from_slot` itself are returned
-    instead of pushed, for a caller still processing that slot."""
-    immediate: list[int] = []
-    for k, lane in enumerate(machine.lanes):
-        slot = row[k] = _lane_slot(lane, uniforms, i, from_slot)
-        if slot == from_slot:
-            immediate.append(k)
-        elif slot is not None:
-            heapq.heappush(heap, (slot, _TX, i, k))
-    return immediate
-
-
+# the event loop's lists stay its empty `none` until they get an entry: a new list
+# per slot ran `color32` 3% slower (5/6 pairs), +0.25 MB peak RSS (6/6) (see _ledger)
 def _add(items: list | tuple[()], item: Any) -> list:
     """`items` with `item` appended; an empty tuple becomes a new list."""
     if items:
@@ -620,22 +604,21 @@ def run_simulation(
     """
     if max_slots <= 0:
         raise ValueError("max_slots must be positive")
-    trace = trace or TraceConfig()
     machines = [factory(node) for node in network.nodes]
+    core = _Core(network)
+    # an inbox for each machine whose class reads its receptions
+    hears = [type(m).on_receive is not ProtocolMachine.on_receive for m in machines]
+    settle, finish = _ledger(network, core, hears, trace or TraceConfig())
     from .broadcast import FixedProbBroadcaster  # broadcast.py imports this module
 
     if scripted is None and all(type(m) is FixedProbBroadcaster for m in machines):
-        return _run_schedule(network, machines, max_slots, seed, trace, monitor)
-    core = _Core(network)
+        return _run_schedule(network, machines, max_slots, seed, core, settle, finish, monitor)
     n = network.n
     ids = network.ids
     by_id = dict(zip(ids, machines))
 
     next_tx: list[list[Optional[int]]] = [[None] * len(m.lanes) for m in machines]
-    uniforms = _Uniforms([node_rng(seed, v) for v in ids])
-    # an inbox for each machine whose class reads its receptions
-    hears = [type(m).on_receive is not ProtocolMachine.on_receive for m in machines]
-    settle, fields = _ledger(network, core, hears, trace)
+    streams = [_Stream(node_rng(seed, v)) for v in ids]
     synced_cp: list[Optional[int]] = [None] * n
     awake = core.awake  # flags per node index
     sending = core.sending  # this slot's transmitters
@@ -776,8 +759,13 @@ def run_simulation(
                     machine._dirty = False
                     changed = _add(changed, i)
                     if awake[i]:
-                        for k in _draw_lanes(machine, uniforms, next_tx[i], i, s, heap):
-                            tx_cand = _add(tx_cand, (i, k))
+                        row, stream = next_tx[i], streams[i]
+                        for k, lane in enumerate(machine.lanes):
+                            slot = row[k] = _lane_slot(lane, stream, s)
+                            if slot == s:
+                                tx_cand = _add(tx_cand, (i, k))
+                            elif slot is not None:
+                                heappush(heap, (slot, _TX, i, k))
                     else:
                         next_tx[i] = [None] * len(next_tx[i])
                 if not awake[i]:
@@ -828,7 +816,7 @@ def run_simulation(
                         )
                     txs.append((i, power, payload))
                     sending[i] = True
-                    slot = row[k] = _lane_slot(machine.lanes[k], uniforms, i, s + 1)
+                    slot = row[k] = _lane_slot(machine.lanes[k], streams[i], s + 1)
                     if slot is not None:
                         heappush(heap, (slot, _TX, i, k))
 
@@ -851,16 +839,8 @@ def run_simulation(
             raise
         raise SimulationAbort(ids[cur], s, exc) from exc
 
-    return SimTrace(
-        seed=seed,
-        n_slots=(last_slot + 1) if completed else max_slots,
-        completed=completed,
-        machines=by_id,
-        draws=dict(zip(ids, uniforms.counts())),
-        heap_pops=heap_pops,
-        stale_tx_entries=stale_tx,
-        **fields(),
-    )
+    return finish(seed, last_slot + 1 if completed else max_slots, completed, machines,
+                  [st.count() for st in streams], heap_pops=heap_pops, stale_tx_entries=stale_tx)
 
 
 def _run_schedule(
@@ -868,7 +848,9 @@ def _run_schedule(
     machines: list[ProtocolMachine],
     max_slots: int,
     seed: int,
-    trace: TraceConfig,
+    core: _Core,
+    settle: Callable[[int, list[_SlotTx], dict[int, tuple[int, Any]]], None],
+    finish: Callable[..., SimTrace],
     monitor: Optional[Callable[[int, list[tuple[int, float, float]]], None]],
 ) -> SimTrace:
     """:func:`run_simulation` for a run of fixed broadcasters alone, as an
@@ -881,12 +863,11 @@ def _run_schedule(
     ``(slot * 5 + kind) * n + node index``; sorted, the integers come in
     the event loop's (slot, kind, node) order, and one sweep over them
     calls each machine's `on_transmit` and `poll` in the event loop's slots
-    and gives the same run through the same step 8."""
+    and gives the same run through the same step 8 (`settle`, from
+    :func:`_ledger`), with the same node streams (:class:`_Stream`)."""
     n = network.n
     ids = network.ids
-    core = _Core(network)
     awake, sending = core.awake, core.sending
-    settle, fields = _ledger(network, core, bytearray(n), trace)
     timeline: list[int] = []
     draws = [0] * n
     last = -1  # the slot the last node stops in: its poll or departure
@@ -921,23 +902,17 @@ def _run_schedule(
                 step = 5 * period * n
                 timeline.extend(range((s * 5 + _TX) * n + i, (stop * 5 + _TX) * n + i, step))
                 continue
-            # the gaps of `_lane_slot`, from the stream read in blocks
-            rng = node_rng(seed, ids[i])
+            # `_lane_slot`'s gaps inline (a call each: `bcast2k` 4.5% slower, 8/8 pairs,
+            # see _ledger), from one stream at a time, dropped after its node's plan
+            stream = _Stream(node_rng(seed, ids[i]))
             log_q = math.log1p(-prob)
-            block: list[float] = []
-            k = 0
-            fired = len(timeline)
             while True:
-                if k == len(block):
-                    block = rng.random(_BLOCK).tolist()
-                    k = 0
-                s += _gap(block[k], log_q) * period
-                k += 1
+                s += _gap(stream.draw(), log_q) * period
                 if s >= stop:
                     break
                 timeline.append((s * 5 + _TX) * n + i)
                 s += period
-            draws[i] = len(timeline) - fired + 1
+            draws[i] = stream.count()
         timeline.sort()
         timeline.append(max_slots * 5 * n)  # a slot after the run: settles the last one
 
@@ -953,6 +928,8 @@ def _run_schedule(
                 if txs:
                     settle(slot, txs, pending)
                     txs = []
+                # kept here: acceptance 03 and the reference comparisons monitor every
+                # run, so neither would run the schedule if monitored runs took the loop
                 if changed:
                     if monitor is not None:
                         monitor(slot, [(j, *_parity_probs(machines[j])) for j in sorted(changed)])
@@ -992,11 +969,4 @@ def _run_schedule(
         raise SimulationAbort(ids[cur], s, exc) from exc
 
     completed = 0 <= last < max_slots
-    return SimTrace(
-        seed=seed,
-        n_slots=last + 1 if completed else max_slots,
-        completed=completed,
-        machines=dict(zip(ids, machines)),
-        draws=dict(zip(ids, draws)),
-        **fields(),
-    )
+    return finish(seed, last + 1 if completed else max_slots, completed, machines, draws)

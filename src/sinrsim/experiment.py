@@ -35,7 +35,7 @@ from .broadcast import (
 )
 from .coloring import ColoringConstants, ColoringMachine, validate_coloring, validate_mis
 from .engine import SimTrace, TraceConfig, run_simulation
-from .model import Network
+from .model import Network, _is_number
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds must not be empty")
         for seed in self.seeds:
-            if not (isinstance(seed, numbers.Integral) and seed >= 0):
+            if not (_is_number(seed, int, numbers.Integral) and seed >= 0):
                 raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
         if self.protocol not in ("fixed", "slowstart", "varpower", "coloring", "mis"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
@@ -140,13 +140,17 @@ class ExperimentConfig:
         slow = self.protocol == "slowstart"  # the only one with a budget constant
         for name, ok, rule in (
             ("forced_resignations",
-             isinstance(resignations, numbers.Integral)
+             _is_number(resignations, int, numbers.Integral)
              and (resignations >= 0 if churn else resignations == 0),
              "an integer >= 0" if churn else f"0 for protocol {self.protocol!r}"),
             ("slow_start_budget_constant",
-             constant is None or (slow and 0.0 < constant < math.inf),
+             constant is None
+             or (slow and _is_number(constant, float, numbers.Real) and 0.0 < constant < math.inf),
              "finite and > 0" if slow else f"unset for protocol {self.protocol!r}"),
-            ("scale", self.scale is None or 0.0 < self.scale <= 1.0, "in (0, 1]"),
+            ("scale",
+             self.scale is None
+             or (_is_number(self.scale, float, numbers.Real) and 0.0 < self.scale <= 1.0),
+             "in (0, 1]"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Network, NetworkParams, Node, broadcast_range, build_network
+from .model import Network, NetworkParams, Node, _is_number, broadcast_range, build_network
 
 _PARAM_FIELDS = (
     "alpha_lo", "alpha_hi", "alpha_true",
@@ -110,16 +110,16 @@ def random_topology(
     """Nodes uniform over a square, powers uniform over `power_range`;
     optional uniform wake slots over [0, wake_window].  A point closer
     than ``_MIN_SEPARATION * side`` to a placed one is drawn again."""
-    if not isinstance(n, numbers.Integral) or n < 1:
+    if not _is_number(n, int, numbers.Integral) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(side, numbers.Real) or not (0.0 < side < math.inf):
+    if not _is_number(side, float, numbers.Real) or not (0.0 < side < math.inf):
         raise ValueError(f"side must be a finite positive number, got {side!r}")
     lo, hi = power_range
-    if not all(isinstance(b, numbers.Real) and math.isfinite(b) for b in (lo, hi)):
+    if not all(_is_number(b, float, numbers.Real) and math.isfinite(b) for b in (lo, hi)):
         raise ValueError(f"power_range must hold finite numbers, got {power_range!r}")
     if not (0.0 < lo <= hi):
         raise ValueError(f"power_range must be positive and ordered, got {power_range!r}")
-    if not isinstance(wake_window, numbers.Integral) or wake_window < 0:
+    if not _is_number(wake_window, int, numbers.Integral) or wake_window < 0:
         raise ValueError(f"wake_window must be an integer >= 0, got {wake_window!r}")
     params = params or NetworkParams.exact()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x7090))))

@@ -229,11 +229,11 @@ class TestFastPathEquivalence:
         lone = _Core(net)
         lone.awake[n - 1] = True
         lone.sending[0] = True
-        settle, fields = _ledger(net, lone, bytearray(n), TraceConfig(record_outcomes=True))
+        settle, finish = _ledger(net, lone, bytearray(n), TraceConfig(record_outcomes=True))
         settle(7, [(0, 8.0, None)], {})
-        got = fields()
-        assert got["first_rx"][net.ids[n - 1]] == {net.ids[0]: 7}
-        assert [l for l, _ in got["outcomes"][0].receptions] == [net.ids[n - 1]]
+        got = finish(0, 8, True, [], [0] * n)
+        assert got.first_rx[net.ids[n - 1]] == {net.ids[0]: 7}
+        assert [l for l, _ in got.outcomes[0].receptions] == [net.ids[n - 1]]
         assert not lone.sending[0]
 
 
@@ -378,6 +378,11 @@ class TestRunSimulation:
     def test_outcome_limit_must_be_a_count(self, limit):
         with pytest.raises(ValueError, match="outcome_limit"):
             TraceConfig(record_outcomes=True, outcome_limit=limit)
+
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_record_outcomes_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match=f"record_outcomes must be a bool, got {flag!r}"):
+            TraceConfig(record_outcomes=flag)
 
     def test_outcome_limit_zero_records_nothing(self, exact_params):
         trace = run_simulation(

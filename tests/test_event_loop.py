@@ -83,6 +83,14 @@ def assert_same_run(runs):
     assert ref.eventful_slots > 0
 
 
+def assert_same_schedule(runs):
+    """`assert_same_run` for a run of fixed broadcasters alone, which the
+    engine must have swept as a schedule: with eventful slots, the event
+    loop would have popped wake entries off its heap."""
+    assert_same_run(runs)
+    assert runs[1][0].heap_pops == 0
+
+
 def counted_pops(monkeypatch):
     """The entries the engine takes off its heap, in order."""
     popped = []
@@ -118,7 +126,7 @@ class TestMatchesReference:
             net, lambda node: FixedProbBroadcaster(node, prob=0.15, budget=300),
             400, seed,
         )
-        assert_same_run(runs)
+        assert_same_schedule(runs)
         assert runs[1][0].multi_tx_slots > 0
 
     @pytest.mark.parametrize("seed", [0, 3])
@@ -145,7 +153,7 @@ class TestMatchesReference:
                 node, prob=0.2, budget=250, pieces=pieces, power_bounds=bounds
             )
 
-        assert_same_run(run_both(net, factory, 300, seed))
+        assert_same_schedule(run_both(net, factory, 300, seed))
 
     def test_variable_power_reach_over_several_grid_cells(self):
         # the true noise lies far below its bound, so a lone transmission
@@ -173,7 +181,7 @@ class TestMatchesReference:
             )
 
         runs = run_both(net, factory, 200, 3)
-        assert_same_run(runs)
+        assert_same_schedule(runs)
         assert runs[1][0].multi_tx_slots > 0
 
     @pytest.mark.parametrize("mis", [False, True])
@@ -189,7 +197,7 @@ class TestMatchesReference:
 
     def test_sleeping_nodes(self):
         net = scattered_network(40, 12, wake_window=10, sleepers=5)
-        assert_same_run(run_both(
+        assert_same_schedule(run_both(
             net, lambda node: FixedProbBroadcaster(node, prob=0.2, budget=400),
             500, 2,
         ))
@@ -255,7 +263,7 @@ class TestMatchesReference:
             net, lambda node: FixedProbBroadcaster(node, prob=0.2, budget=300),
             350, 0, outcome_limit=25,
         )
-        assert_same_run(runs)
+        assert_same_schedule(runs)
         assert runs[1][0].outcomes_truncated and len(runs[1][0].outcomes) == 25
 
 
@@ -295,7 +303,7 @@ class TestScheduleMatchesReference:
 
         runs = run_both(net, factory, max_slots, 0, outcome_limit=limit)
         assume(runs[0][0].eventful_slots > 0)
-        assert_same_run(runs)
+        assert_same_schedule(runs)
         (ref, _), (new, _) = runs
         for v in net.ids:
             assert new.machines[v].power_trace() == ref.machines[v].power_trace()
@@ -316,9 +324,9 @@ class TestSchedulePath:
     def lane_draws(self, monkeypatch):
         calls = []
 
-        def counting(lane, uniforms, i, from_slot):
-            calls.append(i)
-            return real(lane, uniforms, i, from_slot)
+        def counting(lane, stream, from_slot):
+            calls.append(stream)
+            return real(lane, stream, from_slot)
 
         real = engine._lane_slot
         monkeypatch.setattr(engine, "_lane_slot", counting)
@@ -389,7 +397,7 @@ class TestSchedulePath:
         for prob in (0.2, 1.0):
             runs = run_both(net, lambda node: FixedProbBroadcaster(node, prob=prob, budget=300),
                             400, 5)
-            assert_same_run(runs)
+            assert_same_schedule(runs)
             assert runs[1][0].completed and runs[1][0].n_slots <= 30 + 151
         assert calls == []
 
@@ -790,19 +798,19 @@ class TestDeafListeners:
 
 
 class TestDrawsInBlocks:
-    """The engine reads each node's uniforms ahead in blocks and counts the
-    ones it took."""
+    """The engine reads each node's stream ahead in blocks and counts the
+    uniforms it took."""
 
     def test_blocks_match_scalar_draws(self):
-        uniforms = engine._Uniforms([node_rng(5, 2), node_rng(5, 3)])
+        streams = [engine._Stream(node_rng(5, 2)), engine._Stream(node_rng(5, 3))]
         scalar = [node_rng(5, 2), node_rng(5, 3)]
-        assert uniforms.counts() == [0, 0]
+        assert [stream.count() for stream in streams] == [0, 0]
         # two nodes taking turns, each across three block boundaries
         count = 2 * (3 * engine._BLOCK + 3)
-        assert [uniforms.draw(j % 2) for j in range(count)] == [
+        assert [streams[j % 2].draw() for j in range(count)] == [
             scalar[j % 2].random() for j in range(count)
         ]
-        assert uniforms.counts() == [count // 2] * 2
+        assert [stream.count() for stream in streams] == [count // 2] * 2
 
     def test_draw_counts_cross_block_boundaries(self):
         """A chatter never changes regime after its wake-up, so it draws

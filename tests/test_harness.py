@@ -119,6 +119,11 @@ class TestRandomPlacement:
         ({"n": -3}, "n"),
         ({"wake_window": 1.5}, "wake_window"),
         ({"wake_window": -1}, "wake_window"),
+        # a bool is no number here, as in Node and NetworkParams
+        ({"n": True}, "n"),
+        ({"wake_window": True}, "wake_window"),
+        ({"side": True}, "side"),
+        ({"power_range": (True, 2.0)}, "power_range"),
     ])
     def test_bad_arguments_are_named(self, kwargs, name):
         args = {"n": 4, "side": 5.0, "power_range": (1.0, 2.0), "seed": 0, **kwargs}
@@ -349,6 +354,7 @@ class TestExperimentConfig:
         ("slow_start_budget_constant", float("nan")),
         ("slow_start_budget_constant", float("inf")),
         ("slow_start_budget_constant", 0.0),
+        ("slow_start_budget_constant", True),
     ])
     def test_bad_protocol_constant_rejected(self, field, value):
         # slow start alone reads the budget constant; the rest run on fixed
@@ -377,17 +383,22 @@ class TestExperimentConfig:
             ExperimentConfig(protocol=protocol, network=self.NET, forced_resignations=2)
         ExperimentConfig(protocol="coloring", network=self.NET, forced_resignations=2)
 
+    def test_resignations_refuse_a_bool(self):
+        rule = "forced_resignations must be an integer >= 0, got True"
+        with pytest.raises(ValueError, match=rule):
+            ExperimentConfig(protocol="coloring", network=self.NET, forced_resignations=True)
+
     def test_mis_run_refuses_resignations(self):
         with pytest.raises(ValueError, match="forced_resignations"):
             run_coloring(self.NET, [0], mis=True, forced_resignations=1)
 
-    @pytest.mark.parametrize("value", [float("nan"), 0.0, 1.5, -1.0])
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, 1.5, -1.0, True])
     def test_bad_scale_names_the_value(self, value):
         with pytest.raises(ValueError, match="^scale ") as info:
             ExperimentConfig(protocol="fixed", network=self.NET, scale=value)
         assert str(info.value).endswith(f"got {value!r}")
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seeds") as info:
             ExperimentConfig(protocol="fixed", network=self.NET, seeds=(0, seed))

@@ -230,16 +230,13 @@ def verify_local_broadcast(
     if sender not in trace.machines:
         raise ValueError(f"unknown sender id {sender}")
     start, end = window
-    if radius is None:
-        receivers = network.out_edges[sender]
-    else:
-        near, _ = network.within(network.index(sender), radius)
-        receivers = [network.ids[j] for j in near.tolist()]
-    for other in receivers:
-        node = network.node(other)
+    i = network.index(sender)
+    receivers = network.out_indices(i) if radius is None else network.within(i, radius)[0]
+    for j in receivers.tolist():
+        node = network.nodes[j]
         if node.wake_slot > start or (node.sleep_slot is not None and node.sleep_slot < end):
             continue  # not awake throughout; outside the guarantee
-        got = trace.first_rx[other].get(sender)
+        got = trace.first_rx[node.id].get(sender)
         if got is None or not (start <= got < end):
             return False
     return True

@@ -704,9 +704,11 @@ def validate_coloring(
     if missing:
         problems.append(f"uncolored nodes: {missing[:8]}")
 
+    ids = network.ids
     valid = True
-    for v in network.ids:
-        for u in network.out_edges[v]:
+    for i, v in enumerate(ids):
+        for j in network.out_indices(i).tolist():
+            u = ids[j]
             if colors.get(v) is not None and colors.get(v) == colors.get(u):
                 valid = False
                 problems.append(f"link {v}->{u} joins equal colors {colors[v]}")
@@ -716,15 +718,14 @@ def validate_coloring(
     within = len(used) <= bound
 
     leader_ok = True
-    leaders = [v for v in network.ids if (c := colors.get(v)) is not None and c < constants.leader_colors]
+    leaders = [i for i, v in enumerate(ids) if (c := colors.get(v)) is not None and c < constants.leader_colors]
     is_leader = set(leaders)
-    for v in leaders:
-        i = network.index(v)
-        # later leaders in index order that v links to and back
-        for u in network.out_edges[v]:
-            if u in is_leader and network.index(u) > i and v in network.out_edges[u]:
+    for i in leaders:
+        # later leaders in index order that i links to and back
+        for j in network.out_indices(i).tolist():
+            if j > i and j in is_leader and i in network.out_indices(j):
                 leader_ok = False
-                problems.append(f"bidirectional leaders {v}, {u}")
+                problems.append(f"bidirectional leaders {ids[i]}, {ids[j]}")
 
     return ColoringVerdict(
         complete=complete,
@@ -759,16 +760,17 @@ def validate_mis(network: Network, members: Mapping[int, Optional[bool]]) -> Mis
     if undecided:
         problems.append(f"undecided nodes: {undecided[:8]}")
 
+    ids = network.ids
     independent = True
     dominating = True
-    for v in network.ids:
+    for i, v in enumerate(ids):
         if members.get(v):
-            for u in network.out_edges[v]:
-                if members.get(u):
+            for j in network.out_indices(i).tolist():
+                if members.get(ids[j]):
                     independent = False
-                    problems.append(f"linked members {v}, {u}")
+                    problems.append(f"linked members {v}, {ids[j]}")
         elif members.get(v) is not None:
-            covered = any(members.get(u) for u in network.in_edges[v])
+            covered = any(members.get(ids[j]) for j in network.in_indices(i).tolist())
             if not covered:
                 dominating = False
                 problems.append(f"non-member {v} hears no member")

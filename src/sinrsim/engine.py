@@ -513,6 +513,17 @@ def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
     return 1.0 - even, 1.0 - odd
 
 
+def _monitor_updates(
+    machines: Sequence[ProtocolMachine], awake: bytearray, changed: list[int]
+) -> list[tuple[int, float, float]]:
+    """The monitor's view of the nodes in `changed`, in node order: an
+    awake node's parity probabilities, and 0 for one that has left."""
+    return [
+        (i, *_parity_probs(machines[i])) if awake[i] else (i, 0.0, 0.0)
+        for i in sorted(changed)
+    ]
+
+
 # uniforms per block; a larger one saves little time per draw
 _BLOCK = 8
 
@@ -715,11 +726,12 @@ def run_simulation(
                         cur = -1
                         touched.append(i)
                     elif kind == _SLEEP:
-                        # 3. departures
+                        # 3. departures: the lanes stop, reported as 0
                         if awake[i]:
                             awake[i] = False
                             core.asleep += 1
                             next_tx[i] = [None] * len(next_tx[i])
+                            changed = _add(changed, i)
                             if not done_seen[i]:
                                 done_seen[i] = True
                                 n_live -= 1
@@ -752,24 +764,23 @@ def run_simulation(
                     touched = sorted(set(touched))
 
             # 6. regime changes effective for this very slot, in node order
-            # (the listeners alone are in order already)
+            # (the listeners alone are in order already).  An asleep node
+            # keeps `_dirty`: lanes set before its wake-up are drawn there,
+            # and its wake-up or departure keeps its count
             for i in touched:
+                if not awake[i]:
+                    continue
                 machine = machines[i]
                 if machine._dirty:
                     machine._dirty = False
                     changed = _add(changed, i)
-                    if awake[i]:
-                        row, stream = next_tx[i], streams[i]
-                        for k, lane in enumerate(machine.lanes):
-                            slot = row[k] = _lane_slot(lane, stream, s)
-                            if slot == s:
-                                tx_cand = _add(tx_cand, (i, k))
-                            elif slot is not None:
-                                heappush(heap, (slot, _TX, i, k))
-                    else:
-                        next_tx[i] = [None] * len(next_tx[i])
-                if not awake[i]:
-                    continue  # its wake-up or departure keeps its count
+                    row, stream = next_tx[i], streams[i]
+                    for k, lane in enumerate(machine.lanes):
+                        slot = row[k] = _lane_slot(lane, stream, s)
+                        if slot == s:
+                            tx_cand = _add(tx_cand, (i, k))
+                        elif slot is not None:
+                            heappush(heap, (slot, _TX, i, k))
                 cp = machine._checkpoint
                 if cp != synced_cp[i]:
                     synced_cp[i] = cp
@@ -829,7 +840,7 @@ def run_simulation(
                     pending_slot = s + 1
 
             if monitor is not None and changed:
-                monitor(s, [(i, *_parity_probs(machines[i])) for i in changed])
+                monitor(s, _monitor_updates(machines, awake, changed))
 
             if n_live == 0 and not script_pending and pending_slot < 0:
                 completed = True
@@ -914,7 +925,12 @@ def _run_schedule(
                 s += period
             draws[i] = stream.count()
         timeline.sort()
-        timeline.append(max_slots * 5 * n)  # a slot after the run: settles the last one
+        # the sweep ends where the event loop's run does, after the slot the
+        # last node stops in (a later departure is never reached) or at
+        # `max_slots`; a key in the slot after settles the last one
+        completed = 0 <= last < max_slots
+        n_slots = last + 1 if completed else max_slots
+        timeline.append(n_slots * 5 * n)
 
         transmit = [m.on_transmit for m in machines]
         pending: dict[int, tuple[int, Any]] = {}  # stays empty: nobody hears
@@ -932,9 +948,9 @@ def _run_schedule(
                 # run, so neither would run the schedule if monitored runs took the loop
                 if changed:
                     if monitor is not None:
-                        monitor(slot, [(j, *_parity_probs(machines[j])) for j in sorted(changed)])
+                        monitor(slot, _monitor_updates(machines, awake, changed))
                     changed = []
-                if s == max_slots:
+                if s >= n_slots:
                     break
                 slot = s
             if kind == _TX:
@@ -951,6 +967,7 @@ def _run_schedule(
             elif kind == _SLEEP:
                 awake[i] = False
                 core.asleep += 1
+                changed.append(i)  # its lanes, reported as 0
             else:
                 machine._checkpoint = None
                 cur = i
@@ -968,5 +985,4 @@ def _run_schedule(
             raise
         raise SimulationAbort(ids[cur], s, exc) from exc
 
-    completed = 0 <= last < max_slots
-    return finish(seed, last + 1 if completed else max_slots, completed, machines, draws)
+    return finish(seed, n_slots, completed, machines, draws)

@@ -128,32 +128,46 @@ class ExperimentConfig:
     forced_resignations: int = 0
 
     def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("seeds must not be empty")
-        for seed in self.seeds:
-            if not (_is_number(seed, int, numbers.Integral) and seed >= 0):
-                raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
-        if self.protocol not in ("fixed", "slowstart", "varpower", "coloring", "mis"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        resignations, constant = self.forced_resignations, self.slow_start_budget_constant
-        churn = self.protocol == "coloring"  # the only protocol with resignations
-        slow = self.protocol == "slowstart"  # the only one with a budget constant
-        for name, ok, rule in (
-            ("forced_resignations",
-             _is_number(resignations, int, numbers.Integral)
-             and (resignations >= 0 if churn else resignations == 0),
-             "an integer >= 0" if churn else f"0 for protocol {self.protocol!r}"),
-            ("slow_start_budget_constant",
-             constant is None
-             or (slow and _is_number(constant, float, numbers.Real) and 0.0 < constant < math.inf),
-             "finite and > 0" if slow else f"unset for protocol {self.protocol!r}"),
-            ("scale",
-             self.scale is None
-             or (_is_number(self.scale, float, numbers.Real) and 0.0 < self.scale <= 1.0),
-             "in (0, 1]"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        _check_inputs(self.protocol, self.seeds, self.scale,
+                      self.slow_start_budget_constant, self.forced_resignations)
+
+
+def _check_inputs(
+    protocol: str,
+    seeds: Sequence[int],
+    scale: Optional[float],
+    budget_constant: Optional[float] = None,
+    resignations: int = 0,
+) -> None:
+    """The rules on an experiment's inputs, for :class:`ExperimentConfig`
+    and each runner alike; the names are the config's fields."""
+    if not seeds:
+        raise ValueError("seeds must not be empty")
+    for seed in seeds:
+        if not (_is_number(seed, int, numbers.Integral) and seed >= 0):
+            raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
+    if protocol not in ("fixed", "slowstart", "varpower", "coloring", "mis"):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    # coloring alone has a resignation script (MIS colors are 0/1, so it
+    # would find no non-leader to resign), slow start alone a budget constant
+    churn = protocol == "coloring"
+    slow = protocol == "slowstart"
+    for name, value, ok, rule in (
+        ("forced_resignations", resignations,
+         _is_number(resignations, int, numbers.Integral)
+         and (resignations >= 0 if churn else resignations == 0),
+         "an integer >= 0" if churn else f"0 for protocol {protocol!r}"),
+        ("slow_start_budget_constant", budget_constant,
+         budget_constant is None
+         or (slow and _is_number(budget_constant, float, numbers.Real)
+             and 0.0 < budget_constant < math.inf),
+         "finite and > 0" if slow else f"unset for protocol {protocol!r}"),
+        ("scale", scale,
+         scale is None or (_is_number(scale, float, numbers.Real) and 0.0 < scale <= 1.0),
+         "in (0, 1]"),
+    ):
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +287,7 @@ def run_fixed_broadcast(
 ) -> ExperimentReport:
     """Every node runs the fixed-probability broadcaster simultaneously,
     with probability cap / max_degree for the known-degree budget."""
+    _check_inputs("fixed", seeds, scale)
     cap, prob, scale = _cap_for(network, scale)
     budget = broadcast_budget(prob, network.params, network.n, scale)
     return _broadcast_trials(
@@ -294,6 +309,7 @@ def run_slow_start(
     assertion runs live on every probability change.  The budget is
     `budget_constant` (64 when None) times scale (max_degree + log n)
     range_ratio^2 log n slots."""
+    _check_inputs("slowstart", seeds, scale, budget_constant)
     budget_constant = 64.0 if budget_constant is None else budget_constant
     params = network.params
     cap, _, scale = _cap_for(network, scale)
@@ -334,6 +350,7 @@ def run_variable_power(
     (never below the network's least power), for 1.5 thresholds in all;
     success is judged against the radius certified from each node's power
     profile."""
+    _check_inputs("varpower", seeds, scale)
     cap, prob, scale = _cap_for(network, scale)
     threshold = broadcast_budget(prob, network.params, network.n, scale)
     duration = math.ceil(1.5 * threshold)
@@ -372,11 +389,7 @@ def run_coloring(
     trace_path: Optional[str] = None,
 ) -> ExperimentReport:
     """Full protocol runs with live budget assertion and all validators."""
-    if mis and forced_resignations:
-        # MIS colors are 0/1: the script would find no non-leader to resign
-        raise ValueError(
-            f"forced_resignations applies to coloring only, got {forced_resignations!r} for MIS"
-        )
+    _check_inputs("mis" if mis else "coloring", seeds, scale, resignations=forced_resignations)
     cap, _, scale = _cap_for(network, scale)
     constants = ColoringConstants.derive(
         network.params, cap, network.max_degree, network.range_ratio, network.n, scale

@@ -234,8 +234,6 @@ class Network:
         self._in_nbr = src[by_dst]
         self._out_nbr.flags.writeable = False
         self._in_nbr.flags.writeable = False
-        self.out_edges = _edge_tuples(self._out_ptr, self._out_nbr, self.ids)
-        self.in_edges = _edge_tuples(self._in_ptr, self._in_nbr, self.ids)
         self.longest_chain = _longest_unidirectional_path(src, dst, n)
 
         self._reach: dict[tuple[int, float], tuple] = {}
@@ -425,15 +423,6 @@ def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
     """Start of each row's run in an ascending row-index array, plus the
     end: row r occupies [ptr[r], ptr[r + 1])."""
     return np.searchsorted(rows, np.arange(n + 1))
-
-
-def _edge_tuples(
-    ptr: np.ndarray, nbr: np.ndarray, ids: tuple[int, ...]
-) -> dict[int, tuple[int, ...]]:
-    """Node id -> ids of its neighbours, in index order."""
-    flat = [ids[j] for j in nbr.tolist()]
-    bounds = ptr.tolist()
-    return {v: tuple(flat[a:b]) for v, a, b in zip(ids, bounds, bounds[1:])}
 
 
 def _longest_unidirectional_path(src: np.ndarray, dst: np.ndarray, n: int) -> int:

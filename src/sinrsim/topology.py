@@ -1,17 +1,17 @@
 """Topology presets and the on-disk topology format.
 
-The file format is JSON with two top-level fields::
+The file format is JSON with two top-level fields, ``params`` holding the
+:class:`NetworkParams` fields and ``nodes`` a list of :class:`Node` records::
 
-    {"params": {"alpha_lo": ..., "alpha_hi": ..., "alpha_true": ...,
-                "beta_lo": ..., "beta_hi": ..., "beta_true": ...,
-                "noise_lo": ..., "noise_hi": ..., "noise_true": ...,
-                "delta": ..., "c_whp": ..., "scale": ...},
+    {"params": {"alpha_lo": ..., "alpha_hi": ..., ..., "scale": ...},
      "nodes": [{"id": 0, "x": 1.0, "y": 2.0, "power": 1.0,
-                "wake_slot": 0, "sleep_slot": null}, ...]}
+                "wake_slot": 0, "sleep_slot": 500}, ...]}
 
-All numbers are decimal; lengths and powers are in abstract units.  Keys
-other than these are refused, so a misspelt one cannot silently fall back
-to its default.
+All numbers are decimal; lengths and powers are in abstract units.  Every
+params field is required, and so is every node field without a default in
+:class:`Node`; the others take that default (`sleep_slot` is written only
+when set).  Keys other than these are refused, so a misspelt one cannot
+silently fall back to its default.
 """
 
 from __future__ import annotations
@@ -19,19 +19,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from dataclasses import MISSING, asdict, fields
 from typing import Optional
 
 import numpy as np
 
 from .model import Network, NetworkParams, Node, _is_number, broadcast_range, build_network
 
-_PARAM_FIELDS = (
-    "alpha_lo", "alpha_hi", "alpha_true",
-    "beta_lo", "beta_hi", "beta_true",
-    "noise_lo", "noise_hi", "noise_true",
-    "delta", "c_whp", "scale",
-)
-_NODE_FIELDS = ("id", "x", "y", "power", "wake_slot", "sleep_slot")
+_PARAM_FIELDS = tuple(f.name for f in fields(NetworkParams))
+_NODE_FIELDS = tuple(f.name for f in fields(Node))
+_NODE_REQUIRED = tuple(f.name for f in fields(Node) if f.default is MISSING)
 
 # nodes closer than this fraction of the area side are resampled
 _MIN_SEPARATION = 1e-6
@@ -39,16 +36,9 @@ _MIN_SEPARATION = 1e-6
 
 def save_topology(network: Network, path: str) -> None:
     doc = {
-        "params": {name: getattr(network.params, name) for name in _PARAM_FIELDS},
+        "params": asdict(network.params),
         "nodes": [
-            {
-                "id": node.id,
-                "x": node.x,
-                "y": node.y,
-                "power": node.power,
-                "wake_slot": node.wake_slot,
-                **({"sleep_slot": node.sleep_slot} if node.sleep_slot is not None else {}),
-            }
+            {k: v for k, v in asdict(node).items() if k != "sleep_slot" or v is not None}
             for node in network.nodes
         ],
     }
@@ -83,20 +73,21 @@ def load_topology(path: str) -> Network:
                     + ", ".join(map(repr, unknown))
                 )
         params = NetworkParams(**{name: doc["params"][name] for name in _PARAM_FIELDS})
-        nodes = [
-            Node(
-                id=entry["id"],
-                x=entry["x"],
-                y=entry["y"],
-                power=entry["power"],
-                wake_slot=entry.get("wake_slot", 0),
-                sleep_slot=entry.get("sleep_slot"),
-            )
-            for entry in entries
-        ]
+        nodes = []
+        for entry in entries:
+            missing = [name for name in _NODE_REQUIRED if name not in entry]
+            if missing:
+                raise KeyError(missing[0])
+            nodes.append(Node(**entry))
     except KeyError as exc:
         raise ValueError(f"topology file {path} misses field {exc}") from exc
     return build_network(nodes, params)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse `value` unless it is an integer, and no bool, of at least `least`."""
+    if not _is_number(value, int, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def random_topology(
@@ -110,8 +101,8 @@ def random_topology(
     """Nodes uniform over a square, powers uniform over `power_range`;
     optional uniform wake slots over [0, wake_window].  A point closer
     than ``_MIN_SEPARATION * side`` to a placed one is drawn again."""
-    if not _is_number(n, int, numbers.Integral) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     if not _is_number(side, float, numbers.Real) or not (0.0 < side < math.inf):
         raise ValueError(f"side must be a finite positive number, got {side!r}")
     lo, hi = power_range
@@ -119,8 +110,7 @@ def random_topology(
         raise ValueError(f"power_range must hold finite numbers, got {power_range!r}")
     if not (0.0 < lo <= hi):
         raise ValueError(f"power_range must be positive and ordered, got {power_range!r}")
-    if not _is_number(wake_window, int, numbers.Integral) or wake_window < 0:
-        raise ValueError(f"wake_window must be an integer >= 0, got {wake_window!r}")
+    _check_count("wake_window", wake_window, 0)
     params = params or NetworkParams.exact()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x7090))))
     limit = _MIN_SEPARATION * side
@@ -175,8 +165,10 @@ def grid_topology(
     power: float,
     params: Optional[NetworkParams] = None,
 ) -> Network:
-    if rows < 1 or cols < 1 or spacing <= 0.0:
-        raise ValueError("grid needs positive dimensions and spacing")
+    _check_count("rows", rows, 1)
+    _check_count("cols", cols, 1)
+    if spacing <= 0.0:
+        raise ValueError(f"spacing must be positive, got {spacing!r}")
     params = params or NetworkParams.exact()
     nodes = [
         Node(id=r * cols + c, x=c * spacing, y=r * spacing, power=power)
@@ -199,8 +191,7 @@ def chain_topology(
     successor; those extra shortcuts point forward as well and leave the
     longest chain unchanged.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 nodes")
+    _check_count("n", n, 1)
     if not (0.0 < power_ratio < 1.0):
         raise ValueError("power ratio must lie strictly between 0 and 1")
     params = params or NetworkParams.exact()
@@ -233,8 +224,8 @@ def line_topology(
     range and its raw physical reach, which keeps every reception on a
     graph edge.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 nodes")
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     if not power_levels:
         raise ValueError("need at least one power level")
     params = params or NetworkParams.exact()
@@ -255,8 +246,7 @@ def clique_topology(
 ) -> Network:
     """Equal-power nodes on a small circle, everyone inside everyone's
     broadcasting range."""
-    if n < 1:
-        raise ValueError("need n >= 1 nodes")
+    _check_count("n", n, 1)
     params = params or NetworkParams.exact()
     radius = 0.4 * broadcast_range(power, params)
     nodes = [

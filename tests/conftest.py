@@ -56,22 +56,15 @@ def brute_random_topology(
 
 def reference_network_build(network: Network) -> dict:
     """The derived structure of `network` recomputed the dense way: the
-    n x n x 2 difference kernel, per-row and per-column `np.nonzero` edge
-    tuples, the masked in-range degree count and the longest one-way chain
-    by topological order over dense matrix rows."""
+    n x n x 2 difference kernel, the dense adjacency matrix, the masked
+    in-range degree count and the longest one-way chain by topological
+    order over dense matrix rows."""
     n = network.n
     diff = network.positions[:, None, :] - network.positions[None, :, :]
     distances = np.sqrt((diff * diff).sum(axis=2))
     off_diag = ~np.eye(n, dtype=bool)
     in_range = (distances <= network.r_max[:, None]) & off_diag
     adjacency = (distances <= network.r_bcast[:, None]) & off_diag
-    ids = network.ids
-    out_edges = {
-        ids[i]: tuple(ids[j] for j in np.nonzero(adjacency[i])[0]) for i in range(n)
-    }
-    in_edges = {
-        ids[i]: tuple(ids[j] for j in np.nonzero(adjacency[:, i])[0]) for i in range(n)
-    }
     unidirectional = adjacency & ~adjacency.T
 
     indeg = unidirectional.sum(axis=0).astype(int)
@@ -95,8 +88,6 @@ def reference_network_build(network: Network) -> dict:
         "adjacency": adjacency,
         "bidirectional": adjacency & adjacency.T,
         "unidirectional": unidirectional,
-        "out_edges": out_edges,
-        "in_edges": in_edges,
         "max_degree": int(in_range.sum(axis=1).max()) if n > 1 else 0,
         "longest_chain": max(longest) if longest else 0,
     }
@@ -177,12 +168,15 @@ def brute_leader_density_ok(network: Network, colors, leader_colors: int) -> boo
 def brute_region_sums(network: Network, probs) -> list[float]:
     """Per node, in index order, the probability mass inside its
     broadcasting region: the node itself first, then its out-neighbours in
-    index order, 0 for nodes absent from `probs`."""
+    index order, 0 for nodes absent from `probs`; the links are the dense
+    reference adjacency's."""
+    adjacency = reference_network_build(network)["adjacency"]
+    ids = network.ids
     sums = []
-    for node in network.nodes:
-        total = probs.get(node.id, 0.0)
-        for other in network.out_edges[node.id]:
-            total += probs.get(other, 0.0)
+    for i, v in enumerate(ids):
+        total = probs.get(v, 0.0)
+        for j in np.flatnonzero(adjacency[i]).tolist():
+            total += probs.get(ids[j], 0.0)
         sums.append(total)
     return sums
 
@@ -262,16 +256,18 @@ def brute_free_counter(estimates, zeta: int) -> int:
 
 
 def brute_mis_verdict(network: Network, members: set[int]) -> tuple[bool, bool]:
+    """Independence and domination of the member ids over the dense
+    reference adjacency."""
+    adjacency = reference_network_build(network)["adjacency"]
+    ids = network.ids
     independent = True
     dominating = True
-    for v in network.ids:
+    for i, v in enumerate(ids):
         if v in members:
-            for u in network.out_edges[v]:
-                if u in members:
-                    independent = False
-        else:
-            if not any(u in members for u in network.in_edges[v]):
-                dominating = False
+            if any(ids[j] in members for j in np.flatnonzero(adjacency[i]).tolist()):
+                independent = False
+        elif not any(ids[j] in members for j in np.flatnonzero(adjacency[:, i]).tolist()):
+            dominating = False
     return independent, dominating
 
 

@@ -249,10 +249,6 @@ def reference_run_simulation(
         caller is still processing that slot)."""
         machine = machines[i]
         immediate: list[int] = []
-        if not awake[i]:
-            for k in range(len(machine.lanes)):
-                next_tx[i][k] = None
-            return immediate
         for k, lane in enumerate(machine.lanes):
             if lane.prob <= 0.0:
                 next_tx[i][k] = None
@@ -392,7 +388,8 @@ def reference_run_simulation(
             guarded(machine, s, lambda m=machine: m.wake(s))
             touched.add(i)
 
-        # 3. departures
+        # 3. departures: the lanes stop, and the monitor hears they are 0
+        changed_probs: set[int] = set()
         for i in sorted(sleeps):
             if awake[i]:
                 awake[i] = False
@@ -400,6 +397,7 @@ def reference_run_simulation(
                 for k in range(len(machines[i].lanes)):
                     next_tx[i][k] = None
                 track_done(i)
+                changed_probs.add(i)
 
         # 4. the scripted external action (may touch any machine) and the
         # slot of its next call
@@ -421,11 +419,11 @@ def reference_run_simulation(
                 guarded(machine, s, lambda m=machine: m.poll(s))
                 touched.add(i)
 
-        # 6. regime changes effective for this very slot
-        changed_probs: set[int] = set()
+        # 6. regime changes effective for this very slot; an asleep
+        # machine keeps its changes until its wake-up
         for i in sorted(touched):
             machine = machines[i]
-            if machine._dirty:
+            if machine._dirty and awake[i]:
                 machine._dirty = False
                 changed_probs.add(i)
                 for k in resample(i, s, defer_at=s):
@@ -480,7 +478,7 @@ def reference_run_simulation(
         if monitor is not None and changed_probs:
             updates = []
             for i in sorted(changed_probs):
-                even, odd = _parity_probs(machines[i])
+                even, odd = _parity_probs(machines[i]) if awake[i] else (0.0, 0.0)
                 updates.append((i, even, odd))
             monitor(s, updates)
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from sinrsim.experiment import RegionBudgetMonitor, run_slow_start
 from sinrsim.model import NetworkParams, Node, build_network
 from sinrsim.topology import clique_topology
 
-from .conftest import pair_network, random_small_network
+from .conftest import pair_network, random_small_network, reference_network_build
 from .test_event_loop import scattered_network
 from .test_harness import GOLDEN, GOLDEN_NETWORKS, GOLDEN_RUNS
 
@@ -346,3 +347,27 @@ class TestVerifyLocalBroadcast:
         assert verify_local_broadcast(trace, net, sender, (0, 10), radius=radius) == (
             other not in expected
         )
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_range_audience_matches_dense_adjacency(self, seed):
+        """Without a radius the audience is the sender's out-neighbours,
+        here on ids that are not indices: node `j` alone never heard the
+        sender, so the verdict fails exactly when the dense reference
+        adjacency links `i` to `j`."""
+        rng = np.random.default_rng(seed)
+        base = random_small_network(rng, int(rng.integers(2, 30)), NetworkParams.exact())
+        net = build_network(
+            [dataclasses.replace(node, id=1000 - 7 * node.id) for node in base.nodes],
+            base.params,
+        )
+        adjacency = reference_network_build(net)["adjacency"]
+        i, j = (int(k) for k in rng.choice(net.n, size=2, replace=False))
+        sender, other = net.ids[i], net.ids[j]
+        first_rx = {v: ({} if v == other else {sender: 0}) for v in net.ids}
+        trace = SimTrace(
+            seed=0, n_slots=10, completed=True, machines=dict.fromkeys(net.ids),
+            first_rx=first_rx, tx_count={}, full_success_count={},
+            first_full_success={}, draws={},
+        )
+        assert verify_local_broadcast(trace, net, sender, (0, 10)) == (not adjacency[i, j])

@@ -143,7 +143,7 @@ class TestLearning:
     def test_one_way_pair_learns_asymmetrically(self):
         # strong node 0 reaches weak node 1; replies die in the channel
         net = coloring_net([Node(0, 0.0, 0.0, 8.0), Node(1, 1.2, 0.0, 1.0)])
-        assert net.out_edges[0] == (1,)
+        assert net.out_indices(0).tolist() == [1]
         trace, k = run_protocol(net, seed=3)
         weak = trace.machines[1]
         assert 0 in weak.heard_from and 0 not in weak.confirmed_out
@@ -525,8 +525,8 @@ class TestMis:
             Node(2, -1.2, 0.0, 1.0),
         ]
         net = coloring_net(nodes)
-        assert net.out_edges[0] == (1, 2)
-        assert net.in_edges[0] == ()
+        assert net.out_indices(0).tolist() == [1, 2]
+        assert net.in_indices(0).tolist() == []
         for seed in range(5):
             trace, _ = run_protocol(net, seed=seed, mis=True)
             assert trace.machines[0].color == 0
@@ -553,7 +553,7 @@ class TestValidators:
             Node(3, 0.0, 1.0, power),
         ]
         net = coloring_net(nodes)
-        assert set(net.out_edges[0]) == {1, 3}
+        assert net.out_indices(0).tolist() == [1, 3]
         k = make_constants()
         verdict = validate_coloring(net, {0: 0, 1: 1, 2: 0, 3: 1}, k)
         assert verdict.valid and verdict.distinct_colors == 2
@@ -563,6 +563,22 @@ class TestValidators:
         k = make_constants()
         verdict = validate_coloring(net, {0: 1, 1: None}, k)
         assert not verdict.complete and not verdict.ok
+
+    def test_problems_name_nodes_by_id(self):
+        # ids 9 and 4 sit at indices 0 and 1: problems name ids, in index order
+        net = coloring_net([Node(9, 0.0, 0.0, 8.0), Node(4, 1.0, 0.0, 8.0)])
+        verdict = validate_coloring(net, {9: 0, 4: 0}, make_constants())
+        assert verdict.problems == [
+            "link 9->4 joins equal colors 0",
+            "link 4->9 joins equal colors 0",
+            "bidirectional leaders 9, 4",
+        ]
+        verdict = validate_mis(net, {9: True, 4: True})
+        assert verdict.problems == ["linked members 9, 4", "linked members 4, 9"]
+        apart = coloring_net([Node(9, 0.0, 0.0, 8.0), Node(4, 30.0, 0.0, 8.0)])
+        assert validate_mis(apart, {9: False, 4: True}).problems == [
+            "non-member 9 hears no member"
+        ]
 
     def test_single_member_mis_valid(self):
         net = coloring_net([Node(0, 0.0, 0.0, 8.0)])

@@ -2,6 +2,7 @@
 counters."""
 
 import heapq
+import math
 import types
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sinrsim.engine as engine
-from sinrsim.analysis import region_probability_cap
+from sinrsim.analysis import RegionBudgetMonitor, region_probability_cap
 from sinrsim.broadcast import FixedProbBroadcaster, SlowStartBroadcaster
 from sinrsim.coloring import ColoringConstants, ColoringMachine
 from sinrsim.engine import ProtocolMachine, TraceConfig, node_rng, run_simulation
@@ -634,6 +635,62 @@ class TestMonitorFeed:
                 (0, [(0, 1.0, 1.0), (1, 0.0, 0.5)]),
                 (5, [(2, 0.25, 0.25)]),
             ]
+
+
+class Scripted(ProtocolMachine):
+    """Sets nothing itself: only a script gives it a lane."""
+
+    def on_transmit(self, slot, lane):
+        return "x", self.node.power
+
+
+class TestAsleepNodes:
+    """The lottery and the monitor see a node's lanes only while it is
+    awake: lanes set before its wake-up are drawn and reported there, and
+    its departure reports them as 0."""
+
+    @pytest.mark.parametrize("simulate", [reference_run_simulation, run_simulation])
+    def test_a_lane_set_before_the_wake_up_fires_after_it(self, simulate):
+        net = build_network(
+            [Node(0, 0.0, 0.0, 8.0), Node(1, 1.0, 0.0, 8.0, wake_slot=50)], PARAMS
+        )
+
+        def action(machines, slot):
+            machines[1].set_prob(0, 0.5)
+
+        updates = []
+        trace = simulate(
+            net, Scripted, 200, 0, trace=TraceConfig(record_outcomes=True),
+            monitor=lambda slot, changes: updates.append((slot, list(changes))),
+            scripted=(10, action),
+        )
+        slots = [outcome.slot for outcome in trace.outcomes]
+        assert trace.tx_count[1] == len(slots) > 0 and slots[0] >= 50
+        assert updates == [(50, [(1, 0.5, 0.5)])]
+
+    # a fixed broadcaster runs on the schedule, a hearing one on the event loop
+    @pytest.mark.parametrize("simulate", [reference_run_simulation, run_simulation])
+    @pytest.mark.parametrize("machine", [FixedProbBroadcaster, HearingBroadcaster])
+    def test_a_departure_reports_zero_lanes(self, simulate, machine):
+        net = build_network(
+            [Node(0, 0.0, 0.0, 8.0, sleep_slot=20), Node(1, 1.0, 0.0, 8.0)], PARAMS
+        )
+        monitor = RegionBudgetMonitor(net, math.inf)
+        updates = []
+
+        def feed(slot, changes):
+            updates.append((slot, list(changes)))
+            monitor(slot, changes)
+
+        trace = simulate(net, lambda node: machine(node, prob=0.5, budget=100), 200, 0,
+                         monitor=feed)
+        assert trace.completed and trace.n_slots == 101
+        assert updates == [
+            (0, [(0, 0.5, 0.5), (1, 0.5, 0.5)]),
+            (20, [(0, 0.0, 0.0)]),
+            (100, [(1, 0.0, 0.0)]),
+        ]
+        assert monitor.sum_even == monitor.sum_odd == [0.0, 0.0]
 
 
 class Idle(ProtocolMachine):

@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import functools
 import hashlib
 import json
 import math
@@ -22,10 +23,12 @@ from sinrsim.experiment import (
     run_variable_power,
 )
 from sinrsim import topology
-from sinrsim.model import NetworkParams
+from sinrsim.model import NetworkParams, Node, build_network
 from sinrsim.topology import (
     chain_topology,
+    clique_topology,
     generate_topology,
+    grid_topology,
     line_topology,
     load_topology,
     random_topology,
@@ -124,11 +127,47 @@ class TestRandomPlacement:
         ({"wake_window": True}, "wake_window"),
         ({"side": True}, "side"),
         ({"power_range": (True, 2.0)}, "power_range"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
     ])
     def test_bad_arguments_are_named(self, kwargs, name):
         args = {"n": 4, "side": 5.0, "power_range": (1.0, 2.0), "seed": 0, **kwargs}
         with pytest.raises(ValueError, match=f"^{name} "):
             random_topology(**args)
+
+    # the other generators, from arguments that build a network
+    @pytest.mark.parametrize("build,kwargs,name", [
+        (line_topology, {"n": True}, "n"),
+        (line_topology, {"n": 0}, "n"),
+        (line_topology, {"seed": -1}, "seed"),
+        (line_topology, {"seed": 1.5}, "seed"),
+        (line_topology, {"seed": True}, "seed"),
+        (chain_topology, {"n": True}, "n"),
+        (chain_topology, {"n": 1.5}, "n"),
+        (clique_topology, {"n": True}, "n"),
+        (clique_topology, {"n": 2.5}, "n"),
+        (clique_topology, {"n": 0}, "n"),
+        (grid_topology, {"rows": True}, "rows"),
+        (grid_topology, {"rows": 0}, "rows"),
+        (grid_topology, {"cols": 1.5}, "cols"),
+        (grid_topology, {"cols": True}, "cols"),
+        (uniform_topology, {"seed": -1}, "seed"),
+    ], ids=lambda arg: arg.__name__ if callable(arg) else None)
+    def test_every_generator_names_bad_arguments(self, build, kwargs, name):
+        args = {**GENERATOR_ARGS[build], **kwargs}
+        build(**GENERATOR_ARGS[build])
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            build(**args)
+
+
+GENERATOR_ARGS = {
+    line_topology: {"n": 3, "power_levels": [1.0]},
+    chain_topology: {"n": 3, "power_ratio": 0.2},
+    clique_topology: {"n": 3},
+    grid_topology: {"rows": 2, "cols": 1, "spacing": 1.0, "power": 2.0},
+    uniform_topology: {"n": 3, "side": 4.0, "power": 2.0, "seed": 0},
+}
 
 
 class TestTopologyFile:
@@ -150,6 +189,21 @@ class TestTopologyFile:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"params": {}, "nodes": []}))
         with pytest.raises(ValueError, match="misses field"):
+            load_topology(str(path))
+
+    @pytest.mark.parametrize("name", ["id", "x", "y", "power"])
+    def test_missing_node_field_is_named(self, tmp_path, name):
+        # the fields without a default in Node; the others take it
+        net = uniform_topology(3, 4.0, 2.0, seed=1)
+        path = tmp_path / "t.json"
+        save_topology(net, str(path))
+        doc = json.loads(path.read_text())
+        del doc["nodes"][1]["wake_slot"]
+        path.write_text(json.dumps(doc))
+        assert load_topology(str(path)).nodes == net.nodes
+        del doc["nodes"][1][name]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^topology file .* misses field '{name}'$"):
             load_topology(str(path))
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
@@ -180,6 +234,65 @@ class TestTopologyFile:
         doc_path.write_text(json.dumps(doc))
         back = load_topology(str(doc_path))
         assert back.node(0).sleep_slot == 500
+
+    def test_saved_text_is_pinned(self, tmp_path):
+        # key order, indentation, and `sleep_slot` written only when set
+        net = build_network(
+            [Node(0, 0.0, 0.0, 4.0), Node(7, 1.5, -0.25, 2.0, wake_slot=3, sleep_slot=90)],
+            NetworkParams.exact(delta=1.5),
+        )
+        path = tmp_path / "pinned.json"
+        save_topology(net, str(path))
+        assert path.read_text() == PINNED_TOPOLOGY
+        back = load_topology(str(path))
+        assert back.nodes == net.nodes and back.params == net.params
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Topology files", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.json"
+        path.write_text(example)
+        net = load_topology(str(path))
+        assert net.nodes == (Node(0, 0.0, 0.0, 4.0),)
+        assert net.params == NetworkParams.exact()
+
+
+PINNED_TOPOLOGY = """\
+{
+  "params": {
+    "alpha_lo": 3.0,
+    "alpha_hi": 3.0,
+    "alpha_true": 3.0,
+    "beta_lo": 1.0,
+    "beta_hi": 1.0,
+    "beta_true": 1.0,
+    "noise_lo": 1.0,
+    "noise_hi": 1.0,
+    "noise_true": 1.0,
+    "delta": 1.5,
+    "c_whp": 2.0,
+    "scale": 1.0
+  },
+  "nodes": [
+    {
+      "id": 0,
+      "x": 0.0,
+      "y": 0.0,
+      "power": 4.0,
+      "wake_slot": 0
+    },
+    {
+      "id": 7,
+      "x": 1.5,
+      "y": -0.25,
+      "power": 2.0,
+      "wake_slot": 3,
+      "sleep_slot": 90
+    }
+  ]
+}
+"""
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -403,6 +516,48 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="seeds") as info:
             ExperimentConfig(protocol="fixed", network=self.NET, seeds=(0, seed))
         assert repr(seed) in str(info.value)
+
+    # every rejection above that a runner can be given, in the config's field names
+    @pytest.mark.parametrize("protocol,fields,message", [
+        ("fixed", {"seeds": ()}, "seeds must not be empty"),
+        ("fixed", {"seeds": (0, -1)}, "seeds must be integers >= 0, got -1"),
+        ("fixed", {"seeds": (1.5,)}, "seeds must be integers >= 0, got 1.5"),
+        ("fixed", {"seeds": (True,)}, "seeds must be integers >= 0, got True"),
+        ("fixed", {"scale": 5.0}, "scale must be in (0, 1], got 5.0"),
+        ("fixed", {"scale": 0.0}, "scale must be in (0, 1], got 0.0"),
+        ("fixed", {"scale": -1.0}, "scale must be in (0, 1], got -1.0"),
+        ("varpower", {"scale": float("nan")}, "scale must be in (0, 1], got nan"),
+        ("slowstart", {"scale": True}, "scale must be in (0, 1], got True"),
+        ("coloring", {"scale": 1.5}, "scale must be in (0, 1], got 1.5"),
+        ("slowstart", {"slow_start_budget_constant": -1.0},
+         "slow_start_budget_constant must be finite and > 0, got -1.0"),
+        ("slowstart", {"slow_start_budget_constant": float("inf")},
+         "slow_start_budget_constant must be finite and > 0, got inf"),
+        ("slowstart", {"slow_start_budget_constant": True},
+         "slow_start_budget_constant must be finite and > 0, got True"),
+        ("coloring", {"forced_resignations": -3},
+         "forced_resignations must be an integer >= 0, got -3"),
+        ("coloring", {"forced_resignations": 1.5},
+         "forced_resignations must be an integer >= 0, got 1.5"),
+        ("coloring", {"forced_resignations": True},
+         "forced_resignations must be an integer >= 0, got True"),
+        ("mis", {"forced_resignations": 1}, "forced_resignations must be 0 for protocol 'mis', got 1"),
+    ])
+    def test_runners_refuse_what_the_config_refuses(self, protocol, fields, message):
+        with pytest.raises(ValueError) as by_config:
+            ExperimentConfig(protocol=protocol, network=self.NET, **fields)
+        seeds = fields.pop("seeds", (0,))
+        names = {"slow_start_budget_constant": "budget_constant"}
+        runner = {
+            "fixed": run_fixed_broadcast,
+            "slowstart": run_slow_start,
+            "varpower": run_variable_power,
+            "coloring": run_coloring,
+            "mis": functools.partial(run_coloring, mis=True),
+        }[protocol]
+        with pytest.raises(ValueError) as by_runner:
+            runner(self.NET, seeds, **{names.get(k, k): v for k, v in fields.items()})
+        assert str(by_config.value) == str(by_runner.value) == message
 
     def test_runs_and_writes_outputs(self, tmp_path):
         net = uniform_topology(6, 3.0, 4.0, seed=2)

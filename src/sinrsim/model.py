@@ -113,6 +113,8 @@ class Node:
                 raise ValueError(f"node {self.id}: {name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"node {self.id}: {name} must be finite")
+        if self.id < 0:
+            raise ValueError(f"node {self.id}: id must be >= 0")
         if self.power <= 0.0:
             raise ValueError(f"node {self.id}: power must be positive")
         if self.wake_slot < 0:

@@ -280,7 +280,7 @@ def generate_topology(kind: str, seed: int = 0, **kwargs) -> Network:
         if name not in defaults:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"topology preset {kind!r} does not take {flag}")
-    v = {name: type(default)(kwargs.get(name, default)) for name, default in defaults.items()}
+    v = {**defaults, **kwargs}  # unchanged: the generators name a bad value
     if kind == "random":
         return random_topology(v["n"], v["side"], (v["power_lo"], v["power_hi"]), seed)
     if kind == "uniform":

@@ -24,7 +24,6 @@ from sinrsim.engine import (
     SlotOutcome,
     TraceConfig,
     Transmission,
-    node_rng,
 )
 from sinrsim.errors import ProtocolViolationError, SimulationAbort
 from sinrsim.model import Network, Node
@@ -180,7 +179,11 @@ def reference_run_simulation(
         machine = factory(node)
         machines.append(machine)
         by_id[node.id] = machine
-    rngs = [node_rng(seed, node.id) for node in network.nodes]
+    # straight from NumPy, which also checks the engine's batch seeding
+    rngs = [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, node.id))))
+        for node in network.nodes
+    ]
     draws = [0] * n  # uniforms taken from each stream
     # a machine whose class leaves on_receive to the base class hears nothing
     hears = [type(m).on_receive is not ProtocolMachine.on_receive for m in machines]

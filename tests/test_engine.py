@@ -10,7 +10,10 @@ from sinrsim.engine import (
     TraceConfig,
     Transmission,
     _Core,
+    _generator,
     _ledger,
+    _seed_words,
+    node_rng,
     resolve_slot,
     run_simulation,
     sinr_check,
@@ -235,6 +238,63 @@ class TestFastPathEquivalence:
         assert got.first_rx[net.ids[n - 1]] == {net.ids[0]: 7}
         assert [l for l, _ in got.outcomes[0].receptions] == [net.ids[n - 1]]
         assert not lone.sending[0]
+
+
+def numpy_state(seed, node_id):
+    return np.random.SeedSequence((seed, node_id)).generate_state(4, np.uint64)
+
+
+def numpy_stream(seed, node_id):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, node_id))))
+
+
+class TestSeedWords:
+    """The batch seeding against NumPy's own SeedSequence, its oracle."""
+
+    # up to 2**100: (seed, id) has 2 to 8 words, so some mix in words beyond the pool's 4
+    @given(seed=st.integers(0, 2**100 - 1), ids=st.lists(st.integers(0, 2**100 - 1), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_seed_sequence(self, seed, ids):
+        words = _seed_words(seed, ids)
+        assert words.dtype == np.uint64 and words.shape == (len(ids), 4)
+        for row, v in zip(words, ids):
+            assert np.array_equal(row, numpy_state(seed, v))
+            assert np.array_equal(_generator(row).random(20), numpy_stream(seed, v).random(20))
+
+    def test_edge_ids(self):
+        ids = [0, 2**32 - 1, 2**32, 5]
+        for seed in (0, 2**32 - 1, 2**32):
+            words = _seed_words(seed, ids)
+            for row, v in zip(words, ids):
+                assert np.array_equal(row, numpy_state(seed, v))
+            assert np.array_equal(node_rng(seed, 2**32).random(20),
+                                  numpy_stream(seed, 2**32).random(20))
+
+    def test_no_ids(self):
+        words = _seed_words(3, [])
+        assert words.shape == (0, 4) and words.dtype == np.uint64
+
+    def test_numpy_integers_and_bools_read_as_ints(self):
+        words = _seed_words(np.int64(4), [np.uint64(9), True])
+        assert np.array_equal(words[0], numpy_state(4, 9))
+        assert np.array_equal(words[1], numpy_state(4, 1))
+
+    @pytest.mark.parametrize("seed,ids,message", [
+        (-1, [0], "seed must be >= 0, got -1"),
+        (0, [3, -2, -5], "node id must be >= 0, got -5"),
+    ])
+    def test_refuses_negative_values(self, seed, ids, message):
+        with pytest.raises(ValueError, match=message):
+            _seed_words(seed, ids)
+
+    def test_refuses_non_integers(self):
+        with pytest.raises(TypeError):
+            _seed_words(0, [1.5])
+
+    def test_state_is_only_the_seed_words(self):
+        state = node_rng(1, 2).bit_generator.seed_seq
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            state.generate_state(8, np.uint32)
 
 
 class ChatterMachine(ProtocolMachine):

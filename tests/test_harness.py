@@ -62,6 +62,16 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate_topology("hexagon")
 
+    # the values reach the generators as given, which name the bad ones
+    @pytest.mark.parametrize("kind,kwargs,name", [
+        ("random", {"n": 2.7}, "n"),
+        ("grid", {"rows": True}, "rows"),
+        ("clique", {"n": True}, "n"),
+    ])
+    def test_dispatch_keeps_bad_values(self, kind, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
+            generate_topology(kind, **kwargs)
+
     def test_same_seed_same_topology(self):
         a = random_topology(12, 5.0, (1.0, 4.0), seed=9)
         b = random_topology(12, 5.0, (1.0, 4.0), seed=9)
@@ -217,6 +227,15 @@ class TestTopologyFile:
         with pytest.raises(ValueError, match=f"non-finite number {constant}") as info:
             load_topology(str(path))
         assert str(path) in str(info.value)
+
+    def test_negative_node_id_is_refused(self, tmp_path):
+        path = tmp_path / "t.json"
+        save_topology(uniform_topology(3, 4.0, 2.0, seed=1), str(path))
+        doc = json.loads(path.read_text())
+        doc["nodes"][1]["id"] = -1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^node -1: id must be >= 0$"):
+            load_topology(str(path))
 
     def test_malformed_json_names_the_file(self, tmp_path):
         path = tmp_path / "cut.json"
@@ -746,10 +765,11 @@ class TestCli:
         (lambda doc: doc.update(nodes={"0": doc["nodes"][0]}), ["FILE", "nodes", "list"]),
         (lambda doc: doc.update(params=[]), ["FILE", "params", "object"]),
         (lambda doc: doc["nodes"][0].update(wake_slot=None), ["node 0: wake_slot", "None"]),
+        (lambda doc: doc["nodes"][3].update(id=-1), ["node -1: id must be >= 0"]),
         (lambda doc: doc["nodes"][2].update(wake=500), ["FILE", "node 2", "unknown", "'wake'"]),
         (lambda doc: doc["params"].update(nosie_lo=1.0), ["FILE", "params", "'nosie_lo'"]),
     ], ids=["string-coordinate", "list-id", "nodes-object", "params-list", "null-wake-slot",
-            "unknown-node-key", "unknown-params-key"])
+            "negative-id", "unknown-node-key", "unknown-params-key"])
     def test_malformed_topology_is_a_one_line_error(self, edit, words, tmp_path, capsys):
         topo = write_uniform4(tmp_path)
         doc = json.loads(pathlib.Path(topo).read_text())
@@ -760,6 +780,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("sinrsim: error: ") and err.count("\n") == 1
         assert all(word.replace("FILE", topo) in err for word in words), err
+
+    def test_negative_node_id_stops_a_run_with_a_one_line_error(self, tmp_path, capsys):
+        topo = write_uniform4(tmp_path)
+        doc = json.loads(pathlib.Path(topo).read_text())
+        doc["nodes"][0]["id"] = -1
+        pathlib.Path(topo).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run-broadcast", "--protocol", "fixed", "--topology", topo]) == 2
+        err = capsys.readouterr().err
+        assert err == "sinrsim: error: node -1: id must be >= 0\n"
 
     def test_missing_topology_file_is_a_one_line_error(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"

@@ -175,6 +175,11 @@ class TestNodeValidation:
             Node(value, 0.0, 0.0, 1.0)
         assert repr(value) in str(info.value)
 
+    @pytest.mark.parametrize("value", [-1, np.int64(-7)])
+    def test_rejects_a_negative_id(self, value):
+        with pytest.raises(ValueError, match=rf"^node {value}: id must be >= 0$"):
+            Node(value, 0.0, 0.0, 1.0)
+
     def test_numpy_numbers_pass(self):
         node = Node(np.int64(3), np.float64(1.5), np.float32(2.0), np.int32(4), np.int64(2))
         assert (node.id, node.x, node.y, node.power, node.wake_slot) == (3, 1.5, 2.0, 4, 2)

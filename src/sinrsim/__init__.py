@@ -5,12 +5,8 @@ certificates, local broadcasting, distributed node coloring and MIS."""
 from .analysis import (
     PowerTrace,
     expected_far_interference,
-    exponential_approx_bounds_hold,
-    product_probability_bounds_hold,
     proximity_silence_probability,
     region_probability_cap,
-    region_probability_sums,
-    ring_interference_bound,
     variable_power_guarantee,
 )
 from .broadcast import (
@@ -33,7 +29,6 @@ from .engine import (
     SlotOutcome,
     TraceConfig,
     Transmission,
-    node_rng,
     resolve_slot,
     run_simulation,
     sinr_check,

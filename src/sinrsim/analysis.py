@@ -91,20 +91,6 @@ class RegionBudgetMonitor:
                 self.violations.append((slot, self.network.ids[r], worst))
 
 
-def _loaded_monitor(network: Network, probs: Mapping[int, float]) -> RegionBudgetMonitor:
-    """A limitless monitor sent one update that sets every node to its
-    probability in `probs` (0 for absent nodes) in both slot parities."""
-    monitor = RegionBudgetMonitor(network, math.inf)
-    monitor(0, [(i, probs.get(v, 0.0), probs.get(v, 0.0)) for i, v in enumerate(network.ids)])
-    return monitor
-
-
-def region_probability_sums(network: Network, probs: Mapping[int, float]) -> float:
-    """Maximum over nodes v of the probability mass inside v's broadcasting
-    region (v itself included)."""
-    return _loaded_monitor(network, probs).peak
-
-
 # candidate receivers evaluated per NumPy block in expected_far_interference
 _CANDIDATE_BLOCK = 128
 
@@ -143,12 +129,8 @@ def expected_far_interference(
     against all far nodes in blocks of rows; each row is summed on its own,
     as a one-dimensional ``np.sum`` would.
     """
-    return _far_interference(network, _prob_vector(network, probs), [node_id], exponent)[0]
-
-
-def _prob_vector(network: Network, probs: Mapping[int, float]) -> np.ndarray:
-    """`probs` as an array in node index order, 0 for absent nodes."""
-    return np.array([probs.get(v, 0.0) for v in network.ids], dtype=float)
+    p = np.array([probs.get(v, 0.0) for v in network.ids], dtype=float)
+    return _far_interference(network, p, [node_id], exponent)[0]
 
 
 def _far_interference(
@@ -204,24 +186,6 @@ def _far_interference(
             worst = max(worst, float(d.sum(axis=1).max()))
         out.append(worst)
     return out
-
-
-def ring_interference_bound(
-    i: int, cap: float, params: NetworkParams, range_ratio: float
-) -> float:
-    """Closed-form bound on expected interference contributed by the annulus
-    of index `i`, for any probability assignment respecting the per-region
-    cap: ``60 * cap * beta_hi * noise_hi * ratio**2 / i**(alpha_hi - 1)``."""
-    if i < 2:
-        raise ValueError("rings start at index 2; smaller annuli overlap the proximity region")
-    return (
-        60.0
-        * cap
-        * params.beta_hi
-        * params.noise_hi
-        * range_ratio**2
-        / float(i) ** (params.alpha_hi - 1.0)
-    )
 
 
 def whp_slots(prob: float, params: NetworkParams, n: int, scale: float) -> float:
@@ -309,40 +273,3 @@ def variable_power_guarantee(
         return (0, 0.0)
     return (best, broadcast_range(levels[best], params))
 
-
-# -- numeric facts used by the probabilistic arguments -----------------------
-
-_FACT_SLACK = 1e-12
-
-
-def product_probability_bounds_hold(probabilities: Sequence[float]) -> bool:
-    """(1/4)**sum(p) <= prod(1 - p) <= (1/e)**sum(p), valid for p in [0, 1/2]."""
-    for p in probabilities:
-        if not (0.0 <= p <= 0.5):
-            raise ValueError("probabilities must lie in [0, 1/2]")
-    total = sum(probabilities)
-    product = 1.0
-    for p in probabilities:
-        product *= 1.0 - p
-    lower = 0.25**total
-    upper = math.exp(-total)
-    return lower <= product * (1.0 + _FACT_SLACK) and product <= upper * (1.0 + _FACT_SLACK)
-
-
-def exponential_approx_bounds_hold(n: float, t: float) -> bool:
-    """e**t * (1 - t**2/n) <= (1 + t/n)**n <= e**t, valid for n >= 1, |t| <= n.
-
-    Checked in log space so overflow cannot produce spurious verdicts."""
-    if n < 1 or abs(t) > n:
-        raise ValueError("requires n >= 1 and |t| <= n")
-    slack = _FACT_SLACK * (1.0 + abs(t))
-    if t == -n:
-        log_middle = -math.inf  # (1 + t/n)**n collapses to zero
-    else:
-        log_middle = n * math.log1p(t / n)
-    if log_middle > t + slack:
-        return False
-    low_factor = 1.0 - t * t / n
-    if low_factor <= 0.0:
-        return True  # lower bound is non-positive, middle never is
-    return t + math.log(low_factor) <= log_middle + slack

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 from .analysis import PowerTrace, whp_slots
 from .engine import ProtocolMachine, SimTrace
 from .errors import ProtocolViolationError
-from .model import Network, NetworkParams, Node
+from .model import Network, NetworkParams, Node, _check_count
 
 
 class Broadcast(NamedTuple):
@@ -62,8 +62,7 @@ class FixedProbBroadcaster(ProtocolMachine):
         super().__init__(node)
         if not (0.0 < prob <= 1.0):
             raise ValueError("probability must lie in (0, 1]")
-        if budget < 1:
-            raise ValueError("budget must be at least one slot")
+        _check_count("budget", budget, 1)
         pieces = [(0, node.power)] if pieces is None else pieces
         starts = [s for s, _ in pieces]
         powers = [p for _, p in pieces]
@@ -139,8 +138,9 @@ class SlowStartBroadcaster(ProtocolMachine):
         super().__init__(node)
         if not (0.0 < prob_cap <= 1.0):
             raise ValueError("probability cap must lie in (0, 1]")
-        if phase_len < 1 or cap_slots_target < 1 or budget < 1:
-            raise ValueError("phase length, cap target and budget must be positive")
+        for name, value in (("n", n), ("phase_len", phase_len),
+                            ("cap_slots_target", cap_slots_target), ("budget", budget)):
+            _check_count(name, value, 1)
         self.prob_cap = prob_cap
         self.prob_init = prob_cap / n
         self.phase_len = phase_len

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ProtocolViolationError, SimulationAbort
-from .model import Network, Node, _is_number
+from .model import Network, Node, _check_count, _is_number
 
 __all__ = [
     "Transmission",
@@ -48,7 +48,6 @@ __all__ = [
     "sinr_check",
     "resolve_slot",
     "run_simulation",
-    "node_rng",
 ]
 
 
@@ -248,12 +247,6 @@ class ProtocolMachine:
         self.log.append((slot, kind, data))
 
 
-def node_rng(seed: int, node_id: int) -> np.random.Generator:
-    """The per-node random stream, independent of every other node's: a
-    PCG64 stream seeded by ``SeedSequence((seed, node_id))``, bit for bit."""
-    return _generator(_seed_words(seed, (node_id,))[0])
-
-
 # ---------------------------------------------------------------------------
 # stream seeding
 # ---------------------------------------------------------------------------
@@ -406,29 +399,14 @@ class SimTrace:
             raise ValueError("trace was run without outcome recording")
         with open(path, "w", encoding="utf-8") as fh:
             for outcome in self.outcomes:
-                for tx in outcome.transmissions:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "slot": outcome.slot,
-                                "sender": tx.sender,
-                                "kind": _payload_kind(tx.payload),
-                            }
-                        )
-                        + "\n"
-                    )
-                for listener, tx in outcome.receptions:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "slot": outcome.slot,
-                                "sender": tx.sender,
-                                "listener": listener,
-                                "kind": _payload_kind(tx.payload),
-                            }
-                        )
-                        + "\n"
-                    )
+                # transmissions, then receptions: only a reception names a listener
+                for listener, tx in [*((None, tx) for tx in outcome.transmissions),
+                                     *outcome.receptions]:
+                    record = {"slot": outcome.slot, "sender": tx.sender}
+                    if listener is not None:
+                        record["listener"] = listener
+                    record["kind"] = _payload_kind(tx.payload)
+                    fh.write(json.dumps(record) + "\n")
 
 
 def _payload_kind(payload: Any) -> str:
@@ -723,8 +701,8 @@ def run_simulation(
     it hears, so it is swept as an open-loop schedule with no heap
     (:func:`_run_schedule`); the trace is the one the event loop gives.
     """
-    if max_slots <= 0:
-        raise ValueError("max_slots must be positive")
+    _check_count("max_slots", max_slots, 1)
+    _check_count("seed", seed, 0)
     machines = [factory(node) for node in network.nodes]
     core = _Core(network)
     # an inbox for each machine whose class reads its receptions

@@ -16,12 +16,10 @@ import numpy as np
 from .analysis import (
     RegionBudgetMonitor,
     _far_interference,
-    _loaded_monitor,
-    _prob_vector,
     # analyze_network no longer calls this, so perfbench/run.py's wrapper
     # of it measures nothing (0 calls); the import only keeps that wrapper's
     # lookup by name working until the benchmark wraps _far_interference
-    # instead (ROADMAP item 6)
+    # instead (ROADMAP item 5)
     expected_far_interference,  # noqa: F401
     proximity_silence_probability,
     region_probability_cap,
@@ -597,7 +595,7 @@ def analyze_network(network: Network) -> dict:
     params = network.params
     cap, prob, _ = _cap_for(network)
     probs = dict.fromkeys(network.ids, prob)
-    p = _prob_vector(network, probs)
+    p = np.full(network.n, prob)
     margin = (params.delta - 1.0) * params.noise_hi / 2.0
     silence = {
         v: proximity_silence_probability(network, probs, v) for v in network.ids
@@ -613,7 +611,9 @@ def analyze_network(network: Network) -> dict:
         interference_true = dict(
             zip(network.ids, _far_interference(network, p, network.ids, params.alpha_true))
         )
-    region_sums = dict(zip(network.ids, _loaded_monitor(network, probs).sum_even))
+    monitor = RegionBudgetMonitor(network, math.inf)
+    monitor(0, [(i, prob, prob) for i in range(network.n)])
+    region_sums = dict(zip(network.ids, monitor.sum_even))
     return {
         "n": network.n,
         "max_degree": network.max_degree,

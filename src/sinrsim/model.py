@@ -128,6 +128,18 @@ def _is_number(value: object, exact: type, kind: type) -> bool:
     return type(value) is exact or (isinstance(value, kind) and not isinstance(value, bool))
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse `value` unless it is an integer, and no bool, of at least `least`."""
+    if not _is_number(value, int, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Refuse `value` unless it is a finite positive number, and no bool."""
+    if not _is_number(value, float, numbers.Real) or not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
 def max_transmission_range(power: float, params: NetworkParams) -> float:
     """Distance up to which a lone transmission at `power` is decodable no
     matter where the true parameters fall within their bounds."""

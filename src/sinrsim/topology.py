@@ -24,7 +24,16 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Network, NetworkParams, Node, _is_number, broadcast_range, build_network
+from .model import (
+    Network,
+    NetworkParams,
+    Node,
+    _check_count,
+    _check_positive,
+    _is_number,
+    broadcast_range,
+    build_network,
+)
 
 _PARAM_FIELDS = tuple(f.name for f in fields(NetworkParams))
 _NODE_FIELDS = tuple(f.name for f in fields(Node))
@@ -84,12 +93,6 @@ def load_topology(path: str) -> Network:
     return build_network(nodes, params)
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse `value` unless it is an integer, and no bool, of at least `least`."""
-    if not _is_number(value, int, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def random_topology(
     n: int,
     side: float,
@@ -103,8 +106,7 @@ def random_topology(
     than ``_MIN_SEPARATION * side`` to a placed one is drawn again."""
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
-    if not _is_number(side, float, numbers.Real) or not (0.0 < side < math.inf):
-        raise ValueError(f"side must be a finite positive number, got {side!r}")
+    _check_positive("side", side)
     lo, hi = power_range
     if not all(_is_number(b, float, numbers.Real) and math.isfinite(b) for b in (lo, hi)):
         raise ValueError(f"power_range must hold finite numbers, got {power_range!r}")
@@ -167,8 +169,8 @@ def grid_topology(
 ) -> Network:
     _check_count("rows", rows, 1)
     _check_count("cols", cols, 1)
-    if spacing <= 0.0:
-        raise ValueError(f"spacing must be positive, got {spacing!r}")
+    _check_positive("spacing", spacing)
+    _check_positive("power", power)
     params = params or NetworkParams.exact()
     nodes = [
         Node(id=r * cols + c, x=c * spacing, y=r * spacing, power=power)
@@ -192,8 +194,8 @@ def chain_topology(
     longest chain unchanged.
     """
     _check_count("n", n, 1)
-    if not (0.0 < power_ratio < 1.0):
-        raise ValueError("power ratio must lie strictly between 0 and 1")
+    if not _is_number(power_ratio, float, numbers.Real) or not (0.0 < power_ratio < 1.0):
+        raise ValueError(f"power_ratio must lie strictly between 0 and 1, got {power_ratio!r}")
     params = params or NetworkParams.exact()
     shrink = power_ratio ** (1.0 / params.alpha_lo)  # broadcast-range ratio per hop
     step_frac = (1.0 + shrink) / 2.0  # strictly between shrink and 1
@@ -226,8 +228,14 @@ def line_topology(
     """
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
+    _check_positive("spacing", spacing)
+    if not _is_number(jitter, float, numbers.Real) or not (0.0 <= jitter < math.inf):
+        raise ValueError(f"jitter must be a finite number >= 0, got {jitter!r}")
     if not power_levels:
         raise ValueError("need at least one power level")
+    for k, level in enumerate(power_levels):
+        _check_positive(f"power_levels[{k}]", level)
+    _check_count("wake_window", wake_window, 0)
     params = params or NetworkParams.exact()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0x11ea))))
     nodes = []
@@ -247,6 +255,7 @@ def clique_topology(
     """Equal-power nodes on a small circle, everyone inside everyone's
     broadcasting range."""
     _check_count("n", n, 1)
+    _check_positive("power", power)
     params = params or NetworkParams.exact()
     radius = 0.4 * broadcast_range(power, params)
     nodes = [

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from sinrsim.analysis import (
     PowerTrace,
+    RegionBudgetMonitor,
     expected_far_interference,
-    exponential_approx_bounds_hold,
-    product_probability_bounds_hold,
     proximity_silence_probability,
     region_probability_cap,
-    region_probability_sums,
-    ring_interference_bound,
     variable_power_guarantee,
     whp_slots,
 )
@@ -30,6 +27,70 @@ from .conftest import (
     random_small_network,
     reference_network_build,
 )
+
+
+def region_probability_sums(network, probs):
+    """Maximum over nodes v of the probability mass inside v's broadcasting
+    region (v itself included), from a limitless monitor sent one update
+    that sets every node to its probability in `probs` (0 for absent
+    nodes) in both slot parities."""
+    monitor = RegionBudgetMonitor(network, math.inf)
+    monitor(0, [(i, probs.get(v, 0.0), probs.get(v, 0.0)) for i, v in enumerate(network.ids)])
+    return monitor.peak
+
+
+def ring_interference_bound(i, cap, params, range_ratio):
+    """Closed-form bound on expected interference contributed by the annulus
+    of index `i`, for any probability assignment respecting the per-region
+    cap: ``60 * cap * beta_hi * noise_hi * ratio**2 / i**(alpha_hi - 1)``."""
+    if i < 2:
+        raise ValueError("rings start at index 2; smaller annuli overlap the proximity region")
+    return (
+        60.0
+        * cap
+        * params.beta_hi
+        * params.noise_hi
+        * range_ratio**2
+        / float(i) ** (params.alpha_hi - 1.0)
+    )
+
+
+# -- numeric facts used by the probabilistic arguments -----------------------
+
+_FACT_SLACK = 1e-12
+
+
+def product_probability_bounds_hold(probabilities):
+    """(1/4)**sum(p) <= prod(1 - p) <= (1/e)**sum(p), valid for p in [0, 1/2]."""
+    for p in probabilities:
+        if not (0.0 <= p <= 0.5):
+            raise ValueError("probabilities must lie in [0, 1/2]")
+    total = sum(probabilities)
+    product = 1.0
+    for p in probabilities:
+        product *= 1.0 - p
+    lower = 0.25**total
+    upper = math.exp(-total)
+    return lower <= product * (1.0 + _FACT_SLACK) and product <= upper * (1.0 + _FACT_SLACK)
+
+
+def exponential_approx_bounds_hold(n, t):
+    """e**t * (1 - t**2/n) <= (1 + t/n)**n <= e**t, valid for n >= 1, |t| <= n.
+
+    Checked in log space so overflow cannot produce spurious verdicts."""
+    if n < 1 or abs(t) > n:
+        raise ValueError("requires n >= 1 and |t| <= n")
+    slack = _FACT_SLACK * (1.0 + abs(t))
+    if t == -n:
+        log_middle = -math.inf  # (1 + t/n)**n collapses to zero
+    else:
+        log_middle = n * math.log1p(t / n)
+    if log_middle > t + slack:
+        return False
+    low_factor = 1.0 - t * t / n
+    if low_factor <= 0.0:
+        return True  # lower bound is non-positive, middle never is
+    return t + math.log(low_factor) <= log_middle + slack
 
 
 def cap_params(alpha=3.0, beta=1.0, delta=2.0):
@@ -332,6 +393,23 @@ class TestPowerTrace:
             PowerTrace(0, 0, 10, ((0, 5, 1.0), (4, 8, 2.0)))
 
 
+# a few shared levels, so that pieces pool their slots, or any power
+PIECE_POWERS = st.sampled_from([0.0, 1.0, 2.0, 8.0]) | st.floats(0.0, 64.0)
+
+
+@st.composite
+def power_traces(draw):
+    """Valid traces over [0, end): ordered, disjoint pieces with gaps
+    between them and at least one uncovered slot at the end."""
+    pieces, at = [], 0
+    for gap, length, power in draw(st.lists(
+        st.tuples(st.integers(0, 50), st.integers(1, 300), PIECE_POWERS), max_size=8
+    )):
+        pieces.append((at + gap, at + gap + length, power))
+        at += gap + length
+    return PowerTrace(0, 0, at + draw(st.integers(1, 100)), tuple(pieces))
+
+
 class TestVariablePowerGuarantee:
     def params(self):
         return cap_params()
@@ -355,6 +433,26 @@ class TestVariablePowerGuarantee:
     def test_all_idle_gives_nothing(self):
         trace = PowerTrace(0, 0, 50, ())
         assert variable_power_guarantee(trace, 0.5, self.params(), 4) == (0, 0.0)
+
+    @given(data=st.data(), trace=power_traces(), p=st.floats(0.05, 1.0), n=st.integers(1, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_radius_is_monotone(self, data, trace, p, n):
+        """The certified radius never falls when a piece fills part of an
+        uncovered gap or when p rises, and never rises when n rises."""
+        params = self.params()
+        radius = variable_power_guarantee(trace, p, params, n)[1]
+        ends = [trace.interval_start, *(end for _, end, _ in trace.pieces)]
+        starts = [*(start for start, _, _ in trace.pieces), trace.interval_end]
+        a, b = data.draw(st.sampled_from([(a, b) for a, b in zip(ends, starts) if a < b]))
+        start = data.draw(st.integers(a, b - 1))
+        piece = (start, data.draw(st.integers(start + 1, b)), data.draw(PIECE_POWERS))
+        grown = PowerTrace(trace.node_id, trace.interval_start, trace.interval_end,
+                           tuple(sorted([*trace.pieces, piece])))
+        assert variable_power_guarantee(grown, p, params, n)[1] >= radius
+        more_p = data.draw(st.floats(p, 1.0))
+        assert variable_power_guarantee(trace, more_p, params, n)[1] >= radius
+        more_n = data.draw(st.integers(n, 10**6))
+        assert variable_power_guarantee(trace, p, params, more_n)[1] <= radius
 
 
 class TestWhpSlots:

@@ -88,6 +88,19 @@ class TestSlowStart:
             cap_slots_target=target, budget=budget,
         )
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"phase_len": 2.5}, "phase_len"),
+        ({"phase_len": 0}, "phase_len"),
+        ({"budget": 50.5}, "budget"),
+        ({"budget": True}, "budget"),
+        ({"target": 10.5}, "cap_slots_target"),
+        ({"n": 2.5}, "n"),
+        ({"n": 0}, "n"),
+    ])
+    def test_slot_counts_must_be_integers(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
+            self.make(Node(0, 0, 0, 1.0), **kwargs)
+
     def test_isolated_node_ramps_in_log_phases(self, exact_params):
         net = lone_network(exact_params)
         phases = math.ceil(math.log2(16))
@@ -271,9 +284,10 @@ class TestVariablePower:
         with pytest.raises(ValueError, match="probability"):
             piecewise([(0, 8.0)], prob=prob)
 
-    def test_budget_below_one_rejected(self):
-        with pytest.raises(ValueError, match="budget"):
-            piecewise(None, budget=0)
+    @pytest.mark.parametrize("budget", [0, 2.5, True])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"^budget must be an integer >= 1, got {budget!r}$"):
+            piecewise(None, budget=budget)
 
     def test_out_of_bounds_power_rejected(self, exact_params):
         with pytest.raises(ProtocolViolationError):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from sinrsim.engine import (
     _generator,
     _ledger,
     _seed_words,
-    node_rng,
     resolve_slot,
     run_simulation,
     sinr_check,
@@ -267,7 +267,7 @@ class TestSeedWords:
             words = _seed_words(seed, ids)
             for row, v in zip(words, ids):
                 assert np.array_equal(row, numpy_state(seed, v))
-            assert np.array_equal(node_rng(seed, 2**32).random(20),
+            assert np.array_equal(_generator(_seed_words(seed, [2**32])[0]).random(20),
                                   numpy_stream(seed, 2**32).random(20))
 
     def test_no_ids(self):
@@ -292,7 +292,7 @@ class TestSeedWords:
             _seed_words(0, [1.5])
 
     def test_state_is_only_the_seed_words(self):
-        state = node_rng(1, 2).bit_generator.seed_seq
+        state = _generator(_seed_words(1, [2])[0]).bit_generator.seed_seq
         with pytest.raises(ValueError, match="holds 4 uint64 words"):
             state.generate_state(8, np.uint32)
 
@@ -324,6 +324,30 @@ class CrashMachine(ProtocolMachine):
 
 
 class TestRunSimulation:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"max_slots": 0}, "max_slots must be an integer >= 1, got 0"),
+        ({"max_slots": True}, "max_slots must be an integer >= 1, got True"),
+        ({"max_slots": 20.5}, "max_slots must be an integer >= 1, got 20.5"),
+        ({"max_slots": math.inf}, "max_slots must be an integer >= 1, got inf"),
+        ({"max_slots": math.nan}, "max_slots must be an integer >= 1, got nan"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"seed": 1.0}, "seed must be an integer >= 0, got 1.0"),
+    ])
+    def test_refuses_bad_slot_counts_and_seeds(self, exact_params, kwargs, message):
+        net = pair_network(exact_params)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_simulation(net, ChatterMachine, **{"max_slots": 5, "seed": 0, **kwargs})
+
+    def test_numpy_integers_are_counts(self, exact_params):
+        net = pair_network(exact_params)
+
+        def run(max_slots, seed):
+            return run_simulation(net, lambda n: ChatterMachine(n, 0.3), max_slots, seed)
+
+        a, b = run(np.int64(300), np.uint32(7)), run(300, 7)
+        assert (a.tx_count, a.first_rx, a.n_slots) == (b.tx_count, b.first_rx, b.n_slots)
+
     def test_no_awake_nodes_is_empty(self, exact_params):
         net = build_network(
             [Node(0, 0, 0, 8.0, wake_slot=1000), Node(1, 1, 0, 8.0, wake_slot=1000)],

@@ -14,7 +14,7 @@ import sinrsim.engine as engine
 from sinrsim.analysis import RegionBudgetMonitor, region_probability_cap
 from sinrsim.broadcast import FixedProbBroadcaster, SlowStartBroadcaster
 from sinrsim.coloring import ColoringConstants, ColoringMachine
-from sinrsim.engine import ProtocolMachine, TraceConfig, node_rng, run_simulation
+from sinrsim.engine import ProtocolMachine, TraceConfig, _generator, _seed_words, run_simulation
 from sinrsim.errors import ProtocolViolationError, SimulationAbort
 from sinrsim.experiment import _resignation_script
 from sinrsim.model import NetworkParams, Node, build_network
@@ -859,8 +859,9 @@ class TestDrawsInBlocks:
     uniforms it took."""
 
     def test_blocks_match_scalar_draws(self):
-        streams = [engine._Stream(node_rng(5, 2)), engine._Stream(node_rng(5, 3))]
-        scalar = [node_rng(5, 2), node_rng(5, 3)]
+        streams = [engine._Stream(_generator(words)) for words in _seed_words(5, [2, 3])]
+        scalar = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, v))))
+                  for v in (2, 3)]
         assert [stream.count() for stream in streams] == [0, 0]
         # two nodes taking turns, each across three block boundaries
         count = 2 * (3 * engine._BLOCK + 3)

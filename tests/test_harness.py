@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -163,12 +164,33 @@ class TestRandomPlacement:
         (grid_topology, {"cols": 1.5}, "cols"),
         (grid_topology, {"cols": True}, "cols"),
         (uniform_topology, {"seed": -1}, "seed"),
+        (line_topology, {"wake_window": -1}, "wake_window"),
+        (line_topology, {"wake_window": 1.5}, "wake_window"),
     ], ids=lambda arg: arg.__name__ if callable(arg) else None)
     def test_every_generator_names_bad_arguments(self, build, kwargs, name):
         args = {**GENERATOR_ARGS[build], **kwargs}
         build(**GENERATOR_ARGS[build])
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
             build(**args)
+
+    # the real-valued twin: each message names the argument and gives the value
+    @pytest.mark.parametrize("build,kwargs,message", [
+        (grid_topology, {"spacing": True}, "spacing must be a finite positive number, got True"),
+        (grid_topology, {"spacing": math.nan}, "spacing must be a finite positive number, got nan"),
+        (grid_topology, {"spacing": "1"}, "spacing must be a finite positive number, got '1'"),
+        (grid_topology, {"power": math.nan}, "power must be a finite positive number, got nan"),
+        (clique_topology, {"power": math.nan}, "power must be a finite positive number, got nan"),
+        (chain_topology, {"power_ratio": math.nan},
+         "power_ratio must lie strictly between 0 and 1, got nan"),
+        (line_topology, {"spacing": math.nan}, "spacing must be a finite positive number, got nan"),
+        (line_topology, {"jitter": math.nan}, "jitter must be a finite number >= 0, got nan"),
+        (line_topology, {"jitter": -0.1}, "jitter must be a finite number >= 0, got -0.1"),
+        (line_topology, {"power_levels": [1.0, math.nan]},
+         "power_levels[1] must be a finite positive number, got nan"),
+    ], ids=lambda arg: arg.__name__ if callable(arg) else None)
+    def test_every_generator_names_bad_real_arguments(self, build, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(**{**GENERATOR_ARGS[build], **kwargs})
 
 
 GENERATOR_ARGS = {

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 from .analysis import PowerTrace, whp_slots
 from .engine import ProtocolMachine, SimTrace
 from .errors import ProtocolViolationError
-from .model import Network, NetworkParams, Node, _check_count
+from .model import Network, NetworkParams, Node, _check_count, _check_prob
 
 
 class Broadcast(NamedTuple):
@@ -35,8 +35,7 @@ class Broadcast(NamedTuple):
 def broadcast_budget(prob: float, params: NetworkParams, n: int, scale: float) -> int:
     """:func:`~sinrsim.analysis.whp_slots` rounded up to a whole slot
     count of at least 1."""
-    if not (0.0 < prob <= 1.0):
-        raise ValueError("probability must lie in (0, 1]")
+    _check_prob("prob", prob)
     return max(1, math.ceil(whp_slots(prob, params, n, scale)))
 
 
@@ -60,8 +59,7 @@ class FixedProbBroadcaster(ProtocolMachine):
         power_bounds: Optional[tuple[float, float]] = None,
     ):
         super().__init__(node)
-        if not (0.0 < prob <= 1.0):
-            raise ValueError("probability must lie in (0, 1]")
+        _check_prob("prob", prob)
         _check_count("budget", budget, 1)
         pieces = [(0, node.power)] if pieces is None else pieces
         starts = [s for s, _ in pieces]
@@ -136,8 +134,7 @@ class SlowStartBroadcaster(ProtocolMachine):
         budget: int,
     ):
         super().__init__(node)
-        if not (0.0 < prob_cap <= 1.0):
-            raise ValueError("probability cap must lie in (0, 1]")
+        _check_prob("prob_cap", prob_cap)
         for name, value in (("n", n), ("phase_len", phase_len),
                             ("cap_slots_target", cap_slots_target), ("budget", budget)):
             _check_count(name, value, 1)

@@ -282,6 +282,8 @@ class ColoringMachine(ProtocolMachine):
         self.record(slot, "wake", None)
 
     def on_transmit(self, slot: int, lane: int) -> tuple[Any, float]:
+        if lane == CORE and self.phase == COLORED:  # the steady beacon, most transmissions
+            return self._beacon if self._assign is None else self._assign, self.node.power
         if lane == ANSWER:
             if self._answer_current is None:
                 raise ProtocolViolationError(
@@ -297,8 +299,6 @@ class ColoringMachine(ProtocolMachine):
             msg = RequestMsg(self._request_leader)
         elif self.phase == ANNOUNCE:
             msg = ColorMsg(self.color, True)
-        elif self.phase == COLORED:
-            msg = self._beacon if self._assign is None else self._assign
         else:
             raise ProtocolViolationError(
                 f"node {self.node.id}: core lane fired in phase {self.phase}"

@@ -375,7 +375,11 @@ class SimTrace:
     """What a run did, assembled for both engine paths by :func:`_ledger`.
     The loop counters describe the event loop; a run swept as a schedule
     (fixed broadcasters alone, see :func:`run_simulation`) pops no heap, so
-    its `heap_pops` and `stale_tx_entries` are 0."""
+    its `heap_pops` and `stale_tx_entries` are 0.  The event loop drops a
+    grown heap's dead entries without popping them (:func:`_compact`), and
+    neither counter counts those: on slow start, whose heap fills with
+    copies of each node's end-of-budget checkpoint, both are far lower than
+    the entries the run pushed."""
 
     seed: int
     n_slots: int
@@ -504,6 +508,7 @@ def _ledger(
     ids = network.ids
     n = network.n
     reach = network.lone_reach
+    cached = network._reach
     resolve = core.resolve
     awake, sending = core.awake, core.sending
     first_rx: dict[int, dict[int, int]] = {v: {} for v in ids}
@@ -521,8 +526,10 @@ def _ledger(
         eventful += 1
         lone = len(txs) == 1
         if lone:
-            # a lone transmission reaches the awake nodes of its exact reach
-            entry = reach(txs[0][0], txs[0][1])
+            # a lone transmission reaches the awake nodes of its exact reach;
+            # the network's cache is read here, `lone_reach` fills a miss
+            key = txs[0][:2]
+            entry = cached.get(key) or reach(*key)
             exact = entry[0]
             received: Sequence[Sequence[int]] = (
                 (exact,) if not core.asleep else ([l for l in exact if awake[l]],)
@@ -660,6 +667,35 @@ def _lane_slot(lane: Lane, stream: _Stream, from_slot: int) -> Optional[int]:
     return slot + gap * period
 
 
+# the event loop compacts its heap once it outgrows twice its live entries
+# and this floor, which `color32`'s heap (under 120 entries) never reaches
+_COMPACT_FLOOR = 256
+
+
+def _compact(
+    heap: list[tuple[int, int, int, int]],
+    next_tx: list[list[Optional[int]]],
+    synced_cp: list[Optional[int]],
+) -> None:
+    """Keep the event loop's heap to its distinct live entries, in place.
+    A lane entry is live while its slot is the lane's next transmission, a
+    checkpoint entry while its slot is the node's filed checkpoint; wake,
+    sleep and script entries always are.  A dead or repeated entry would
+    only pop to be skipped (a poll checks the machine's checkpoint as it
+    stands, and a checkpoint filed later gets an entry of its own), so the
+    live ones pop in the same order and the run is the same.  The one
+    exception is a machine that files its current slot inside that slot's
+    `on_receive`, `wake` or script, which no machine here does."""
+    heap[:] = {
+        entry
+        for entry in heap
+        if entry[1] < _CHECK
+        or (entry[1] == _TX and next_tx[entry[2]][entry[3]] == entry[0])
+        or (entry[1] == _CHECK and synced_cp[entry[2]] == entry[0])
+    }
+    heapq.heapify(heap)
+
+
 # the event loop's lists stay its empty `none` until they get an entry: a new list
 # per slot ran `color32` 3% slower (5/6 pairs), +0.25 MB peak RSS (6/6) (see _ledger)
 def _add(items: list | tuple[()], item: Any) -> list:
@@ -746,6 +782,7 @@ def run_simulation(
 
     heap_pops = 0
     stale_tx = 0
+    compact_at = _COMPACT_FLOOR
 
     last_slot = -1
     completed = False
@@ -772,12 +809,16 @@ def run_simulation(
                 while True:
                     _, kind, idx, lane = heappop(heap)
                     heap_pops += 1
-                    if kind == _TX:
+                    if kind != _TX:
+                        rare = _add(rare, (kind, idx))
+                    elif next_tx[idx][lane] == s:
                         tx_cand.append((idx, lane))
                     else:
-                        rare = _add(rare, (kind, idx))
+                        stale_tx += 1  # redrawn, or its node left
                     if not heap or heap[0][0] != s:
                         break
+                if not tx_cand and not rare and pending_slot != s:
+                    continue  # stale lane entries only: nothing happens here
 
             # 1. deliver receptions resolved for the previous slot; only
             # the listeners whose lanes, checkpoint or `done` changed are
@@ -883,8 +924,9 @@ def run_simulation(
                     n_live += 1
 
             # 7. this slot's transmissions: lanes still due now, in (node,
-            # lane) order; other entries are stale (redrawn, or node asleep).
-            # The lane that fired is redrawn from the next slot at once: no
+            # lane) order; an entry can still be stale here (a departure or
+            # a step-6 redraw after it popped, or a repeated entry).  The
+            # lane that fired is redrawn from the next slot at once: no
             # other lane of the node changed, and nothing else draws from
             # its stream before the next slot.
             txs: list[_SlotTx] | tuple[()] = none
@@ -915,9 +957,16 @@ def run_simulation(
                         )
                     txs.append((i, power, payload))
                     sending[i] = True
-                    slot = row[k] = _lane_slot(machine.lanes[k], streams[i], s + 1)
-                    if slot is not None:
-                        heappush(heap, (slot, _TX, i, k))
+                    # `_lane_slot` from s + 1, inline (three calls per
+                    # transmission otherwise).  The lane fired at s, an
+                    # eligible slot, so its next eligible one is s + period,
+                    # and its prob is > 0: a change would have been redrawn
+                    ln = machine.lanes[k]
+                    prob = ln.prob
+                    gap = (0 if prob >= 1.0
+                           else int(math.log1p(-streams[i].draw()) / math.log1p(-prob)))
+                    slot = row[k] = s + (gap + 1) * ln.period
+                    heappush(heap, (slot, _TX, i, k))
 
             # 8. physical resolution and delivery: statistics, the
             # listeners' receptions and the record (shared with the schedule)
@@ -929,6 +978,10 @@ def run_simulation(
 
             if monitor is not None and changed:
                 monitor(s, _monitor_updates(machines, awake, changed))
+
+            if len(heap) > compact_at:
+                _compact(heap, next_tx, synced_cp)
+                compact_at = max(_COMPACT_FLOOR, 2 * len(heap))
 
             if n_live == 0 and not script_pending and pending_slot < 0:
                 completed = True

@@ -140,6 +140,12 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
+def _check_prob(name: str, value) -> None:
+    """Refuse `value` unless it is a number in (0, 1], and no bool."""
+    if not _is_number(value, float, numbers.Real) or not (0.0 < value <= 1.0):
+        raise ValueError(f"{name} must be a probability in (0, 1], got {value!r}")
+
+
 def max_transmission_range(power: float, params: NetworkParams) -> float:
     """Distance up to which a lone transmission at `power` is decodable no
     matter where the true parameters fall within their bounds."""

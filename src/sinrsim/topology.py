@@ -20,7 +20,7 @@ import json
 import math
 import numbers
 from dataclasses import MISSING, asdict, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -157,6 +157,7 @@ def uniform_topology(
 ) -> Network:
     """Random placement with one shared power: range ratio 1, no one-way
     links."""
+    _check_positive("power", power)
     return random_topology(n, side, (power, power), seed, params)
 
 
@@ -211,7 +212,7 @@ def chain_topology(
 
 def line_topology(
     n: int,
-    power_levels: "list[float]",
+    power_levels: Sequence[float],
     seed: int = 0,
     spacing: float = 1.0,
     jitter: float = 0.0,
@@ -231,8 +232,8 @@ def line_topology(
     _check_positive("spacing", spacing)
     if not _is_number(jitter, float, numbers.Real) or not (0.0 <= jitter < math.inf):
         raise ValueError(f"jitter must be a finite number >= 0, got {jitter!r}")
-    if not power_levels:
-        raise ValueError("need at least one power level")
+    if len(power_levels) == 0:
+        raise ValueError("power_levels must hold at least one power level, got none")
     for k, level in enumerate(power_levels):
         _check_positive(f"power_levels[{k}]", level)
     _check_count("wake_window", wake_window, 0)

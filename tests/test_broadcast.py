@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,12 @@ class TestSlowStart:
     def test_slot_counts_must_be_integers(self, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
             self.make(Node(0, 0, 0, 1.0), **kwargs)
+
+    @pytest.mark.parametrize("cap", [True, math.nan, "0.5", 0.0, 1.5])
+    def test_cap_must_be_a_probability(self, cap):
+        expected = rf"^prob_cap must be a probability in \(0, 1\], got {re.escape(repr(cap))}$"
+        with pytest.raises(ValueError, match=expected):
+            self.make(Node(0, 0, 0, 1.0), cap=cap)
 
     def test_isolated_node_ramps_in_log_phases(self, exact_params):
         net = lone_network(exact_params)
@@ -279,10 +286,18 @@ class TestVariablePower:
         assert trace.levels() == (0.0, 1.0, 4.0)
         assert trace.slots_at_least() == (110, 110, 100)
 
-    @pytest.mark.parametrize("prob", [0.0, -0.1, 1.5])
+    @pytest.mark.parametrize("prob", [0.0, -0.1, 1.5, True, math.nan, None, np.float64(2.0)])
     def test_probability_outside_unit_interval_rejected(self, prob):
-        with pytest.raises(ValueError, match="probability"):
+        expected = rf"^prob must be a probability in \(0, 1\], got {re.escape(repr(prob))}$"
+        with pytest.raises(ValueError, match=expected):
             piecewise([(0, 8.0)], prob=prob)
+
+    def test_budget_helper_checks_its_probability(self, exact_params):
+        with pytest.raises(ValueError, match=r"^prob must be a probability in \(0, 1\], got True$"):
+            broadcast_budget(True, exact_params, 16, 1.0)
+        assert broadcast_budget(np.float64(0.5), exact_params, 16, 1.0) == broadcast_budget(
+            0.5, exact_params, 16, 1.0
+        )
 
     @pytest.mark.parametrize("budget", [0, 2.5, True])
     def test_budget_below_one_rejected(self, budget):

@@ -92,16 +92,24 @@ def assert_same_schedule(runs):
     assert runs[1][0].heap_pops == 0
 
 
-def counted_pops(monkeypatch):
-    """The entries the engine takes off its heap, in order."""
+def counted_pops(monkeypatch, pushed=None):
+    """The entries the engine takes off its heap, in order; with a list
+    `pushed`, each entry it pushes goes there too, with the heap's size
+    after the push."""
     popped = []
 
     def counting_pop(heap):
         popped.append(heapq.heappop(heap))
         return popped[-1]
 
+    def counting_push(heap, entry):
+        heapq.heappush(heap, entry)
+        pushed.append((entry, len(heap)))
+
     shim = types.SimpleNamespace(
-        heappush=heapq.heappush, heappop=counting_pop, heapify=heapq.heapify
+        heappush=heapq.heappush if pushed is None else counting_push,
+        heappop=counting_pop,
+        heapify=heapq.heapify,
     )
     monkeypatch.setattr(engine, "heapq", shim)
     return popped
@@ -786,6 +794,59 @@ class TestLoopCounters:
         assert not trace.outcomes_truncated
         assert trace.multi_tx_slots > 0
         assert trace.eventful_slots - trace.multi_tx_slots == single
+
+
+class Detour(ProtocolMachine):
+    """Keeps a far checkpoint, `END`, and detours through a near one on
+    each reception; the poll there flips its probability and files `END`
+    again, as slow start files `end_slot` again after the phase boundary a
+    reception sets.  Every return pushes one more entry for `END`."""
+
+    END = 6000
+
+    def wake(self, slot):
+        self.set_prob(0, 0.2)
+        self.schedule(self.END)
+
+    def on_receive(self, slot, sender, payload):
+        if not self.done:
+            self.schedule(min(slot + 2, self.END))
+
+    def on_transmit(self, slot, lane):
+        return "x", self.node.power
+
+    def poll(self, slot):
+        self.record(slot, "poll")
+        if slot >= self.END:
+            self.set_prob(0, 0.0)
+            self.done = True
+        else:
+            self.set_prob(0, 0.4 if self.lanes[0].prob == 0.2 else 0.2)
+            self.schedule(self.END)
+
+
+class TestCompaction:
+    """The event loop drops its heap's dead entries once the heap outgrows
+    twice its live entries (and `_COMPACT_FLOOR`); the live ones pop in
+    the same order, so the run is the same."""
+
+    def test_a_far_checkpoint_filed_again_and_again(self, monkeypatch):
+        pushed = []
+        popped = counted_pops(monkeypatch, pushed)
+        net = build_network([Node(v, float(v), 0.0, 8.0) for v in range(3)], PARAMS)
+        runs = run_both(net, Detour, Detour.END + 10, 0)
+        assert_same_run(runs)
+        trace = runs[1][0]
+        assert trace.completed and trace.n_slots == Detour.END + 1
+        far = sum(entry[:2] == (Detour.END, engine._CHECK) for entry, _size in pushed)
+        assert far > 2000
+        # uncompacted, the heap would hold every copy of the far entry
+        most = max(size for _entry, size in pushed)
+        assert most <= engine._COMPACT_FLOOR + 3 and most < far // 4
+        # the dropped entries never pop, and count as neither pops nor stale
+        tx_pops = sum(1 for entry in popped if entry[1] == engine._TX)
+        assert trace.heap_pops == len(popped) < len(pushed)
+        assert trace.stale_tx_entries <= tx_pops
 
 
 class DeafChatter(ProtocolMachine):

@@ -187,10 +187,23 @@ class TestRandomPlacement:
         (line_topology, {"jitter": -0.1}, "jitter must be a finite number >= 0, got -0.1"),
         (line_topology, {"power_levels": [1.0, math.nan]},
          "power_levels[1] must be a finite positive number, got nan"),
+        (line_topology, {"power_levels": []},
+         "power_levels must hold at least one power level, got none"),
+        (line_topology, {"power_levels": np.array([1.0, -2.0])},
+         "power_levels[1] must be a finite positive number, got np.float64(-2.0)"),
+        (uniform_topology, {"power": math.nan}, "power must be a finite positive number, got nan"),
+        (uniform_topology, {"power": True}, "power must be a finite positive number, got True"),
     ], ids=lambda arg: arg.__name__ if callable(arg) else None)
     def test_every_generator_names_bad_real_arguments(self, build, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(**{**GENERATOR_ARGS[build], **kwargs})
+
+    def test_power_levels_may_be_an_array(self):
+        levels = [1.0, 2.0]
+        from_array = line_topology(3, np.array(levels))
+        from_list = line_topology(3, levels)
+        assert np.array_equal(from_array.powers, from_list.powers)
+        assert np.array_equal(from_array.positions, from_list.positions)
 
 
 GENERATOR_ARGS = {

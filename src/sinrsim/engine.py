@@ -232,10 +232,16 @@ class ProtocolMachine:
 
     def set_prob(self, lane: int, prob: float) -> None:
         if self.lanes[lane].prob != prob:
+            if not _is_number(prob, float, numbers.Real) or not 0.0 <= prob <= 1.0:
+                self._refuse(lane, f"probability must lie in [0, 1], got {prob!r}")
             self.lanes[lane].prob = prob
             self._dirty = True
 
     def configure_lane(self, lane: int, period: int, phase: int) -> None:
+        if not _is_number(period, int, numbers.Integral) or period < 1:
+            self._refuse(lane, f"period must be an integer >= 1, got {period!r}")
+        if not _is_number(phase, int, numbers.Integral):
+            self._refuse(lane, f"phase must be an integer, got {phase!r}")
         ln = self.lanes[lane]
         ln.period, ln.phase = period, phase
         self._dirty = True
@@ -245,6 +251,9 @@ class ProtocolMachine:
 
     def record(self, slot: int, kind: str, data: Any = None) -> None:
         self.log.append((slot, kind, data))
+
+    def _refuse(self, lane: int, problem: str) -> None:
+        raise ProtocolViolationError(f"node {self.node.id} lane {lane}: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +382,12 @@ class TraceConfig:
 @dataclass
 class SimTrace:
     """What a run did, assembled for both engine paths by :func:`_ledger`.
-    The loop counters describe the event loop; a run swept as a schedule
-    (fixed broadcasters alone, see :func:`run_simulation`) pops no heap, so
-    its `heap_pops` and `stale_tx_entries` are 0.  The event loop drops a
-    grown heap's dead entries without popping them (:func:`_compact`), and
-    neither counter counts those: on slow start, whose heap fills with
-    copies of each node's end-of-budget checkpoint, both are far lower than
-    the entries the run pushed."""
+    `heap_pops` describes the event loop; a run swept as a schedule (fixed
+    broadcasters alone, see :func:`run_simulation`) pops no heap, so it is 0
+    there.  The event loop drops a grown heap's dead entries without popping
+    them (:func:`_compact`), and the count leaves those out: on slow start,
+    whose heap fills with copies of each node's end-of-budget checkpoint, it
+    is far lower than the entries the run pushed."""
 
     seed: int
     n_slots: int
@@ -394,7 +402,6 @@ class SimTrace:
     eventful_slots: int = 0
     outcomes_truncated: bool = False  # outcome_limit dropped records
     heap_pops: int = 0  # lane, checkpoint, wake, sleep and script entries taken off the heap
-    stale_tx_entries: int = 0  # popped lane entries that were redrawn or whose node slept
     multi_tx_slots: int = 0  # eventful slots with more than one transmission
 
     def export_jsonl(self, path: str) -> None:
@@ -683,9 +690,7 @@ def _compact(
     sleep and script entries always are.  A dead or repeated entry would
     only pop to be skipped (a poll checks the machine's checkpoint as it
     stands, and a checkpoint filed later gets an entry of its own), so the
-    live ones pop in the same order and the run is the same.  The one
-    exception is a machine that files its current slot inside that slot's
-    `on_receive`, `wake` or script, which no machine here does."""
+    live ones pop in the same order and the run is the same."""
     heap[:] = {
         entry
         for entry in heap
@@ -704,6 +709,10 @@ def _add(items: list | tuple[()], item: Any) -> list:
         items.append(item)
         return items
     return [item]
+
+
+def _backward(node_id: int, cp: int, s: int) -> ProtocolViolationError:
+    return ProtocolViolationError(f"node {node_id} filed checkpoint {cp} in slot {s}, not after it")
 
 
 def run_simulation(
@@ -730,12 +739,13 @@ def run_simulation(
     ``(first slot, action)``: ``action(machines by id, slot)`` injects an
     external event (such as a forced resignation) and returns the later
     slot of its next call, or None; the run cannot complete while a call
-    before `max_slots` is pending.
+    before `max_slots` is pending.  Each slot runs once, in order: a
+    checkpoint newly filed at or before the current slot is refused.
 
     A run without a script whose machines are all exactly
-    :class:`~sinrsim.broadcast.FixedProbBroadcaster` never reacts to what
-    it hears, so it is swept as an open-loop schedule with no heap
-    (:func:`_run_schedule`); the trace is the one the event loop gives.
+    :class:`~sinrsim.broadcast.FixedProbBroadcaster` with `prob` < 1 never
+    reacts to what it hears, so it is swept as an open-loop schedule with
+    no heap (:func:`_run_schedule`); the trace is the one the event loop gives.
     """
     _check_count("max_slots", max_slots, 1)
     _check_count("seed", seed, 0)
@@ -746,7 +756,7 @@ def run_simulation(
     settle, finish = _ledger(network, core, hears, trace or TraceConfig())
     from .broadcast import FixedProbBroadcaster  # broadcast.py imports this module
 
-    if scripted is None and all(type(m) is FixedProbBroadcaster for m in machines):
+    if scripted is None and all(type(m) is FixedProbBroadcaster and m.prob < 1.0 for m in machines):
         return _run_schedule(network, machines, max_slots, seed, core, settle, finish, monitor)
     n = network.n
     ids = network.ids
@@ -781,7 +791,6 @@ def run_simulation(
     pending_sorted = True  # filled by one transmission, so in listener order
 
     heap_pops = 0
-    stale_tx = 0
     compact_at = _COMPACT_FLOOR
 
     last_slot = -1
@@ -811,33 +820,30 @@ def run_simulation(
                     heap_pops += 1
                     if kind != _TX:
                         rare = _add(rare, (kind, idx))
-                    elif next_tx[idx][lane] == s:
+                    elif next_tx[idx][lane] == s:  # else redrawn, or its node left
                         tx_cand.append((idx, lane))
-                    else:
-                        stale_tx += 1  # redrawn, or its node left
                     if not heap or heap[0][0] != s:
                         break
                 if not tx_cand and not rare and pending_slot != s:
                     continue  # stale lane entries only: nothing happens here
 
-            # 1. deliver receptions resolved for the previous slot; only
-            # the listeners whose lanes, checkpoint or `done` changed are
-            # touched, since step 6 finds nothing to do for the others
+            # 1. deliver receptions resolved for the previous slot, whose
+            # listeners stay awake until step 3 at least; only those whose
+            # lanes, checkpoint or `done` changed are touched (step 6 skips the rest)
             if pending_slot == s:
                 touched = []
                 for i in pending if pending_sorted else sorted(pending):
                     machine = machines[i]
-                    if awake[i]:
-                        sender_id, payload = pending[i]
-                        cur = i
-                        machine.on_receive(s, sender_id, payload)
-                        cur = -1
-                        if (
-                            machine._dirty
-                            or machine._checkpoint != synced_cp[i]
-                            or machine.done != done_seen[i]
-                        ):
-                            touched.append(i)
+                    sender_id, payload = pending[i]
+                    cur = i
+                    machine.on_receive(s, sender_id, payload)
+                    cur = -1
+                    if (
+                        machine._dirty
+                        or machine._checkpoint != synced_cp[i]
+                        or machine.done != done_seen[i]
+                    ):
+                        touched.append(i)
                 pending = {}
                 pending_slot = -1
 
@@ -914,6 +920,8 @@ def run_simulation(
                 if cp != synced_cp[i]:
                     synced_cp[i] = cp
                     if cp is not None:
+                        if cp <= s:
+                            raise _backward(ids[i], cp, s)
                         heappush(heap, (cp, _CHECK, i, 0))
                 if machine.done:
                     if not done_seen[i]:
@@ -936,8 +944,7 @@ def run_simulation(
                     tx_cand.sort()  # a repeated entry finds its lane already fired
                 for i, k in tx_cand:
                     row = next_tx[i]
-                    if row[k] != s or not awake[i]:
-                        stale_tx += 1
+                    if row[k] != s:
                         continue
                     machine = machines[i]
                     cur = i
@@ -992,7 +999,7 @@ def run_simulation(
         raise SimulationAbort(ids[cur], s, exc) from exc
 
     return finish(seed, last_slot + 1 if completed else max_slots, completed, machines,
-                  [st.count() for st in streams], heap_pops=heap_pops, stale_tx_entries=stale_tx)
+                  [st.count() for st in streams], heap_pops=heap_pops)
 
 
 def _run_schedule(
@@ -1038,6 +1045,8 @@ def _run_schedule(
             end = machine._checkpoint
             if end is None:
                 end = max_slots  # never polled in the run
+            elif end <= s:
+                raise _backward(ids[i], end, s)
             leave = node.sleep_slot
             if leave is not None and leave < max_slots:
                 timeline.append((leave * 5 + _SLEEP) * n + i)
@@ -1050,10 +1059,6 @@ def _run_schedule(
             prob, period = lane.prob, lane.period
             s += (lane.phase - s) % period  # the first eligible slot
             if prob <= 0.0:
-                continue
-            if prob >= 1.0:  # every eligible slot, and no draw
-                step = 5 * period * n
-                timeline.extend(range((s * 5 + _TX) * n + i, (stop * 5 + _TX) * n + i, step))
                 continue
             # `_lane_slot`'s gaps inline (a call each: `bcast2k` 4.5% slower, 8/8 pairs,
             # see _ledger), from one stream at a time, dropped after its node's plan

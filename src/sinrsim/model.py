@@ -172,7 +172,10 @@ _REACH_SLACK = 1e-9
 # cells per axis above which the grid coarsens, keeping cell keys in int64
 _MAX_CELLS_PER_AXIS = 1 << 20
 
-# networks up to this size take every node pair as a candidate pair
+# networks up to this size take every node pair as a candidate pair: without
+# this fork, the median `setup_s` rose from 1.18 to 1.29 ms on `color32` and
+# from 1.93 to 2.05 ms on `slowstart64` (8 alternating pairs of perfbench/run.py
+# runs, 2-vCPU x86-64 host)
 _ALL_PAIRS_MAX_N = 128
 
 
@@ -381,8 +384,8 @@ class Network:
         occupied grid; within one column its rows are one key range.  All
         (node, column) ranges are looked up and expanded at once.
         `within` is the scalar form.  Up to `_ALL_PAIRS_MAX_N` nodes every
-        pair is a candidate instead, which costs less than the grid lookup
-        there."""
+        pair is a candidate instead, which sets up the small benchmark
+        networks about 6-9% faster than the grid lookup."""
         n = self.n
         if n <= _ALL_PAIRS_MAX_N:
             src, dst = np.divmod(np.arange(n * n), n)  # sorted by (i, j)

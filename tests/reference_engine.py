@@ -264,13 +264,19 @@ def reference_run_simulation(
                 push(slot, _TX, i, k)
         return immediate
 
-    def sync_checkpoint(i: int) -> None:
+    def sync_checkpoint(i: int, now: int) -> None:
+        """File machine i's checkpoint if it changed; each slot runs once,
+        so a new one must lie after `now`."""
         if not awake[i]:
             return
         cp = machines[i].next_checkpoint
         if cp != synced_cp[i]:
             synced_cp[i] = cp
             if cp is not None:
+                if cp <= now:
+                    raise ProtocolViolationError(
+                        f"node {network.ids[i]} filed checkpoint {cp} in slot {now}, not after it"
+                    )
                 push(cp, _CHECK, i)
 
     def track_done(i: int) -> None:
@@ -431,7 +437,7 @@ def reference_run_simulation(
                 changed_probs.add(i)
                 for k in resample(i, s, defer_at=s):
                     tx_candidates.append((i, k))
-            sync_checkpoint(i)
+            sync_checkpoint(i, s)
             if awake[i]:  # a sleeping node is counted by its wake-up or departure
                 track_done(i)
 
@@ -475,7 +481,7 @@ def reference_run_simulation(
                         )
                         next_tx[i][k2] = slot2
                         push(slot2, _TX, i, k2)
-            sync_checkpoint(i)
+            sync_checkpoint(i, s)
             track_done(i)
 
         if monitor is not None and changed_probs:

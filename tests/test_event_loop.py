@@ -204,16 +204,22 @@ class TestMatchesReference:
         assert_same_run(runs)
         assert runs[1][0].completed and runs[1][0].multi_tx_slots > 0
 
-    def test_sleeping_nodes(self):
+    def test_sleeping_nodes(self, monkeypatch):
         net = scattered_network(40, 12, wake_window=10, sleepers=5)
         assert_same_schedule(run_both(
             net, lambda node: FixedProbBroadcaster(node, prob=0.2, budget=400),
             500, 2,
         ))
-        # in the event loop, a sleeper leaves stale lane entries behind
+        # in the event loop, a sleeper leaves lane entries behind, which pop
+        # after its departure and send nothing
+        popped = counted_pops(monkeypatch)
         runs = run_both(net, OddSlotToggler, 500, 2)
         assert_same_run(runs)
-        assert runs[1][0].stale_tx_entries > 0
+        left = [(s, i) for s, kind, i, _k in popped
+                if kind == engine._TX and s >= (net.nodes[i].sleep_slot or math.inf)]
+        assert left
+        sent = {(o.slot, tx.sender) for o in runs[1][0].outcomes for tx in o.transmissions}
+        assert sent.isdisjoint(left)
 
     def test_forced_resignation(self):
         net = scattered_network(50, 6)
@@ -228,12 +234,11 @@ class TestMatchesReference:
 
     def test_checkpoint_pushed_twice_for_one_slot(self, monkeypatch):
         class Rearm(ProtocolMachine):
-            """Arms slot 10, is moved to 6 by a script at slot 1, arms 10
-            again from the poll at 6 (two entries for slot 10 now), and
-            re-arms 10 inside its poll."""
+            """Arms slot 10, is moved to 6 by a script at slot 1, and arms
+            10 again from the poll at 6: two entries for slot 10 now, and
+            one poll there."""
 
             def wake(self, slot):
-                self.polls_at_10 = 0
                 self.schedule(10)
                 self.set_prob(0, 1.0)
 
@@ -244,11 +249,8 @@ class TestMatchesReference:
                 self.record(slot, "poll")
                 if slot == 6:
                     self.schedule(10)
-                elif slot == 10:
-                    self.polls_at_10 += 1
-                    self.set_prob(0, 0.1 * self.polls_at_10)
-                    if self.polls_at_10 == 1:
-                        self.schedule(10)
+                else:
+                    self.set_prob(0, 0.1)
 
         def silence_and_move(machines, slot):
             for machine in machines.values():
@@ -260,11 +262,10 @@ class TestMatchesReference:
         runs = run_both(net, Rearm, 40, 0, scripts=lambda: (1, silence_and_move))
         assert_same_run(runs)
         for machine in runs[1][0].machines.values():
-            assert [s for s, kind, _d in machine.log] == [6, 10, 10]
-        # per node: the entries from wake-up and from the poll at 6, then
-        # the one re-armed inside the first poll at 10
+            assert [s for s, kind, _d in machine.log] == [6, 10]
+        # per node: the entries from wake-up and from the poll at 6
         checks_at_10 = [i for s, kind, i, _k in popped if (s, kind) == (10, engine._CHECK)]
-        assert checks_at_10 == [0, 0, 1, 1, 2, 2, 0, 1, 2]
+        assert checks_at_10 == [0, 0, 1, 1, 2, 2]
 
     def test_truncated_outcomes(self):
         net = scattered_network(70, 10)
@@ -277,8 +278,9 @@ class TestMatchesReference:
 
 
 class TestScheduleMatchesReference:
-    """A run of fixed broadcasters alone is swept as a schedule; the
-    reference engine steps it through its per-slot loop."""
+    """A run of fixed broadcasters alone is swept as a schedule below
+    probability 1, and goes through the event loop at 1; the reference
+    engine steps it through its per-slot loop."""
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -312,7 +314,11 @@ class TestScheduleMatchesReference:
 
         runs = run_both(net, factory, max_slots, 0, outcome_limit=limit)
         assume(runs[0][0].eventful_slots > 0)
-        assert_same_schedule(runs)
+        if prob < 1.0:
+            assert_same_schedule(runs)
+        else:
+            assert_same_run(runs)
+            assert runs[1][0].heap_pops > 0
         (ref, _), (new, _) = runs
         for v in net.ids:
             assert new.machines[v].power_trace() == ref.machines[v].power_trace()
@@ -352,9 +358,10 @@ class TestSchedulePath:
 
     def test_fixed_run_is_a_schedule(self, monkeypatch):
         calls = self.lane_draws(monkeypatch)
+        popped = counted_pops(monkeypatch)
         trace = self.run(self.fixed)
-        assert calls == []
-        assert trace.heap_pops == 0 and trace.stale_tx_entries == 0
+        assert calls == [] and popped == []
+        assert trace.heap_pops == 0
         assert trace.eventful_slots > 0 and sum(trace.draws.values()) > 0
 
     @pytest.mark.parametrize("simulate", [reference_run_simulation, run_simulation])
@@ -392,7 +399,8 @@ class TestSchedulePath:
 
     def test_the_schedule_follows_the_plan_wake_sets(self, monkeypatch):
         # a lane of period 3 and a shorter checkpoint than the budget: the
-        # sweep reads both from the machine, as the event loop does
+        # sweep reads both from the machine, as the event loop does, which
+        # runs the machines of probability 1
         real = FixedProbBroadcaster.wake
 
         def wake(machine, slot):
@@ -404,11 +412,16 @@ class TestSchedulePath:
         calls = self.lane_draws(monkeypatch)
         net = scattered_network(61, 14, wake_window=30, sleepers=4)
         for prob in (0.2, 1.0):
+            calls.clear()
             runs = run_both(net, lambda node: FixedProbBroadcaster(node, prob=prob, budget=300),
                             400, 5)
-            assert_same_schedule(runs)
-            assert runs[1][0].completed and runs[1][0].n_slots <= 30 + 151
-        assert calls == []
+            assert_same_run(runs)
+            trace = runs[1][0]
+            assert trace.completed and trace.n_slots <= 30 + 151
+            if prob < 1.0:
+                assert calls == [] and trace.heap_pops == 0
+            else:
+                assert calls and trace.heap_pops > 0
 
     def test_a_poll_that_leaves_the_plan_running_is_refused(self, monkeypatch):
         monkeypatch.setattr(FixedProbBroadcaster, "poll", lambda machine, slot: None)
@@ -548,6 +561,144 @@ class TestErrorAttribution:
             run_simulation(trio(), factory, max_slots=50, seed=0, scripted=(7, script))
 
 
+class Backdate(ProtocolMachine):
+    """Node 0 transmits in every slot; node 1 files the slot two before
+    its third reception, at slot 3."""
+
+    def wake(self, slot):
+        self.heard = 0
+        self.set_prob(0, 1.0 if self.node.id == 0 else 0.0)
+
+    def on_receive(self, slot, sender, payload):
+        self.record(slot, "rx", sender)
+        self.heard += 1
+        if self.heard == 3:
+            self.schedule(slot - 2)
+
+    def poll(self, slot):
+        self.record(slot, "poll")
+
+    def on_transmit(self, slot, lane):
+        return "x", self.node.power
+
+
+class RearmInPoll(Backdate):
+    """Node 0 transmits in every slot; both nodes arm slot 5, and file it
+    again inside their first poll there."""
+
+    def wake(self, slot):
+        super().wake(slot)
+        self.schedule(5)
+
+    def on_receive(self, slot, sender, payload):
+        pass
+
+    def poll(self, slot):
+        self.record(slot, "poll")
+        if len(self.log) == 1:
+            self.schedule(slot)
+
+
+class KeepDue(Backdate):
+    """As Backdate, but node 1 arms slot 4 and files it again on each
+    reception, which leaves the due checkpoint in place at slot 4."""
+
+    def wake(self, slot):
+        super().wake(slot)
+        if self.node.id == 1:
+            self.schedule(4)
+
+    def on_receive(self, slot, sender, payload):
+        self.record(slot, "rx", sender)
+        if not self.done:
+            self.schedule(4)
+
+    def poll(self, slot):
+        self.record(slot, "poll")
+        self.done = True
+
+
+def pair():
+    """Two nodes one unit apart, in each other's reach."""
+    return build_network([Node(0, 0.0, 0.0, 8.0), Node(1, 1.0, 0.0, 8.0)], PARAMS)
+
+
+class TestEachSlotOnce:
+    """Each slot runs once, in increasing order: a checkpoint newly filed at
+    or before the current slot is refused, naming the node, the slot filed
+    and the current slot, on both engine paths and in the reference."""
+
+    @pytest.mark.parametrize("simulate", [reference_run_simulation, run_simulation])
+    @pytest.mark.parametrize("machine, message", [
+        (Backdate, "node 1 filed checkpoint 1 in slot 3, not after it"),
+        (RearmInPoll, "node 0 filed checkpoint 5 in slot 5, not after it"),
+    ], ids=["backdate", "rearm_in_poll"])
+    def test_a_backward_checkpoint_is_refused(self, simulate, machine, message):
+        with pytest.raises(ProtocolViolationError, match=f"^{message}$") as err:
+            simulate(pair(), machine, 50, 0)
+        assert type(err.value) is ProtocolViolationError
+
+    @pytest.mark.parametrize("simulate", [reference_run_simulation, run_simulation])
+    def test_the_schedule_refuses_a_wake_that_files_its_own_slot(self, simulate, monkeypatch):
+        real = FixedProbBroadcaster.wake
+
+        def wake(machine, slot):
+            real(machine, slot)
+            machine.schedule(slot)
+
+        monkeypatch.setattr(FixedProbBroadcaster, "wake", wake)
+        late = build_network(
+            [Node(0, 0.0, 0.0, 8.0, wake_slot=3), Node(1, 1.0, 0.0, 8.0, wake_slot=7)], PARAMS
+        )
+        with pytest.raises(ProtocolViolationError,
+                           match="^node 0 filed checkpoint 3 in slot 3, not after it$"):
+            simulate(late, lambda node: FixedProbBroadcaster(node, prob=0.2, budget=30), 50, 5)
+
+    def test_a_due_checkpoint_left_in_place_is_polled(self):
+        runs = run_both(pair(), KeepDue, 8, 0)
+        assert_same_run(runs)
+        log = runs[1][0].machines[1].log
+        assert [(s, kind) for s, kind, _ in log] == [(1, "rx"), (2, "rx"), (3, "rx"), (4, "rx"),
+                                                     (4, "poll"), (5, "rx"), (6, "rx"), (7, "rx")]
+
+
+class TestLaneChecks:
+    """Lane values are refused where they enter the engine, naming the
+    node, the lane and the value."""
+
+    @pytest.mark.parametrize("method, args, problem", [
+        ("configure_lane", (-2, 0), "period must be an integer >= 1, got -2"),
+        ("configure_lane", (0, 0), "period must be an integer >= 1, got 0"),
+        ("configure_lane", (2.5, 0), "period must be an integer >= 1, got 2.5"),
+        ("configure_lane", (True, 0), "period must be an integer >= 1, got True"),
+        ("configure_lane", (2, 0.5), "phase must be an integer, got 0.5"),
+        ("set_prob", (math.nan,), "probability must lie in [0, 1], got nan"),
+        ("set_prob", (1.5,), "probability must lie in [0, 1], got 1.5"),
+        ("set_prob", (-0.25,), "probability must lie in [0, 1], got -0.25"),
+    ], ids=["period-2", "period0", "period2.5", "period_bool", "phase0.5",
+            "prob_nan", "prob1.5", "prob-0.25"])
+    def test_a_bad_lane_value_is_refused(self, method, args, problem):
+        class Bad(ProtocolMachine):
+            LANES = 2
+
+            def wake(self, slot):
+                getattr(self, method)(1, *args)
+
+        with pytest.raises(SimulationAbort) as err:
+            run_simulation(trio(), Bad, 50, 0)
+        assert (err.value.node_id, err.value.slot) == (10, 0)
+        assert type(err.value.cause) is ProtocolViolationError
+        assert str(err.value.cause) == f"node 10 lane 1: {problem}"
+
+    def test_integral_and_boundary_values_pass(self):
+        machine = ProtocolMachine(Node(7, 0.0, 0.0, 1.0))
+        machine.configure_lane(0, np.int64(3), -1)
+        for prob in (1, np.float64(0.5), 0.0):
+            machine.set_prob(0, prob)
+        lane = machine.lanes[0]
+        assert (lane.period, lane.phase, lane.prob) == (3, -1, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # counters
 # ---------------------------------------------------------------------------
@@ -592,12 +743,9 @@ class OneShot(ProtocolMachine):
 
 
 class TestDelivery:
-    def pair(self):
-        return build_network([Node(0, 0.0, 0.0, 8.0), Node(1, 1.0, 0.0, 8.0)], PARAMS)
-
     def test_reception_reaches_the_next_slot_without_a_heap_entry(self, monkeypatch):
         popped = counted_pops(monkeypatch)
-        runs = run_both(self.pair(), OneShot, 50, 0)
+        runs = run_both(pair(), OneShot, 50, 0)
         assert_same_run(runs)
         trace = runs[1][0]
         assert trace.machines[1].log == [(4, "rx", (0, "x"))]
@@ -608,7 +756,7 @@ class TestDelivery:
 
     def test_reception_due_at_max_slots_is_not_delivered(self, monkeypatch):
         popped = counted_pops(monkeypatch)
-        runs = run_both(self.pair(), OneShot, 4, 0)
+        runs = run_both(pair(), OneShot, 4, 0)
         assert_same_run(runs)
         trace = runs[1][0]
         assert trace.machines[1].log == []
@@ -771,18 +919,28 @@ class TestScript:
         assert trace.completed and trace.n_slots == calls[-1] + 1
 
 
+def popped_lanes(popped, trace):
+    """The (slot, node index) of each lane entry the engine popped, and the
+    number of them that sent nothing: redrawn, repeated or left by a
+    departure.  A node sends at most once a slot; its id must be its index."""
+    lanes = [(s, i) for s, kind, i, _k in popped if kind == engine._TX]
+    sent = {(o.slot, tx.sender) for o in trace.outcomes for tx in o.transmissions}
+    return lanes, len(lanes) - len(sent.intersection(lanes))
+
+
 class TestLoopCounters:
     def test_heap_and_stale_entry_counts(self, monkeypatch):
         popped = counted_pops(monkeypatch)
         net = scattered_network(80, 12, sleepers=4)
         trace = run_simulation(net, OddSlotToggler, max_slots=400, seed=3,
                                trace=TraceConfig(record_outcomes=True))
-        tx_pops = sum(1 for entry in popped if entry[1] == engine._TX)
+        lanes, stale = popped_lanes(popped, trace)
         transmissions = sum(len(o.transmissions) for o in trace.outcomes)
         assert trace.heap_pops == len(popped)
         assert transmissions == sum(trace.tx_count.values())
-        assert transmissions + trace.stale_tx_entries == tx_pops
-        assert trace.stale_tx_entries > 0
+        # no redraw falls on its own slot here, so every transmission popped
+        assert transmissions + stale == len(lanes)
+        assert stale > 0
 
     def test_multi_tx_slots(self):
         net = scattered_network(81, 12)
@@ -843,10 +1001,13 @@ class TestCompaction:
         # uncompacted, the heap would hold every copy of the far entry
         most = max(size for _entry, size in pushed)
         assert most <= engine._COMPACT_FLOOR + 3 and most < far // 4
-        # the dropped entries never pop, and count as neither pops nor stale
-        tx_pops = sum(1 for entry in popped if entry[1] == engine._TX)
+        # the dropped entries never pop; the stale lane entries left pop
+        # to no transmission
         assert trace.heap_pops == len(popped) < len(pushed)
-        assert trace.stale_tx_entries <= tx_pops
+        far_pops = sum(entry[:2] == (Detour.END, engine._CHECK) for entry in popped)
+        assert far_pops < far // 4
+        lanes, stale = popped_lanes(popped, trace)
+        assert 0 < stale < len(lanes)
 
 
 class DeafChatter(ProtocolMachine):
@@ -902,13 +1063,12 @@ class TestDeafListeners:
     def test_a_reception_nobody_reads_takes_no_slot(self):
         """Every node is done at slot 0; a pending delivery would keep the
         run going, and node 0 causes one in every slot."""
-        pair = build_network([Node(0, 0.0, 0.0, 8.0), Node(1, 1.0, 0.0, 8.0)], PARAMS)
-        hearing = run_both(pair, Beacon, 50, 0)
+        hearing = run_both(pair(), Beacon, 50, 0)
         assert_same_run(hearing)
         trace = hearing[1][0]
         assert not trace.completed and trace.n_slots == 50
         assert [slot for slot, _, _ in trace.machines[1].log] == list(range(1, 50))
-        deaf = run_both(pair, DeafBeacon, 50, 0)
+        deaf = run_both(pair(), DeafBeacon, 50, 0)
         assert_same_run(deaf)
         trace = deaf[1][0]
         assert trace.completed and trace.n_slots == 1 and trace.eventful_slots == 1

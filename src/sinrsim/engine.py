@@ -387,7 +387,9 @@ class SimTrace:
     there.  The event loop drops a grown heap's dead entries without popping
     them (:func:`_compact`), and the count leaves those out: on slow start,
     whose heap fills with copies of each node's end-of-budget checkpoint, it
-    is far lower than the entries the run pushed."""
+    is far lower than the entries the run pushed.  Each event-loop
+    transmission is one popped lane entry, a lane that a redraw files for
+    its own slot included; the other popped lane entries send nothing."""
 
     seed: int
     n_slots: int
@@ -438,51 +440,81 @@ _WAKE, _SLEEP, _SCRIPT, _CHECK, _TX = range(5)
 _SlotTx = tuple[int, float, Any]  # (node index, power, payload)
 # Network.lone_reach: (exact reach, slack superset, out-neighbours, missing)
 _LoneReach = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# what _ledger hands both engine paths: awake, sending, wake, leave, settle, finish
+_Ledger = tuple[bytearray, bytearray, Callable[[int], None], Callable[[int], None],
+                Callable[..., None], Callable[..., SimTrace]]
 
 
-class _Core:
-    """Physical-layer state of one run: awake and transmitting flags per
-    node index.  Lone reach comes from the network's cache,
-    :meth:`Network.lone_reach`, its only copy.  Interference only raises
-    the SINR denominator, so a multi-transmission slot is decided over the
-    listeners inside its senders' reach only."""
+def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Ledger:
+    """Step 8 of a slot, the flags it reads and the run's trace, which the
+    event loop and the schedule sweep share.  It owns the `awake` and
+    `sending` flags per node index; ``wake(i)`` and ``leave(i)`` set and
+    clear a node's awake flag, and keep the count of nodes asleep.
+    ``settle(slot, txs, pending)`` resolves the slot's transmissions,
+    counts them and their full successes, files first receptions, puts each
+    reception of a listener in `hears` into `pending` (listener index ->
+    (sender id, payload)) and records the outcome.  The senders must be
+    flagged in `sending`; `settle` clears the flags.  ``finish(seed,
+    n_slots, completed, machines, draws, **loop_counters)`` returns the
+    :class:`SimTrace`; `machines` and `draws` go by node index.
 
-    def __init__(self, network: Network):
-        self.network = network
-        params = network.params
-        self.beta = params.beta_true
-        self.noise = params.noise_true
-        self.awake = bytearray(network.n)
-        self.sending = bytearray(network.n)
-        # nodes whose awake flag is clear; an overcount only costs the
-        # filtering that a count of 0 lets a lone transmission skip
-        self.asleep = network.n
+    Closures, not an object: as a method reading ``self``, `settle` ran
+    `color32` 6.5% slower (6/6 pairs); closures kept on an object form a
+    cycle, +0.45 MB `bcast2k` peak RSS (8/8).  Here and below, a pair is
+    one perfbench/run.py run of each variant, on a 2-vCPU x86-64 host."""
+    ids = network.ids
+    n = network.n
+    reach = network.lone_reach
+    cached = network._reach
+    beta, noise = network.params.beta_true, network.params.noise_true
+    awake = bytearray(n)
+    sending = bytearray(n)
+    # nodes whose awake flag is clear: a lone transmission filters its reach
+    # only while there are any
+    asleep = n
+    first_rx: dict[int, dict[int, int]] = {v: {} for v in ids}
+    rx_rows = [first_rx[v] for v in ids]
+    tx_counts = [0] * n
+    full_counts = [0] * n
+    first_full: list[Optional[int]] = [None] * n
+    outcomes: Optional[list[SlotOutcome]] = [] if trace.record_outcomes else None
+    limit = trace.outcome_limit
+    eventful = multi_tx = 0
+    truncated = False
 
-    def resolve(self, txs: list[_SlotTx]) -> tuple[list[list[int]], list[_LoneReach]]:
+    def wake(i: int) -> None:
+        nonlocal asleep
+        awake[i] = True
+        asleep -= 1
+
+    def leave(i: int) -> None:
+        nonlocal asleep
+        awake[i] = False
+        asleep += 1
+
+    def resolve(txs: list[_SlotTx]) -> tuple[list[list[int]], list[_LoneReach]]:
         """For a slot with several transmissions, the ascending indices of
         the awake listeners outside `sending` that decode each one, under
         the same delivery rule as :func:`resolve_slot`, and each
-        transmission's :meth:`Network.lone_reach` entry.  The transmitters
-        must be flagged in `sending`.
+        transmission's :meth:`Network.lone_reach` entry.  Interference only
+        raises the SINR denominator, so only the listeners inside the
+        senders' reach are decided.
 
         Such a slot has a few senders and candidates, so it is decided in
         Python floats around one array call, the path losses
         (:meth:`Network.path_loss`): the IEEE operations are those of a
         dense matrix evaluation, bit for bit."""
-        reach = self.network.lone_reach
         received: list[list[int]] = [[] for _ in txs]
         entries = [reach(idx, power) for idx, power, _ in txs]
         union: set[int] = set()
         for entry in entries:
             union.update(entry[1])
-        awake, sending = self.awake, self.sending
         cand = sorted([l for l in union if awake[l] and not sending[l]])
         if not cand:
             return received, entries
         # gains of every sender, far ones included
-        losses = self.network.path_loss([idx for idx, _, _ in txs], cand).tolist()
+        losses = network.path_loss([idx for idx, _, _ in txs], cand).tolist()
         gains = [[power / loss for loss in row] for (_, power, _), row in zip(txs, losses)]
-        beta, noise = self.beta, self.noise
         for l, column in zip(cand, zip(*gains)):
             # the denominator adds up left to right, gains in transmission
             # order and then the noise
@@ -495,39 +527,6 @@ class _Core:
                 received[hits[0]].append(l)
         return received, entries
 
-
-def _ledger(
-    network: Network, core: _Core, hears: Sequence[bool], trace: TraceConfig
-) -> tuple[Callable[[int, list[_SlotTx], dict[int, tuple[int, Any]]], None], Callable[..., SimTrace]]:
-    """Step 8 of a slot and the run's trace, which the event loop and the
-    schedule sweep share: ``settle(slot, txs, pending)`` resolves the
-    slot's transmissions, counts them and their full successes, files first
-    receptions, puts each reception of a listener in `hears` into `pending`
-    (listener index -> (sender id, payload)) and records the outcome.  The
-    senders must be flagged in ``core.sending``; `settle` clears the flags.
-    ``finish(seed, n_slots, completed, machines, draws, **loop_counters)``
-    returns the :class:`SimTrace`; `machines` and `draws` go by node index.
-
-    Closures, apart from `_Core`: as a method reading ``self``, `settle` ran
-    `color32` 6.5% slower (6/6 pairs); closures kept on `_Core` form a cycle,
-    +0.45 MB `bcast2k` peak RSS (8/8).  Here and below, a pair is one
-    perfbench/run.py run of each variant, on a 2-vCPU x86-64 host."""
-    ids = network.ids
-    n = network.n
-    reach = network.lone_reach
-    cached = network._reach
-    resolve = core.resolve
-    awake, sending = core.awake, core.sending
-    first_rx: dict[int, dict[int, int]] = {v: {} for v in ids}
-    rx_rows = [first_rx[v] for v in ids]
-    tx_counts = [0] * n
-    full_counts = [0] * n
-    first_full: list[Optional[int]] = [None] * n
-    outcomes: Optional[list[SlotOutcome]] = [] if trace.record_outcomes else None
-    limit = trace.outcome_limit
-    eventful = multi_tx = 0
-    truncated = False
-
     def settle(s: int, txs: list[_SlotTx], pending: dict[int, tuple[int, Any]]) -> None:
         nonlocal eventful, multi_tx, truncated
         eventful += 1
@@ -539,7 +538,7 @@ def _ledger(
             entry = cached.get(key) or reach(*key)
             exact = entry[0]
             received: Sequence[Sequence[int]] = (
-                (exact,) if not core.asleep else ([l for l in exact if awake[l]],)
+                (exact,) if not asleep else ([l for l in exact if awake[l]],)
             )
             entries: Sequence[_LoneReach] = (entry,)
         else:
@@ -596,7 +595,7 @@ def _ledger(
             multi_tx_slots=multi_tx, **loop_counters,
         )
 
-    return settle, finish
+    return awake, sending, wake, leave, settle, finish
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
@@ -750,14 +749,14 @@ def run_simulation(
     _check_count("max_slots", max_slots, 1)
     _check_count("seed", seed, 0)
     machines = [factory(node) for node in network.nodes]
-    core = _Core(network)
     # an inbox for each machine whose class reads its receptions
     hears = [type(m).on_receive is not ProtocolMachine.on_receive for m in machines]
-    settle, finish = _ledger(network, core, hears, trace or TraceConfig())
+    ledger = _ledger(network, hears, trace or TraceConfig())
     from .broadcast import FixedProbBroadcaster  # broadcast.py imports this module
 
     if scripted is None and all(type(m) is FixedProbBroadcaster and m.prob < 1.0 for m in machines):
-        return _run_schedule(network, machines, max_slots, seed, core, settle, finish, monitor)
+        return _run_schedule(network, machines, max_slots, seed, ledger, monitor)
+    awake, sending, wake, leave, settle, finish = ledger
     n = network.n
     ids = network.ids
     by_id = dict(zip(ids, machines))
@@ -765,8 +764,6 @@ def run_simulation(
     next_tx: list[list[Optional[int]]] = [[None] * len(m.lanes) for m in machines]
     streams = [_Stream(_generator(words)) for words in _seed_words(seed, ids)]
     synced_cp: list[Optional[int]] = [None] * n
-    awake = core.awake  # flags per node index
-    sending = core.sending  # this slot's transmitters
     done_seen = [False] * n
     n_live = 0  # nodes yet to wake, and awake nodes not done: the run waits for them
 
@@ -800,32 +797,15 @@ def run_simulation(
     try:
         while True:
             # the next slot: the heap's first, or the one after a reception,
-            # which has no heap entry of its own
+            # which has no heap entry of its own.  Each of the slot's heap
+            # entries pops at its own step below, a lane entry at step 7
             head = heap[0][0] if heap else max_slots
             s = pending_slot if 0 <= pending_slot < head else head
             if s >= max_slots:
                 break
             last_slot = s
-
-            # take the slot's entries off the heap; they pop in (kind, node,
-            # lane) order, so both lists are ascending.  `rare` holds every
-            # entry but a transmission's; a list stays `none` until it has
-            # an entry.
-            tx_cand: list[tuple[int, int]] | tuple[()] = none
-            rare = touched = changed = none
-            if head == s:
-                tx_cand = []
-                while True:
-                    _, kind, idx, lane = heappop(heap)
-                    heap_pops += 1
-                    if kind != _TX:
-                        rare = _add(rare, (kind, idx))
-                    elif next_tx[idx][lane] == s:  # else redrawn, or its node left
-                        tx_cand.append((idx, lane))
-                    if not heap or heap[0][0] != s:
-                        break
-                if not tx_cand and not rare and pending_slot != s:
-                    continue  # stale lane entries only: nothing happens here
+            due = (s, _TX)  # entries below it are the slot's other kinds
+            touched = changed = none
 
             # 1. deliver receptions resolved for the previous slot, whose
             # listeners stay awake until step 3 at least; only those whose
@@ -847,29 +827,30 @@ def run_simulation(
                 pending = {}
                 pending_slot = -1
 
-            touch_all = False
-            if rare:
+            # 2-5. the slot's wake, departure, script and checkpoint
+            # entries, which pop in that kind order, nodes ascending
+            if heap and heap[0] < due:
                 touched = list(touched)
+                touch_all = False
                 polled = -1
-                for kind, i in rare:
+                while heap and heap[0] < due:
+                    _, kind, i, _ = heappop(heap)
+                    heap_pops += 1
                     if kind == _WAKE:
                         # 2. wake-ups
-                        awake[i] = True
-                        core.asleep -= 1
+                        wake(i)
                         cur = i
                         machines[i].wake(s)
                         cur = -1
                         touched.append(i)
                     elif kind == _SLEEP:
                         # 3. departures: the lanes stop, reported as 0
-                        if awake[i]:
-                            awake[i] = False
-                            core.asleep += 1
-                            next_tx[i] = [None] * len(next_tx[i])
-                            changed = _add(changed, i)
-                            if not done_seen[i]:
-                                done_seen[i] = True
-                                n_live -= 1
+                        leave(i)
+                        next_tx[i] = [None] * len(next_tx[i])
+                        changed = _add(changed, i)
+                        if not done_seen[i]:
+                            done_seen[i] = True
+                            n_live -= 1
                     elif kind == _SCRIPT:
                         # 4. the scripted external action (may touch any
                         # machine), and its next call
@@ -901,7 +882,8 @@ def run_simulation(
             # 6. regime changes effective for this very slot, in node order
             # (the listeners alone are in order already).  An asleep node
             # keeps `_dirty`: lanes set before its wake-up are drawn there,
-            # and its wake-up or departure keeps its count
+            # and its wake-up or departure keeps its count.  A lane redrawn
+            # onto this slot pops at step 7 like any other
             for i in touched:
                 if not awake[i]:
                     continue
@@ -912,9 +894,7 @@ def run_simulation(
                     row, stream = next_tx[i], streams[i]
                     for k, lane in enumerate(machine.lanes):
                         slot = row[k] = _lane_slot(lane, stream, s)
-                        if slot == s:
-                            tx_cand = _add(tx_cand, (i, k))
-                        elif slot is not None:
+                        if slot is not None:
                             heappush(heap, (slot, _TX, i, k))
                 cp = machine._checkpoint
                 if cp != synced_cp[i]:
@@ -931,49 +911,45 @@ def run_simulation(
                     done_seen[i] = False
                     n_live += 1
 
-            # 7. this slot's transmissions: lanes still due now, in (node,
-            # lane) order; an entry can still be stale here (a departure or
-            # a step-6 redraw after it popped, or a repeated entry).  The
+            # 7. this slot's transmissions: its lane entries pop in (node,
+            # lane) order, and each sends if its lane is still due now (it
+            # is stale after a redraw or a departure, or repeated).  The
             # lane that fired is redrawn from the next slot at once: no
             # other lane of the node changed, and nothing else draws from
             # its stream before the next slot.
-            txs: list[_SlotTx] | tuple[()] = none
-            if tx_cand:
-                txs = []
-                if len(tx_cand) > 1:
-                    tx_cand.sort()  # a repeated entry finds its lane already fired
-                for i, k in tx_cand:
-                    row = next_tx[i]
-                    if row[k] != s:
-                        continue
-                    machine = machines[i]
-                    cur = i
-                    payload, power = machine.on_transmit(s, k)
-                    cur = -1
-                    if sending[i]:
-                        raise ProtocolViolationError(
-                            f"node {ids[i]} transmitted twice in slot {s}"
-                        )
-                    if (
-                        machine._dirty
-                        or machine._checkpoint != synced_cp[i]
-                        or machine.done != done_seen[i]
-                    ):
-                        raise ProtocolViolationError(
-                            f"node {ids[i]} changed its state inside on_transmit in slot {s}"
-                        )
-                    txs.append((i, power, payload))
-                    sending[i] = True
-                    # `_lane_slot` from s + 1, inline (three calls per
-                    # transmission otherwise).  The lane fired at s, an
-                    # eligible slot, so its next eligible one is s + period,
-                    # and its prob is > 0: a change would have been redrawn
-                    ln = machine.lanes[k]
-                    prob = ln.prob
-                    gap = (0 if prob >= 1.0
-                           else int(math.log1p(-streams[i].draw()) / math.log1p(-prob)))
-                    slot = row[k] = s + (gap + 1) * ln.period
-                    heappush(heap, (slot, _TX, i, k))
+            txs: list[_SlotTx] | tuple[()] = [] if heap and heap[0][0] == s else none
+            while heap and heap[0][0] == s:
+                _, _, i, k = heappop(heap)
+                heap_pops += 1
+                row = next_tx[i]
+                if row[k] != s:
+                    continue
+                machine = machines[i]
+                cur = i
+                payload, power = machine.on_transmit(s, k)
+                cur = -1
+                if sending[i]:
+                    raise ProtocolViolationError(f"node {ids[i]} transmitted twice in slot {s}")
+                if (
+                    machine._dirty
+                    or machine._checkpoint != synced_cp[i]
+                    or machine.done != done_seen[i]
+                ):
+                    raise ProtocolViolationError(
+                        f"node {ids[i]} changed its state inside on_transmit in slot {s}"
+                    )
+                txs.append((i, power, payload))
+                sending[i] = True
+                # `_lane_slot` from s + 1, inline (three calls per
+                # transmission otherwise).  The lane fired at s, an
+                # eligible slot, so its next eligible one is s + period,
+                # and its prob is > 0: a change would have been redrawn
+                ln = machine.lanes[k]
+                prob = ln.prob
+                gap = (0 if prob >= 1.0
+                       else int(math.log1p(-streams[i].draw()) / math.log1p(-prob)))
+                slot = row[k] = s + (gap + 1) * ln.period
+                heappush(heap, (slot, _TX, i, k))
 
             # 8. physical resolution and delivery: statistics, the
             # listeners' receptions and the record (shared with the schedule)
@@ -1007,9 +983,7 @@ def _run_schedule(
     machines: list[ProtocolMachine],
     max_slots: int,
     seed: int,
-    core: _Core,
-    settle: Callable[[int, list[_SlotTx], dict[int, tuple[int, Any]]], None],
-    finish: Callable[..., SimTrace],
+    ledger: _Ledger,
     monitor: Optional[Callable[[int, list[tuple[int, float, float]]], None]],
 ) -> SimTrace:
     """:func:`run_simulation` for a run of fixed broadcasters alone, as an
@@ -1023,20 +997,24 @@ def _run_schedule(
     the event loop's (slot, kind, node) order, and one sweep over them
     calls each machine's `on_transmit` and `poll` in the event loop's slots
     and gives the same run through the same step 8 (`settle`, from
-    :func:`_ledger`), with the same node streams (:class:`_Stream`)."""
+    :func:`_ledger`), with the same node streams (:class:`_Stream`).  The
+    plans are read in (wake slot, node) order, so a bad one is named as the
+    event loop would name it."""
+    nodes = network.nodes
     n = network.n
     ids = network.ids
-    awake, sending = core.awake, core.sending
+    awake, sending, wake, leave, settle, finish = ledger
     timeline: list[int] = []
     draws = [0] * n
     last = -1  # the slot the last node stops in: its poll or departure
     seed_words = _seed_words(seed, ids)
     cur = s = -1
     try:
-        for i, (node, machine) in enumerate(zip(network.nodes, machines)):
+        for i in sorted(range(n), key=lambda i: nodes[i].wake_slot):
+            node, machine = nodes[i], machines[i]
             s = node.wake_slot
             if s >= max_slots:
-                continue
+                break
             cur = i
             machine.wake(s)
             cur = -1
@@ -1047,11 +1025,13 @@ def _run_schedule(
                 end = max_slots  # never polled in the run
             elif end <= s:
                 raise _backward(ids[i], end, s)
-            leave = node.sleep_slot
-            if leave is not None and leave < max_slots:
-                timeline.append((leave * 5 + _SLEEP) * n + i)
-            if leave is not None and leave <= end:
-                end = leave  # gone before its poll: never done
+            if lane.prob >= 1.0:  # no gap to draw: run_simulation takes these to the event loop
+                raise ProtocolViolationError(f"node {ids[i]}: its wake in slot {s} set probability 1")
+            gone = node.sleep_slot
+            if gone is not None and gone < max_slots:
+                timeline.append((gone * 5 + _SLEEP) * n + i)
+            if gone is not None and gone <= end:
+                end = gone  # gone before its poll: never done
             elif end < max_slots:
                 timeline.append((end * 5 + _CHECK) * n + i)
             last = max(last, end)
@@ -1109,11 +1089,9 @@ def _run_schedule(
                 continue
             machine = machines[i]
             if kind == _WAKE:
-                awake[i] = True
-                core.asleep -= 1
+                wake(i)
             elif kind == _SLEEP:
-                awake[i] = False
-                core.asleep += 1
+                leave(i)
                 changed.append(i)  # its lanes, reported as 0
             else:
                 machine._checkpoint = None

@@ -10,7 +10,6 @@ from sinrsim.engine import (
     ProtocolMachine,
     TraceConfig,
     Transmission,
-    _Core,
     _generator,
     _ledger,
     _seed_words,
@@ -119,7 +118,7 @@ class TestResolveSlot:
 
 
 def array_resolve(network, awake, sending, txs):
-    """The array formulation of `_Core.resolve` for several transmissions,
+    """The array formulation of step 8's resolve for several transmissions,
     kept as its oracle: candidates gathered with `np.concatenate`, a dense
     block of ``dist ** alpha`` from array distances, and the denominators
     summed with `np.add.accumulate`, which adds in transmission order."""
@@ -149,13 +148,34 @@ def array_resolve(network, awake, sending, txs):
     return received
 
 
+def settle_slot(net, awake, txs):
+    """Step 8 through `_ledger` for one slot: the nodes in `awake` woken
+    through `wake`, the senders of `txs` (node index, power, payload)
+    flagged, and the receivers of each transmission, as node indices in
+    listener order, read back from the recorded outcome.  The flags must
+    be cleared after the slot."""
+    flags, sending, wake, _leave, settle, finish = _ledger(
+        net, bytearray(net.n), TraceConfig(record_outcomes=True)
+    )
+    for i in awake:
+        wake(i)
+    for i, _power, _payload in txs:
+        sending[i] = True
+    settle(7, txs, {})
+    (outcome,) = finish(0, 8, True, [], [0] * net.n).outcomes
+    assert not any(sending)
+    index = {v: i for i, v in enumerate(net.ids)}
+    return [[index[l] for l, tx in outcome.receptions if tx.sender == net.ids[i]]
+            for i, _power, _payload in txs]
+
+
 class TestFastPathEquivalence:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_core_resolver_matches_array_oracle(self, data):
-        """Receiver lists equal to the array formulation's, order included,
-        for 2 to 24 senders, some far outside the others' reach, at powers
-        off the node powers and with random sleepers."""
+        """Step 8's receiver lists equal to the array formulation's, order
+        included, for 2 to 24 senders, some far outside the others' reach,
+        at powers off the node powers and with random sleepers."""
         seed = data.draw(st.integers(0, 100_000))
         rng = np.random.default_rng(seed)
         n = data.draw(st.integers(25, 70))
@@ -175,15 +195,15 @@ class TestFastPathEquivalence:
         k = data.draw(st.integers(2, 24))
         senders = sorted(rng.choice(net.n, size=k, replace=False).tolist())
         powers = [float(net.powers[i] * rng.uniform(0.5, 1.5)) for i in senders]
-        core = _Core(net)
+        awake = bytearray(net.n)
         for i in range(net.n):
-            core.awake[i] = rng.random() < 0.8
+            awake[i] = rng.random() < 0.8
+        sending = bytearray(net.n)
         for i in senders:
-            core.awake[i] = True
-            core.sending[i] = True
+            awake[i] = sending[i] = True
         txs = [(i, power, None) for i, power in zip(senders, powers)]
-        received, _ = core.resolve(txs)
-        assert [list(rx) for rx in received] == array_resolve(net, core.awake, core.sending, txs)
+        expected = array_resolve(net, awake, sending, txs)
+        assert settle_slot(net, [i for i in range(net.n) if awake[i]], txs) == expected
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -212,32 +232,27 @@ class TestFastPathEquivalence:
         asleep = set(rng.choice(n, size=int(rng.integers(0, n // 3 + 1)), replace=False).tolist())
         listeners = [i for i in range(n) if i not in powers and i not in asleep]
 
-        core = _Core(net)
-        for i in [*senders, *listeners]:
-            core.awake[i] = True
-        for i in senders:
-            core.sending[i] = True
-        fast, entries = core.resolve([(i, powers[i], None) for i in senders])
-        # the network's cached lone-reach entries, one per transmission
-        assert all(e is net.lone_reach(i, powers[i]) for e, i in zip(entries, senders, strict=True))
+        # one sender takes step 8's lone path, several its resolve
+        fast = settle_slot(net, [*senders, *listeners], [(i, powers[i], None) for i in senders])
         assert len(fast) == len(txs)
         assert all(rx == sorted(rx) for rx in fast)
         fast_pairs = {(net.ids[l], txs[t].sender) for t, rx in enumerate(fast) for l in rx}
         awake = {net.ids[i] for i in [*senders, *listeners]}
         reference = resolve_slot(net, txs, awake=awake)
         assert fast_pairs == {(l, tx.sender) for l, tx in reference.receptions}
-        # alone, node 0 reaches the boundary listener through step 8's
-        # exact lone-reach path: the one place it can differ from the
-        # float path of `resolve`
-        lone = _Core(net)
-        lone.awake[n - 1] = True
-        lone.sending[0] = True
-        settle, finish = _ledger(net, lone, bytearray(n), TraceConfig(record_outcomes=True))
-        settle(7, [(0, 8.0, None)], {})
-        got = finish(0, 8, True, [], [0] * n)
-        assert got.first_rx[net.ids[n - 1]] == {net.ids[0]: 7}
-        assert [l for l, _ in got.outcomes[0].receptions] == [net.ids[n - 1]]
-        assert not lone.sending[0]
+        # the boundary listener hears node 0 alone, through step 8's exact
+        # lone-reach path, and not beside a far sender, whose interference
+        # the float path of its resolve adds, as in the reference: the one
+        # place the two paths can differ
+        wide = build_network([*nodes, Node(n, x0 + 1000.0, y0, 1.0)], params)
+        for slot_txs, heard in (([(0, 8.0, None)], [n - 1]),
+                                ([(0, 8.0, None), (n, 1.0, None)], [])):
+            on = {n - 1, *(i for i, _, _ in slot_txs)}
+            reference = resolve_slot(
+                wide, [Transmission(i, 7, p, None) for i, p, _ in slot_txs], awake=on
+            )
+            assert [l for l, tx in reference.receptions if tx.sender == 0] == heard
+            assert settle_slot(wide, sorted(on), slot_txs)[0] == heard
 
 
 def numpy_state(seed, node_id):

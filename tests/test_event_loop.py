@@ -428,6 +428,24 @@ class TestSchedulePath:
         with pytest.raises(ProtocolViolationError, match="did not end its open-loop plan"):
             self.run(self.fixed)
 
+    def test_a_wake_that_sets_probability_1_is_refused(self, monkeypatch):
+        # the dispatch reads the constructor's probability; the schedule
+        # has no gap to draw for the one that `wake` sets
+        real = FixedProbBroadcaster.wake
+
+        def wake(machine, slot):
+            real(machine, slot)
+            machine.set_prob(0, 1.0)
+
+        monkeypatch.setattr(FixedProbBroadcaster, "wake", wake)
+        net = build_network([Node(v, float(v), 0.0, 8.0, wake_slot=4 - v) for v in range(4)],
+                            PARAMS)
+        with pytest.raises(ProtocolViolationError,
+                           match="^node 3: its wake in slot 1 set probability 1") as err:
+            run_simulation(net, lambda node: FixedProbBroadcaster(node, prob=0.2, budget=30),
+                           50, 0)
+        assert type(err.value) is ProtocolViolationError
+
     def test_a_hearing_machine_takes_the_event_loop(self, monkeypatch):
         calls = self.lane_draws(monkeypatch)
 
@@ -654,6 +672,21 @@ class TestEachSlotOnce:
                            match="^node 0 filed checkpoint 3 in slot 3, not after it$"):
             simulate(late, lambda node: FixedProbBroadcaster(node, prob=0.2, budget=30), 50, 5)
 
+    @pytest.mark.parametrize("simulate", [reference_run_simulation, run_simulation])
+    def test_the_schedule_names_the_first_node_to_wake(self, simulate, monkeypatch):
+        real = FixedProbBroadcaster.wake
+
+        def wake(machine, slot):
+            real(machine, slot)
+            machine.schedule(slot)
+
+        monkeypatch.setattr(FixedProbBroadcaster, "wake", wake)
+        net = build_network([Node(v, float(v), 0.0, 8.0, wake_slot=w)
+                             for v, w in enumerate([13, 20, 30, 25, 18, 7])], PARAMS)
+        with pytest.raises(ProtocolViolationError,
+                           match="^node 5 filed checkpoint 7 in slot 7, not after it$"):
+            simulate(net, lambda node: FixedProbBroadcaster(node, prob=0.2, budget=30), 50, 5)
+
     def test_a_due_checkpoint_left_in_place_is_polled(self):
         runs = run_both(pair(), KeepDue, 8, 0)
         assert_same_run(runs)
@@ -706,8 +739,7 @@ class TestLaneChecks:
 
 class OddSlotToggler(ProtocolMachine):
     """Transmits on odd slots only; every reception toggles its probability,
-    which discards the pending draw.  Receptions arrive on even slots, so a
-    redraw can never fall on the slot being processed."""
+    which discards the pending draw."""
 
     def wake(self, slot):
         self.configure_lane(0, 2, 1)
@@ -740,6 +772,18 @@ class OneShot(ProtocolMachine):
 
     def on_transmit(self, slot, lane):
         return "x", self.node.power
+
+
+class Echo(OneShot):
+    """As OneShot, but a node that is not done answers its reception in
+    the slot it arrives: the lane it sets there is due at once."""
+
+    def on_receive(self, slot, sender, payload):
+        self.record(slot, "rx", (sender, payload))
+        if not self.done:
+            self.configure_lane(0, 1000, slot)
+            self.set_prob(0, 1.0)
+            self.done = True
 
 
 class TestDelivery:
@@ -938,9 +982,23 @@ class TestLoopCounters:
         transmissions = sum(len(o.transmissions) for o in trace.outcomes)
         assert trace.heap_pops == len(popped)
         assert transmissions == sum(trace.tx_count.values())
-        # no redraw falls on its own slot here, so every transmission popped
         assert transmissions + stale == len(lanes)
         assert stale > 0
+
+    def test_a_redraw_onto_its_own_slot_pops_there(self, monkeypatch):
+        """Node 1's first reception, at slot 4, sets a lane due at slot 4:
+        step 6 files it on the heap, and step 7 pops it and sends."""
+        popped = counted_pops(monkeypatch)
+        runs = run_both(pair(), Echo, 50, 0)
+        assert_same_run(runs)
+        trace = runs[1][0]
+        assert [(o.slot, [tx.sender for tx in o.transmissions]) for o in trace.outcomes] == [
+            (3, [0]), (4, [1])
+        ]
+        assert (4, engine._TX, 1, 0) in popped
+        lanes, stale = popped_lanes(popped, trace)
+        assert sum(trace.tx_count.values()) + stale == len(lanes)
+        assert trace.heap_pops == len(popped)
 
     def test_multi_tx_slots(self):
         net = scattered_network(81, 12)
@@ -1008,6 +1066,9 @@ class TestCompaction:
         assert far_pops < far // 4
         lanes, stale = popped_lanes(popped, trace)
         assert 0 < stale < len(lanes)
+        # every transmission is one popped lane entry, a redraw onto its own
+        # slot included
+        assert sum(trace.tx_count.values()) + stale == len(lanes)
 
 
 class DeafChatter(ProtocolMachine):

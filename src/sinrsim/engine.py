@@ -25,6 +25,7 @@ NumPy's ``SeedSequence((seed, node id))``.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 import numbers
@@ -998,8 +999,9 @@ def _run_schedule(
     calls each machine's `on_transmit` and `poll` in the event loop's slots
     and gives the same run through the same step 8 (`settle`, from
     :func:`_ledger`), with the same node streams (:class:`_Stream`).  The
-    plans are read in (wake slot, node) order, so a bad one is named as the
-    event loop would name it."""
+    plans are read in (wake slot, node) order, each after every `wake` of
+    its slot, so a bad plan or a `wake` that raises is named as the event
+    loop would name it."""
     nodes = network.nodes
     n = network.n
     ids = network.ids
@@ -1010,47 +1012,57 @@ def _run_schedule(
     seed_words = _seed_words(seed, ids)
     cur = s = -1
     try:
-        for i in sorted(range(n), key=lambda i: nodes[i].wake_slot):
-            node, machine = nodes[i], machines[i]
-            s = node.wake_slot
-            if s >= max_slots:
+        order = sorted(range(n), key=lambda i: nodes[i].wake_slot)
+        for woke, group in itertools.groupby(order, key=lambda i: nodes[i].wake_slot):
+            if woke >= max_slots:
                 break
-            cur = i
-            machine.wake(s)
-            cur = -1
-            timeline.append((s * 5 + _WAKE) * n + i)
-            (lane,) = machine.lanes
-            end = machine._checkpoint
-            if end is None:
-                end = max_slots  # never polled in the run
-            elif end <= s:
-                raise _backward(ids[i], end, s)
-            if lane.prob >= 1.0:  # no gap to draw: run_simulation takes these to the event loop
-                raise ProtocolViolationError(f"node {ids[i]}: its wake in slot {s} set probability 1")
-            gone = node.sleep_slot
-            if gone is not None and gone < max_slots:
-                timeline.append((gone * 5 + _SLEEP) * n + i)
-            if gone is not None and gone <= end:
-                end = gone  # gone before its poll: never done
-            elif end < max_slots:
-                timeline.append((end * 5 + _CHECK) * n + i)
-            last = max(last, end)
-            stop = min(end, max_slots)
-            prob, period = lane.prob, lane.period
-            s += (lane.phase - s) % period  # the first eligible slot
-            if prob <= 0.0:
-                continue
-            # `_lane_slot`'s gaps inline (a call each: `bcast2k` 4.5% slower, 8/8 pairs,
-            # see _ledger), from one stream at a time, dropped after its node's plan
-            stream = _Stream(_generator(seed_words[i]))
-            log_q = math.log1p(-prob)
-            while True:
-                s += _gap(stream.draw(), log_q) * period
-                if s >= stop:
-                    break
-                timeline.append((s * 5 + _TX) * n + i)
-                s += period
-            draws[i] = stream.count()
+            group = list(group)
+            s = woke
+            # every wake of the slot before any plan is read, as in the event
+            # loop's steps 2 and 6
+            for i in group:
+                cur = i
+                machines[i].wake(s)
+                cur = -1
+                timeline.append((s * 5 + _WAKE) * n + i)
+            for i in group:
+                node, machine = nodes[i], machines[i]
+                s = woke
+                (lane,) = machine.lanes
+                end = machine._checkpoint
+                if end is None:
+                    end = max_slots  # never polled in the run
+                elif end <= s:
+                    raise _backward(ids[i], end, s)
+                # no gap to draw: run_simulation takes these to the event loop
+                if lane.prob >= 1.0:
+                    raise ProtocolViolationError(
+                        f"node {ids[i]}: its wake in slot {s} set probability 1"
+                    )
+                gone = node.sleep_slot
+                if gone is not None and gone < max_slots:
+                    timeline.append((gone * 5 + _SLEEP) * n + i)
+                if gone is not None and gone <= end:
+                    end = gone  # gone before its poll: never done
+                elif end < max_slots:
+                    timeline.append((end * 5 + _CHECK) * n + i)
+                last = max(last, end)
+                stop = min(end, max_slots)
+                prob, period = lane.prob, lane.period
+                s += (lane.phase - s) % period  # the first eligible slot
+                if prob <= 0.0:
+                    continue
+                # `_lane_slot`'s gaps inline (a call each: `bcast2k` 4.5% slower, 8/8 pairs,
+                # see _ledger), from one stream at a time, dropped after its node's plan
+                stream = _Stream(_generator(seed_words[i]))
+                log_q = math.log1p(-prob)
+                while True:
+                    s += _gap(stream.draw(), log_q) * period
+                    if s >= stop:
+                        break
+                    timeline.append((s * 5 + _TX) * n + i)
+                    s += period
+                draws[i] = stream.count()
         timeline.sort()
         # the sweep ends where the event loop's run does, after the slot the
         # last node stops in (a later departure is never reached) or at

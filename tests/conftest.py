@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -237,6 +238,60 @@ def brute_expected_far_interference(network: Network, probs, node_id: int, expon
     return worst
 
 
+def blocked_far_interference(
+    network: Network, p: np.ndarray, node_ids: Sequence[int], exponent: float
+) -> list[float]:
+    """Far interference of each node in `node_ids` under one probability
+    vector `p`, every candidate evaluated: the float64 block kernel that
+    `analysis._far_interference` runs on the screen's survivors, kept whole
+    as the oracle its values must equal bit for bit.  Candidates go against
+    all far nodes in blocks of 128 rows, each row summed on its own."""
+    if exponent <= 1.0:
+        raise ValueError("attenuation exponent must exceed 1")
+    size = min(128, network.n) * network.n
+    buf, other = np.empty(size), np.empty(size)
+    out = []
+    for node_id in node_ids:
+        i = network.index(node_id)
+        row = network.distance_row(i)
+        far = np.flatnonzero((row >= 3.0 * network.r_max_global) & (p > 0.0))
+        if far.size == 0:
+            out.append(0.0)
+            continue
+
+        center = network.positions[i]
+        radius = float(network.r_bcast[i])
+        inside = row <= radius
+        inside[i] = False
+        # nearest boundary point towards each far node; row[far] is the norm
+        # of positions[far] - center
+        boundary = center + radius * (network.positions[far] - center) / row[far, None]
+        candidates = np.concatenate((network.positions[inside], boundary))
+        cand_x, cand_y = candidates[:, 0, None], candidates[:, 1, None]
+
+        far_x, far_y = network.positions[far, 0], network.positions[far, 1]
+        weights = p[far] * network.powers[far]
+        worst = 0.0
+        for start in range(0, len(candidates), 128):
+            rows = cand_x[start : start + 128]
+            shape = (len(rows), far.size)
+            d = np.subtract(far_x, rows, out=buf[: rows.size * far.size].reshape(shape))
+            dy = np.subtract(
+                far_y,
+                cand_y[start : start + len(rows)],
+                out=other[: rows.size * far.size].reshape(shape),
+            )
+            np.multiply(d, d, out=d)
+            np.multiply(dy, dy, out=dy)
+            np.add(d, dy, out=d)
+            np.sqrt(d, out=d)
+            np.power(d, exponent, out=d)
+            np.divide(weights, d, out=d)
+            worst = max(worst, float(d.sum(axis=1).max()))
+        out.append(worst)
+    return out
+
+
 def brute_ring_index(d: float, r: float):
     """Smallest ring index whose annulus contains distance d."""
     if d < 3.0 * r:
@@ -335,15 +390,19 @@ def pair_network(
     )
 
 
-def random_small_network(rng: np.random.Generator, n: int, params: NetworkParams) -> Network:
+def random_small_network(
+    rng: np.random.Generator, n: int, params: NetworkParams, offset: float = 0.0
+) -> Network:
+    """n nodes uniform in a square of side 1.6*sqrt(n) whose corner is at
+    (offset, offset), with powers uniform in [1, 8]."""
     side = math.sqrt(n) * 1.6
     nodes = []
     for i in range(n):
         nodes.append(
             Node(
                 id=i,
-                x=float(rng.uniform(0, side)),
-                y=float(rng.uniform(0, side)),
+                x=offset + float(rng.uniform(0, side)),
+                y=offset + float(rng.uniform(0, side)),
                 power=float(rng.uniform(1.0, 8.0)),
             )
         )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sinrsim import analysis
 from sinrsim.analysis import (
     PowerTrace,
     RegionBudgetMonitor,
@@ -21,6 +22,7 @@ from sinrsim.model import NetworkParams, Node, build_network, ring_index
 from sinrsim.topology import grid_topology
 
 from .conftest import (
+    blocked_far_interference,
     brute_expected_far_interference,
     brute_proximity_silence_probability,
     brute_region_sums,
@@ -195,6 +197,128 @@ class TestFarInterference:
         net = grid_topology(2, 2, 1.0, 4.0, params=cap_params())
         with pytest.raises(ValueError):
             expected_far_interference(net, {}, 0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, 2.0, -0.5], ids=["nan", "above_1", "negative"])
+    def test_names_bad_probability(self, bad):
+        net = grid_topology(1, 3, 1.0, 4.0, params=cap_params())
+        with pytest.raises(ValueError, match=r"^probability for node 2 outside \[0, 1\]$"):
+            expected_far_interference(net, {1: 0.5, 2: bad}, 0, 3.0)
+
+
+def survivors(monkeypatch):
+    """Per call of the exact pass, how many candidates it evaluated."""
+    counts = []
+    real = analysis._exact_max
+
+    def counting(candidates, *args):
+        counts.append(len(candidates))
+        return real(candidates, *args)
+
+    monkeypatch.setattr(analysis, "_exact_max", counting)
+    return counts
+
+
+def candidate_count(net, p, v):
+    """All candidates of node `v`: the nodes inside its region and one
+    boundary point per far node."""
+    i = net.index(v)
+    row = net.distance_row(i)
+    inside = int(np.count_nonzero(row <= net.r_bcast[i])) - 1
+    return inside + int(np.count_nonzero((row >= 3.0 * net.r_max_global) & (p > 0.0)))
+
+
+class TestFarInterferenceScreen:
+    """The float32 screen keeps every candidate that can hold the maximum,
+    so `_far_interference` equals the blocked float64 oracle bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        exponent=st.floats(1.5, 6.0),
+        offset=st.sampled_from([0.0, 1e6]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_oracle(self, seed, n, exponent, offset):
+        rng = np.random.default_rng(seed)
+        net = random_small_network(rng, n, bracketed_params(), offset)
+        # mixed probabilities: a fifth at exactly 0
+        p = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 1.0, n))
+        assert analysis._far_interference(net, p, net.ids, exponent) == (
+            blocked_far_interference(net, p, net.ids, exponent)
+        )
+
+    def test_the_screen_prunes(self, monkeypatch):
+        net = random_small_network(np.random.default_rng(41), 200, bracketed_params())
+        p = np.full(net.n, 0.3)
+        counts = survivors(monkeypatch)
+        got = analysis._far_interference(net, p, net.ids, 3.0)
+        assert got == blocked_far_interference(net, p, net.ids, 3.0)
+        total = sum(candidate_count(net, p, v) for v in net.ids)
+        assert 0 < sum(counts) < 0.1 * total
+
+    @pytest.mark.parametrize("exponent", [1.5, 6.0])
+    def test_exact_ties_all_survive(self, monkeypatch, exponent):
+        # the centre of a symmetric grid: several candidates share the
+        # largest float64 sum exactly, and each of them is kept
+        net = grid_topology(15, 15, 1.0, 8.0, params=cap_params())
+        p = np.full(net.n, 0.3)
+        kept = []
+        real = analysis._exact_max
+
+        def each_row(candidates, *args):
+            kept.extend(real(candidates[j : j + 1], *args) for j in range(len(candidates)))
+            return real(candidates, *args)
+
+        monkeypatch.setattr(analysis, "_exact_max", each_row)
+        (value,) = analysis._far_interference(net, p, [7 * 15 + 7], exponent)
+        assert kept.count(value) >= 2
+        assert len(kept) < candidate_count(net, p, 7 * 15 + 7)
+        assert analysis._far_interference(net, p, net.ids, exponent) == (
+            blocked_far_interference(net, p, net.ids, exponent)
+        )
+
+    def test_one_far_node_at_exactly_three_max_ranges(self):
+        # R_max = (8 / 1)**(1/3) = 2, so node 1 is exactly 3 R_max from node 0
+        net = build_network(
+            [Node(0, 0.0, 0.0, 8.0), Node(1, 6.0, 0.0, 8.0), Node(2, 0.5, 0.5, 1.0)],
+            cap_params(),
+        )
+        assert net.distance_row(0)[1] == 3.0 * net.r_max_global == 6.0
+        p = np.array([0.5, 0.25, 0.5])
+        got = analysis._far_interference(net, p, net.ids, 3.0)
+        assert got == blocked_far_interference(net, p, net.ids, 3.0)
+        assert got[0] > 0.0 and got[2] == 0.0
+        assert got[0] == pytest.approx(
+            brute_expected_far_interference(net, {0: 0.5, 1: 0.25, 2: 0.5}, 0, 3.0), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("case", ["steep", "spread", "underflow", "not_finite"])
+    def test_every_candidate_where_the_bound_fails(self, monkeypatch, case):
+        # steep: the bound needs alpha <= 9.4; spread: two more far nodes
+        # beyond 2**16 * 3 R_max; underflow: at alpha = 9, a cluster whose
+        # only far nodes lie about 2000 * 3 R_max away, so that the screened
+        # maximum falls under m * 2**-95; not_finite: an infinite screened sum
+        rng = np.random.default_rng(43)
+        net = random_small_network(rng, 40, bracketed_params())
+        exponent = {"steep": 10.0, "underflow": 9.0}.get(case, 3.0)
+        if case in ("spread", "underflow"):
+            far = 3.0 * net.r_max_global * (2.0**17 if case == "spread" else 2000.0)
+            nodes = list(net.nodes) if case == "spread" else [
+                Node(i, node.x / 8.0, node.y / 8.0, 8.0) for i, node in enumerate(net.nodes[:3])
+            ]
+            nodes += [Node(len(nodes), far, far, 8.0), Node(len(nodes) + 1, far, -far, 8.0)]
+            net = build_network(nodes, bracketed_params())
+        if case == "not_finite":
+            monkeypatch.setattr(
+                analysis, "_screen", lambda c, *args: np.where(np.arange(len(c)), 1.0, np.inf)
+            )
+        p = np.full(net.n, 0.4)
+        counts = survivors(monkeypatch)
+        got = analysis._far_interference(net, p, net.ids, exponent)
+        assert got == blocked_far_interference(net, p, net.ids, exponent)
+        with_far = [v for v in net.ids if got[net.index(v)] > 0.0]
+        assert with_far
+        assert sum(counts) == sum(candidate_count(net, p, v) for v in with_far)
 
 
 def bracketed_params():

@@ -672,6 +672,34 @@ class TestEachSlotOnce:
                            match="^node 0 filed checkpoint 3 in slot 3, not after it$"):
             simulate(late, lambda node: FixedProbBroadcaster(node, prob=0.2, budget=30), 50, 5)
 
+    @pytest.mark.parametrize("path", ["schedule", "event_loop", "reference"])
+    def test_every_wake_of_a_slot_runs_before_its_plans(self, path, monkeypatch):
+        # node 0's wake files its own slot, a plan refused only when read;
+        # node 1's wake, in the same slot, raises before any plan is read
+        real = FixedProbBroadcaster.wake
+
+        def wake(machine, slot):
+            real(machine, slot)
+            if machine.node.id == 1:
+                raise KeyError("wake")
+            machine.schedule(slot)
+
+        swept = []
+        sweep = engine._run_schedule
+        monkeypatch.setattr(FixedProbBroadcaster, "wake", wake)
+        monkeypatch.setattr(engine, "_run_schedule", lambda *a: swept.append(1) or sweep(*a))
+        both = build_network(
+            [Node(0, 0.0, 0.0, 8.0, wake_slot=3), Node(1, 1.0, 0.0, 8.0, wake_slot=3)], PARAMS
+        )
+        simulate = reference_run_simulation if path == "reference" else run_simulation
+        script = (1, lambda machines, slot: None) if path == "event_loop" else None
+        with pytest.raises(SimulationAbort) as err:
+            simulate(both, lambda node: FixedProbBroadcaster(node, prob=0.2, budget=30), 50, 5,
+                     scripted=script)
+        assert (err.value.node_id, err.value.slot) == (1, 3)
+        assert type(err.value.cause) is KeyError
+        assert swept == ([1] if path == "schedule" else [])
+
     @pytest.mark.parametrize("simulate", [reference_run_simulation, run_simulation])
     def test_the_schedule_names_the_first_node_to_wake(self, simulate, monkeypatch):
         real = FixedProbBroadcaster.wake

@@ -93,49 +93,31 @@ class RegionBudgetMonitor:
 
 # candidate receivers evaluated per NumPy block in _far_interference
 _CANDIDATE_BLOCK = 128
-# float32 elements per block of the screen, which the first buffer holds
-# for any n: a block's product stays under the 4 * 65536 multiply-adds above
-# which OpenBLAS splits a GEMM over threads (at n = 800, 2.05 s of wall
-# clock on two threads against 1.24 s on one)
-_SCREEN_BLOCK = 2**16
+# highest order of the far-field expansion in `_screen`
+_MAX_ORDER = 32
 
-# Relative slack of the far-interference screen in `_far_interference`.  The
-# screen sums each candidate's far interference in float32, in units of
-# s = 3 * R_max: a far node lies D >= 1 from the node's centre and a
-# candidate r <= 1/3 from it, so their distance d >= D - r >= 2/3, and
-# (D + r) / (D - r) <= 2.  With u = 2**-24, float32's unit roundoff, each
-# screened sum S is within a factor 1 +- E of the exact sum over the same
-# float64 points, to first order, up to one factor common to the node:
-#   - centre-relative coordinates, the division by s and the squared norms,
-#     in float64, are off by a few 2**-53 of (D + r)**2: nothing here;
-#   - d**2 is one float32 product of (-2c, 1, |c|**2) and (f, |f|**2, 1).
-#     The casts of its inputs move it by at most u (D**2 + r**2 + 4Dr)
-#     <= 1.5u (D + r)**2, and its 4-term sum, in any order, by at most
-#     4u (D + r)**2.  Against d**2 >= (D - r)**2 that is 5.5u times
-#     ((D + r) / (D - r))**2 <= 4: 22u.  (A coordinate too small to be a
-#     normal float32 moves by under 2**-126: nothing against d >= 2/3);
-#   - d**2 ** (-alpha/2) scales those 22u by alpha/2, 11 alpha u; the power
-#     itself adds at most 4 ulps, 8u; and -alpha/2 rounded to float32 is off
-#     by some e with |e| <= u alpha/2, which scales each term by
-#     (d**2)**e.  For d**2 in [4/9, 2**32] (d <= 2**16 s), ln(d**2) lies
-#     within 11.5 of the middle of its range, so each term is within
-#     5.75 alpha u of the common factor (middle)**e;
-#   - the weights, divided by their maximum, cast and multiplied: 2u;
-#   - NumPy sums a row pairwise: a term passes at most 25 additions in a
-#     leaf of 128 terms and one per halving above it, 40u for m <= 2**20
-#     far nodes;
-#   - underflow: a weight, power or product below 2**-126 is off by at most
-#     2**-126 times 1.5**alpha + 2 <= 2**6.1 (alpha <= 10), so the m terms
-#     by under m * 2**-119.9, at most u max(S) when max(S) >= m * 2**-95: u.
-# So E <= (51 + 16.75 alpha) u, 9.0e-6 at alpha = 6, and the float64 sums of
-# the exact pass are within (45 + 3 alpha) 2**-53 < 2**-40 of exact.  The
-# candidate with the largest float64 sum then has S >= max(S) (1 - 2 (E +
-# 2**-40)), which the slack keeps whenever 2 (E + 2**-40) <= _SCREEN_SLACK:
-# at alpha = 6 that is 1.8e-5, under a fifth of the slack.  The screen runs
-# only where this bound holds with a margin of 4, alpha <= 9.4, where the
-# far nodes lie within 2**16 s of the centre and m <= 2**20, and where the
-# screened maximum is finite and at least m * 2**-95; elsewhere every
-# candidate is kept.
+# Relative slack of the far-interference screen in `_far_interference`.  With
+# a candidate x and a far node y as complex numbers relative to the node's
+# centre, in units of the nearest far node's distance,
+#   |y - x|**-alpha = |y|**-alpha sum_{a,b >= 0} g_a g_b (x/y)**a conj(x/y)**b,
+# g_a = (alpha/2)_a / a! > 0.  Far nodes lie at least 3 R_max from the centre
+# and candidates within r_bcast <= R_max, so |x/y| <= rho <= 1/3.  Cut at
+# a, b <= K, a term loses at most (1 - rho)**-alpha - P_K(rho)**2 times
+# |y|**-alpha, P_K being the partial sum of g_a rho**a, and is at least
+# (1 + rho)**-alpha |y|**-alpha.  With u = 2**-53 and f = (1 + rho) / (1 - rho),
+# rounding adds, worst case in any order: 2 alpha f u + u from the coordinates
+# and the weights; (1.5m + 33K + alpha + 11) u of the terms' magnitudes, at
+# most f**alpha times the value, from |y|**-alpha, the powers (9u and 6u per
+# order) and the two matrix products; (m + 3 alpha + 6) u in the exact pass.
+# So each screened sum S is within 1 +- E of the exact one, up to a factor
+# common to the node, with E <= remainder + (3m + 40K + 8 alpha + 24) u
+# f**alpha; K is the least order with E <= _SCREEN_SLACK / 8, which needs
+# f**alpha <= 2**40.  The candidate with the largest float64 sum has S >=
+# max(S) (1 - 2E): kept, with a margin of 4 for second-order terms.  An
+# underflowed operand is off by 2**-1074, magnified at most m f**alpha max(g_a)
+# over under 2**17 paths: under u max(S) where max(S) >= m max(g_a) 2**-900.
+# Where no K <= _MAX_ORDER fits, or max(S) is not finite or under that floor,
+# every candidate is kept.
 _SCREEN_SLACK = 1e-4
 
 
@@ -186,7 +168,7 @@ def _far_interference(
     """:func:`expected_far_interference` of each node in `node_ids` under
     one probability vector `p` in node index order.
 
-    A float32 screen (:func:`_screen`) sums every candidate's far
+    A far-field expansion (:func:`_screen`) sums every candidate's far
     interference first; only the candidates within `_SCREEN_SLACK` of its
     maximum can hold the exact one, by the derivation at that constant.
     Those are evaluated in float64 against all far nodes in blocks of rows
@@ -195,21 +177,18 @@ def _far_interference(
     candidate gives.  Where the screen's bound does not hold, every
     candidate is evaluated.
 
-    All nodes share two float64 block buffers, written in place, and the
-    screen writes its float32 blocks into the first: fresh temporaries of a
-    few hundred kB per block would each cost a page fault per 4 kB whenever
-    the allocator maps them from fresh pages."""
+    All nodes share the exact pass's two float64 block buffers, written in
+    place: fresh temporaries of a few hundred kB per block would each cost a
+    page fault per 4 kB whenever the allocator maps them from fresh pages."""
     if exponent <= 1.0:
         raise ValueError("attenuation exponent must exceed 1")
     size = min(_CANDIDATE_BLOCK, network.n) * network.n
     buf, other = np.empty(size), np.empty(size)
-    scale = 3.0 * network.r_max_global
-    screens = (51.0 + 16.75 * exponent) * 2.0**-24 + 2.0**-40 <= _SCREEN_SLACK / 8.0
     out = []
     for node_id in node_ids:
         i = network.index(node_id)
         row = network.distance_row(i)
-        far = np.flatnonzero((row >= scale) & (p > 0.0))
+        far = np.flatnonzero((row >= 3.0 * network.r_max_global) & (p > 0.0))
         if far.size == 0:
             out.append(0.0)
             continue
@@ -224,13 +203,27 @@ def _far_interference(
         boundary = center + radius * (far_pos - center) / row[far, None]
         candidates = np.concatenate((network.positions[inside], boundary))
         weights = p[far] * network.powers[far]
-        if screens and far.size <= 2**20 and row[far].max() + radius <= 2.0**16 * scale:
-            sums = _screen(candidates, far_pos, weights, center, scale, exponent, buf)
-            top = sums.max()
-            if np.isfinite(top) and top >= far.size * 2.0**-95:
-                candidates = candidates[sums >= np.float64(top) * (1.0 - _SCREEN_SLACK)]
+        sums = _screen(candidates, far_pos, weights, center, exponent)
+        if sums is not None:
+            candidates = candidates[sums >= sums.max() * (1.0 - _SCREEN_SLACK)]
         out.append(_exact_max(candidates, far_pos, weights, exponent, buf, other))
     return out
+
+
+def _expansion(exponent: float, rho: float, m: int) -> tuple[np.ndarray, float] | None:
+    """g_0..g_K for the least order K <= `_MAX_ORDER` whose error bound E,
+    derived at `_SCREEN_SLACK`, stays within an eighth of it for offsets up
+    to `rho` and `m` far nodes, and that E; None where no order does."""
+    spread = (1.0 + rho) / (1.0 - rho)
+    if exponent * math.log2(spread) > 40.0:
+        return None
+    order = np.arange(_MAX_ORDER + 1)
+    g = np.cumprod(np.r_[1.0, (exponent / 2.0 + order[:-1]) / order[1:]])
+    partial = np.cumsum(g * rho**order)
+    remainder = (1.0 + rho) ** exponent * ((1.0 - rho) ** -exponent - partial**2)
+    bound = remainder + (3 * m + 40 * order + 8.0 * exponent + 24) * 2.0**-53 * spread**exponent
+    fits = np.flatnonzero(bound <= _SCREEN_SLACK / 8.0)
+    return (g[: fits[0] + 1], float(bound[fits[0]])) if fits.size else None
 
 
 def _screen(
@@ -238,33 +231,38 @@ def _screen(
     far_pos: np.ndarray,
     weights: np.ndarray,
     center: np.ndarray,
-    scale: float,
     exponent: float,
-    buf: np.ndarray,
-) -> np.ndarray:
-    """Each candidate's summed ``weights * d**-exponent`` in float32, up to
-    one factor common to all of them: points relative to `center` in units
-    of `scale` and weights divided by their maximum, in float64, then cast.
-    A block's squared distances are one float32 product of the candidates'
-    rows ``(-2x, -2y, 1, x**2 + y**2)`` with the far nodes' columns
-    ``(x, y, x**2 + y**2, 1)``, written into `buf` viewed as float32."""
-    cand = (candidates - center) / scale
-    cand = np.column_stack((-2.0 * cand, np.ones(len(cand)), (cand**2).sum(axis=1)))
-    far = (far_pos - center) / scale
-    far = np.vstack((far.T, (far**2).sum(axis=1), np.ones(len(far))))
-    cand, far = cand.astype(np.float32), far.astype(np.float32)
-    weights = (weights / weights.max()).astype(np.float32)
-    power = np.float32(-exponent / 2.0)
-    buf = buf.view(np.float32)
-    sums = np.empty(len(cand), dtype=np.float32)
-    block = max(1, _SCREEN_BLOCK // len(weights))
-    for start in range(0, len(cand), block):
-        rows = cand[start : start + block]
-        d = np.matmul(rows, far, out=buf[: len(rows) * len(weights)].reshape(len(rows), -1))
-        np.power(d, power, out=d)
-        np.multiply(d, weights, out=d)
-        d.sum(axis=1, out=sums[start : start + len(rows)])
-    return sums
+) -> np.ndarray | None:
+    """Each candidate's summed ``weights / d**exponent`` from the far-field
+    expansion about `center` at the order :func:`_expansion` picks, in units
+    where the nearest far node lies at 1 and the heaviest weighs 1; None
+    where the bound does not hold.  The moments are one product of the far
+    nodes' powers ``w |y|**-exponent y**-a`` with their conjugates, and each
+    candidate's sum is ``Re(u M conj(u))``, ``u_a = g_a x**a``."""
+    far = far_pos - center
+    unit = np.hypot(far[:, 0], far[:, 1]).min()
+    y = (far / unit).view(complex)[:, 0]
+    x = ((candidates - center) / unit).view(complex)[:, 0]
+    size = np.abs(y)
+    expansion = _expansion(exponent, float(np.abs(x).max() / size.min()), len(y))
+    if expansion is None:
+        return None
+    g = expansion[0]
+    powers = _powers(1.0 / y, len(g))
+    terms = weights / weights.max() * size**-exponent
+    moments = (powers * terms) @ powers.conj().T
+    u = _powers(x, len(g)) * g[:, None]
+    sums = (moments.T @ u * u.conj()).real.sum(axis=0)
+    top = sums.max()
+    return sums if np.isfinite(top) and top >= len(y) * g.max() * 2.0**-900 else None
+
+
+def _powers(z: np.ndarray, count: int) -> np.ndarray:
+    """Rows ``z**0 .. z**(count - 1)``, each the previous times `z`."""
+    out = np.ones((count, len(z)), dtype=complex)
+    for a in range(1, count):
+        np.multiply(out[a - 1], z, out=out[a])
+    return out
 
 
 def _exact_max(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sinrsim import analysis
@@ -227,17 +227,70 @@ def candidate_count(net, p, v):
     return inside + int(np.count_nonzero((row >= 3.0 * net.r_max_global) & (p > 0.0)))
 
 
+def screened_nodes(monkeypatch):
+    """Per call of the screen, whether it pruned (False where it kept every
+    candidate)."""
+    pruned = []
+    real = analysis._screen
+
+    def recording(*args):
+        sums = real(*args)
+        pruned.append(sums is not None)
+        return sums
+
+    monkeypatch.setattr(analysis, "_screen", recording)
+    return pruned
+
+
+def assert_screen_within_bound(net, p, exponent):
+    """Every screened sum lies within the bound that `_expansion` derived
+    for it of the direct float64 sum, up to the factor the screen's units
+    leave, ``unit**exponent / max(weights)``; returns how many nodes the
+    screen ran on."""
+    calls, bounds = [], []
+    real_screen, real_expansion = analysis._screen, analysis._expansion
+
+    def screen(*args):
+        calls.append((args, real_screen(*args)))
+        return calls[-1][1]
+
+    def expansion(*args):
+        bounds.append(real_expansion(*args))
+        return bounds[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_screen", screen)
+        patch.setattr(analysis, "_expansion", expansion)
+        analysis._far_interference(net, p, net.ids, exponent)
+    ran = 0
+    for ((candidates, far_pos, weights, center, _), sums), expanded in zip(calls, bounds):
+        if sums is None:
+            continue
+        ran += 1
+        d = np.hypot(*(far_pos[None] - candidates[:, None]).transpose(2, 0, 1))
+        direct = (weights / d**exponent).sum(axis=1)
+        unit = np.hypot(*(far_pos - center).T).min()
+        ratio = sums / direct * weights.max() / unit**exponent
+        assert np.abs(ratio - 1.0).max() <= expanded[1]
+    return ran
+
+
 class TestFarInterferenceScreen:
-    """The float32 screen keeps every candidate that can hold the maximum,
+    """The far-field screen keeps every candidate that can hold the maximum,
     so `_far_interference` equals the blocked float64 oracle bit for bit."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 60),
-        exponent=st.floats(1.5, 6.0),
+        exponent=st.floats(1.5, 10.0),
         offset=st.sampled_from([0.0, 1e6]),
     )
     @settings(max_examples=150, deadline=None)
+    # near ties that the exact order K keeps apart even at zero slack, and
+    # the order K - 1 does not
+    @example(seed=35, n=35, exponent=1.5, offset=0.0)
+    @example(seed=38, n=38, exponent=3.6059728405190548, offset=0.0)
+    @example(seed=46, n=46, exponent=1.9140625, offset=0.0)
     def test_equals_the_oracle(self, seed, n, exponent, offset):
         rng = np.random.default_rng(seed)
         net = random_small_network(rng, n, bracketed_params(), offset)
@@ -246,6 +299,40 @@ class TestFarInterferenceScreen:
         assert analysis._far_interference(net, p, net.ids, exponent) == (
             blocked_far_interference(net, p, net.ids, exponent)
         )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        exponent=st.floats(1.5, 12.0),
+        offset=st.sampled_from([0.0, 1e6]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_screened_sums_within_the_bound(self, seed, n, exponent, offset):
+        rng = np.random.default_rng(seed)
+        net = random_small_network(rng, n, bracketed_params(), offset)
+        p = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 1.0, n))
+        assert_screen_within_bound(net, p, exponent)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("exponent", [1.5, 3.0, 6.0, 12.0])
+    def test_bound_at_exactly_three_max_ranges(self, exponent, offset):
+        # R_max = 2 and node 1 lies exactly 3 R_max from node 0, whose
+        # broadcasting range, at a margin delta just above 1, is the largest
+        # and within 2**-40 of R_max: rho is 1/3 to that, and the boundary
+        # point towards node 1 meets the expansion's largest remainder
+        net = build_network(
+            [
+                Node(0, offset, offset, 8.0),
+                Node(1, offset + 6.0, offset, 8.0),
+                Node(2, offset + 0.5, offset + 0.5, 1.0),
+                Node(3, offset - 5.0, offset + 7.0, 3.0),
+                Node(4, offset + 4.0, offset - 9.0, 6.0),
+            ],
+            cap_params(delta=1.0 + 2.0**-40),
+        )
+        assert net.distance_row(0)[1] == 3.0 * net.r_max_global == 6.0
+        assert net.r_bcast[0] == net.r_bcast.max() > (1.0 - 2.0**-40) * net.r_max_global
+        assert assert_screen_within_bound(net, np.full(net.n, 0.5), exponent) >= 1
 
     def test_the_screen_prunes(self, monkeypatch):
         net = random_small_network(np.random.default_rng(41), 200, bracketed_params())
@@ -292,33 +379,62 @@ class TestFarInterferenceScreen:
             brute_expected_far_interference(net, {0: 0.5, 1: 0.25, 2: 0.5}, 0, 3.0), rel=1e-12
         )
 
-    @pytest.mark.parametrize("case", ["steep", "spread", "underflow", "not_finite"])
-    def test_every_candidate_where_the_bound_fails(self, monkeypatch, case):
-        # steep: the bound needs alpha <= 9.4; spread: two more far nodes
-        # beyond 2**16 * 3 R_max; underflow: at alpha = 9, a cluster whose
-        # only far nodes lie about 2000 * 3 R_max away, so that the screened
-        # maximum falls under m * 2**-95; not_finite: an infinite screened sum
+    @pytest.mark.parametrize("case", ["spread", "underflow"])
+    def test_prunes_far_beyond_the_network(self, monkeypatch, case):
+        # spread: two more far nodes beyond 2**17 * 3 R_max; underflow: at
+        # alpha = 9, a cluster whose only far nodes lie about 2000 * 3 R_max
+        # away, whose terms would underflow in float32.  Both lie far inside
+        # the float64 range, so the screen prunes every node
         rng = np.random.default_rng(43)
         net = random_small_network(rng, 40, bracketed_params())
-        exponent = {"steep": 10.0, "underflow": 9.0}.get(case, 3.0)
-        if case in ("spread", "underflow"):
-            far = 3.0 * net.r_max_global * (2.0**17 if case == "spread" else 2000.0)
-            nodes = list(net.nodes) if case == "spread" else [
-                Node(i, node.x / 8.0, node.y / 8.0, 8.0) for i, node in enumerate(net.nodes[:3])
-            ]
-            nodes += [Node(len(nodes), far, far, 8.0), Node(len(nodes) + 1, far, -far, 8.0)]
-            net = build_network(nodes, bracketed_params())
-        if case == "not_finite":
-            monkeypatch.setattr(
-                analysis, "_screen", lambda c, *args: np.where(np.arange(len(c)), 1.0, np.inf)
-            )
+        exponent = 9.0 if case == "underflow" else 3.0
+        far = 3.0 * net.r_max_global * (2.0**17 if case == "spread" else 2000.0)
+        nodes = list(net.nodes) if case == "spread" else [
+            Node(i, node.x / 8.0, node.y / 8.0, 8.0) for i, node in enumerate(net.nodes[:3])
+        ]
+        nodes += [Node(len(nodes), far, far, 8.0), Node(len(nodes) + 1, far, -far, 8.0)]
+        net = build_network(nodes, bracketed_params())
         p = np.full(net.n, 0.4)
-        counts = survivors(monkeypatch)
+        counts, pruned = survivors(monkeypatch), screened_nodes(monkeypatch)
         got = analysis._far_interference(net, p, net.ids, exponent)
         assert got == blocked_far_interference(net, p, net.ids, exponent)
+        assert all(pruned)
+        assert sum(counts) < sum(candidate_count(net, p, v) for v in net.ids)
+
+    @pytest.mark.parametrize("case", ["steep", "tiny", "not_finite"])
+    def test_every_candidate_where_the_bound_fails(self, monkeypatch, case):
+        # steep: at alpha = 40 most nodes need an order above _MAX_ORDER;
+        # tiny: the heaviest far node 1e25 away and the nearest almost
+        # silent, so that the screened maximum falls under the underflow
+        # floor; not_finite: infinite powers, so no finite screened sum
+        rng = np.random.default_rng(43)
+        net = random_small_network(rng, 40, bracketed_params())
+        p = np.full(net.n, 0.4)
+        exponent = {"steep": 40.0, "tiny": 12.0}.get(case, 3.0)
+        if case == "tiny":
+            net = build_network(
+                [Node(0, 0.0, 0.0, 8.0), Node(1, 0.5, 0.5, 1.0), Node(2, 6.5, 0.0, 8.0),
+                 Node(3, 1e25, 0.0, 8.0)],
+                bracketed_params(),
+            )
+            p = np.array([0.4, 0.4, 1e-300, 0.4])
+        if case == "not_finite":
+            monkeypatch.setattr(
+                analysis, "_powers", lambda z, count: np.full((count, len(z)), np.inf + 0j)
+            )
+        counts, pruned = survivors(monkeypatch), screened_nodes(monkeypatch)
+        with np.errstate(invalid="ignore" if case == "not_finite" else "warn"):
+            got = analysis._far_interference(net, p, net.ids, exponent)
+        assert got == blocked_far_interference(net, p, net.ids, exponent)
         with_far = [v for v in net.ids if got[net.index(v)] > 0.0]
-        assert with_far
-        assert sum(counts) == sum(candidate_count(net, p, v) for v in with_far)
+        assert len(with_far) == len(counts) == len(pruned)
+        for v, kept, screened in zip(with_far, counts, pruned):
+            if not screened:
+                assert kept == candidate_count(net, p, v)
+        if case == "steep":
+            assert pruned.count(False) >= len(pruned) // 2
+        else:  # tiny: nodes 0 and 1, whose nearest far node is node 2
+            assert not any(pruned[: 2 if case == "tiny" else None])
 
 
 def bracketed_params():

@@ -693,6 +693,24 @@ class TestCli:
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("seed,node_id,protocol")
 
+    @pytest.mark.parametrize("name,flags", [
+        ("chain", ["--preset", "chain"]),
+        ("random200", [
+            "--preset", "random", "--n", "200", "--side", "25",
+            "--power-lo", "1", "--power-hi", "6", "--seed", "3",
+        ]),
+    ])
+    def test_analyze_matches_golden_digest(self, tmp_path, capsys, name, flags):
+        """Pins every bit of the printed certificates; the 200-node network
+        has far nodes at every node, so its far-interference figures run
+        through the screen and the exact pass."""
+        topo = tmp_path / "net.json"
+        assert main(["generate", *flags, "-o", str(topo)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--topology", str(topo)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() + "\n"
+        assert digest == (GOLDEN / f"analyze_{name}.sha256").read_text()
+
     def test_failing_run_exits_nonzero(self, tmp_path):
         topo = tmp_path / "net.json"
         main([

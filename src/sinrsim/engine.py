@@ -441,23 +441,30 @@ _WAKE, _SLEEP, _SCRIPT, _CHECK, _TX = range(5)
 _SlotTx = tuple[int, float, Any]  # (node index, power, payload)
 # Network.lone_reach: (exact reach, slack superset, out-neighbours, missing)
 _LoneReach = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-# what _ledger hands both engine paths: awake, sending, wake, leave, settle, finish
-_Ledger = tuple[bytearray, bytearray, Callable[[int], None], Callable[[int], None],
-                Callable[..., None], Callable[..., SimTrace]]
+# what `decide` returns: the transmissions' listeners, flat, and where each one's start
+_Decided = tuple[list[int], list[int]]
+# what _ledger hands both engine paths: awake, wake, leave, decide, settle, finish
+_Ledger = tuple[bytearray, Callable[[int], None], Callable[[int], None],
+                Callable[..., _Decided], Callable[..., None], Callable[..., SimTrace]]
 
 
 def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Ledger:
     """Step 8 of a slot, the flags it reads and the run's trace, which the
-    event loop and the schedule sweep share.  It owns the `awake` and
-    `sending` flags per node index; ``wake(i)`` and ``leave(i)`` set and
-    clear a node's awake flag, and keep the count of nodes asleep.
-    ``settle(slot, txs, pending)`` resolves the slot's transmissions,
-    counts them and their full successes, files first receptions, puts each
-    reception of a listener in `hears` into `pending` (listener index ->
-    (sender id, payload)) and records the outcome.  The senders must be
-    flagged in `sending`; `settle` clears the flags.  ``finish(seed,
-    n_slots, completed, machines, draws, **loop_counters)`` returns the
-    :class:`SimTrace`; `machines` and `draws` go by node index.
+    event loop and the schedule sweep share.  It owns the `awake` flags per
+    node index; ``wake(i)`` and ``leave(i)`` set and clear a node's flag,
+    and keep the count of nodes asleep.  A slot's transmissions are
+    ``txs[a:b]`` of a flat list of ``(node index, power, payload)``.
+    ``decide(txs, spans)`` resolves a batch of slots with several
+    transmissions each, one ``(a, b)`` span per slot, in one array pass.
+    ``settle(slot, txs, a, b, pending, decided=None)`` settles one slot
+    under the current flags: it counts the transmissions and their full
+    successes, files first receptions, puts each reception of a listener
+    in `hears` into `pending` (listener index -> (sender id, payload)) and
+    records the outcome.  A slot with several transmissions reads its
+    listeners from `decided`, what `decide` returned for a batch that held
+    it, or is decided alone.  ``finish(seed, n_slots, completed, machines,
+    draws, **loop_counters)`` returns the :class:`SimTrace`; `machines`
+    and `draws` go by node index.
 
     Closures, not an object: as a method reading ``self``, `settle` ran
     `color32` 6.5% slower (6/6 pairs); closures kept on an object form a
@@ -467,11 +474,11 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
     n = network.n
     reach = network.lone_reach
     cached = network._reach
-    beta, noise = network.params.beta_true, network.params.noise_true
+    params = network.params
+    alpha, beta, noise = params.alpha_true, params.beta_true, params.noise_true
     awake = bytearray(n)
-    sending = bytearray(n)
-    # nodes whose awake flag is clear: a lone transmission filters its reach
-    # only while there are any
+    # nodes whose awake flag is clear: a slot filters its listeners only
+    # while there are any
     asleep = n
     first_rx: dict[int, dict[int, int]] = {v: {} for v in ids}
     rx_rows = [first_rx[v] for v in ids]
@@ -493,49 +500,75 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
         awake[i] = False
         asleep += 1
 
-    def resolve(txs: list[_SlotTx]) -> tuple[list[list[int]], list[_LoneReach]]:
-        """For a slot with several transmissions, the ascending indices of
-        the awake listeners outside `sending` that decode each one, under
-        the same delivery rule as :func:`resolve_slot`, and each
-        transmission's :meth:`Network.lone_reach` entry.  Interference only
-        raises the SINR denominator, so only the listeners inside the
-        senders' reach are decided.
+    def decide(txs: Sequence[_SlotTx], spans: Sequence[tuple[int, int]]) -> _Decided:
+        """The listeners that decode each transmission of the slots
+        ``txs[a:b]`` for ``(a, b)`` in `spans`, under the same delivery
+        rule as :func:`resolve_slot`, as ``(heard, bounds)``: those of
+        ``txs[t]`` are ``heard[bounds[t]:bounds[t + 1]]``, ascending.  Sleepers are
+        decided too: whether a listener decodes does not depend on who
+        else listens, so `settle` drops those of its own slot.
 
-        Such a slot has a few senders and candidates, so it is decided in
-        Python floats around one array call, the path losses
-        (:meth:`Network.path_loss`): the IEEE operations are those of a
-        dense matrix evaluation, bit for bit."""
-        received: list[list[int]] = [[] for _ in txs]
-        entries = [reach(idx, power) for idx, power, _ in txs]
-        union: set[int] = set()
-        for entry in entries:
-            union.update(entry[1])
-        cand = sorted([l for l in union if awake[l] and not sending[l]])
-        if not cand:
-            return received, entries
-        # gains of every sender, far ones included
-        losses = network.path_loss([idx for idx, _, _ in txs], cand).tolist()
-        gains = [[power / loss for loss in row] for (_, power, _), row in zip(txs, losses)]
-        for l, column in zip(cand, zip(*gains)):
-            # the denominator adds up left to right, gains in transmission
-            # order and then the noise
-            total = 0.0
-            for g in column:
-                total += g
-            total += noise
-            hits = [t for t, g in enumerate(column) if g >= beta * (total - g)]
-            if len(hits) == 1:
-                received[hits[0]].append(l)
-        return received, entries
+        Interference only raises the SINR denominator, so only a listener
+        in the slack reach (:meth:`Network.lone_reach`) of a sender of its
+        slot, and no sender itself, is a candidate.  Each (candidate,
+        sender) pair's distance is elementwise ufuncs and its path loss
+        one array ``**``, bit for bit a dense matrix's entry; a scalar
+        ``**`` differs in the last ulp on about 5% of inputs.  The gains
+        sit in a matrix of sender rank by candidate, zero past a slot's
+        senders (adding 0.0 changes no sum), and each candidate's
+        denominator adds up rank by rank, the gains in transmission order
+        and then the noise, as a scalar loop per listener would."""
+        picks = [t for a, b in spans for t in range(a, b)]
+        keys = [txs[t][:2] for t in picks]  # (node index, power)
+        slack = [(cached.get(key) or reach(*key))[1] for key in keys]
+        sizes = [len(row) for row in slack]
+        width = np.array([b - a for a, b in spans])  # senders per slot
+        start = np.cumsum(width) - width  # each slot's first pick
+        slot = np.repeat(np.arange(len(spans)), width)  # each pick's slot
+        src = np.array([key[0] for key in keys], dtype=np.intp)
+        # (slot, listener) keys of the candidates, ascending, each once and
+        # none a sender of its slot; the slack tuples in one concatenation
+        # (`np.unique` took ten times as long as this sort and mask)
+        cand = np.sort(np.repeat(slot * n, sizes)
+                       + np.fromiter(itertools.chain.from_iterable(slack), np.intp, sum(sizes)))
+        own = np.sort(slot * n + src)
+        keep = np.append(own, -1)[np.searchsorted(own, cand)] != cand
+        keep[1:] &= cand[1:] != cand[:-1]
+        cand = cand[keep]
+        if not cand.size:
+            return [], [0] * (len(txs) + 1)
+        home, listener = np.divmod(cand, n)
+        # the (candidate, sender) pairs, candidate by candidate, rank by rank
+        rank_of = width[home]
+        column = np.repeat(np.arange(cand.size), rank_of)
+        rank = np.arange(column.size) - np.repeat(np.cumsum(rank_of) - rank_of, rank_of)
+        pick = start[home][column] + rank
+        gains = np.zeros((int(width.max()), cand.size))
+        gains[rank, column] = np.array([key[1] for key in keys])[pick] / (
+            network._pair_dist(src[pick], listener[column]) ** alpha
+        )
+        total = np.zeros(cand.size)
+        for row in gains:
+            total += row
+        total += noise
+        hits = gains >= beta * (total - gains)
+        won = np.count_nonzero(hits, axis=0) == 1
+        # each decoded listener's transmission, as a position in `txs`
+        tx = np.array(picks)[start[home[won]] + hits[:, won].argmax(axis=0)]
+        order = np.argsort(tx, kind="stable")
+        return (listener[won][order].tolist(),
+                np.searchsorted(tx[order], np.arange(len(txs) + 1)).tolist())
 
-    def settle(s: int, txs: list[_SlotTx], pending: dict[int, tuple[int, Any]]) -> None:
+    def settle(s: int, txs: Sequence[_SlotTx], a: int, b: int,
+               pending: dict[int, tuple[int, Any]], decided: Optional[_Decided] = None) -> None:
         nonlocal eventful, multi_tx, truncated
         eventful += 1
-        lone = len(txs) == 1
+        mine = txs[a:b]
+        lone = b - a == 1
         if lone:
             # a lone transmission reaches the awake nodes of its exact reach;
             # the network's cache is read here, `lone_reach` fills a miss
-            key = txs[0][:2]
+            key = mine[0][:2]
             entry = cached.get(key) or reach(*key)
             exact = entry[0]
             received: Sequence[Sequence[int]] = (
@@ -544,9 +577,12 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             entries: Sequence[_LoneReach] = (entry,)
         else:
             multi_tx += 1
-            received, entries = resolve(txs)
-        for (i, power, payload), rx, entry in zip(txs, received, entries):
-            sending[i] = False
+            heard, bounds = decided or decide(txs, ((a, b),))
+            received = [heard[bounds[t]:bounds[t + 1]] for t in range(a, b)]
+            if asleep:
+                received = [[l for l in rx if awake[l]] for rx in received]
+            entries = [cached[tx[:2]] for tx in mine]
+        for (i, _power, payload), rx, entry in zip(mine, received, entries):
             tx_counts[i] += 1
             # full success: every awake out-neighbour decoded; a lone
             # transmission reaches every awake node of its exact reach, so
@@ -555,8 +591,8 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
                 missing = entry[3]
                 full = not any(awake[u] for u in missing) if missing else True
             else:
-                heard = set(rx)
-                full = all(u in heard or not awake[u] for u in entry[2])
+                got = set(rx)
+                full = all(u in got or not awake[u] for u in entry[2])
             if full:
                 full_counts[i] += 1
                 if first_full[i] is None:
@@ -573,7 +609,7 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             if limit is not None and len(outcomes) >= limit:
                 truncated = True
             else:
-                records = [Transmission(ids[i], s, power, payload) for i, power, payload in txs]
+                records = [Transmission(ids[i], s, power, payload) for i, power, payload in mine]
                 pairs = [(l, t) for t, rx in enumerate(received) for l in rx]
                 if not lone:
                     pairs.sort()
@@ -596,7 +632,7 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             multi_tx_slots=multi_tx, **loop_counters,
         )
 
-    return awake, sending, wake, leave, settle, finish
+    return awake, wake, leave, decide, settle, finish
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
@@ -757,7 +793,7 @@ def run_simulation(
 
     if scripted is None and all(type(m) is FixedProbBroadcaster and m.prob < 1.0 for m in machines):
         return _run_schedule(network, machines, max_slots, seed, ledger, monitor)
-    awake, sending, wake, leave, settle, finish = ledger
+    awake, wake, leave, _decide, settle, finish = ledger
     n = network.n
     ids = network.ids
     by_id = dict(zip(ids, machines))
@@ -913,11 +949,11 @@ def run_simulation(
                     n_live += 1
 
             # 7. this slot's transmissions: its lane entries pop in (node,
-            # lane) order, and each sends if its lane is still due now (it
-            # is stale after a redraw or a departure, or repeated).  The
-            # lane that fired is redrawn from the next slot at once: no
-            # other lane of the node changed, and nothing else draws from
-            # its stream before the next slot.
+            # lane) order, so a node's are adjacent, and each sends if its
+            # lane is still due now (it is stale after a redraw or a
+            # departure, or repeated).  The lane that fired is redrawn from
+            # the next slot at once: no other lane of the node changed, and
+            # nothing else draws from its stream before the next slot.
             txs: list[_SlotTx] | tuple[()] = [] if heap and heap[0][0] == s else none
             while heap and heap[0][0] == s:
                 _, _, i, k = heappop(heap)
@@ -929,7 +965,7 @@ def run_simulation(
                 cur = i
                 payload, power = machine.on_transmit(s, k)
                 cur = -1
-                if sending[i]:
+                if txs and txs[-1][0] == i:
                     raise ProtocolViolationError(f"node {ids[i]} transmitted twice in slot {s}")
                 if (
                     machine._dirty
@@ -940,7 +976,6 @@ def run_simulation(
                         f"node {ids[i]} changed its state inside on_transmit in slot {s}"
                     )
                 txs.append((i, power, payload))
-                sending[i] = True
                 # `_lane_slot` from s + 1, inline (three calls per
                 # transmission otherwise).  The lane fired at s, an
                 # eligible slot, so its next eligible one is s + period,
@@ -955,7 +990,7 @@ def run_simulation(
             # 8. physical resolution and delivery: statistics, the
             # listeners' receptions and the record (shared with the schedule)
             if txs:
-                settle(s, txs, pending)
+                settle(s, txs, 0, len(txs), pending)
                 if pending:
                     pending_sorted = len(txs) == 1
                     pending_slot = s + 1
@@ -979,6 +1014,15 @@ def run_simulation(
                   [st.count() for st in streams], heap_pops=heap_pops)
 
 
+# multi-transmission slots the schedule decides per `decide` call.  Its
+# pending lists grow with the chunk: the `bcast2k` run's tracemalloc peak,
+# 3.8 MB, rose to 4.2 MB at 256 and 6.7 MB at 1024, and holds at 128, where
+# a call's fixed cost (about 60 us) is under half a microsecond per slot.
+# Held for one chunk, the (node, power, payload) tuples add 3 young
+# collections to the run's 24 and no measurable collector time
+_CHUNK = 128
+
+
 def _run_schedule(
     network: Network,
     machines: list[ProtocolMachine],
@@ -998,14 +1042,17 @@ def _run_schedule(
     the event loop's (slot, kind, node) order, and one sweep over them
     calls each machine's `on_transmit` and `poll` in the event loop's slots
     and gives the same run through the same step 8 (`settle`, from
-    :func:`_ledger`), with the same node streams (:class:`_Stream`).  The
-    plans are read in (wake slot, node) order, each after every `wake` of
-    its slot, so a bad plan or a `wake` that raises is named as the event
-    loop would name it."""
+    :func:`_ledger`), with the same node streams (:class:`_Stream`).
+    Nothing a slot resolves feeds back, so the sweep holds the slots until
+    `_CHUNK` of them have several transmissions, decides those in one
+    `decide` call and then settles the held slots in order, each under the
+    awake flags of its own slot.  The plans are read in (wake slot, node)
+    order, each after every `wake` of its slot, so a bad plan or a `wake`
+    that raises is named as the event loop would name it."""
     nodes = network.nodes
     n = network.n
     ids = network.ids
-    awake, sending, wake, leave, settle, finish = ledger
+    _awake, wake, leave, decide, settle, finish = ledger
     timeline: list[int] = []
     draws = [0] * n
     last = -1  # the slot the last node stops in: its poll or departure
@@ -1073,21 +1120,59 @@ def _run_schedule(
 
         transmit = [m.on_transmit for m in machines]
         pending: dict[int, tuple[int, Any]] = {}  # stays empty: nobody hears
+        # the pending slots, settled a chunk at a time: their transmissions
+        # (flat), each eventful slot with where its transmissions end, the
+        # spans of those with several, and the wake-ups and departures among
+        # them as timeline keys.  The ledger's flags follow the settled
+        # slots, `live` the sweep, for the monitor
         txs: list[_SlotTx] = []
+        slots: list[int] = []
+        ends: list[int] = []
+        spans: list[tuple[int, int]] = []
+        flips: list[int] = []
+        live = bytearray(n)
+
+        def settle_chunk() -> None:
+            decided = decide(txs, spans) if spans else None
+            f = a = 0
+            for s, b in zip(slots, ends):
+                edge = (s * 5 + _TX) * n
+                while f < len(flips) and flips[f] < edge:
+                    flip(flips[f])
+                    f += 1
+                settle(s, txs, a, b, pending, decided)
+                a = b
+            for key in flips[f:]:
+                flip(key)
+            for items in (txs, slots, ends, spans, flips):
+                items.clear()
+
+        def flip(key: int) -> None:
+            q, i = divmod(key, n)
+            (wake if q % 5 == _WAKE else leave)(i)
+
         changed: list[int] = []
         slot = -1
+        mark = 0  # where the current slot's transmissions start
         for key in timeline:
             q, i = divmod(key, n)
             s, kind = divmod(q, 5)
             if s != slot:
-                if txs:
-                    settle(slot, txs, pending)
-                    txs = []
+                size = len(txs)
+                if size > mark:
+                    slots.append(slot)
+                    ends.append(size)
+                    if size > mark + 1:
+                        spans.append((mark, size))
+                    mark = size
+                if len(spans) == _CHUNK or s >= n_slots:
+                    settle_chunk()
+                    mark = 0
                 # kept here: acceptance 03 and the reference comparisons monitor every
                 # run, so neither would run the schedule if monitored runs took the loop
                 if changed:
                     if monitor is not None:
-                        monitor(slot, _monitor_updates(machines, awake, changed))
+                        monitor(slot, _monitor_updates(machines, live, changed))
                     changed = []
                 if s >= n_slots:
                     break
@@ -1096,14 +1181,15 @@ def _run_schedule(
                 cur = i
                 payload, power = transmit[i](s, 0)
                 cur = -1
-                sending[i] = True
                 txs.append((i, power, payload))
                 continue
             machine = machines[i]
             if kind == _WAKE:
-                wake(i)
+                live[i] = True
+                flips.append(key)
             elif kind == _SLEEP:
-                leave(i)
+                live[i] = False
+                flips.append(key)
                 changed.append(i)  # its lanes, reported as 0
             else:
                 machine._checkpoint = None

@@ -281,25 +281,6 @@ class Network:
         bit the row a dense distance matrix would hold; 0 at `i` itself."""
         return self._pair_dist(i, slice(None))
 
-    def path_loss(self, senders: Sequence[int], others: Sequence[int]) -> np.ndarray:
-        """``dist ** alpha_true`` from each node index in `senders` (rows)
-        to each in `others` (columns), bit for bit what a dense matrix
-        would hold.  The distances are scalar Python, as in :meth:`within`;
-        the power is one array ``**``, because a scalar ``**`` can differ
-        from the array ``np.power`` in the last ulp."""
-        coords = self._coords
-        rows = []
-        for i in senders:
-            x, y = coords[i]
-            row = []
-            for j in others:
-                xj, yj = coords[j]
-                dx = x - xj
-                dy = y - yj
-                row.append(math.sqrt(dx * dx + dy * dy))
-            rows.append(row)
-        return np.array(rows) ** self.params.alpha_true
-
     def within(self, i: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the nodes other than `i` at distance at most `radius`
         from node index `i`, ascending, and the distance to each.  Scalar

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sinrsim import topology
+from sinrsim.engine import TraceConfig, _ledger
 from sinrsim.errors import ModelViolationError
 from sinrsim.model import Network, NetworkParams, Node, build_network
 
@@ -92,6 +93,50 @@ def reference_network_build(network: Network) -> dict:
         "max_degree": int(in_range.sum(axis=1).max()) if n > 1 else 0,
         "longest_chain": max(longest) if longest else 0,
     }
+
+
+def dense_receivers(network: Network, slots) -> list[list[int]]:
+    """The oracle of the ledger's multi-transmission kernel: the receivers
+    of each transmission of `slots` (each a list of (node index, power) in
+    transmission order), slot by slot, as ascending node indices.  Every
+    node that does not send in the slot is decided, from the dense
+    ``distances ** alpha`` block of `reference_network_build`, with each
+    listener's denominator summed by `np.add.accumulate` in transmission
+    order and the noise last."""
+    params = network.params
+    distances = reference_network_build(network)["distances"]
+    out = []
+    for txs in slots:
+        senders = [i for i, _ in txs]
+        listeners = np.setdiff1d(np.arange(network.n), senders)
+        gains = np.array([power for _, power in txs])[:, None] / (
+            distances[np.ix_(senders, listeners)] ** params.alpha_true
+        )
+        total = np.add.accumulate(gains, axis=0)[-1] + params.noise_true
+        hits = gains >= params.beta_true * (total - gains)
+        single = np.count_nonzero(hits, axis=0) == 1
+        winner = hits.argmax(axis=0)
+        out.extend(listeners[single & (winner == t)].tolist() for t in range(len(txs)))
+    return out
+
+
+def kernel_receivers(network: Network, slots, gap: int = 0) -> list[list[int]]:
+    """The receivers of each transmission of `slots`, as `dense_receivers`
+    gives them, from one call of the ledger's `decide`.  The slots lie in
+    flat lists as the schedule holds them, each after `gap` positions that
+    no span covers (the schedule's lone transmissions)."""
+    decide = _ledger(network, [False] * network.n, TraceConfig())[3]
+    flat: list = []
+    spans = []
+    for txs in slots:
+        flat += [(0, 1.0, None)] * gap
+        spans.append((len(flat), len(flat) + len(txs)))
+        flat += [(i, power, None) for i, power in txs]
+    heard, bounds = decide(flat, spans)
+    assert len(bounds) == len(flat) + 1
+    covered = {t for a, b in spans for t in range(a, b)}
+    assert all(bounds[t] == bounds[t + 1] for t in range(len(flat)) if t not in covered)
+    return [heard[bounds[t]:bounds[t + 1]] for a, b in spans for t in range(a, b)]
 
 
 def brute_max_degree(network: Network) -> int:

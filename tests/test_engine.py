@@ -20,7 +20,7 @@ from sinrsim.engine import (
 from sinrsim.errors import ProtocolViolationError, SimulationAbort
 from sinrsim.model import NetworkParams, Node, build_network
 
-from .conftest import pair_network, random_small_network
+from .conftest import dense_receivers, kernel_receivers, pair_network, random_small_network
 
 
 def sinr_params(alpha=2.0, beta=2.0, noise=1.0):
@@ -117,93 +117,78 @@ class TestResolveSlot:
             )
 
 
-def array_resolve(network, awake, sending, txs):
-    """The array formulation of step 8's resolve for several transmissions,
-    kept as its oracle: candidates gathered with `np.concatenate`, a dense
-    block of ``dist ** alpha`` from array distances, and the denominators
-    summed with `np.add.accumulate`, which adds in transmission order."""
-    params = network.params
-    received = [[] for _ in txs]
-    cand = np.concatenate(
-        [np.array(network.lone_reach(idx, power)[1], dtype=np.intp) for idx, power, _ in txs]
-    )
-    cand.sort()
-    keep = np.frombuffer(awake, dtype=np.bool_)[cand] & ~np.frombuffer(sending, dtype=np.bool_)[cand]
-    keep[1:] &= cand[1:] != cand[:-1]  # each listener once
-    cand = cand[keep]
-    if cand.size == 0:
-        return received
-    senders = [idx for idx, _, _ in txs]
-    dx = network.positions[senders, 0, None] - network.positions[cand, 0]
-    dy = network.positions[senders, 1, None] - network.positions[cand, 1]
-    gains = np.array([power for _, power, _ in txs])[:, None] / (
-        np.sqrt(dx * dx + dy * dy) ** params.alpha_true
-    )
-    total = np.add.accumulate(gains, axis=0)[-1] + params.noise_true
-    hits = gains >= params.beta_true * (total - gains)
-    single = np.count_nonzero(hits, axis=0) == 1
-    winners = hits[:, single].argmax(axis=0)
-    for l, t in zip(cand[single].tolist(), winners.tolist()):
-        received[t].append(l)
-    return received
-
-
 def settle_slot(net, awake, txs):
     """Step 8 through `_ledger` for one slot: the nodes in `awake` woken
-    through `wake`, the senders of `txs` (node index, power, payload)
-    flagged, and the receivers of each transmission, as node indices in
-    listener order, read back from the recorded outcome.  The flags must
-    be cleared after the slot."""
-    flags, sending, wake, _leave, settle, finish = _ledger(
+    through `wake`, the slot's transmissions `txs` (node index, power,
+    payload) settled, and the receivers of each, as node indices in
+    listener order, read back from the recorded outcome."""
+    _flags, wake, _leave, _decide, settle, finish = _ledger(
         net, bytearray(net.n), TraceConfig(record_outcomes=True)
     )
     for i in awake:
         wake(i)
-    for i, _power, _payload in txs:
-        sending[i] = True
-    settle(7, txs, {})
+    settle(7, txs, 0, len(txs), {})
     (outcome,) = finish(0, 8, True, [], [0] * net.n).outcomes
-    assert not any(sending)
     index = {v: i for i, v in enumerate(net.ids)}
     return [[index[l] for l, tx in outcome.receptions if tx.sender == net.ids[i]]
             for i, _power, _payload in txs]
 
 
+def clustered_network(rng, n, far, params):
+    """`random_small_network` with `far` more nodes, each beyond reach of
+    the cluster and of each other."""
+    base = random_small_network(rng, n, params)
+    side = math.sqrt(n) * 1.6
+    nodes = [*base.nodes] + [
+        Node(n + j, side * (6.0 + 5.0 * j), side * float(rng.uniform(0, 1)),
+             float(rng.uniform(1.0, 8.0)))
+        for j in range(far)
+    ]
+    return build_network(nodes, params)
+
+
+def random_slot(rng, net, k):
+    """k distinct senders in index order, at powers off the node powers,
+    as variable power sends."""
+    senders = sorted(rng.choice(net.n, size=k, replace=False).tolist())
+    return [(i, float(net.powers[i] * rng.uniform(0.5, 1.5))) for i in senders]
+
+
 class TestFastPathEquivalence:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_core_resolver_matches_array_oracle(self, data):
-        """Step 8's receiver lists equal to the array formulation's, order
+    def test_kernel_matches_dense_oracle(self, data):
+        """The kernel's receiver lists equal the dense oracle's, order
         included, for 2 to 24 senders, some far outside the others' reach,
-        at powers off the node powers and with random sleepers."""
+        at powers off the node powers; step 8 drops the sleepers."""
         seed = data.draw(st.integers(0, 100_000))
         rng = np.random.default_rng(seed)
-        n = data.draw(st.integers(25, 70))
-        far = data.draw(st.integers(0, 4))
         alpha = data.draw(st.sampled_from([2.5, 3.0, 4.0]))
         beta = data.draw(st.sampled_from([1.0, 1.5]))
-        params = sinr_params(alpha=alpha, beta=beta)
-        base = random_small_network(rng, n, params)
-        # far nodes, each beyond reach of the cluster and of each other
-        side = math.sqrt(n) * 1.6
-        nodes = [*base.nodes] + [
-            Node(n + j, side * (6.0 + 5.0 * j), side * float(rng.uniform(0, 1)),
-                 float(rng.uniform(1.0, 8.0)))
-            for j in range(far)
-        ]
-        net = build_network(nodes, params)
-        k = data.draw(st.integers(2, 24))
-        senders = sorted(rng.choice(net.n, size=k, replace=False).tolist())
-        powers = [float(net.powers[i] * rng.uniform(0.5, 1.5)) for i in senders]
-        awake = bytearray(net.n)
-        for i in range(net.n):
-            awake[i] = rng.random() < 0.8
-        sending = bytearray(net.n)
-        for i in senders:
-            awake[i] = sending[i] = True
-        txs = [(i, power, None) for i, power in zip(senders, powers)]
-        expected = array_resolve(net, awake, sending, txs)
-        assert settle_slot(net, [i for i in range(net.n) if awake[i]], txs) == expected
+        net = clustered_network(rng, data.draw(st.integers(25, 70)),
+                                data.draw(st.integers(0, 4)), sinr_params(alpha=alpha, beta=beta))
+        txs = random_slot(rng, net, data.draw(st.integers(2, 24)))
+        expected = dense_receivers(net, [txs])
+        assert kernel_receivers(net, [txs]) == expected
+        awake = {i for i in range(net.n) if rng.random() < 0.8} | {i for i, _ in txs}
+        settled = settle_slot(net, sorted(awake), [(i, power, None) for i, power in txs])
+        assert settled == [[l for l in rx if l in awake] for rx in expected]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_slots_decided_together_as_one_at_a_time(self, data):
+        """Several slots in one call, apart in the flat lists as the
+        schedule holds them, give each slot's receivers as a call of its
+        own does; a node may send in one slot and listen in another."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 100_000)))
+        net = clustered_network(rng, data.draw(st.integers(10, 50)),
+                                data.draw(st.integers(0, 2)), sinr_params(alpha=3.0, beta=1.0))
+        slots = [random_slot(rng, net, int(rng.integers(2, min(8, net.n) + 1)))
+                 for _ in range(data.draw(st.integers(1, 12)))]
+        alone = [rx for txs in slots for rx in kernel_receivers(net, [txs])]
+        assert kernel_receivers(net, slots) == alone
+        assert kernel_receivers(net, slots, gap=data.draw(st.integers(1, 3))) == alone
+        assert alone == dense_receivers(net, slots)
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -232,7 +217,7 @@ class TestFastPathEquivalence:
         asleep = set(rng.choice(n, size=int(rng.integers(0, n // 3 + 1)), replace=False).tolist())
         listeners = [i for i in range(n) if i not in powers and i not in asleep]
 
-        # one sender takes step 8's lone path, several its resolve
+        # one sender takes step 8's lone path, several its kernel
         fast = settle_slot(net, [*senders, *listeners], [(i, powers[i], None) for i in senders])
         assert len(fast) == len(txs)
         assert all(rx == sorted(rx) for rx in fast)
@@ -242,8 +227,8 @@ class TestFastPathEquivalence:
         assert fast_pairs == {(l, tx.sender) for l, tx in reference.receptions}
         # the boundary listener hears node 0 alone, through step 8's exact
         # lone-reach path, and not beside a far sender, whose interference
-        # the float path of its resolve adds, as in the reference: the one
-        # place the two paths can differ
+        # the kernel adds, as in the reference: the one place the two paths
+        # can differ
         wide = build_network([*nodes, Node(n, x0 + 1000.0, y0, 1.0)], params)
         for slot_txs, heard in (([(0, 8.0, None)], [n - 1]),
                                 ([(0, 8.0, None), (n, 1.0, None)], [])):

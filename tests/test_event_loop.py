@@ -324,6 +324,64 @@ class TestScheduleMatchesReference:
             assert new.machines[v].power_trace() == ref.machines[v].power_trace()
 
 
+def chunk_fields(trace):
+    """What a chunk of the schedule's step 8 writes into a trace."""
+    return (
+        {v: list(row.items()) for v, row in trace.first_rx.items()},
+        trace.tx_count,
+        trace.full_success_count,
+        trace.first_full_success,
+        trace.outcomes,
+    )
+
+
+class TestScheduleChunks:
+    """The schedule settles its slots a chunk of multi-transmission slots
+    at a time (`engine._CHUNK`), each under the awake flags of its own
+    slot; no chunk size changes a result."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chunk_size_changes_no_result(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        # staggered wake-ups, and ten nodes that leave while the others send
+        net = scattered_network(seed + 300, 24, wake_window=40, sleepers=10)
+        budget = 150
+        # each node's power changes from slot to slot
+        pieces = {
+            node.id: [(t, float(rng.uniform(0.5, 8.0)))
+                      for t in sorted({0, *rng.integers(1, budget, size=3).tolist()})]
+            for node in net.nodes
+        }
+
+        def factory(node):
+            return FixedProbBroadcaster(node, prob=0.2, budget=budget, pieces=pieces[node.id])
+
+        def run(simulate, **kwargs):
+            updates = []
+            trace = simulate(net, factory, 260, seed, trace=TraceConfig(record_outcomes=True),
+                             monitor=lambda slot, changes: updates.append((slot, changes)),
+                             **kwargs)
+            return trace, updates
+
+        swept = []
+        for chunk in (1, 2, engine._CHUNK):
+            monkeypatch.setattr(engine, "_CHUNK", chunk)
+            swept.append(run(run_simulation))
+        loop = run(run_simulation, scripted=(0, lambda machines, slot: None))
+        reference = run(reference_run_simulation)
+        assert all(trace.heap_pops == 0 for trace, _ in swept) and loop[0].heap_pops > 0
+        for trace, updates in [*swept, loop]:
+            assert chunk_fields(trace) == chunk_fields(reference[0])
+            assert updates == reference[1]
+        # in chunks of two, a listener wakes or leaves between the two
+        # multi-transmission slots of some chunk
+        multi = [o.slot for o in reference[0].outcomes if len(o.transmissions) > 1]
+        flips = {node.wake_slot for node in net.nodes} | {
+            node.sleep_slot for node in net.nodes if node.sleep_slot is not None
+        }
+        assert any(a < f <= b for a, b in zip(multi[::2], multi[1::2]) for f in flips)
+
+
 class HearingBroadcaster(FixedProbBroadcaster):
     """A fixed broadcaster that logs what it hears."""
 

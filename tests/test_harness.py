@@ -682,8 +682,12 @@ class TestCli:
             "generate", "--preset", "uniform", "--n", "8", "--side", "4",
             "--power", "4", "--seed", "3", "-o", str(topo),
         ]) == 0
+        capsys.readouterr()  # the generate summary
         assert main(["analyze", "--topology", str(topo)]) == 0
-        payload = json.loads(capsys.readouterr().out.split("wrote")[0] or "{}") if False else None
+        report = json.loads(capsys.readouterr().out)
+        assert report["n"] == 8
+        assert report["silence_min"] >= 0.25
+        assert report["interference_max"] <= report["far_interference_margin"]
         csv_path = tmp_path / "rows.csv"
         code = main([
             "run-broadcast", "--protocol", "fixed", "--topology", str(topo),

@@ -25,6 +25,8 @@ from .conftest import (
     brute_max_degree,
     brute_halo_pair_count,
     brute_ring_index,
+    dense_receivers,
+    kernel_receivers,
     pair_network,
     random_small_network,
     reference_network_build,
@@ -262,6 +264,33 @@ def bracketed(noise_true: float) -> NetworkParams:
     )
 
 
+def assert_kernel_losses_match(net: Network, distances: np.ndarray) -> None:
+    """Each node i's path loss to the next node l inside the engine's
+    kernel is the dense entry L = ``distances ** alpha`` bit for bit: i
+    sends at 2L and the node after l at its own loss to l, so under unit
+    noise l's SINR for i is exactly 2 / (1 + 1).  Beta 1 decodes that tie
+    and beta 1 + 2**-51 does not, and a last-ulp error in L flips one of
+    the two, which no receiver comparison at drawn powers would catch."""
+    n = net.n
+    if n < 3:
+        return
+    alpha = net.params.alpha_true
+    loss = distances ** alpha
+    slots = [
+        [(i, float(2.0 * loss[i, (i + 1) % n])),
+         ((i + 2) % n, float(loss[(i + 2) % n, (i + 1) % n]))]
+        for i in range(n)
+    ]
+    for beta, decodes in ((1.0, True), (1.0 + 2.0**-51, False)):
+        tie = build_network(net.nodes, NetworkParams(
+            alpha_lo=alpha, alpha_hi=alpha, alpha_true=alpha, beta_lo=1.0, beta_hi=beta,
+            beta_true=beta, noise_lo=1.0, noise_hi=1.0, noise_true=1.0, delta=2.0, c_whp=2.0,
+        ))
+        heard = kernel_receivers(tie, slots)
+        assert [((i + 1) % n in heard[2 * i]) for i in range(n)] == [decodes] * n
+        assert heard == dense_receivers(tie, slots)
+
+
 class TestNetworkBuildOracle:
     """The grid queries, the per-node index arrays and the on-demand
     distances and gains against the dense n x n computation they
@@ -293,20 +322,20 @@ class TestNetworkBuildOracle:
             assert np.array_equal(net.in_indices(i), np.flatnonzero(adjacency[:, i]))
         distances = ref["distances"]
         assert halo_pair_count(net) == brute_halo_pair_count(net)
-        params = net.params
-        every = np.arange(net.n)
         for i in range(net.n):
             assert net.distance_row(i).tobytes() == distances[i].tobytes()
-            assert net.path_loss([i], every).tobytes() == (distances[i] ** params.alpha_true).tobytes()
             for power in (1.0, 6.0, 40.0, float(net.powers[i])):
                 assert_lone_reach_matches(net, ref, i, power)
-        # gathered rows and columns, as the resolver asks for them
+        # the engine's multi-transmission kernel against the dense oracle,
+        # over every listener: each node beside its successor, then sender
+        # sets gathered at random, all in one call, as the schedule asks
+        slots = [[(i, float(net.powers[i])), ((i + 1) % net.n, 6.0)] for i in range(net.n - 1)]
         rng = np.random.default_rng(net.n)
         for size in (1, 2, 7):
             rows = rng.choice(net.n, size=min(size, net.n), replace=False)
-            cols = np.sort(rng.choice(net.n, size=min(3 * size, net.n), replace=False))
-            expected = distances[np.ix_(rows, cols)] ** params.alpha_true
-            assert net.path_loss(rows.tolist(), cols).tobytes() == expected.tobytes()
+            slots.append([(int(i), float(rng.uniform(1.0, 40.0))) for i in rows])
+        assert kernel_receivers(net, slots, gap=1) == dense_receivers(net, slots)
+        assert_kernel_losses_match(net, distances)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_negative_coordinates(self, seed, exact_params):

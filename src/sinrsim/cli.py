@@ -154,13 +154,18 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.command == "report":
         with open(args.csv, encoding="utf-8") as fh:
             header = fh.readline().strip()
-            rows = fh.readlines()
+            cols = header.split(",")
+            rows = [(number, line.strip().split(","))
+                    for number, line in enumerate(fh, 2) if line.strip()]
+        for number, row in rows:
+            if len(row) != len(cols):
+                raise ValueError(f"{args.csv} line {number}: {len(row)} fields, "
+                                 f"the header has {len(cols)}")
         print(f"columns: {header}")
         print(f"rows: {len(rows)}")
-        if "success" in header:
-            cols = header.split(",")
+        if "success" in cols:
             idx = cols.index("success")
-            good = sum(1 for line in rows if line.strip().split(",")[idx] == "True")
+            good = sum(1 for _, row in rows if row[idx] == "True")
             print(f"success {100.0 * good / max(1, len(rows)):.1f}%")
         return 0
 

@@ -443,21 +443,22 @@ _SlotTx = tuple[int, float, Any]  # (node index, power, payload)
 _LoneReach = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 # what `decide` returns: the transmissions' listeners, flat, and where each one's start
 _Decided = tuple[list[int], list[int]]
-# what _ledger hands both engine paths: awake, wake, leave, decide, settle, finish
-_Ledger = tuple[bytearray, Callable[[int], None], Callable[[int], None],
-                Callable[..., _Decided], Callable[..., None], Callable[..., SimTrace]]
+# what _ledger hands both engine paths: decide, settle, finish
+_Ledger = tuple[Callable[..., _Decided], Callable[..., None], Callable[..., SimTrace]]
 
 
 def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Ledger:
-    """Step 8 of a slot, the flags it reads and the run's trace, which the
-    event loop and the schedule sweep share.  It owns the `awake` flags per
-    node index; ``wake(i)`` and ``leave(i)`` set and clear a node's flag,
-    and keep the count of nodes asleep.  A slot's transmissions are
+    """Step 8 of a slot and the run's trace, which the event loop and the
+    schedule sweep share.  In both, a node is awake at step 8 of slot s
+    exactly when ``wake_slot <= s < sleep_slot``, so the ledger reads that
+    from the nodes' own slots and keeps no awake state.  Every node is
+    awake from the latest wake-up up to the earliest departure, and a slot
+    in that window filters no listener.  A slot's transmissions are
     ``txs[a:b]`` of a flat list of ``(node index, power, payload)``.
     ``decide(txs, spans)`` resolves a batch of slots with several
     transmissions each, one ``(a, b)`` span per slot, in one array pass.
     ``settle(slot, txs, a, b, pending, decided=None)`` settles one slot
-    under the current flags: it counts the transmissions and their full
+    among the nodes awake in it: it counts the transmissions and their full
     successes, files first receptions, puts each reception of a listener
     in `hears` into `pending` (listener index -> (sender id, payload)) and
     records the outcome.  A slot with several transmissions reads its
@@ -476,10 +477,10 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
     cached = network._reach
     params = network.params
     alpha, beta, noise = params.alpha_true, params.beta_true, params.noise_true
-    awake = bytearray(n)
-    # nodes whose awake flag is clear: a slot filters its listeners only
-    # while there are any
-    asleep = n
+    woke = [node.wake_slot for node in network.nodes]
+    gone = [math.inf if node.sleep_slot is None else node.sleep_slot for node in network.nodes]
+    # every node is awake in the slots from `all_up` to before `first_gone`
+    all_up, first_gone = max(woke), min(gone)
     first_rx: dict[int, dict[int, int]] = {v: {} for v in ids}
     rx_rows = [first_rx[v] for v in ids]
     tx_counts = [0] * n
@@ -489,16 +490,6 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
     limit = trace.outcome_limit
     eventful = multi_tx = 0
     truncated = False
-
-    def wake(i: int) -> None:
-        nonlocal asleep
-        awake[i] = True
-        asleep -= 1
-
-    def leave(i: int) -> None:
-        nonlocal asleep
-        awake[i] = False
-        asleep += 1
 
     def decide(txs: Sequence[_SlotTx], spans: Sequence[tuple[int, int]]) -> _Decided:
         """The listeners that decode each transmission of the slots
@@ -565,6 +556,7 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
         eventful += 1
         mine = txs[a:b]
         lone = b - a == 1
+        everyone = all_up <= s < first_gone
         if lone:
             # a lone transmission reaches the awake nodes of its exact reach;
             # the network's cache is read here, `lone_reach` fills a miss
@@ -572,15 +564,15 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             entry = cached.get(key) or reach(*key)
             exact = entry[0]
             received: Sequence[Sequence[int]] = (
-                (exact,) if not asleep else ([l for l in exact if awake[l]],)
+                (exact,) if everyone else ([l for l in exact if woke[l] <= s < gone[l]],)
             )
             entries: Sequence[_LoneReach] = (entry,)
         else:
             multi_tx += 1
             heard, bounds = decided or decide(txs, ((a, b),))
             received = [heard[bounds[t]:bounds[t + 1]] for t in range(a, b)]
-            if asleep:
-                received = [[l for l in rx if awake[l]] for rx in received]
+            if not everyone:
+                received = [[l for l in rx if woke[l] <= s < gone[l]] for rx in received]
             entries = [cached[tx[:2]] for tx in mine]
         for (i, _power, payload), rx, entry in zip(mine, received, entries):
             tx_counts[i] += 1
@@ -589,10 +581,10 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             # only the out-neighbours outside it can miss it
             if lone:
                 missing = entry[3]
-                full = not any(awake[u] for u in missing) if missing else True
+                full = not missing or not any(woke[u] <= s < gone[u] for u in missing)
             else:
                 got = set(rx)
-                full = all(u in got or not awake[u] for u in entry[2])
+                full = all(u in got or not woke[u] <= s < gone[u] for u in entry[2])
             if full:
                 full_counts[i] += 1
                 if first_full[i] is None:
@@ -632,7 +624,7 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             multi_tx_slots=multi_tx, **loop_counters,
         )
 
-    return awake, wake, leave, decide, settle, finish
+    return decide, settle, finish
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
@@ -793,10 +785,11 @@ def run_simulation(
 
     if scripted is None and all(type(m) is FixedProbBroadcaster and m.prob < 1.0 for m in machines):
         return _run_schedule(network, machines, max_slots, seed, ledger, monitor)
-    awake, wake, leave, _decide, settle, finish = ledger
+    _decide, settle, finish = ledger
     n = network.n
     ids = network.ids
     by_id = dict(zip(ids, machines))
+    awake = bytearray(n)  # for steps 5 and 6 and the monitor; step 8 reads the nodes' slots
 
     next_tx: list[list[Optional[int]]] = [[None] * len(m.lanes) for m in machines]
     streams = [_Stream(_generator(words)) for words in _seed_words(seed, ids)]
@@ -875,14 +868,14 @@ def run_simulation(
                     heap_pops += 1
                     if kind == _WAKE:
                         # 2. wake-ups
-                        wake(i)
+                        awake[i] = True
                         cur = i
                         machines[i].wake(s)
                         cur = -1
                         touched.append(i)
                     elif kind == _SLEEP:
                         # 3. departures: the lanes stop, reported as 0
-                        leave(i)
+                        awake[i] = False
                         next_tx[i] = [None] * len(next_tx[i])
                         changed = _add(changed, i)
                         if not done_seen[i]:
@@ -1045,14 +1038,15 @@ def _run_schedule(
     :func:`_ledger`), with the same node streams (:class:`_Stream`).
     Nothing a slot resolves feeds back, so the sweep holds the slots until
     `_CHUNK` of them have several transmissions, decides those in one
-    `decide` call and then settles the held slots in order, each under the
-    awake flags of its own slot.  The plans are read in (wake slot, node)
+    `decide` call and then settles the held slots in order; `settle` reads
+    who is awake in a slot from the nodes' slots, so a held slot needs no
+    replayed wake-ups.  The plans are read in (wake slot, node)
     order, each after every `wake` of its slot, so a bad plan or a `wake`
     that raises is named as the event loop would name it."""
     nodes = network.nodes
     n = network.n
     ids = network.ids
-    _awake, wake, leave, decide, settle, finish = ledger
+    decide, settle, finish = ledger
     timeline: list[int] = []
     draws = [0] * n
     last = -1  # the slot the last node stops in: its poll or departure
@@ -1121,35 +1115,23 @@ def _run_schedule(
         transmit = [m.on_transmit for m in machines]
         pending: dict[int, tuple[int, Any]] = {}  # stays empty: nobody hears
         # the pending slots, settled a chunk at a time: their transmissions
-        # (flat), each eventful slot with where its transmissions end, the
-        # spans of those with several, and the wake-ups and departures among
-        # them as timeline keys.  The ledger's flags follow the settled
-        # slots, `live` the sweep, for the monitor
+        # (flat), each eventful slot with where its transmissions end, and
+        # the spans of those with several.  `live` follows the sweep, for
+        # the monitor
         txs: list[_SlotTx] = []
         slots: list[int] = []
         ends: list[int] = []
         spans: list[tuple[int, int]] = []
-        flips: list[int] = []
         live = bytearray(n)
 
         def settle_chunk() -> None:
             decided = decide(txs, spans) if spans else None
-            f = a = 0
+            a = 0
             for s, b in zip(slots, ends):
-                edge = (s * 5 + _TX) * n
-                while f < len(flips) and flips[f] < edge:
-                    flip(flips[f])
-                    f += 1
                 settle(s, txs, a, b, pending, decided)
                 a = b
-            for key in flips[f:]:
-                flip(key)
-            for items in (txs, slots, ends, spans, flips):
+            for items in (txs, slots, ends, spans):
                 items.clear()
-
-        def flip(key: int) -> None:
-            q, i = divmod(key, n)
-            (wake if q % 5 == _WAKE else leave)(i)
 
         changed: list[int] = []
         slot = -1
@@ -1186,10 +1168,8 @@ def _run_schedule(
             machine = machines[i]
             if kind == _WAKE:
                 live[i] = True
-                flips.append(key)
             elif kind == _SLEEP:
                 live[i] = False
-                flips.append(key)
                 changed.append(i)  # its lanes, reported as 0
             else:
                 machine._checkpoint = None

@@ -19,7 +19,7 @@ from .analysis import (
     # analyze_network no longer calls this, so perfbench/run.py's wrapper
     # of it measures nothing (0 calls); the import only keeps that wrapper's
     # lookup by name working until the benchmark wraps _far_interference
-    # instead (ROADMAP item 5)
+    # instead (ROADMAP item 7)
     expected_far_interference,  # noqa: F401
     proximity_silence_probability,
     region_probability_cap,

@@ -125,7 +125,7 @@ def kernel_receivers(network: Network, slots, gap: int = 0) -> list[list[int]]:
     gives them, from one call of the ledger's `decide`.  The slots lie in
     flat lists as the schedule holds them, each after `gap` positions that
     no span covers (the schedule's lone transmissions)."""
-    decide = _ledger(network, [False] * network.n, TraceConfig())[3]
+    decide, _settle, _finish = _ledger(network, [False] * network.n, TraceConfig())
     flat: list = []
     spans = []
     for txs in slots:

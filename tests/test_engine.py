@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -118,15 +119,26 @@ class TestResolveSlot:
 
 
 def settle_slot(net, awake, txs):
-    """Step 8 through `_ledger` for one slot: the nodes in `awake` woken
-    through `wake`, the slot's transmissions `txs` (node index, power,
-    payload) settled, and the receivers of each, as node indices in
-    listener order, read back from the recorded outcome."""
-    _flags, wake, _leave, _decide, settle, finish = _ledger(
-        net, bytearray(net.n), TraceConfig(record_outcomes=True)
-    )
-    for i in awake:
-        wake(i)
+    """Step 8 through `_ledger` for slot 7 of `net`, with the nodes in
+    `awake` awake in it and the others asleep, alternately yet to wake and
+    departed in slot 7 or before: the slot's transmissions `txs` (node
+    index, power, payload) settled, and the receivers of each, as node
+    indices in listener order, read back from the recorded outcome.  Some
+    awake nodes wake in slot 7 or leave in slot 8, on the edges of the
+    window in which all are awake."""
+    on = set(awake)
+    nodes = []
+    for k, node in enumerate(net.nodes):
+        if k in on:
+            wake, sleep = (7 if k % 3 == 0 else 0), (8 if k % 4 == 0 else None)
+        elif k % 2:
+            wake, sleep = 8 + k, None
+        else:
+            wake, sleep = 0, 7 - k % 7
+        nodes.append(dataclasses.replace(node, wake_slot=wake, sleep_slot=sleep))
+    slept = build_network(nodes, net.params)
+    assert [slept.awake_at(v, 7) for v in net.ids] == [k in on for k in range(net.n)]
+    _decide, settle, finish = _ledger(slept, bytearray(net.n), TraceConfig(record_outcomes=True))
     settle(7, txs, 0, len(txs), {})
     (outcome,) = finish(0, 8, True, [], [0] * net.n).outcomes
     index = {v: i for i, v in enumerate(net.ids)}

@@ -337,8 +337,8 @@ def chunk_fields(trace):
 
 class TestScheduleChunks:
     """The schedule settles its slots a chunk of multi-transmission slots
-    at a time (`engine._CHUNK`), each under the awake flags of its own
-    slot; no chunk size changes a result."""
+    at a time (`engine._CHUNK`), each among the nodes awake in it; no
+    chunk size changes a result."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_chunk_size_changes_no_result(self, seed, monkeypatch):
@@ -977,6 +977,51 @@ class TestAsleepNodes:
             (100, [(1, 0.0, 0.0)]),
         ]
         assert monitor.sum_even == monitor.sum_odd == [0.0, 0.0]
+
+
+class TestAwakeWindow:
+    """Step 8 tests no listener for being awake in the window in which
+    every node is: from the latest wake-up up to the earliest departure.
+    Node 0 sends in nearly every slot of its budget, past both edges of
+    that window: node 1 wakes last, in slot 4, and node 2 leaves first, in
+    slot 9, both its out-neighbours.  A far sender, node 3, makes every
+    slot a multi-transmission slot; node 4, near node 0 and waking at or
+    past `max_slots`, never wakes, so then no slot lies in the window."""
+
+    MAX_SLOTS = 30
+
+    @pytest.mark.parametrize("path", ["schedule", "event loop"])
+    @pytest.mark.parametrize("never", [None, MAX_SLOTS, MAX_SLOTS + 5])
+    @pytest.mark.parametrize("far", [False, True])
+    def test_window_edges_match_the_reference(self, far, never, path):
+        nodes = [Node(0, 0.0, 0.0, 8.0), Node(1, 1.0, 0.0, 1.0, wake_slot=4),
+                 Node(2, 0.0, 1.0, 1.0, sleep_slot=9)]
+        if far:
+            nodes.append(Node(3, 1000.0, 0.0, 8.0))
+        if never is not None:
+            nodes.append(Node(4, -1.0, 0.0, 1.0, wake_slot=never))
+        net = build_network(nodes, PARAMS)
+        assert {1, 2} <= set(net.out_indices(0).tolist())
+
+        def factory(node):
+            # the senders all but surely in every slot, the others never
+            return FixedProbBroadcaster(node, prob=0.999 if node.id in (0, 3) else 1e-9,
+                                        budget=12)
+
+        scripts = (lambda: (0, lambda machines, slot: None)) if path == "event loop" else None
+        runs = run_both(net, factory, self.MAX_SLOTS, 0, scripts=scripts)
+        assert_same_run(runs)
+        trace = runs[1][0]
+        assert (trace.heap_pops > 0) == (path == "event loop")
+        assert [(o.slot, len(o.transmissions)) for o in trace.outcomes] == [
+            (s, 2 if far else 1) for s in range(12)
+        ]
+        heard = [sorted(l for l, tx in o.receptions if tx.sender == 0) for o in trace.outcomes]
+        # before the last wake-up and in its slot; in the slot before the
+        # first departure and in that slot, where the leaver hears nothing
+        assert [heard[s] for s in (3, 4, 8, 9)] == [[2], [1, 2], [1, 2], [1]]
+        # nor does a node asleep in a slot block a full success there
+        assert trace.full_success_count[0] == trace.tx_count[0] == 12
 
 
 class Idle(ProtocolMachine):

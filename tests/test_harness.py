@@ -902,6 +902,37 @@ class TestCli:
         out = capsys.readouterr().out
         assert "success 100.0%" in out
 
+    def rows_csv(self, tmp_path, capsys):
+        """A 5-row CSV of a fixed broadcast run and its lines."""
+        csv_path = tmp_path / "rows.csv"
+        assert main([
+            "run-broadcast", "--protocol", "fixed", "--topology", write_uniform4(tmp_path),
+            "--seeds", "1", "--csv", str(csv_path),
+        ]) == 0
+        capsys.readouterr()
+        lines = csv_path.read_text().splitlines()
+        assert len(lines) == 5
+        return csv_path, lines
+
+    def test_report_skips_blank_lines(self, tmp_path, capsys):
+        csv_path, lines = self.rows_csv(tmp_path, capsys)
+        csv_path.write_text("\n".join([*lines[:3], "", *lines[3:]]) + "\n\n")
+        assert main(["report", "--csv", str(csv_path)]) == 0
+        out = capsys.readouterr().out
+        assert "rows: 4\n" in out and "success 100.0%" in out
+
+    @pytest.mark.parametrize("cut", [1, -1])
+    def test_report_refuses_a_row_of_another_width(self, tmp_path, capsys, cut):
+        csv_path, lines = self.rows_csv(tmp_path, capsys)
+        row = lines[3].split(",")
+        lines[3] = ",".join(row[:-1] if cut < 0 else [*row, "extra"])
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--csv", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sinrsim: error: ") and captured.err.count("\n") == 1
+        assert f"{csv_path} line 4:" in captured.err, captured.err
+
 
 class TestTraceExport:
     def test_jsonl_records(self, tmp_path):

@@ -31,7 +31,6 @@ from .engine import (
     Transmission,
     resolve_slot,
     run_simulation,
-    sinr_check,
 )
 from .errors import ModelViolationError, ProtocolViolationError, SimulationAbort
 from .model import (

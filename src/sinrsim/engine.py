@@ -31,7 +31,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -46,7 +46,6 @@ __all__ = [
     "TraceConfig",
     "Lane",
     "ProtocolMachine",
-    "sinr_check",
     "resolve_slot",
     "run_simulation",
 ]
@@ -72,41 +71,6 @@ class SlotOutcome:
     receptions: tuple[tuple[int, Transmission], ...]
 
 
-def sinr_check(
-    network: Network,
-    sender: int,
-    listener: int,
-    interferers: Iterable[tuple[int, float]] = (),
-    *,
-    sender_power: Optional[float] = None,
-) -> bool:
-    """Decide a single reception using the *true* physical parameters.
-
-    `interferers` are (node id, power) pairs transmitting simultaneously;
-    neither the sender nor the listener may appear among them.  This and
-    :func:`resolve_slot` are the reference physical model: the tests and
-    perfbench/run.py replay the engine's slots against them.
-    """
-    if sender == listener:
-        raise ValueError("sender cannot listen to itself")
-    params = network.params
-    alpha = params.alpha_true
-    d = network.dist(sender, listener)
-    if d <= 0.0:
-        raise ValueError("zero distance makes the SINR undefined")
-    power = network.node(sender).power if sender_power is None else sender_power
-    signal = power / d**alpha
-    interference = 0.0
-    for other, other_power in interferers:
-        if other == listener:
-            raise ValueError("a listener cannot interfere with itself")
-        d_other = network.dist(other, listener)
-        if d_other <= 0.0:
-            raise ValueError("zero distance makes the SINR undefined")
-        interference += other_power / d_other**alpha
-    return signal / (interference + params.noise_true) >= params.beta_true
-
-
 def resolve_slot(
     network: Network,
     transmissions: Sequence[Transmission],
@@ -115,10 +79,14 @@ def resolve_slot(
 ) -> SlotOutcome:
     """Reference slot resolution: which transmissions are decoded by whom.
 
-    Receivers are half-duplex (a transmitting node hears nothing), and if a
-    contrived parameterization ever lets two transmissions pass the SINR test
-    at one listener, neither is delivered, so at most one reception per
-    listener per slot holds unconditionally.
+    A listener decodes transmission t when t alone among the slot's
+    transmissions has ``g_t >= beta * (total - g_t)``: `g` is power over
+    distance ** alpha, computed in array operations, and `total` adds the
+    gains in transmission order, then the noise.  Every awake node that
+    does not send is decided from one dense block of gains, bit for bit as
+    the engine decides it, so the tests and perfbench/run.py replay the
+    engine's slots against this.  Receivers are half-duplex: a sender
+    hears nothing.
     """
     if not transmissions:
         return SlotOutcome(slot=0, transmissions=(), receptions=())
@@ -139,23 +107,22 @@ def resolve_slot(
 
     if awake is None:
         awake = {v for v in network.ids if network.awake_at(v, slot)}
-
-    receptions: list[tuple[int, Transmission]] = []
-    for listener in network.ids:
-        if listener in senders or listener not in awake:
-            continue
-        decoded: list[Transmission] = []
-        for tx in transmissions:
-            others = [
-                (o.sender, o.power) for o in transmissions if o.sender != tx.sender
-            ]
-            if sinr_check(network, tx.sender, listener, others, sender_power=tx.power):
-                decoded.append(tx)
-        if len(decoded) == 1:
-            receptions.append((listener, decoded[0]))
-    return SlotOutcome(
-        slot=slot, transmissions=tuple(transmissions), receptions=tuple(receptions)
+    ids = network.ids
+    listeners = np.flatnonzero([v in awake and v not in senders for v in ids])
+    src = np.array([network.index(tx.sender) for tx in transmissions], dtype=np.intp)
+    params = network.params
+    gains = np.array([tx.power for tx in transmissions])[:, None] / (
+        network._pair_dist(src[:, None], listeners) ** params.alpha_true
     )
+    total = np.zeros(listeners.size)
+    for row in gains:
+        total += row
+    total += params.noise_true
+    hits = gains >= params.beta_true * (total - gains)
+    won = np.count_nonzero(hits, axis=0) == 1
+    heard = zip(listeners[won].tolist(), hits[:, won].argmax(axis=0).tolist())
+    receptions = tuple((ids[l], transmissions[t]) for l, t in heard)
+    return SlotOutcome(slot, tuple(transmissions), receptions)
 
 
 # ---------------------------------------------------------------------------

@@ -314,21 +314,22 @@ class Network:
         self, i: int, power: float
     ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         """A lone transmission of node index `i` at `power` under the true
-        parameters: the listeners that decode it; those whose signal clears
-        the ``beta * noise`` floor lowered by `_REACH_SLACK`, a superset;
-        the out-neighbours of `i`; and those of them outside the exact
-        reach.  Tuples of node indices, each ascending; cached per
-        (i, power)."""
+        parameters: the listeners that decode it, by the engine's rule with
+        one sender, ``signal >= beta * ((signal + noise) - signal)``; those
+        whose signal clears the ``beta * noise`` floor lowered by
+        `_REACH_SLACK`, a superset; the out-neighbours of `i`; and those of
+        them outside the exact reach.  Tuples of node indices, each
+        ascending; cached per (i, power)."""
         key = (i, power)
         entry = self._reach.get(key)
         if entry is None:
             params = self.params
-            floor = params.beta_true * params.noise_true
-            low = floor * (1.0 - _REACH_SLACK)
+            beta, noise = params.beta_true, params.noise_true
+            low = beta * noise * (1.0 - _REACH_SLACK)
             radius = (power / low) ** (1.0 / params.alpha_true)
             idx, d = self.within(i, radius * (1.0 + 1e-6))
             signal = power / d**params.alpha_true
-            exact = tuple(idx[signal >= floor].tolist())
+            exact = tuple(idx[signal >= beta * ((signal + noise) - signal)].tolist())
             slack = tuple(idx[signal >= low].tolist())
             out = tuple(self.out_indices(i).tolist())
             inside = set(exact)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sinrsim import topology
-from sinrsim.engine import TraceConfig, _ledger
+from sinrsim.engine import TraceConfig, Transmission, _ledger, resolve_slot
 from sinrsim.errors import ModelViolationError
 from sinrsim.model import Network, NetworkParams, Node, build_network
 
@@ -95,33 +95,22 @@ def reference_network_build(network: Network) -> dict:
     }
 
 
-def dense_receivers(network: Network, slots) -> list[list[int]]:
-    """The oracle of the ledger's multi-transmission kernel: the receivers
-    of each transmission of `slots` (each a list of (node index, power) in
-    transmission order), slot by slot, as ascending node indices.  Every
-    node that does not send in the slot is decided, from the dense
-    ``distances ** alpha`` block of `reference_network_build`, with each
-    listener's denominator summed by `np.add.accumulate` in transmission
-    order and the noise last."""
-    params = network.params
-    distances = reference_network_build(network)["distances"]
+def reference_receivers(network: Network, slots) -> list[list[int]]:
+    """The receivers of each transmission of `slots` (each a list of
+    (node index, power) in transmission order), slot by slot, as
+    ascending node indices: each slot resolved by `resolve_slot` as slot 0,
+    among every node."""
     out = []
+    everyone = set(network.ids)
     for txs in slots:
-        senders = [i for i, _ in txs]
-        listeners = np.setdiff1d(np.arange(network.n), senders)
-        gains = np.array([power for _, power in txs])[:, None] / (
-            distances[np.ix_(senders, listeners)] ** params.alpha_true
-        )
-        total = np.add.accumulate(gains, axis=0)[-1] + params.noise_true
-        hits = gains >= params.beta_true * (total - gains)
-        single = np.count_nonzero(hits, axis=0) == 1
-        winner = hits.argmax(axis=0)
-        out.extend(listeners[single & (winner == t)].tolist() for t in range(len(txs)))
+        records = [Transmission(network.ids[i], 0, power, None) for i, power in txs]
+        receptions = resolve_slot(network, records, awake=everyone).receptions
+        out.extend([network.index(l) for l, tx in receptions if tx is record] for record in records)
     return out
 
 
 def kernel_receivers(network: Network, slots, gap: int = 0) -> list[list[int]]:
-    """The receivers of each transmission of `slots`, as `dense_receivers`
+    """The receivers of each transmission of `slots`, as `reference_receivers`
     gives them, from one call of the ledger's `decide`.  The slots lie in
     flat lists as the schedule holds them, each after `gap` positions that
     no span covers (the schedule's lone transmissions)."""

@@ -24,6 +24,7 @@ from sinrsim.engine import (
     SlotOutcome,
     TraceConfig,
     Transmission,
+    resolve_slot,
 )
 from sinrsim.errors import ProtocolViolationError, SimulationAbort
 from sinrsim.model import Network, Node
@@ -53,14 +54,8 @@ def _bits(mask: int) -> Iterable[int]:
 class _RefCore:
     """Physical-layer state of one run: the dense distance**alpha matrix of
     the network oracle and lone-transmission reach bitmasks per (sender,
-    power).
-    Interference only raises the SINR denominator, so a multi-transmission
-    slot is decided over the listeners inside its senders' reach only."""
-
-    # relative slack on the beta*noise floor of the candidate filter; it
-    # exceeds the rounding error of the SINR test, about (k+1)(1+beta)
-    # units of 2**-53 for k concurrent terms, for any k up to ~10**6 / beta
-    _SLACK = 1e-9
+    power).  A slot with several transmissions is resolved by
+    :func:`resolve_slot` over the awake listeners."""
 
     def __init__(self, network: Network):
         self.network = network
@@ -71,62 +66,38 @@ class _RefCore:
         # an infinite diagonal makes a gain power / dist_alpha 0 at the sender
         self.dist_alpha = dense["distances"] ** params.alpha_true
         np.fill_diagonal(self.dist_alpha, math.inf)
-        self._reach_cache: dict[tuple[int, float], tuple[int, int]] = {}
+        self._reach_cache: dict[tuple[int, float], int] = {}
         self.out_mask = [_mask_of(row) for row in dense["adjacency"]]
 
-    def reach(self, idx: int, power: float) -> tuple[int, int]:
+    def reach(self, idx: int, power: float) -> int:
         """Listeners that decode a lone transmission from `idx` at `power`,
-        exactly and as the slack superset used to filter candidates."""
+        by the SINR rule with one sender, ``g >= beta * ((g + noise) - g)``."""
         key = (idx, power)
-        masks = self._reach_cache.get(key)
-        if masks is None:
+        mask = self._reach_cache.get(key)
+        if mask is None:
             signal = power / self.dist_alpha[idx]  # 0 at the sender itself
-            floor = self.beta * self.noise
-            masks = (
-                _mask_of(signal >= floor),
-                _mask_of(signal >= floor * (1.0 - self._SLACK)),
-            )
-            self._reach_cache[key] = masks
-        return masks
+            mask = _mask_of(signal >= self.beta * ((signal + self.noise) - signal))
+            self._reach_cache[key] = mask
+        return mask
 
-    def resolve(self, listeners: int, txs: list[_SlotTx]) -> list[tuple[int, int]]:
-        """(listener idx, tx index) pairs under the same delivery rule as
-        :func:`resolve_slot`."""
+    def resolve(self, s: int, listeners: int, txs: list[_SlotTx]) -> list[tuple[int, int]]:
+        """(listener idx, tx index) pairs of slot `s`, among the listeners
+        in the bitmask `listeners`."""
         if not txs or listeners == 0:
             return []
         if len(txs) == 1:
             idx, power, _ = txs[0]
-            return [(l, 0) for l in _bits(self.reach(idx, power)[0] & listeners)]
-        union = 0
-        for idx, power, _ in txs:
-            union |= self.reach(idx, power)[1]
-        cand = _indices(union & listeners, self.network.n)
-        if cand.size == 0:
-            return []
-        dist_alpha = self.dist_alpha
-        gains = [power / dist_alpha[idx, cand] for idx, power, _ in txs]
-        # the denominator adds up left to right, gains in transmission order
-        # and then the noise, as a scalar loop per listener would; np.sum
-        # would add pairwise and round differently
-        total = gains[0]
-        for g in gains[1:]:
-            total = total + g
-        total = total + self.noise
-        hits = np.array([g >= self.beta * (total - g) for g in gains])
-        single = np.count_nonzero(hits, axis=0) == 1
-        winners = hits[:, single].argmax(axis=0)
-        return list(zip(cand[single].tolist(), winners.tolist()))
+            return [(l, 0) for l in _bits(self.reach(idx, power) & listeners)]
+        ids = self.network.ids
+        records = [Transmission(ids[i], s, power, payload) for i, power, payload in txs]
+        outcome = resolve_slot(self.network, records, awake={ids[l] for l in _bits(listeners)})
+        index = {tx.sender: t for t, tx in enumerate(records)}
+        return [(self.network.index(l), index[tx.sender]) for l, tx in outcome.receptions]
 
 
 def _mask_of(row: np.ndarray) -> int:
     """Bitmask (bit j = row[j]) of a boolean vector."""
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-
-
-def _indices(mask: int, n: int) -> np.ndarray:
-    """Ascending set-bit positions of an n-bit mask."""
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
@@ -462,7 +433,7 @@ def reference_run_simulation(
 
         # 8. physical resolution
         if txs:
-            resolved = core.resolve(awake_mask & ~tx_mask, txs)
+            resolved = core.resolve(s, awake_mask & ~tx_mask, txs)
             deliver_stats(s, s, txs, resolved)
 
         # 9. regime changes caused by transmitting apply from the next slot

@@ -16,12 +16,16 @@ from sinrsim.engine import (
     _seed_words,
     resolve_slot,
     run_simulation,
-    sinr_check,
 )
 from sinrsim.errors import ProtocolViolationError, SimulationAbort
 from sinrsim.model import NetworkParams, Node, build_network
 
-from .conftest import dense_receivers, kernel_receivers, pair_network, random_small_network
+from .conftest import (
+    kernel_receivers,
+    pair_network,
+    random_small_network,
+    reference_receivers,
+)
 
 
 def sinr_params(alpha=2.0, beta=2.0, noise=1.0):
@@ -37,26 +41,21 @@ def triangle(params, *powers):
     return build_network(nodes, params)
 
 
-class TestSinrCheck:
+class TestResolveSlot:
     def test_clear_channel(self):
         net = triangle(sinr_params(), 10.0, 1.0, 10.0)
         # signal 10/1 over noise 1 -> 10 >= 2
-        assert sinr_check(net, 0, 1)
+        assert reference_receivers(net, [[(0, 10.0)]]) == [[1]]
 
     def test_one_distant_interferer(self):
         net = triangle(sinr_params(), 10.0, 1.0, 10.0)
-        # interference 10/10^2 = 0.1; 10 / 1.1 = 9.09 >= 2
-        assert sinr_check(net, 0, 1, [(2, 10.0)])
+        # interference 10/10^2 = 0.1; 10 >= 2 * 1.1
+        assert reference_receivers(net, [[(0, 10.0), (2, 10.0)]]) == [[1], []]
 
     def test_too_weak_against_noise(self):
         net = triangle(sinr_params(), 1.0, 1.0, 10.0)
         # 1/1 over noise 1 -> 1 < 2
-        assert not sinr_check(net, 0, 1)
-
-    def test_self_listening_rejected(self):
-        net = triangle(sinr_params(), 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            sinr_check(net, 0, 0)
+        assert reference_receivers(net, [[(0, 1.0)]]) == [[]]
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -65,14 +64,11 @@ class TestSinrCheck:
         seed = data.draw(st.integers(0, 10_000))
         rng = np.random.default_rng(seed)
         net = random_small_network(rng, 6, sinr_params(alpha=3.0, beta=1.0))
-        sender, listener, extra = 0, 1, 2
-        others = [(3, float(net.node(3).power))]
-        before = sinr_check(net, sender, listener, others)
-        after = sinr_check(net, sender, listener, others + [(extra, float(net.node(extra).power))])
+        txs = [(i, float(net.powers[i])) for i in (0, 3)]
+        before = 1 in reference_receivers(net, [txs])[0]
+        after = 1 in reference_receivers(net, [txs + [(2, float(net.powers[2]))]])[0]
         assert before or not after
 
-
-class TestResolveSlot:
     def test_empty_slot(self, exact_params):
         net = pair_network(exact_params)
         outcome = resolve_slot(net, [])
@@ -118,14 +114,14 @@ class TestResolveSlot:
             )
 
 
-def settle_slot(net, awake, txs):
+def settled(net, awake, txs):
     """Step 8 through `_ledger` for slot 7 of `net`, with the nodes in
     `awake` awake in it and the others asleep, alternately yet to wake and
     departed in slot 7 or before: the slot's transmissions `txs` (node
-    index, power, payload) settled, and the receivers of each, as node
-    indices in listener order, read back from the recorded outcome.  Some
-    awake nodes wake in slot 7 or leave in slot 8, on the edges of the
-    window in which all are awake."""
+    index, power, payload) settled.  Returns the network with those wake
+    and sleep slots and the slot's recorded outcome.  Some awake nodes
+    wake in slot 7 or leave in slot 8, on the edges of the window in which
+    all are awake."""
     on = set(awake)
     nodes = []
     for k, node in enumerate(net.nodes):
@@ -141,6 +137,13 @@ def settle_slot(net, awake, txs):
     _decide, settle, finish = _ledger(slept, bytearray(net.n), TraceConfig(record_outcomes=True))
     settle(7, txs, 0, len(txs), {})
     (outcome,) = finish(0, 8, True, [], [0] * net.n).outcomes
+    return slept, outcome
+
+
+def settle_slot(net, awake, txs):
+    """The receivers of each transmission of the slot `settled` settles,
+    as node indices in listener order."""
+    _slept, outcome = settled(net, awake, txs)
     index = {v: i for i, v in enumerate(net.ids)}
     return [[index[l] for l, tx in outcome.receptions if tx.sender == net.ids[i]]
             for i, _power, _payload in txs]
@@ -170,7 +173,7 @@ class TestFastPathEquivalence:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_kernel_matches_dense_oracle(self, data):
-        """The kernel's receiver lists equal the dense oracle's, order
+        """The kernel's receiver lists equal `resolve_slot`'s, order
         included, for 2 to 24 senders, some far outside the others' reach,
         at powers off the node powers; step 8 drops the sleepers."""
         seed = data.draw(st.integers(0, 100_000))
@@ -180,7 +183,7 @@ class TestFastPathEquivalence:
         net = clustered_network(rng, data.draw(st.integers(25, 70)),
                                 data.draw(st.integers(0, 4)), sinr_params(alpha=alpha, beta=beta))
         txs = random_slot(rng, net, data.draw(st.integers(2, 24)))
-        expected = dense_receivers(net, [txs])
+        expected = reference_receivers(net, [txs])
         assert kernel_receivers(net, [txs]) == expected
         awake = {i for i in range(net.n) if rng.random() < 0.8} | {i for i, _ in txs}
         settled = settle_slot(net, sorted(awake), [(i, power, None) for i, power in txs])
@@ -200,7 +203,7 @@ class TestFastPathEquivalence:
         alone = [rx for txs in slots for rx in kernel_receivers(net, [txs])]
         assert kernel_receivers(net, slots) == alone
         assert kernel_receivers(net, slots, gap=data.draw(st.integers(1, 3))) == alone
-        assert alone == dense_receivers(net, slots)
+        assert alone == reference_receivers(net, slots)
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -239,8 +242,7 @@ class TestFastPathEquivalence:
         assert fast_pairs == {(l, tx.sender) for l, tx in reference.receptions}
         # the boundary listener hears node 0 alone, through step 8's exact
         # lone-reach path, and not beside a far sender, whose interference
-        # the kernel adds, as in the reference: the one place the two paths
-        # can differ
+        # the kernel adds, as in the reference
         wide = build_network([*nodes, Node(n, x0 + 1000.0, y0, 1.0)], params)
         for slot_txs, heard in (([(0, 8.0, None)], [n - 1]),
                                 ([(0, 8.0, None), (n, 1.0, None)], [])):
@@ -250,6 +252,102 @@ class TestFastPathEquivalence:
             )
             assert [l for l, tx in reference.receptions if tx.sender == 0] == heard
             assert settle_slot(wide, sorted(on), slot_txs)[0] == heard
+
+
+def decodes(gain, beta, noise):
+    """The SINR rule for a transmission alone in its slot, in the engine's
+    float form: ``g >= beta * (total - g)``, the total being g plus the
+    noise."""
+    return gain >= beta * ((gain + noise) - gain)
+
+
+def floats_around(x, k):
+    """The k floats below `x`, `x` and the k floats above it, ascending."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class TestTies:
+    """Exact SINR ties, where the floating-point form of the decision rule
+    decides: step 8's lone path (`settle` with one transmission), the
+    kernel (`decide`) and `resolve_slot` must decide them alike, bit for
+    bit."""
+
+    BETA, NOISE, ALPHA = 1.1, 1.0, 3.0
+
+    @pytest.mark.parametrize("beta,noise,other", [
+        (1.1, 1.0, lambda g, beta, noise: g >= beta * noise),
+        (1.5, 0.7, lambda g, beta, noise: g / ((g + noise) - g) >= beta),
+    ], ids=["floor", "quotient"])
+    def test_lone_tie_where_another_form_differs(self, beta, noise, other):
+        # a gain that the rule's float form and another form of the same
+        # test, against the beta * noise floor or as a quotient, decide apart
+        gain = next(g for g in floats_around(beta * noise, 64)
+                    if other(g, beta, noise) != decodes(g, beta, noise))
+        # a listener 2 away: its loss 2 ** 3 is exact, so power 8g gives gain g
+        params = sinr_params(alpha=self.ALPHA, beta=beta, noise=noise)
+        net = build_network([Node(0, 0.0, 0.0, 8.0 * gain), Node(1, 2.0, 0.0, 1.0)], params)
+        assert 8.0 * gain / (net.distance_row(0) ** self.ALPHA)[1] == gain
+        heard = [1] if decodes(gain, beta, noise) else []
+        assert settle_slot(net, [0, 1], [(0, 8.0 * gain, None)]) == [heard]
+        assert kernel_receivers(net, [[(0, 8.0 * gain)]]) == [heard]
+        assert reference_receivers(net, [[(0, 8.0 * gain)]]) == [heard]
+
+    def test_tie_where_scalar_and_array_power_differ(self):
+        beta, noise, alpha = self.BETA, self.NOISE, self.ALPHA
+        # a listener distance whose path loss differs between the array
+        # ``**`` and a scalar one, and a power at which that last ulp
+        # decides the reception
+        xs = 1.0 + np.arange(1, 1000) / 997.0
+        d = np.sqrt(xs * xs)
+        loss = d**alpha
+        x = next(x for x, dk, lk in zip(xs.tolist(), d.tolist(), loss.tolist()) if dk**alpha != lk)
+        net = build_network(
+            [Node(0, 0.0, 0.0, 1.0), Node(1, x, 0.0, 1.0), Node(2, 1e7, 0.0, 1.0)],
+            sinr_params(alpha=alpha, beta=beta, noise=noise),
+        )
+        array_loss = float((net.distance_row(0) ** alpha)[1])
+        scalar_loss = net.dist(0, 1) ** alpha
+        assert array_loss != scalar_loss
+        power = next(p for p in floats_around(beta * noise * array_loss, 16)
+                     if decodes(p / array_loss, beta, noise) != decodes(p / scalar_loss, beta, noise))
+        heard = [1] if decodes(power / array_loss, beta, noise) else []
+        assert settle_slot(net, [0, 1, 2], [(0, power, None)]) == [heard]
+        assert reference_receivers(net, [[(0, power)]]) == [heard]
+        # the same slot beside a sender 10**7 away, whose gain at the
+        # listener is below half an ulp of the noise: the kernel decides it
+        far = 1.0 / float((net.distance_row(2) ** alpha)[1])
+        assert far < math.ulp(noise) / 2
+        txs = [(0, power), (2, 1.0)]
+        assert kernel_receivers(net, [txs]) == [heard, []]
+        assert reference_receivers(net, [txs]) == [heard, []]
+        assert settle_slot(net, [0, 1, 2], [(i, p, None) for i, p in txs]) == [heard, []]
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_settle_equals_resolve_slot_at_ties(self, data):
+        """A sender at the power whose array gain at a listener is beta *
+        noise, times 1 and 1 +- 2**-52, alone or beside up to two other
+        senders, some nodes asleep, under several betas and noises:
+        `settle`'s outcome equals `resolve_slot`'s."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 100_000)))
+        beta = data.draw(st.sampled_from([1.0, 1.1, 1.5]))
+        noise = data.draw(st.sampled_from([1.0, 0.3, 2.5]))
+        net = random_small_network(rng, data.draw(st.integers(3, 12)),
+                                   sinr_params(alpha=self.ALPHA, beta=beta, noise=noise))
+        sender, listener, *rest = rng.permutation(net.n).tolist()
+        tie = beta * noise * float((net.distance_row(sender) ** self.ALPHA)[listener])
+        others = [(i, float(net.powers[i] * rng.uniform(0.5, 1.5)), None)
+                  for i in rest[:data.draw(st.integers(0, 2))]]
+        awake = {i for i in rest if rng.random() < 0.8} | {sender, listener}
+        awake |= {i for i, _, _ in others}
+        for factor in (1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-52):
+            txs = sorted([(sender, tie * factor, None), *others])
+            slept, outcome = settled(net, sorted(awake), txs)
+            assert outcome == resolve_slot(slept, list(outcome.transmissions))
 
 
 def numpy_state(seed, node_id):

@@ -25,30 +25,31 @@ from .conftest import (
     brute_max_degree,
     brute_halo_pair_count,
     brute_ring_index,
-    dense_receivers,
     kernel_receivers,
     pair_network,
     random_small_network,
     reference_network_build,
+    reference_receivers,
 )
 
 
 def assert_lone_reach_matches(net, ref, i, power):
     """All four parts of ``net.lone_reach(i, power)`` against the dense
     distances and adjacency of `reference_network_build`: the exact reach,
-    the slack superset, the out-neighbours and those outside the exact
-    reach."""
+    by the SINR rule with one sender, the slack superset, the
+    out-neighbours and those outside the exact reach."""
     params = net.params
+    beta, noise = params.beta_true, params.noise_true
     dist_alpha = ref["distances"][i] ** params.alpha_true
     dist_alpha[i] = math.inf  # a gain of 0 at the sender itself
     signal = power / dist_alpha
-    floor = params.beta_true * params.noise_true
+    decodes = signal >= beta * ((signal + noise) - signal)
     out_row = ref["adjacency"][i]
     exact, slack, out, missing = net.lone_reach(i, power)
-    assert exact == tuple(np.flatnonzero(signal >= floor).tolist())
-    assert np.array_equal(slack, np.flatnonzero(signal >= floor * (1.0 - 1e-9)))
+    assert exact == tuple(np.flatnonzero(decodes).tolist())
+    assert np.array_equal(slack, np.flatnonzero(signal >= beta * noise * (1.0 - 1e-9)))
     assert out == tuple(np.flatnonzero(out_row).tolist())
-    assert missing == tuple(np.flatnonzero(out_row & (signal < floor)).tolist())
+    assert missing == tuple(np.flatnonzero(out_row & ~decodes).tolist())
 
 
 def params_with(**kw):
@@ -288,7 +289,7 @@ def assert_kernel_losses_match(net: Network, distances: np.ndarray) -> None:
         ))
         heard = kernel_receivers(tie, slots)
         assert [((i + 1) % n in heard[2 * i]) for i in range(n)] == [decodes] * n
-        assert heard == dense_receivers(tie, slots)
+        assert heard == reference_receivers(tie, slots)
 
 
 class TestNetworkBuildOracle:
@@ -326,7 +327,7 @@ class TestNetworkBuildOracle:
             assert net.distance_row(i).tobytes() == distances[i].tobytes()
             for power in (1.0, 6.0, 40.0, float(net.powers[i])):
                 assert_lone_reach_matches(net, ref, i, power)
-        # the engine's multi-transmission kernel against the dense oracle,
+        # the engine's multi-transmission kernel against `resolve_slot`,
         # over every listener: each node beside its successor, then sender
         # sets gathered at random, all in one call, as the schedule asks
         slots = [[(i, float(net.powers[i])), ((i + 1) % net.n, 6.0)] for i in range(net.n - 1)]
@@ -334,7 +335,7 @@ class TestNetworkBuildOracle:
         for size in (1, 2, 7):
             rows = rng.choice(net.n, size=min(size, net.n), replace=False)
             slots.append([(int(i), float(rng.uniform(1.0, 40.0))) for i in rows])
-        assert kernel_receivers(net, slots, gap=1) == dense_receivers(net, slots)
+        assert kernel_receivers(net, slots, gap=1) == reference_receivers(net, slots)
         assert_kernel_losses_match(net, distances)
 
     @pytest.mark.parametrize("seed", range(6))

@@ -29,15 +29,14 @@ import itertools
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ProtocolViolationError, SimulationAbort
 from .model import Network, Node, _check_count, _is_number
+from .seeding import _generator, _seed_words
 
 __all__ = [
     "Transmission",
@@ -225,111 +224,6 @@ class ProtocolMachine:
 
 
 # ---------------------------------------------------------------------------
-# stream seeding
-# ---------------------------------------------------------------------------
-
-# the constants of NumPy's SeedSequence hash (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_POOL = 4  # SeedSequence's default pool size, in 32-bit words
-_STATE = 4  # the uint64 words PCG64 seeds itself from
-
-
-def _seed_words(seed: int, ids: Sequence[int]) -> np.ndarray:
-    """Row k is ``np.random.SeedSequence((seed, ids[k])).generate_state(4,
-    np.uint64)``, the words PCG64 seeds node ``ids[k]``'s stream from.
-
-    SeedSequence reads each integer as its 32-bit words, lowest first (0 is
-    one word), and hashes their concatenation.  How the hash mixes depends
-    on the number of words, so ids are grouped by it, and each group is
-    hashed at once on `uint32` columns, one per word position.  Array
-    arithmetic wraps modulo 2**32 as NumPy's C code does, and warns of no
-    overflow."""
-    seed = operator.index(seed)
-    values = [operator.index(v) for v in ids]
-    for name, least in (("seed", seed), ("node id", min(values, default=0))):
-        if least < 0:
-            raise ValueError(f"{name} must be >= 0, got {least}")
-    head = [seed >> 32 * j & _MASK32 for j in range(_word_count(seed))]
-    groups: dict[int, list[int]] = {}
-    for k, v in enumerate(values):
-        groups.setdefault(_word_count(v), []).append(k)
-    state = np.empty((len(values), 2 * _STATE), "<u4")
-    for length, rows in groups.items():
-        members = [values[k] for k in rows]
-        entropy = [np.full(len(rows), w, np.uint32) for w in head] + [
-            np.array([v >> 32 * j & _MASK32 for v in members], np.uint32)
-            for j in range(length)
-        ]
-        state[rows] = np.stack(_hash_state(entropy), axis=1)
-    # little-endian word pairs, as generate_state joins them
-    return state.view("<u8").astype(np.uint64, copy=False)
-
-
-def _word_count(value: int) -> int:
-    """The number of 32-bit words SeedSequence reads `value` as; 0 is one."""
-    return (value.bit_length() + 31) // 32 or 1
-
-
-def _hash_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
-    """SeedSequence's pool mixing of the `entropy` word columns, then
-    `generate_state`'s output hash of eight 32-bit words.  The hash
-    constants advance the same way whatever the data, so they are Python
-    integers."""
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> 16)
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    out = []
-    hash_const = _INIT_B
-    for i in range(2 * _STATE):
-        value = pool[i % _POOL] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        out.append(value ^ (value >> 16))
-    return out
-
-
-class _SeedState(ISeedSequence):
-    """A seed sequence that hands PCG64 precomputed words, one row of
-    :func:`_seed_words`: PCG64 runs its own seeding from them."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
-        if n_words != _STATE or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"holds {_STATE} uint64 words, not {n_words} of {np.dtype(dtype)}")
-        return self.words
-
-
-def _generator(words: np.ndarray) -> np.random.Generator:
-    """The PCG64 stream seeded from one row of :func:`_seed_words`."""
-    return np.random.Generator(np.random.PCG64(_SeedState(words)))
-
-
-# ---------------------------------------------------------------------------
 # traces
 # ---------------------------------------------------------------------------
 
@@ -410,8 +304,9 @@ _SlotTx = tuple[int, float, Any]  # (node index, power, payload)
 _LoneReach = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 # what `decide` returns: the transmissions' listeners, flat, and where each one's start
 _Decided = tuple[list[int], list[int]]
-# what _ledger hands both engine paths: decide, settle, finish
-_Ledger = tuple[Callable[..., _Decided], Callable[..., None], Callable[..., SimTrace]]
+# what _ledger hands both engine paths: decide, settle, tally, finish
+_Ledger = tuple[Callable[..., _Decided], Callable[..., None], Callable[..., None],
+                Callable[..., SimTrace]]
 
 
 def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Ledger:
@@ -420,17 +315,19 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
     exactly when ``wake_slot <= s < sleep_slot``, so the ledger reads that
     from the nodes' own slots and keeps no awake state.  Every node is
     awake from the latest wake-up up to the earliest departure, and a slot
-    in that window filters no listener.  A slot's transmissions are
-    ``txs[a:b]`` of a flat list of ``(node index, power, payload)``.
-    ``decide(txs, spans)`` resolves a batch of slots with several
-    transmissions each, one ``(a, b)`` span per slot, in one array pass.
-    ``settle(slot, txs, a, b, pending, decided=None)`` settles one slot
-    among the nodes awake in it: it counts the transmissions and their full
-    successes, files first receptions, puts each reception of a listener
-    in `hears` into `pending` (listener index -> (sender id, payload)) and
-    records the outcome.  A slot with several transmissions reads its
-    listeners from `decided`, what `decide` returned for a batch that held
-    it, or is decided alone.  ``finish(seed, n_slots, completed, machines,
+    in that window filters no listener.  A transmission is ``(node index,
+    power, payload)``.  ``decide(txs, spans)`` resolves a batch of slots
+    with several transmissions each, ``txs[a:b]`` for each ``(a, b)`` in
+    `spans`, in one array pass.  ``settle(slot, txs, pending)``, the event
+    loop's step 8, settles one slot among the nodes awake in it: it counts
+    the transmissions and their full successes, files first receptions,
+    puts each reception of a listener in `hears` into `pending` (listener
+    index -> (sender id, payload)) and records the outcome.
+    ``tally(slots, ends, txs, decided)``, the schedule's, does the same in
+    array passes for a chunk of slots in which nobody hears: slot
+    ``slots[k]`` sends ``txs[ends[k - 1]:ends[k]]``, and `decided` is what
+    `decide` returned for the chunk.  The tests hold it to `settle`; a run
+    uses one of the two.  ``finish(seed, n_slots, completed, machines,
     draws, **loop_counters)`` returns the :class:`SimTrace`; `machines`
     and `draws` go by node index.
 
@@ -446,13 +343,17 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
     alpha, beta, noise = params.alpha_true, params.beta_true, params.noise_true
     woke = [node.wake_slot for node in network.nodes]
     gone = [math.inf if node.sleep_slot is None else node.sleep_slot for node in network.nodes]
+    woke_at, gone_at = np.array(woke), np.array(gone)  # the same, for `tally`
+    out_ptr, out_nbr = network._out_ptr, network._out_nbr
     # every node is awake in the slots from `all_up` to before `first_gone`
     all_up, first_gone = max(woke), min(gone)
     first_rx: dict[int, dict[int, int]] = {v: {} for v in ids}
     rx_rows = [first_rx[v] for v in ids]
     tx_counts = [0] * n
     full_counts = [0] * n
+    tallied = np.zeros((2, n), np.int64)  # what `tally` counted: transmissions, full successes
     first_full: list[Optional[int]] = [None] * n
+    known = np.zeros(0, np.int64)  # `tally`'s filed (listener, sender) keys, ascending
     outcomes: Optional[list[SlotOutcome]] = [] if trace.record_outcomes else None
     limit = trace.outcome_limit
     eventful = multi_tx = 0
@@ -464,7 +365,7 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
         rule as :func:`resolve_slot`, as ``(heard, bounds)``: those of
         ``txs[t]`` are ``heard[bounds[t]:bounds[t + 1]]``, ascending.  Sleepers are
         decided too: whether a listener decodes does not depend on who
-        else listens, so `settle` drops those of its own slot.
+        else listens, so `settle` and `tally` drop those of each slot.
 
         Interference only raises the SINR denominator, so only a listener
         in the slack reach (:meth:`Network.lone_reach`) of a sender of its
@@ -480,7 +381,7 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
         keys = [txs[t][:2] for t in picks]  # (node index, power)
         slack = [(cached.get(key) or reach(*key))[1] for key in keys]
         sizes = [len(row) for row in slack]
-        width = np.array([b - a for a, b in spans])  # senders per slot
+        width = np.array([b - a for a, b in spans], dtype=np.intp)  # senders per slot
         start = np.cumsum(width) - width  # each slot's first pick
         slot = np.repeat(np.arange(len(spans)), width)  # each pick's slot
         src = np.array([key[0] for key in keys], dtype=np.intp)
@@ -517,17 +418,15 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
         return (listener[won][order].tolist(),
                 np.searchsorted(tx[order], np.arange(len(txs) + 1)).tolist())
 
-    def settle(s: int, txs: Sequence[_SlotTx], a: int, b: int,
-               pending: dict[int, tuple[int, Any]], decided: Optional[_Decided] = None) -> None:
+    def settle(s: int, txs: Sequence[_SlotTx], pending: dict[int, tuple[int, Any]]) -> None:
         nonlocal eventful, multi_tx, truncated
         eventful += 1
-        mine = txs[a:b]
-        lone = b - a == 1
+        lone = len(txs) == 1
         everyone = all_up <= s < first_gone
         if lone:
             # a lone transmission reaches the awake nodes of its exact reach;
             # the network's cache is read here, `lone_reach` fills a miss
-            key = mine[0][:2]
+            key = txs[0][:2]
             entry = cached.get(key) or reach(*key)
             exact = entry[0]
             received: Sequence[Sequence[int]] = (
@@ -536,12 +435,12 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             entries: Sequence[_LoneReach] = (entry,)
         else:
             multi_tx += 1
-            heard, bounds = decided or decide(txs, ((a, b),))
-            received = [heard[bounds[t]:bounds[t + 1]] for t in range(a, b)]
+            heard, bounds = decide(txs, ((0, len(txs)),))
+            received = [heard[bounds[t]:bounds[t + 1]] for t in range(len(txs))]
             if not everyone:
                 received = [[l for l in rx if woke[l] <= s < gone[l]] for rx in received]
-            entries = [cached[tx[:2]] for tx in mine]
-        for (i, _power, payload), rx, entry in zip(mine, received, entries):
+            entries = [cached[tx[:2]] for tx in txs]
+        for (i, _power, payload), rx, entry in zip(txs, received, entries):
             tx_counts[i] += 1
             # full success: every awake out-neighbour decoded; a lone
             # transmission reaches every awake node of its exact reach, so
@@ -568,7 +467,7 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             if limit is not None and len(outcomes) >= limit:
                 truncated = True
             else:
-                records = [Transmission(ids[i], s, power, payload) for i, power, payload in mine]
+                records = [Transmission(ids[i], s, power, payload) for i, power, payload in txs]
                 pairs = [(l, t) for t, rx in enumerate(received) for l in rx]
                 if not lone:
                     pairs.sort()
@@ -580,18 +479,97 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
                     )
                 )
 
+    def full_success(src: np.ndarray, at: np.ndarray, decoded: np.ndarray) -> np.ndarray:
+        """Whether transmission t, by node index ``src[t]`` in slot
+        ``at[t]``, reached every out-neighbour awake in its slot: `decoded`
+        holds its receivers, asleep ones too, as ascending keys
+        ``t * n + listener``."""
+        first = out_ptr[src]
+        degree = out_ptr[src + 1] - first
+        out_t = np.repeat(np.arange(src.size), degree)
+        out_u = out_nbr[np.arange(out_t.size) + np.repeat(first - (np.cumsum(degree) - degree),
+                                                         degree)]
+        wanted = out_t * n + out_u
+        missed = np.append(decoded, -1)[np.searchsorted(decoded, wanted)] != wanted
+        s = at[out_t]
+        missed &= (woke_at[out_u] <= s) & (s < gone_at[out_u])
+        return np.bincount(out_t[missed], minlength=src.size) == 0
+
+    def tally(slots: Sequence[int], ends: Sequence[int], txs: Sequence[_SlotTx],
+              decided: _Decided) -> None:
+        nonlocal eventful, multi_tx, truncated, known
+        m = len(txs)
+        width = np.diff(ends, prepend=0)
+        eventful += len(slots)
+        multi_tx += int(np.count_nonzero(width > 1))
+        rank = np.repeat(np.arange(len(slots)), width)  # each transmission's slot in `slots`
+        at = np.array(slots)[rank]
+        src = np.fromiter([tx[0] for tx in txs], np.intp, m)
+        lone = np.repeat(width == 1, width)
+        # every decoded (transmission, listener) pair, in transmission order,
+        # listeners ascending: the exact reach of a lone transmission, what
+        # `decide` found for the others
+        exact = [(cached.get(tx[:2]) or reach(*tx[:2]))[0] if alone else ()
+                 for tx, alone in zip(txs, lone.tolist())]
+        heard, bounds = decided
+        rx_t = np.repeat(np.arange(m), np.fromiter(map(len, exact), np.intp, m) + np.diff(bounds))
+        rx_l = np.empty(rx_t.size, np.intp)
+        from_reach = lone[rx_t]
+        rx_l[from_reach] = np.fromiter(itertools.chain.from_iterable(exact), np.intp)
+        rx_l[~from_reach] = heard
+        full = full_success(src, at, rx_t * n + rx_l)
+        tallied[0] += np.bincount(src, minlength=n)
+        winners, first_win = np.unique(src[full], return_index=True)
+        fresh = tallied[1, winners] == 0
+        for i, k in zip(winners[fresh].tolist(), rank[full][first_win[fresh]].tolist()):
+            first_full[i] = slots[k]
+        tallied[1] += np.bincount(src[full], minlength=n)
+        # the receptions among the awake; the first of each (listener,
+        # sender) pair that no earlier chunk filed, filed in time order, so
+        # each listener's `first_rx` keeps the order `settle` gives
+        s_rx = at[rx_t]
+        up = (woke_at[rx_l] <= s_rx) & (s_rx < gone_at[rx_l])
+        rx_t, rx_l = rx_t[up], rx_l[up]
+        pairs, first_rx_at = np.unique(rx_l * n + src[rx_t], return_index=True)
+        where = np.searchsorted(known, pairs)
+        new = np.append(known, -1)[where] != pairs
+        known = np.insert(known, where[new], pairs[new])
+        filed = np.sort(first_rx_at[new])
+        # each slot's own int object, shared as in `settle`: an int per
+        # reception held 0.19 MB more on `bcast2k`
+        for l, i, k in zip(rx_l[filed].tolist(), src[rx_t[filed]].tolist(),
+                           rank[rx_t[filed]].tolist()):
+            rx_rows[l][ids[i]] = slots[k]
+        if outcomes is None:
+            return
+        room = len(slots) if limit is None else min(len(slots), max(limit - len(outcomes), 0))
+        truncated = truncated or room < len(slots)
+        # each slot's receptions in listener order
+        order = np.lexsort((rx_l, rank[rx_t]))
+        cut = np.searchsorted(rank[rx_t[order]], np.arange(room + 1)).tolist()
+        listeners, sent = rx_l[order].tolist(), rx_t[order].tolist()
+        a = 0
+        for k in range(room):
+            s, b = slots[k], ends[k]
+            records = [Transmission(ids[i], s, power, payload) for i, power, payload in txs[a:b]]
+            outcomes.append(SlotOutcome(s, tuple(records), tuple(
+                (ids[l], records[t - a])
+                for l, t in zip(listeners[cut[k]:cut[k + 1]], sent[cut[k]:cut[k + 1]])
+            )))
+            a = b
+
     def finish(seed: int, n_slots: int, completed: bool, machines: Sequence[ProtocolMachine],
                draws: Sequence[int], **loop_counters: int) -> SimTrace:
         return SimTrace(
             seed=seed, n_slots=n_slots, completed=completed, machines=dict(zip(ids, machines)),
-            first_rx=first_rx, tx_count=dict(zip(ids, tx_counts)),
-            full_success_count=dict(zip(ids, full_counts)),
+            first_rx=first_rx, tx_count=dict(zip(ids, (tallied[0] + tx_counts).tolist())),
+            full_success_count=dict(zip(ids, (tallied[1] + full_counts).tolist())),
             first_full_success=dict(zip(ids, first_full)), draws=dict(zip(ids, draws)),
             outcomes=outcomes, eventful_slots=eventful, outcomes_truncated=truncated,
             multi_tx_slots=multi_tx, **loop_counters,
         )
 
-    return decide, settle, finish
+    return decide, settle, tally, finish
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
@@ -752,7 +730,7 @@ def run_simulation(
 
     if scripted is None and all(type(m) is FixedProbBroadcaster and m.prob < 1.0 for m in machines):
         return _run_schedule(network, machines, max_slots, seed, ledger, monitor)
-    _decide, settle, finish = ledger
+    _decide, settle, _tally, finish = ledger
     n = network.n
     ids = network.ids
     by_id = dict(zip(ids, machines))
@@ -950,7 +928,7 @@ def run_simulation(
             # 8. physical resolution and delivery: statistics, the
             # listeners' receptions and the record (shared with the schedule)
             if txs:
-                settle(s, txs, 0, len(txs), pending)
+                settle(s, txs, pending)
                 if pending:
                     pending_sorted = len(txs) == 1
                     pending_slot = s + 1
@@ -974,10 +952,10 @@ def run_simulation(
                   [st.count() for st in streams], heap_pops=heap_pops)
 
 
-# multi-transmission slots the schedule decides per `decide` call.  Its
-# pending lists grow with the chunk: the `bcast2k` run's tracemalloc peak,
-# 3.8 MB, rose to 4.2 MB at 256 and 6.7 MB at 1024, and holds at 128, where
-# a call's fixed cost (about 60 us) is under half a microsecond per slot.
+# multi-transmission slots the schedule settles per `decide` and `tally` call.  Its
+# pending lists and `tally`'s arrays grow with the chunk: the `bcast2k` run's
+# tracemalloc peak is 4.1 MB at 128, 4.7 MB at 256 and 7.8 MB at 1024, and at
+# 128 a `decide` call's fixed cost (about 60 us) is under half a microsecond per slot.
 # Held for one chunk, the (node, power, payload) tuples add 3 young
 # collections to the run's 24 and no measurable collector time
 _CHUNK = 128
@@ -1001,19 +979,19 @@ def _run_schedule(
     ``(slot * 5 + kind) * n + node index``; sorted, the integers come in
     the event loop's (slot, kind, node) order, and one sweep over them
     calls each machine's `on_transmit` and `poll` in the event loop's slots
-    and gives the same run through the same step 8 (`settle`, from
-    :func:`_ledger`), with the same node streams (:class:`_Stream`).
+    and gives the same run, with the same node streams (:class:`_Stream`).
     Nothing a slot resolves feeds back, so the sweep holds the slots until
-    `_CHUNK` of them have several transmissions, decides those in one
-    `decide` call and then settles the held slots in order; `settle` reads
-    who is awake in a slot from the nodes' slots, so a held slot needs no
+    `_CHUNK` of them have several transmissions, then settles the held
+    slots with one `decide` call and one `tally` call (:func:`_ledger`),
+    the event loop's per-slot `settle` in array passes; `tally` reads who
+    is awake in a slot from the nodes' slots, so a held slot needs no
     replayed wake-ups.  The plans are read in (wake slot, node)
     order, each after every `wake` of its slot, so a bad plan or a `wake`
     that raises is named as the event loop would name it."""
     nodes = network.nodes
     n = network.n
     ids = network.ids
-    decide, settle, finish = ledger
+    decide, _settle, tally, finish = ledger
     timeline: list[int] = []
     draws = [0] * n
     last = -1  # the slot the last node stops in: its poll or departure
@@ -1080,7 +1058,6 @@ def _run_schedule(
         timeline.append(n_slots * 5 * n)
 
         transmit = [m.on_transmit for m in machines]
-        pending: dict[int, tuple[int, Any]] = {}  # stays empty: nobody hears
         # the pending slots, settled a chunk at a time: their transmissions
         # (flat), each eventful slot with where its transmissions end, and
         # the spans of those with several.  `live` follows the sweep, for
@@ -1092,11 +1069,8 @@ def _run_schedule(
         live = bytearray(n)
 
         def settle_chunk() -> None:
-            decided = decide(txs, spans) if spans else None
-            a = 0
-            for s, b in zip(slots, ends):
-                settle(s, txs, a, b, pending, decided)
-                a = b
+            if slots:
+                tally(slots, ends, txs, decide(txs, spans))
             for items in (txs, slots, ends, spans):
                 items.clear()
 

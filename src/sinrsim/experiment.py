@@ -7,6 +7,7 @@ import csv
 import io
 import math
 import numbers
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -561,7 +562,12 @@ def _leader_density_ok(network, colors, constants: ColoringConstants) -> bool:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute all trials, run the validators, and write the CSV when a
     path is configured.  The caller turns `report.ok` into the process exit
-    status."""
+    status.  The output paths' directories are checked before the first
+    seed runs."""
+    for name, path in (("csv_path", config.csv_path), ("trace_path", config.trace_path)):
+        folder = os.path.dirname(path or "") or "."
+        if path and not os.path.isdir(folder):
+            raise ValueError(f"{name} {path!r}: no directory {folder!r}")
     network = config.network
     seeds = list(config.seeds)
     common = {"scale": config.scale, "trace_path": config.trace_path}

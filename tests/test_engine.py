@@ -134,8 +134,9 @@ def settled(net, awake, txs):
         nodes.append(dataclasses.replace(node, wake_slot=wake, sleep_slot=sleep))
     slept = build_network(nodes, net.params)
     assert [slept.awake_at(v, 7) for v in net.ids] == [k in on for k in range(net.n)]
-    _decide, settle, finish = _ledger(slept, bytearray(net.n), TraceConfig(record_outcomes=True))
-    settle(7, txs, 0, len(txs), {})
+    _decide, settle, _tally, finish = _ledger(slept, bytearray(net.n),
+                                              TraceConfig(record_outcomes=True))
+    settle(7, txs, {})
     (outcome,) = finish(0, 8, True, [], [0] * net.n).outcomes
     return slept, outcome
 

@@ -14,7 +14,9 @@ import sinrsim.engine as engine
 from sinrsim.analysis import RegionBudgetMonitor, region_probability_cap
 from sinrsim.broadcast import FixedProbBroadcaster, SlowStartBroadcaster
 from sinrsim.coloring import ColoringConstants, ColoringMachine
-from sinrsim.engine import ProtocolMachine, TraceConfig, _generator, _seed_words, run_simulation
+from sinrsim.engine import (
+    ProtocolMachine, TraceConfig, _generator, _ledger, _seed_words, run_simulation,
+)
 from sinrsim.errors import ProtocolViolationError, SimulationAbort
 from sinrsim.experiment import _resignation_script
 from sinrsim.model import NetworkParams, Node, build_network
@@ -331,17 +333,29 @@ def chunk_fields(trace):
         trace.tx_count,
         trace.full_success_count,
         trace.first_full_success,
+        trace.eventful_slots,
         trace.outcomes,
+        trace.outcomes_truncated,
     )
+
+
+def without_settle(*args):
+    """`engine._ledger` with a `settle` that fails the test."""
+    decide, _settle, tally, finish = _ledger(*args)
+
+    def settle(*_args):
+        raise AssertionError("settle called")
+
+    return decide, settle, tally, finish
 
 
 class TestScheduleChunks:
     """The schedule settles its slots a chunk of multi-transmission slots
-    at a time (`engine._CHUNK`), each among the nodes awake in it; no
-    chunk size changes a result."""
+    at a time (`engine._CHUNK`), each among the nodes awake in it, whether
+    it records outcomes or not; no chunk size changes a result."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_chunk_size_changes_no_result(self, seed, monkeypatch):
+    @staticmethod
+    def network_and_factory(seed):
         rng = np.random.default_rng(seed)
         # staggered wake-ups, and ten nodes that leave while the others send
         net = scattered_network(seed + 300, 24, wake_window=40, sleepers=10)
@@ -356,30 +370,69 @@ class TestScheduleChunks:
         def factory(node):
             return FixedProbBroadcaster(node, prob=0.2, budget=budget, pieces=pieces[node.id])
 
+        return net, factory
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chunk_size_changes_no_result(self, seed, record, monkeypatch):
+        net, factory = self.network_and_factory(seed)
+
         def run(simulate, **kwargs):
             updates = []
-            trace = simulate(net, factory, 260, seed, trace=TraceConfig(record_outcomes=True),
+            trace = simulate(net, factory, 260, seed, trace=TraceConfig(record_outcomes=record),
                              monitor=lambda slot, changes: updates.append((slot, changes)),
                              **kwargs)
             return trace, updates
 
         swept = []
-        for chunk in (1, 2, engine._CHUNK):
-            monkeypatch.setattr(engine, "_CHUNK", chunk)
-            swept.append(run(run_simulation))
+        with monkeypatch.context() as patch:
+            # the schedule settles by `tally` alone, recording or not
+            patch.setattr(engine, "_ledger", without_settle)
+            for chunk in (1, 2, engine._CHUNK):
+                patch.setattr(engine, "_CHUNK", chunk)
+                swept.append(run(run_simulation))
         loop = run(run_simulation, scripted=(0, lambda machines, slot: None))
         reference = run(reference_run_simulation)
         assert all(trace.heap_pops == 0 for trace, _ in swept) and loop[0].heap_pops > 0
         for trace, updates in [*swept, loop]:
             assert chunk_fields(trace) == chunk_fields(reference[0])
+            assert trace.multi_tx_slots == loop[0].multi_tx_slots > 0
             assert updates == reference[1]
+        if not record:
+            assert reference[0].outcomes is None
+            return
+        multi = [o.slot for o in reference[0].outcomes if len(o.transmissions) > 1]
+        assert len(multi) == loop[0].multi_tx_slots
         # in chunks of two, a listener wakes or leaves between the two
         # multi-transmission slots of some chunk
-        multi = [o.slot for o in reference[0].outcomes if len(o.transmissions) > 1]
         flips = {node.wake_slot for node in net.nodes} | {
             node.sleep_slot for node in net.nodes if node.sleep_slot is not None
         }
         assert any(a < f <= b for a, b in zip(multi[::2], multi[1::2]) for f in flips)
+
+    @pytest.mark.parametrize("chunk", [2, 128])
+    def test_an_outcome_limit_inside_a_chunk(self, chunk, monkeypatch):
+        net, factory = self.network_and_factory(3)
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        full = run_simulation(net, factory, 260, 3, trace=TraceConfig(record_outcomes=True))
+        # the limit keeps the slots before the fourth multi-transmission
+        # slot: in chunks of two, the first chunk is recorded whole and the
+        # second one, which ends at that slot, in part
+        limit = [k for k, o in enumerate(full.outcomes) if len(o.transmissions) > 1][3]
+
+        def run(**kwargs):
+            return run_simulation(net, factory, 260, 3, **kwargs,
+                                  trace=TraceConfig(record_outcomes=True, outcome_limit=limit))
+
+        loop = run(scripted=(0, lambda machines, slot: None))
+        monkeypatch.setattr(engine, "_ledger", without_settle)
+        swept = run()
+        reference = reference_run_simulation(
+            net, factory, 260, 3, trace=TraceConfig(record_outcomes=True, outcome_limit=limit))
+        assert swept.heap_pops == 0 and loop.heap_pops > 0
+        assert swept.outcomes == loop.outcomes == reference.outcomes == full.outcomes[:limit]
+        assert swept.outcomes_truncated and loop.outcomes_truncated
+        assert chunk_fields(swept) == chunk_fields(loop)
 
 
 class HearingBroadcaster(FixedProbBroadcaster):

@@ -855,6 +855,28 @@ class TestCli:
         assert err.startswith("sinrsim: error: ") and "absent.json" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--csv", "--trace"])
+    def test_an_output_path_without_a_directory_stops_before_any_seed(
+            self, flag, tmp_path, capsys, monkeypatch):
+        import sinrsim.experiment as experiment
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(experiment, "run_simulation", unreachable)
+        topo = write_uniform4(tmp_path)
+        out = tmp_path / "absent" / "out.file"
+        capsys.readouterr()
+        assert main(["run-broadcast", "--protocol", "fixed", "--topology", topo,
+                     flag, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sinrsim: error: ") and err.count("\n") == 1
+        assert str(out) in err and not out.parent.exists()
+        config = ExperimentConfig(protocol="fixed", network=load_topology(topo),
+                                  **{f"{flag[2:]}_path": str(out)})
+        with pytest.raises(ValueError, match=f"{flag[2:]}_path .*absent"):
+            run_experiment(config)
+
     @pytest.mark.parametrize("argv,words", [
         (["--preset", "random", "--n", "4", "--side", "inf"], ["side", "inf"]),
         (["--preset", "random", "--n", "4", "--power-hi", "nan"], ["power_range", "nan"]),

@@ -302,11 +302,75 @@ _WAKE, _SLEEP, _SCRIPT, _CHECK, _TX = range(5)
 _SlotTx = tuple[int, float, Any]  # (node index, power, payload)
 # Network.lone_reach: (exact reach, slack superset, out-neighbours, missing)
 _LoneReach = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-# what `decide` returns: the transmissions' listeners, flat, and where each one's start
+# what `_decide` returns: the transmissions' listeners, flat, and where each one's start
 _Decided = tuple[list[int], list[int]]
-# what _ledger hands both engine paths: decide, settle, tally, finish
-_Ledger = tuple[Callable[..., _Decided], Callable[..., None], Callable[..., None],
-                Callable[..., SimTrace]]
+# what _ledger hands both engine paths: settle, tally, finish
+_Ledger = tuple[Callable[..., None], Callable[..., None], Callable[..., SimTrace]]
+
+
+def _decide(network: Network, txs: Sequence[_SlotTx],
+            spans: Sequence[tuple[int, int]]) -> _Decided:
+    """The listeners of `network` that decode each transmission of the
+    slots ``txs[a:b]`` for ``(a, b)`` in `spans`, under the same delivery
+    rule as :func:`resolve_slot`, as ``(heard, bounds)``: those of
+    ``txs[t]`` are ``heard[bounds[t]:bounds[t + 1]]``, ascending.  Sleepers
+    are decided too: whether a listener decodes does not depend on who
+    else listens, so the ledger's `settle` and `tally` (:func:`_ledger`)
+    drop those of each slot.
+
+    Interference only raises the SINR denominator, so only a listener in
+    the slack reach (:meth:`Network.lone_reach`) of a sender of its slot,
+    and no sender itself, is a candidate.  Each (candidate, sender) pair's
+    distance is elementwise ufuncs and its path loss one array ``**``, bit
+    for bit a dense matrix's entry; a scalar ``**`` differs in the last
+    ulp on about 5% of inputs.  The gains sit in a matrix of sender rank
+    by candidate, zero past a slot's senders (adding 0.0 changes no sum),
+    and each candidate's denominator adds up rank by rank, the gains in
+    transmission order and then the noise, as a scalar loop per listener
+    would."""
+    n = network.n
+    cached, reach = network._reach, network.lone_reach
+    params = network.params
+    picks = [t for a, b in spans for t in range(a, b)]
+    keys = [txs[t][:2] for t in picks]  # (node index, power)
+    slack = [(cached.get(key) or reach(*key))[1] for key in keys]
+    sizes = [len(row) for row in slack]
+    width = np.array([b - a for a, b in spans], dtype=np.intp)  # senders per slot
+    start = np.cumsum(width) - width  # each slot's first pick
+    slot = np.repeat(np.arange(len(spans)), width)  # each pick's slot
+    src = np.array([key[0] for key in keys], dtype=np.intp)
+    # (slot, listener) keys of the candidates, ascending, each once and
+    # none a sender of its slot; the slack tuples in one concatenation
+    # (`np.unique` took ten times as long as this sort and mask)
+    cand = np.sort(np.repeat(slot * n, sizes)
+                   + np.fromiter(itertools.chain.from_iterable(slack), np.intp, sum(sizes)))
+    own = np.sort(slot * n + src)
+    keep = np.append(own, -1)[np.searchsorted(own, cand)] != cand
+    keep[1:] &= cand[1:] != cand[:-1]
+    cand = cand[keep]
+    if not cand.size:
+        return [], [0] * (len(txs) + 1)
+    home, listener = np.divmod(cand, n)
+    # the (candidate, sender) pairs, candidate by candidate, rank by rank
+    rank_of = width[home]
+    column = np.repeat(np.arange(cand.size), rank_of)
+    rank = np.arange(column.size) - np.repeat(np.cumsum(rank_of) - rank_of, rank_of)
+    pick = start[home][column] + rank
+    gains = np.zeros((int(width.max()), cand.size))
+    gains[rank, column] = np.array([key[1] for key in keys])[pick] / (
+        network._pair_dist(src[pick], listener[column]) ** params.alpha_true
+    )
+    total = np.zeros(cand.size)
+    for row in gains:
+        total += row
+    total += params.noise_true
+    hits = gains >= params.beta_true * (total - gains)
+    won = np.count_nonzero(hits, axis=0) == 1
+    # each decoded listener's transmission, as a position in `txs`
+    tx = np.array(picks)[start[home[won]] + hits[:, won].argmax(axis=0)]
+    order = np.argsort(tx, kind="stable")
+    return (listener[won][order].tolist(),
+            np.searchsorted(tx[order], np.arange(len(txs) + 1)).tolist())
 
 
 def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Ledger:
@@ -316,20 +380,21 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
     from the nodes' own slots and keeps no awake state.  Every node is
     awake from the latest wake-up up to the earliest departure, and a slot
     in that window filters no listener.  A transmission is ``(node index,
-    power, payload)``.  ``decide(txs, spans)`` resolves a batch of slots
-    with several transmissions each, ``txs[a:b]`` for each ``(a, b)`` in
-    `spans`, in one array pass.  ``settle(slot, txs, pending)``, the event
-    loop's step 8, settles one slot among the nodes awake in it: it counts
-    the transmissions and their full successes, files first receptions,
-    puts each reception of a listener in `hears` into `pending` (listener
-    index -> (sender id, payload)) and records the outcome.
-    ``tally(slots, ends, txs, decided)``, the schedule's, does the same in
-    array passes for a chunk of slots in which nobody hears: slot
-    ``slots[k]`` sends ``txs[ends[k - 1]:ends[k]]``, and `decided` is what
-    `decide` returned for the chunk.  The tests hold it to `settle`; a run
-    uses one of the two.  ``finish(seed, n_slots, completed, machines,
-    draws, **loop_counters)`` returns the :class:`SimTrace`; `machines`
-    and `draws` go by node index.
+    power, payload)``.  ``settle(slot, txs, pending)``, the event loop's
+    step 8, settles one slot among the nodes awake in it: it counts the
+    transmissions and their full successes, files first receptions, puts
+    each reception of a listener in `hears` into `pending` (listener index
+    -> (sender id, payload)) and records the outcome.  ``tally(slots, ends,
+    txs)``, the schedule's, does the same in array passes for a chunk of
+    slots in which nobody hears: slot ``slots[k]`` sends
+    ``txs[ends[k - 1]:ends[k]]``, and one :func:`_decide` call resolves the
+    chunk's slots with several transmissions.  The tests hold `tally` to
+    `settle`; a run uses one of the two.  Each keeps its own statistics
+    (one Python loop for both ran `bcast2k` 22% slower, 5/5 pairs; the
+    event loop's slots handed to `tally` in chunks, `color32` 10%, 5/5),
+    and both record a slot's outcome through `record`.  ``finish(seed,
+    n_slots, completed, machines, draws, **loop_counters)`` returns the
+    :class:`SimTrace`; `machines` and `draws` go by node index.
 
     Closures, not an object: as a method reading ``self``, `settle` ran
     `color32` 6.5% slower (6/6 pairs); closures kept on an object form a
@@ -339,8 +404,6 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
     n = network.n
     reach = network.lone_reach
     cached = network._reach
-    params = network.params
-    alpha, beta, noise = params.alpha_true, params.beta_true, params.noise_true
     woke = [node.wake_slot for node in network.nodes]
     gone = [math.inf if node.sleep_slot is None else node.sleep_slot for node in network.nodes]
     woke_at, gone_at = np.array(woke), np.array(gone)  # the same, for `tally`
@@ -359,67 +422,20 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
     eventful = multi_tx = 0
     truncated = False
 
-    def decide(txs: Sequence[_SlotTx], spans: Sequence[tuple[int, int]]) -> _Decided:
-        """The listeners that decode each transmission of the slots
-        ``txs[a:b]`` for ``(a, b)`` in `spans`, under the same delivery
-        rule as :func:`resolve_slot`, as ``(heard, bounds)``: those of
-        ``txs[t]`` are ``heard[bounds[t]:bounds[t + 1]]``, ascending.  Sleepers are
-        decided too: whether a listener decodes does not depend on who
-        else listens, so `settle` and `tally` drop those of each slot.
-
-        Interference only raises the SINR denominator, so only a listener
-        in the slack reach (:meth:`Network.lone_reach`) of a sender of its
-        slot, and no sender itself, is a candidate.  Each (candidate,
-        sender) pair's distance is elementwise ufuncs and its path loss
-        one array ``**``, bit for bit a dense matrix's entry; a scalar
-        ``**`` differs in the last ulp on about 5% of inputs.  The gains
-        sit in a matrix of sender rank by candidate, zero past a slot's
-        senders (adding 0.0 changes no sum), and each candidate's
-        denominator adds up rank by rank, the gains in transmission order
-        and then the noise, as a scalar loop per listener would."""
-        picks = [t for a, b in spans for t in range(a, b)]
-        keys = [txs[t][:2] for t in picks]  # (node index, power)
-        slack = [(cached.get(key) or reach(*key))[1] for key in keys]
-        sizes = [len(row) for row in slack]
-        width = np.array([b - a for a, b in spans], dtype=np.intp)  # senders per slot
-        start = np.cumsum(width) - width  # each slot's first pick
-        slot = np.repeat(np.arange(len(spans)), width)  # each pick's slot
-        src = np.array([key[0] for key in keys], dtype=np.intp)
-        # (slot, listener) keys of the candidates, ascending, each once and
-        # none a sender of its slot; the slack tuples in one concatenation
-        # (`np.unique` took ten times as long as this sort and mask)
-        cand = np.sort(np.repeat(slot * n, sizes)
-                       + np.fromiter(itertools.chain.from_iterable(slack), np.intp, sum(sizes)))
-        own = np.sort(slot * n + src)
-        keep = np.append(own, -1)[np.searchsorted(own, cand)] != cand
-        keep[1:] &= cand[1:] != cand[:-1]
-        cand = cand[keep]
-        if not cand.size:
-            return [], [0] * (len(txs) + 1)
-        home, listener = np.divmod(cand, n)
-        # the (candidate, sender) pairs, candidate by candidate, rank by rank
-        rank_of = width[home]
-        column = np.repeat(np.arange(cand.size), rank_of)
-        rank = np.arange(column.size) - np.repeat(np.cumsum(rank_of) - rank_of, rank_of)
-        pick = start[home][column] + rank
-        gains = np.zeros((int(width.max()), cand.size))
-        gains[rank, column] = np.array([key[1] for key in keys])[pick] / (
-            network._pair_dist(src[pick], listener[column]) ** alpha
-        )
-        total = np.zeros(cand.size)
-        for row in gains:
-            total += row
-        total += noise
-        hits = gains >= beta * (total - gains)
-        won = np.count_nonzero(hits, axis=0) == 1
-        # each decoded listener's transmission, as a position in `txs`
-        tx = np.array(picks)[start[home[won]] + hits[:, won].argmax(axis=0)]
-        order = np.argsort(tx, kind="stable")
-        return (listener[won][order].tolist(),
-                np.searchsorted(tx[order], np.arange(len(txs) + 1)).tolist())
+    def record(s: int, txs: Sequence[_SlotTx], pairs: Sequence[tuple[int, int]]) -> None:
+        """Record slot `s`, which sends `txs`, with its receptions `pairs`,
+        each (listener index, position in `txs`); past `outcome_limit`
+        slots, mark the trace truncated instead."""
+        nonlocal truncated
+        if limit is not None and len(outcomes) >= limit:
+            truncated = True
+            return
+        records = [Transmission(ids[i], s, power, payload) for i, power, payload in txs]
+        outcomes.append(SlotOutcome(s, tuple(records),
+                                    tuple((ids[l], records[t]) for l, t in pairs)))
 
     def settle(s: int, txs: Sequence[_SlotTx], pending: dict[int, tuple[int, Any]]) -> None:
-        nonlocal eventful, multi_tx, truncated
+        nonlocal eventful, multi_tx
         eventful += 1
         lone = len(txs) == 1
         everyone = all_up <= s < first_gone
@@ -435,7 +451,7 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             entries: Sequence[_LoneReach] = (entry,)
         else:
             multi_tx += 1
-            heard, bounds = decide(txs, ((0, len(txs)),))
+            heard, bounds = _decide(network, txs, ((0, len(txs)),))
             received = [heard[bounds[t]:bounds[t + 1]] for t in range(len(txs))]
             if not everyone:
                 received = [[l for l in rx if woke[l] <= s < gone[l]] for rx in received]
@@ -464,20 +480,10 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
                 if hears[l]:
                     pending[l] = message
         if outcomes is not None:
-            if limit is not None and len(outcomes) >= limit:
-                truncated = True
-            else:
-                records = [Transmission(ids[i], s, power, payload) for i, power, payload in txs]
-                pairs = [(l, t) for t, rx in enumerate(received) for l in rx]
-                if not lone:
-                    pairs.sort()
-                outcomes.append(
-                    SlotOutcome(
-                        slot=s,
-                        transmissions=tuple(records),
-                        receptions=tuple((ids[l], records[t]) for l, t in pairs),
-                    )
-                )
+            pairs = [(l, t) for t, rx in enumerate(received) for l in rx]
+            if not lone:
+                pairs.sort()
+            record(s, txs, pairs)
 
     def full_success(src: np.ndarray, at: np.ndarray, decoded: np.ndarray) -> np.ndarray:
         """Whether transmission t, by node index ``src[t]`` in slot
@@ -495,23 +501,26 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
         missed &= (woke_at[out_u] <= s) & (s < gone_at[out_u])
         return np.bincount(out_t[missed], minlength=src.size) == 0
 
-    def tally(slots: Sequence[int], ends: Sequence[int], txs: Sequence[_SlotTx],
-              decided: _Decided) -> None:
-        nonlocal eventful, multi_tx, truncated, known
+    def tally(slots: Sequence[int], ends: Sequence[int], txs: Sequence[_SlotTx]) -> None:
+        nonlocal eventful, multi_tx, known
         m = len(txs)
-        width = np.diff(ends, prepend=0)
+        last = np.asarray(ends)
+        width = np.diff(last, prepend=0)
+        first = last - width  # each slot's first transmission
+        crowded = np.flatnonzero(width > 1)
         eventful += len(slots)
-        multi_tx += int(np.count_nonzero(width > 1))
+        multi_tx += crowded.size
         rank = np.repeat(np.arange(len(slots)), width)  # each transmission's slot in `slots`
         at = np.array(slots)[rank]
         src = np.fromiter([tx[0] for tx in txs], np.intp, m)
         lone = np.repeat(width == 1, width)
         # every decoded (transmission, listener) pair, in transmission order,
         # listeners ascending: the exact reach of a lone transmission, what
-        # `decide` found for the others
+        # `_decide` found for the others
         exact = [(cached.get(tx[:2]) or reach(*tx[:2]))[0] if alone else ()
                  for tx, alone in zip(txs, lone.tolist())]
-        heard, bounds = decided
+        heard, bounds = _decide(network, txs,
+                                list(zip(first[crowded].tolist(), last[crowded].tolist())))
         rx_t = np.repeat(np.arange(m), np.fromiter(map(len, exact), np.intp, m) + np.diff(bounds))
         rx_l = np.empty(rx_t.size, np.intp)
         from_reach = lone[rx_t]
@@ -542,21 +551,13 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             rx_rows[l][ids[i]] = slots[k]
         if outcomes is None:
             return
-        room = len(slots) if limit is None else min(len(slots), max(limit - len(outcomes), 0))
-        truncated = truncated or room < len(slots)
-        # each slot's receptions in listener order
-        order = np.lexsort((rx_l, rank[rx_t]))
-        cut = np.searchsorted(rank[rx_t[order]], np.arange(room + 1)).tolist()
-        listeners, sent = rx_l[order].tolist(), rx_t[order].tolist()
-        a = 0
-        for k in range(room):
-            s, b = slots[k], ends[k]
-            records = [Transmission(ids[i], s, power, payload) for i, power, payload in txs[a:b]]
-            outcomes.append(SlotOutcome(s, tuple(records), tuple(
-                (ids[l], records[t - a])
-                for l, t in zip(listeners[cut[k]:cut[k + 1]], sent[cut[k]:cut[k + 1]])
-            )))
-            a = b
+        # each slot's receptions in listener order, with the sender's place in the slot
+        home = rank[rx_t]
+        order = np.lexsort((rx_l, home))
+        cut = np.searchsorted(home[order], np.arange(len(slots) + 1)).tolist()
+        slot_rx = list(zip(rx_l[order].tolist(), (rx_t - first[home])[order].tolist()))
+        for k, (s, a, b) in enumerate(zip(slots, first.tolist(), ends)):
+            record(s, txs[a:b], slot_rx[cut[k]:cut[k + 1]])
 
     def finish(seed: int, n_slots: int, completed: bool, machines: Sequence[ProtocolMachine],
                draws: Sequence[int], **loop_counters: int) -> SimTrace:
@@ -569,7 +570,7 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             multi_tx_slots=multi_tx, **loop_counters,
         )
 
-    return decide, settle, tally, finish
+    return settle, tally, finish
 
 
 def _parity_probs(machine: ProtocolMachine) -> tuple[float, float]:
@@ -730,7 +731,7 @@ def run_simulation(
 
     if scripted is None and all(type(m) is FixedProbBroadcaster and m.prob < 1.0 for m in machines):
         return _run_schedule(network, machines, max_slots, seed, ledger, monitor)
-    _decide, settle, _tally, finish = ledger
+    settle, _tally, finish = ledger
     n = network.n
     ids = network.ids
     by_id = dict(zip(ids, machines))
@@ -952,10 +953,10 @@ def run_simulation(
                   [st.count() for st in streams], heap_pops=heap_pops)
 
 
-# multi-transmission slots the schedule settles per `decide` and `tally` call.  Its
+# multi-transmission slots the schedule settles per `tally` call.  Its
 # pending lists and `tally`'s arrays grow with the chunk: the `bcast2k` run's
 # tracemalloc peak is 4.1 MB at 128, 4.7 MB at 256 and 7.8 MB at 1024, and at
-# 128 a `decide` call's fixed cost (about 60 us) is under half a microsecond per slot.
+# 128 a `_decide` call's fixed cost (about 60 us) is under half a microsecond per slot.
 # Held for one chunk, the (node, power, payload) tuples add 3 young
 # collections to the run's 24 and no measurable collector time
 _CHUNK = 128
@@ -982,8 +983,8 @@ def _run_schedule(
     and gives the same run, with the same node streams (:class:`_Stream`).
     Nothing a slot resolves feeds back, so the sweep holds the slots until
     `_CHUNK` of them have several transmissions, then settles the held
-    slots with one `decide` call and one `tally` call (:func:`_ledger`),
-    the event loop's per-slot `settle` in array passes; `tally` reads who
+    slots with one `tally` call (:func:`_ledger`), the event loop's
+    per-slot `settle` in array passes; `tally` reads who
     is awake in a slot from the nodes' slots, so a held slot needs no
     replayed wake-ups.  The plans are read in (wake slot, node)
     order, each after every `wake` of its slot, so a bad plan or a `wake`
@@ -991,7 +992,7 @@ def _run_schedule(
     nodes = network.nodes
     n = network.n
     ids = network.ids
-    decide, _settle, tally, finish = ledger
+    _settle, tally, finish = ledger
     timeline: list[int] = []
     draws = [0] * n
     last = -1  # the slot the last node stops in: its poll or departure
@@ -1059,24 +1060,16 @@ def _run_schedule(
 
         transmit = [m.on_transmit for m in machines]
         # the pending slots, settled a chunk at a time: their transmissions
-        # (flat), each eventful slot with where its transmissions end, and
-        # the spans of those with several.  `live` follows the sweep, for
-        # the monitor
+        # (flat), and each eventful slot with where its transmissions end.
+        # `live` follows the sweep, for the monitor
         txs: list[_SlotTx] = []
         slots: list[int] = []
         ends: list[int] = []
-        spans: list[tuple[int, int]] = []
         live = bytearray(n)
-
-        def settle_chunk() -> None:
-            if slots:
-                tally(slots, ends, txs, decide(txs, spans))
-            for items in (txs, slots, ends, spans):
-                items.clear()
-
         changed: list[int] = []
         slot = -1
         mark = 0  # where the current slot's transmissions start
+        crowded = 0  # pending slots with several transmissions
         for key in timeline:
             q, i = divmod(key, n)
             s, kind = divmod(q, 5)
@@ -1085,12 +1078,13 @@ def _run_schedule(
                 if size > mark:
                     slots.append(slot)
                     ends.append(size)
-                    if size > mark + 1:
-                        spans.append((mark, size))
+                    crowded += size > mark + 1
                     mark = size
-                if len(spans) == _CHUNK or s >= n_slots:
-                    settle_chunk()
-                    mark = 0
+                if crowded == _CHUNK or s >= n_slots:
+                    if slots:
+                        tally(slots, ends, txs)
+                    txs, slots, ends = [], [], []
+                    mark = crowded = 0
                 # kept here: acceptance 03 and the reference comparisons monitor every
                 # run, so neither would run the schedule if monitored runs took the loop
                 if changed:

@@ -10,8 +10,8 @@ The file format is JSON with two top-level fields, ``params`` holding the
 All numbers are decimal; lengths and powers are in abstract units.  Every
 params field is required, and so is every node field without a default in
 :class:`Node`; the others take that default (`sleep_slot` is written only
-when set).  Keys other than these are refused, so a misspelt one cannot
-silently fall back to its default.
+when set).  Keys other than these, at the top level too, are refused, so
+a misspelt one cannot silently fall back to its default.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ def load_topology(path: str) -> Network:
         if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
             raise ValueError(f"topology file {path}: nodes must be a list of objects")
         for where, entry, known in [
+            ("the top level", doc, ("params", "nodes")),
             ("params", doc["params"], _PARAM_FIELDS),
             *((f"node {e.get('id')!r}", e, _NODE_FIELDS) for e in entries),
         ]:
@@ -283,6 +284,7 @@ _PRESET_FLAGS = {
 
 def generate_topology(kind: str, seed: int = 0, **kwargs) -> Network:
     """String-dispatch used by the command line."""
+    _check_count("seed", seed, 0)  # here: grid, chain and clique never read it
     if kind not in _PRESET_FLAGS:
         raise ValueError(f"unknown topology preset {kind!r}")
     defaults = _PRESET_FLAGS[kind]

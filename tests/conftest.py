@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sinrsim import topology
-from sinrsim.engine import TraceConfig, Transmission, _ledger, resolve_slot
+from sinrsim.engine import Transmission, _decide, resolve_slot
 from sinrsim.errors import ModelViolationError
 from sinrsim.model import Network, NetworkParams, Node, build_network
 
@@ -111,17 +111,16 @@ def reference_receivers(network: Network, slots) -> list[list[int]]:
 
 def kernel_receivers(network: Network, slots, gap: int = 0) -> list[list[int]]:
     """The receivers of each transmission of `slots`, as `reference_receivers`
-    gives them, from one call of the ledger's `decide`.  The slots lie in
+    gives them, from one call of the kernel `_decide`.  The slots lie in
     flat lists as the schedule holds them, each after `gap` positions that
     no span covers (the schedule's lone transmissions)."""
-    decide, _settle, _tally, _finish = _ledger(network, [False] * network.n, TraceConfig())
     flat: list = []
     spans = []
     for txs in slots:
         flat += [(0, 1.0, None)] * gap
         spans.append((len(flat), len(flat) + len(txs)))
         flat += [(i, power, None) for i, power in txs]
-    heard, bounds = decide(flat, spans)
+    heard, bounds = _decide(network, flat, spans)
     assert len(bounds) == len(flat) + 1
     covered = {t for a, b in spans for t in range(a, b)}
     assert all(bounds[t] == bounds[t + 1] for t in range(len(flat)) if t not in covered)

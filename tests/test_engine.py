@@ -134,8 +134,7 @@ def settled(net, awake, txs):
         nodes.append(dataclasses.replace(node, wake_slot=wake, sleep_slot=sleep))
     slept = build_network(nodes, net.params)
     assert [slept.awake_at(v, 7) for v in net.ids] == [k in on for k in range(net.n)]
-    _decide, settle, _tally, finish = _ledger(slept, bytearray(net.n),
-                                              TraceConfig(record_outcomes=True))
+    settle, _tally, finish = _ledger(slept, bytearray(net.n), TraceConfig(record_outcomes=True))
     settle(7, txs, {})
     (outcome,) = finish(0, 8, True, [], [0] * net.n).outcomes
     return slept, outcome
@@ -274,7 +273,7 @@ def floats_around(x, k):
 class TestTies:
     """Exact SINR ties, where the floating-point form of the decision rule
     decides: step 8's lone path (`settle` with one transmission), the
-    kernel (`decide`) and `resolve_slot` must decide them alike, bit for
+    kernel (`_decide`) and `resolve_slot` must decide them alike, bit for
     bit."""
 
     BETA, NOISE, ALPHA = 1.1, 1.0, 3.0

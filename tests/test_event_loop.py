@@ -341,12 +341,12 @@ def chunk_fields(trace):
 
 def without_settle(*args):
     """`engine._ledger` with a `settle` that fails the test."""
-    decide, _settle, tally, finish = _ledger(*args)
+    _settle, tally, finish = _ledger(*args)
 
     def settle(*_args):
         raise AssertionError("settle called")
 
-    return decide, settle, tally, finish
+    return settle, tally, finish
 
 
 class TestScheduleChunks:
@@ -415,24 +415,27 @@ class TestScheduleChunks:
         net, factory = self.network_and_factory(3)
         monkeypatch.setattr(engine, "_CHUNK", chunk)
         full = run_simulation(net, factory, 260, 3, trace=TraceConfig(record_outcomes=True))
-        # the limit keeps the slots before the fourth multi-transmission
-        # slot: in chunks of two, the first chunk is recorded whole and the
-        # second one, which ends at that slot, in part
-        limit = [k for k, o in enumerate(full.outcomes) if len(o.transmissions) > 1][3]
+        multi = [k for k, o in enumerate(full.outcomes) if len(o.transmissions) > 1]
+        assert multi[chunk - 1] + 1 < len(full.outcomes)  # a slot after the first chunk
+        # the limits keep: the slots before the fourth multi-transmission
+        # slot, so that in chunks of two the first chunk is recorded whole
+        # and the second one, which ends at that slot, in part; the first
+        # chunk exactly, up to its last multi-transmission slot; no slot
+        for limit in (multi[3], multi[chunk - 1] + 1, 0):
 
-        def run(**kwargs):
-            return run_simulation(net, factory, 260, 3, **kwargs,
-                                  trace=TraceConfig(record_outcomes=True, outcome_limit=limit))
+            def run(simulate, **kwargs):
+                return simulate(net, factory, 260, 3, **kwargs,
+                                trace=TraceConfig(record_outcomes=True, outcome_limit=limit))
 
-        loop = run(scripted=(0, lambda machines, slot: None))
-        monkeypatch.setattr(engine, "_ledger", without_settle)
-        swept = run()
-        reference = reference_run_simulation(
-            net, factory, 260, 3, trace=TraceConfig(record_outcomes=True, outcome_limit=limit))
-        assert swept.heap_pops == 0 and loop.heap_pops > 0
-        assert swept.outcomes == loop.outcomes == reference.outcomes == full.outcomes[:limit]
-        assert swept.outcomes_truncated and loop.outcomes_truncated
-        assert chunk_fields(swept) == chunk_fields(loop)
+            loop = run(run_simulation, scripted=(0, lambda machines, slot: None))
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_ledger", without_settle)
+                swept = run(run_simulation)
+            reference = run(reference_run_simulation)
+            assert swept.heap_pops == 0 and loop.heap_pops > 0
+            assert swept.outcomes == full.outcomes[:limit] and swept.outcomes_truncated
+            # outcomes and `outcomes_truncated` among them
+            assert chunk_fields(swept) == chunk_fields(loop) == chunk_fields(reference)
 
 
 class HearingBroadcaster(FixedProbBroadcaster):

@@ -825,8 +825,9 @@ class TestCli:
         (lambda doc: doc["nodes"][3].update(id=-1), ["node -1: id must be >= 0"]),
         (lambda doc: doc["nodes"][2].update(wake=500), ["FILE", "node 2", "unknown", "'wake'"]),
         (lambda doc: doc["params"].update(nosie_lo=1.0), ["FILE", "params", "'nosie_lo'"]),
+        (lambda doc: doc.update(extra=1), ["FILE", "top level", "unknown", "'extra'"]),
     ], ids=["string-coordinate", "list-id", "nodes-object", "params-list", "null-wake-slot",
-            "negative-id", "unknown-node-key", "unknown-params-key"])
+            "negative-id", "unknown-node-key", "unknown-params-key", "unknown-top-level-key"])
     def test_malformed_topology_is_a_one_line_error(self, edit, words, tmp_path, capsys):
         topo = write_uniform4(tmp_path)
         doc = json.loads(pathlib.Path(topo).read_text())
@@ -884,6 +885,8 @@ class TestCli:
         (["--preset", "grid", "--n", "4"], ["'grid'", "--n"]),
         (["--preset", "clique", "--side", "3"], ["'clique'", "--side"]),
         (["--preset", "chain", "--power-lo", "1"], ["'chain'", "--power-lo"]),
+        *((["--preset", preset, "--seed", "-5"], ["seed must be an integer >= 0", "-5"])
+          for preset in ["random", "uniform", "grid", "chain", "clique"]),
     ])
     def test_bad_generate_flags_are_a_one_line_error(self, argv, words, tmp_path, capsys):
         out = tmp_path / "net.json"

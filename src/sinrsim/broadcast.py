@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 from .analysis import PowerTrace, whp_slots
 from .engine import ProtocolMachine, SimTrace
 from .errors import ProtocolViolationError
-from .model import Network, NetworkParams, Node, _check_count, _check_prob
+from .model import Network, NetworkParams, Node, _check_count, _check_positive, _check_prob
 
 
 class Broadcast(NamedTuple):
@@ -66,8 +66,8 @@ class FixedProbBroadcaster(ProtocolMachine):
         powers = [p for _, p in pieces]
         if not starts or starts[0] != 0 or any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("pieces must start at 0 and strictly increase")
-        if not all(p > 0.0 for p in powers):
-            raise ValueError("scheduled powers must be positive")
+        for power in powers:
+            _check_positive("scheduled power", power)
         if power_bounds is not None and not (
             power_bounds[0] <= min(powers) and max(powers) <= power_bounds[1]
         ):

@@ -35,7 +35,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ProtocolViolationError, SimulationAbort
-from .model import Network, Node, _check_count, _is_number
+from .model import Network, Node, _LoneReach, _check_count, _is_number, _is_positive
 from .seeding import _generator, _seed_words
 
 __all__ = [
@@ -191,10 +191,6 @@ class ProtocolMachine:
     def on_transmit(self, slot: int, lane: int) -> tuple[Any, float]:
         raise NotImplementedError
 
-    @property
-    def next_checkpoint(self) -> Optional[int]:
-        return self._checkpoint
-
     # -- subclass helpers --------------------------------------------------
 
     def set_prob(self, lane: int, prob: float) -> None:
@@ -300,8 +296,6 @@ def _payload_kind(payload: Any) -> str:
 _WAKE, _SLEEP, _SCRIPT, _CHECK, _TX = range(5)
 
 _SlotTx = tuple[int, float, Any]  # (node index, power, payload)
-# Network.lone_reach: (exact reach, slack superset, out-neighbours, missing)
-_LoneReach = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 # what `_decide` returns: the transmissions' listeners, flat, and where each one's start
 _Decided = tuple[list[int], list[int]]
 # what _ledger hands both engine paths: settle, tally, finish
@@ -329,11 +323,10 @@ def _decide(network: Network, txs: Sequence[_SlotTx],
     transmission order and then the noise, as a scalar loop per listener
     would."""
     n = network.n
-    cached, reach = network._reach, network.lone_reach
     params = network.params
     picks = [t for a, b in spans for t in range(a, b)]
     keys = [txs[t][:2] for t in picks]  # (node index, power)
-    slack = [(cached.get(key) or reach(*key))[1] for key in keys]
+    slack = [entry[1] for entry in network._reaches(keys)]
     sizes = [len(row) for row in slack]
     width = np.array([b - a for a, b in spans], dtype=np.intp)  # senders per slot
     start = np.cumsum(width) - width  # each slot's first pick
@@ -402,7 +395,6 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
     one perfbench/run.py run of each variant, on a 2-vCPU x86-64 host."""
     ids = network.ids
     n = network.n
-    reach = network.lone_reach
     cached = network._reach
     woke = [node.wake_slot for node in network.nodes]
     gone = [math.inf if node.sleep_slot is None else node.sleep_slot for node in network.nodes]
@@ -421,6 +413,16 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
     limit = trace.outcome_limit
     eventful = multi_tx = 0
     truncated = False
+
+    def reaches(txs: Sequence[_SlotTx], at: Sequence[int]) -> list[_LoneReach]:
+        """`Network._reaches` of the transmissions `txs`, sent in slots `at`;
+        a power it refuses stops the run, naming the node and the slot."""
+        try:
+            return network._reaches([tx[:2] for tx in txs])
+        except ProtocolViolationError as exc:
+            t = next(t for t, (i, p, _) in enumerate(txs)
+                     if (i, p) not in cached and not _is_positive(p))
+            raise SimulationAbort(ids[txs[t][0]], int(at[t]), exc) from exc
 
     def record(s: int, txs: Sequence[_SlotTx], pairs: Sequence[tuple[int, int]]) -> None:
         """Record slot `s`, which sends `txs`, with its receptions `pairs`,
@@ -441,9 +443,8 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
         everyone = all_up <= s < first_gone
         if lone:
             # a lone transmission reaches the awake nodes of its exact reach;
-            # the network's cache is read here, `lone_reach` fills a miss
-            key = txs[0][:2]
-            entry = cached.get(key) or reach(*key)
+            # the network's cache is read here, `reaches` fills a miss
+            entry = cached.get(txs[0][:2]) or reaches(txs, (s,))[0]
             exact = entry[0]
             received: Sequence[Sequence[int]] = (
                 (exact,) if everyone else ([l for l in exact if woke[l] <= s < gone[l]],)
@@ -451,11 +452,11 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
             entries: Sequence[_LoneReach] = (entry,)
         else:
             multi_tx += 1
+            entries = reaches(txs, [s] * len(txs))
             heard, bounds = _decide(network, txs, ((0, len(txs)),))
             received = [heard[bounds[t]:bounds[t + 1]] for t in range(len(txs))]
             if not everyone:
                 received = [[l for l in rx if woke[l] <= s < gone[l]] for rx in received]
-            entries = [cached[tx[:2]] for tx in txs]
         for (i, _power, payload), rx, entry in zip(txs, received, entries):
             tx_counts[i] += 1
             # full success: every awake out-neighbour decoded; a lone
@@ -516,9 +517,8 @@ def _ledger(network: Network, hears: Sequence[bool], trace: TraceConfig) -> _Led
         lone = np.repeat(width == 1, width)
         # every decoded (transmission, listener) pair, in transmission order,
         # listeners ascending: the exact reach of a lone transmission, what
-        # `_decide` found for the others
-        exact = [(cached.get(tx[:2]) or reach(*tx[:2]))[0] if alone else ()
-                 for tx, alone in zip(txs, lone.tolist())]
+        # `_decide` found for the others, the chunk's reach built in one batch
+        exact = [e[0] if alone else () for e, alone in zip(reaches(txs, at), lone.tolist())]
         heard, bounds = _decide(network, txs,
                                 list(zip(first[crowded].tolist(), last[crowded].tolist())))
         rx_t = np.repeat(np.arange(m), np.fromiter(map(len, exact), np.intp, m) + np.diff(bounds))

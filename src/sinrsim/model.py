@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ModelViolationError
+from .errors import ModelViolationError, ProtocolViolationError
 
 
 @dataclass(frozen=True)
@@ -134,9 +133,14 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _is_positive(value: object) -> bool:
+    """Whether `value` is a finite positive number, and no bool."""
+    return _is_number(value, float, numbers.Real) and 0.0 < value < math.inf
+
+
 def _check_positive(name: str, value) -> None:
     """Refuse `value` unless it is a finite positive number, and no bool."""
-    if not _is_number(value, float, numbers.Real) or not (0.0 < value < math.inf):
+    if not _is_positive(value):
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
@@ -168,6 +172,9 @@ def broadcast_range(power: float, params: NetworkParams) -> float:
 # sets; it exceeds the rounding error of the SINR test, about (k+1)(1+beta)
 # units of 2**-53 for k concurrent terms, for any k up to ~10**6 / beta
 _REACH_SLACK = 1e-9
+
+# Network.lone_reach: (exact reach, slack superset, out-neighbours, missing)
+_LoneReach = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 # cells per axis above which the grid coarsens, keeping cell keys in int64
 _MAX_CELLS_PER_AXIS = 1 << 20
@@ -205,7 +212,6 @@ class Network:
 
         self.positions = np.array([[node.x, node.y] for node in self.nodes], dtype=float)
         self.powers = np.array([node.power for node in self.nodes], dtype=float)
-        self._coords = self.positions.tolist()
 
         self.r_max = np.array(
             [max_transmission_range(p, params) for p in self.powers]
@@ -225,19 +231,14 @@ class Network:
         # the grid: cell (cx, cy) has key cx * rows + cy, and nodes are kept
         # sorted by key, so a run of rows within one column is one key range
         self._origin = self.positions.min(axis=0)
-        self._x0, self._y0 = self._origin.tolist()
         span = float((self.positions.max(axis=0) - self._origin).max())
         self._cell = max(self.r_max_global, span / _MAX_CELLS_PER_AXIS)
         cells = self._cells(self.positions)
         self._last_cell = cells.max(axis=0)  # last occupied column and row
-        self._last_col = int(self._last_cell[0])
         self._rows = int(self._last_cell[1]) + 1
         keys = cells[:, 0].astype(np.int64) * self._rows + cells[:, 1].astype(np.int64)
         self._order = np.argsort(keys, kind="stable")
         self._keys = keys[self._order]
-        # list copies for `within`, which works in scalar Python
-        self._order_list = self._order.tolist()
-        self._key_list = self._keys.tolist()
         # added to every query radius: far above the rounding of a
         # coordinate difference, so a query box never misses a node
         self._pad = 1e-9 * float(np.abs(self.positions).max())
@@ -270,11 +271,7 @@ class Network:
         return self.nodes[self._index[node_id]]
 
     def dist(self, a: int, b: int) -> float:
-        xa, ya = self._coords[self._index[a]]
-        xb, yb = self._coords[self._index[b]]
-        dx = xa - xb
-        dy = ya - yb
-        return math.sqrt(dx * dx + dy * dy)
+        return float(self._pair_dist(self._index[a], self._index[b]))
 
     def distance_row(self, i: int) -> np.ndarray:
         """The distance from the node at index `i` to every node, bit for
@@ -283,59 +280,54 @@ class Network:
 
     def within(self, i: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the nodes other than `i` at distance at most `radius`
-        from node index `i`, ascending, and the distance to each.  Scalar
-        Python arithmetic: one query visits a few dozen nodes, where NumPy's
-        per-call cost would dominate, and IEEE ``-``, ``*``, ``+`` and
-        ``sqrt`` round exactly as the array ufuncs do."""
-        x, y = self._coords[i]
-        r = radius + (1e-9 * radius + self._pad)
-        cell, rows = self._cell, self._rows
-        lx = max(math.floor((x - r - self._x0) / cell), 0)
-        hx = min(math.floor((x + r - self._x0) / cell), self._last_col)
-        ly = max(math.floor((y - r - self._y0) / cell), 0)
-        hy = min(math.floor((y + r - self._y0) / cell), rows - 1)
-        keys, order, coords = self._key_list, self._order_list, self._coords
-        found = []
-        for col in range(lx * rows, hx * rows + 1, rows):
-            for j in order[bisect_left(keys, col + ly) : bisect_right(keys, col + hy)]:
-                xj, yj = coords[j]
-                dx = x - xj
-                dy = y - yj
-                d = math.sqrt(dx * dx + dy * dy)
-                if d <= radius and j != i:
-                    found.append((j, d))
-        found.sort()
-        return (
-            np.array([j for j, _ in found], dtype=np.intp),
-            np.array([d for _, d in found], dtype=float),
-        )
+        from node index `i`, ascending, and the distance to each: the
+        one-row case of :meth:`pairs_within`."""
+        _, idx, d = self.pairs_within(np.array([radius], dtype=float), np.array([i]))
+        return idx, d
 
-    def lone_reach(
-        self, i: int, power: float
-    ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    def lone_reach(self, i: int, power: float) -> _LoneReach:
         """A lone transmission of node index `i` at `power` under the true
         parameters: the listeners that decode it, by the engine's rule with
         one sender, ``signal >= beta * ((signal + noise) - signal)``; those
         whose signal clears the ``beta * noise`` floor lowered by
         `_REACH_SLACK`, a superset; the out-neighbours of `i`; and those of
         them outside the exact reach.  Tuples of node indices, each
-        ascending; cached per (i, power)."""
-        key = (i, power)
-        entry = self._reach.get(key)
-        if entry is None:
-            params = self.params
-            beta, noise = params.beta_true, params.noise_true
-            low = beta * noise * (1.0 - _REACH_SLACK)
-            radius = (power / low) ** (1.0 / params.alpha_true)
-            idx, d = self.within(i, radius * (1.0 + 1e-6))
-            signal = power / d**params.alpha_true
-            exact = tuple(idx[signal >= beta * ((signal + noise) - signal)].tolist())
-            slack = tuple(idx[signal >= low].tolist())
-            out = tuple(self.out_indices(i).tolist())
-            inside = set(exact)
-            entry = (exact, slack, out, tuple(u for u in out if u not in inside))
-            self._reach[key] = entry
-        return entry
+        ascending; cached per (i, power).  A power that is not finite and
+        positive raises :class:`ProtocolViolationError` naming the node."""
+        return self._reach.get((i, power)) or self._reaches([(i, power)])[0]
+
+    def _reaches(self, keys: Sequence[tuple[int, float]]) -> list[_LoneReach]:
+        """:meth:`lone_reach` of each (node index, power) key; those missing
+        from the cache are checked, then built from one :meth:`pairs_within`
+        call over their rows."""
+        cache = self._reach
+        try:
+            return [cache[key] for key in keys]
+        except KeyError:
+            pass
+        missing = [key for key in dict.fromkeys(keys) if key not in cache]
+        params = self.params
+        beta, noise = params.beta_true, params.noise_true
+        low = beta * noise * (1.0 - _REACH_SLACK)
+        for i, power in missing:
+            if not _is_positive(power):
+                raise ProtocolViolationError(f"node {self.ids[i]}: transmit power must be a "
+                                             f"finite positive number, got {power!r}")
+        radii = [(power / low) ** (1.0 / params.alpha_true) * (1.0 + 1e-6) for _, power in missing]
+        at, idx, d = self.pairs_within(np.array(radii), np.array([i for i, _ in missing]))
+        signal = np.array([power for _, power in missing], dtype=float)[at] / d**params.alpha_true
+        heard = signal >= beta * ((signal + noise) - signal)
+        cleared = signal >= low
+        keys_at = np.arange(len(missing) + 1)
+        exact, exact_cut = idx[heard].tolist(), np.searchsorted(at[heard], keys_at).tolist()
+        slack, slack_cut = idx[cleared].tolist(), np.searchsorted(at[cleared], keys_at).tolist()
+        for k, key in enumerate(missing):
+            row = tuple(exact[exact_cut[k] : exact_cut[k + 1]])
+            out = tuple(self.out_indices(key[0]).tolist())
+            inside = set(row)
+            cache[key] = (row, tuple(slack[slack_cut[k] : slack_cut[k + 1]]), out,
+                          tuple(u for u in out if u not in inside))
+        return [cache[key] for key in keys]
 
     def out_indices(self, i: int) -> np.ndarray:
         """Ascending indices of the out-neighbours of node index `i`."""
@@ -358,42 +350,49 @@ class Network:
         coordinate."""
         return np.floor((points - self._origin) / self._cell)
 
-    def pairs_within(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every ordered pair (i, j), i != j, with dist(i, j) <= radii[i]:
-        index arrays sorted by (i, j), and the distance of each pair.
-
-        Node i scans the cell columns of its bounding box, clipped to the
-        occupied grid; within one column its rows are one key range.  All
-        (node, column) ranges are looked up and expanded at once.
-        `within` is the scalar form.  Up to `_ALL_PAIRS_MAX_N` nodes every
-        pair is a candidate instead, which sets up the small benchmark
-        networks about 6-9% faster than the grid lookup."""
+    def pairs_within(
+        self, radii: np.ndarray, rows: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every pair (k, j) with ``j != rows[k]`` and ``dist(rows[k], j) <=
+        radii[k]``, as index arrays sorted by (k, j), and each distance.
+        `rows`, node indices in any order and possibly repeated, defaults to
+        every node, so that k is the node index.  Each row scans the cell
+        columns of its bounding box, clipped to the occupied grid, a key
+        range per column; all (row, column) ranges are looked up and
+        expanded at once.  Up to `_ALL_PAIRS_MAX_N` nodes every node is a
+        candidate instead, which sets up the small benchmark networks about
+        6-9% faster than the grid lookup."""
         n = self.n
+        m = n if rows is None else len(rows)
         if n <= _ALL_PAIRS_MAX_N:
-            src, dst = np.divmod(np.arange(n * n), n)  # sorted by (i, j)
+            at, dst = np.divmod(np.arange(m * n), n)  # sorted by (k, j)
+            src = at if rows is None else rows[at]
             d = self._pair_dist(src, dst)
-            keep = (d <= radii[src]) & (src != dst)
-            return src[keep], dst[keep], d[keep]
-        r = (radii + (1e-9 * radii + self._pad))[:, None]
-        low = np.maximum(self._cells(self.positions - r), 0.0).astype(np.int64)
-        high = np.minimum(self._cells(self.positions + r), self._last_cell).astype(np.int64)
-        width = int((high[:, 0] - low[:, 0]).max()) + 1
-        cols = low[:, :1] + np.arange(width)  # (node, column) pairs
+            keep = (d <= radii[at]) & (src != dst)
+            return at[keep], dst[keep], d[keep]
+        points = self.positions if rows is None else self.positions[rows]
+        # the box of a NaN radius, which no distance is within, is empty
+        r = np.fmax(radii + (1e-9 * radii + self._pad), 0.0)[:, None]
+        low = np.maximum(self._cells(points - r), 0.0).astype(np.int64)
+        high = np.minimum(self._cells(points + r), self._last_cell).astype(np.int64)
+        width = int((high[:, 0] - low[:, 0]).max(initial=0)) + 1
+        cols = low[:, :1] + np.arange(width)  # (row, column) pairs
         base = cols * self._rows
         lo = np.searchsorted(self._keys, (base + low[:, 1:]).ravel())
         hi = np.searchsorted(self._keys, (base + high[:, 1:]).ravel(), side="right")
         counts = np.where((cols <= high[:, :1]).ravel(), hi - lo, 0)
-        # element k of the concatenated key ranges falls in the range of
-        # some (node, column) pair r; its key position is lo[r] plus k's
+        # element e of the concatenated key ranges falls in the range of
+        # some (row, column) pair c; its key position is lo[c] plus e's
         # offset from where that range starts in the concatenation
         shift = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        src = np.repeat(np.arange(n).repeat(width), counts)
+        at = np.repeat(np.arange(m).repeat(width), counts)
+        src = at if rows is None else rows[at]
         dst = self._order[np.arange(int(counts.sum())) + shift]
         d = self._pair_dist(src, dst)
-        keep = (d <= radii[src]) & (src != dst)
-        src, dst, d = src[keep], dst[keep], d[keep]
-        order = np.lexsort((dst, src))
-        return src[order], dst[order], d[order]
+        keep = (d <= radii[at]) & (src != dst)
+        at, dst, d = at[keep], dst[keep], d[keep]
+        order = np.lexsort((dst, at))
+        return at[order], dst[order], d[order]
 
     def _pair_dist(self, src, dst) -> np.ndarray:
         """dist(src[k], dst[k]) for node indices (or one index) `src` and

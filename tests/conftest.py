@@ -391,7 +391,7 @@ def drive_machine(machine, *, until: int, inbox=()) -> None:
     pos = 0
     slot = machine.node.wake_slot
     while slot <= until:
-        cp = machine.next_checkpoint
+        cp = machine._checkpoint
         nxt_inbox = queue[pos][0] if pos < len(queue) else None
         candidates = [s for s in (cp, nxt_inbox) if s is not None and s <= until]
         if not candidates:
@@ -400,7 +400,7 @@ def drive_machine(machine, *, until: int, inbox=()) -> None:
         if nxt_inbox == slot:
             machine.on_receive(*queue[pos])
             pos += 1
-        if machine.next_checkpoint == slot:
+        if machine._checkpoint == slot:
             machine.schedule(None)
             machine.poll(slot)
 

@@ -240,7 +240,7 @@ def reference_run_simulation(
         so a new one must lie after `now`."""
         if not awake[i]:
             return
-        cp = machines[i].next_checkpoint
+        cp = machines[i]._checkpoint
         if cp != synced_cp[i]:
             synced_cp[i] = cp
             if cp is not None:
@@ -393,7 +393,7 @@ def reference_run_simulation(
         # 5. scheduled polls, validated against the machine's current plan
         for i in sorted(polls):
             machine = machines[i]
-            if awake[i] and machine.next_checkpoint == s:
+            if awake[i] and machine._checkpoint == s:
                 machine.schedule(None)
                 synced_cp[i] = None
                 guarded(machine, s, lambda m=machine: m.poll(s))

@@ -135,9 +135,9 @@ class TestSlowStart:
         machine = self.make(Node(0, 0, 0, 1.0))
         machine.wake(0)
         while machine.p_cur < machine.prob_cap:  # ride the ramp up
-            machine.poll(machine.next_checkpoint)
+            machine.poll(machine._checkpoint)
         assert not machine.done
-        machine.on_receive(machine.next_checkpoint - 1, 1, "m")
+        machine.on_receive(machine._checkpoint - 1, 1, "m")
         assert machine.p_cur == machine.prob_cap / 2
 
     def test_halving_floors_at_start_probability(self, exact_params):
@@ -243,6 +243,12 @@ class TestPowerSchedule:
     def test_malformed_pieces_rejected(self, pieces):
         with pytest.raises(ValueError):
             piecewise(pieces)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, -1.0, 0.0, True, "1"])
+    def test_piece_power_must_be_finite_and_positive(self, power):
+        expected = rf"^scheduled power must be a finite positive number, got {re.escape(repr(power))}$"
+        with pytest.raises(ValueError, match=expected):
+            piecewise([(0, 2.0), (10, power)])
 
     def test_trace_pieces_clip_to_duration(self):
         pieces = [(0, 2.0), (10, 1.0)]

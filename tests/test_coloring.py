@@ -403,7 +403,7 @@ class TestSteps:
         def checked(method, earliest):
             def callback(self, slot, *args):
                 method(self, slot, *args)
-                cp = self.next_checkpoint
+                cp = self._checkpoint
                 assert cp is None or cp >= slot + earliest
                 seen["none" if cp is None else "now" if cp == slot else "later"] += 1
 

@@ -20,6 +20,7 @@ from sinrsim.engine import (
 from sinrsim.errors import ProtocolViolationError, SimulationAbort
 from sinrsim.experiment import _resignation_script
 from sinrsim.model import NetworkParams, Node, build_network
+from sinrsim.topology import grid_topology
 
 from .reference_engine import reference_run_simulation
 
@@ -691,6 +692,66 @@ class TestErrorAttribution:
 
         with pytest.raises(LookupError, match="script"):
             run_simulation(trio(), factory, max_slots=50, seed=0, scripted=(7, script))
+
+
+BAD_POWERS = [math.nan, math.inf, -math.inf, -1.0, 0.0, True, "1"]
+
+
+class Probe(ProtocolMachine):
+    """Polls in slot 3 and then transmits in every slot: node 4 at
+    `power`, and with `crowd` every other node too, at its own power."""
+
+    def __init__(self, node, *, power, crowd):
+        super().__init__(node)
+        self.power, self.crowd = power, crowd
+
+    def wake(self, slot):
+        self.schedule(3)
+
+    def poll(self, slot):
+        if self.crowd or self.node.id == 4:
+            self.set_prob(0, 1.0)
+
+    def on_transmit(self, slot, lane):
+        return "x", self.power if self.node.id == 4 else self.node.power
+
+
+class TestTransmitPower:
+    """A power that is not a finite positive number is refused where its
+    (node, power) key would first reach the network's grid."""
+
+    @pytest.mark.parametrize("crowd", [False, True])
+    @pytest.mark.parametrize("power", BAD_POWERS)
+    def test_refused_power_names_node_and_slot(self, power, crowd):
+        def factory(node):
+            return Probe(node, power=power, crowd=crowd)
+
+        with pytest.raises(SimulationAbort) as err:
+            run_simulation(grid_topology(3, 3, 1.0, 8.0, PARAMS), factory, max_slots=50, seed=0)
+        assert (err.value.node_id, err.value.slot) == (4, 3)
+        assert type(err.value.cause) is ProtocolViolationError
+        assert str(err.value.cause) == (
+            f"node 4: transmit power must be a finite positive number, got {power!r}"
+        )
+
+    @pytest.mark.parametrize("power", [math.nan, -1.0])
+    def test_schedule_names_what_the_event_loop_names(self, power):
+        # pieces are checked when the machine is made, so only a power
+        # changed afterwards reaches the schedule's chunk build
+        def factory(node):
+            machine = FixedProbBroadcaster(node, prob=0.3, budget=40)
+            if node.id == 4:
+                machine.powers = [power]
+            return machine
+
+        named = []
+        for scripted in (None, (0, lambda machines, slot: None)):
+            with pytest.raises(SimulationAbort) as err:
+                run_simulation(grid_topology(3, 3, 1.0, 8.0, PARAMS), factory, max_slots=41,
+                               seed=1, scripted=scripted)
+            assert type(err.value.cause) is ProtocolViolationError
+            named.append((err.value.node_id, err.value.slot))
+        assert named[0] == named[1] and named[0][0] == 4
 
 
 class Backdate(ProtocolMachine):

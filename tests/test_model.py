@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinrsim import model
-from sinrsim.errors import ModelViolationError
+from sinrsim.errors import ModelViolationError, ProtocolViolationError
 from sinrsim.experiment import halo_pair_count
 from sinrsim.model import (
     Network,
@@ -402,6 +403,88 @@ class TestNetworkBuildOracle:
         finally:
             tracemalloc.stop()
         assert peak < 3 * n * n * 8
+
+
+class TestRowsQuery:
+    """`pairs_within` over chosen rows, and the lone-reach entries built a
+    batch of keys at a time, on both sides of `_ALL_PAIRS_MAX_N`."""
+
+    SIZES = [60, 300]
+
+    @staticmethod
+    def network(n: int) -> Network:
+        # true noise below its bound: the reach spans more than one grid ring
+        return build_network(_scattered_nodes(n, n), bracketed(1.0 / 8.0))
+
+    def test_sizes_straddle_the_all_pairs_fork(self):
+        assert [n <= model._ALL_PAIRS_MAX_N for n in self.SIZES] == [True, False]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rows_are_the_all_rows_result_restricted(self, n):
+        net = self.network(n)
+        rng = np.random.default_rng(n)
+        node_radii = rng.uniform(0.0, 3.0, n) * net.r_max_global
+        src, dst, d = net.pairs_within(node_radii)
+        rows = rng.integers(0, n, 2 * n)  # unsorted, with repeats
+        assert np.any(np.diff(rows) < 0) and np.unique(rows).size < rows.size
+        at, idx, dist = net.pairs_within(node_radii[rows], rows)
+        mine = [src == i for i in rows.tolist()]
+        counts = [int(row.sum()) for row in mine]
+        assert at.tobytes() == np.repeat(np.arange(rows.size), counts).tobytes()
+        assert idx.tobytes() == np.concatenate([dst[row] for row in mine]).tobytes()
+        assert dist.tobytes() == np.concatenate([d[row] for row in mine]).tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_repeated_rows_take_their_own_radius(self, n):
+        net = self.network(n)
+        rng = np.random.default_rng(n + 1)
+        rows = np.repeat(rng.permutation(n)[:20], 3)[::-1]  # each row thrice, descending runs
+        radii = rng.uniform(0.0, 3.0, rows.size) * net.r_max_global
+        at, idx, dist = net.pairs_within(radii, rows)
+        cut = np.searchsorted(at, np.arange(rows.size + 1))
+        for k, (i, r) in enumerate(zip(rows.tolist(), radii.tolist())):
+            row = net.distance_row(i)
+            near = np.flatnonzero(row <= r)
+            near = near[near != i]
+            assert idx[cut[k]:cut[k + 1]].tolist() == near.tolist()
+            assert dist[cut[k]:cut[k + 1]].tobytes() == row[near].tobytes()
+            one, d_one = net.within(i, r)
+            assert one.tolist() == near.tolist() and d_one.tobytes() == row[near].tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_unbounded_and_nan_radii(self, n):
+        net = self.network(n)
+        others = [j for j in range(n) if j != 5]
+        assert net.within(5, math.inf)[0].tolist() == others
+        for radius in (math.nan, -1.0):
+            idx, d = net.within(5, radius)
+            assert idx.size == d.size == 0
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_batch_build_matches_one_key_at_a_time(self, n):
+        keys = [(i, power) for i in range(0, n, 3)
+                for power in (1.0 + i % 5, 40.0 / (1 + i % 3), 1.0 + i % 5)]
+        keys.reverse()
+        warm = keys[::7]
+        one_net, batch_net = self.network(n), self.network(n)
+        one = [one_net.lone_reach(*key) for key in keys]
+        for key in warm:
+            batch_net.lone_reach(*key)
+        assert batch_net._reaches(keys) == one
+        assert len(batch_net._reach) == len(one_net._reach) == len(set(keys))
+        ref = reference_network_build(batch_net)
+        for key in keys[:: max(1, len(keys) // 10)]:
+            assert_lone_reach_matches(batch_net, ref, *key)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf, -1.0, 0.0, True, "1", None])
+    def test_refuses_a_power_that_is_not_finite_and_positive(self, power):
+        net = self.network(self.SIZES[1])
+        message = rf"^node 3: transmit power must be a finite positive number, got {re.escape(repr(power))}$"
+        with pytest.raises(ProtocolViolationError, match=message):
+            net.lone_reach(3, power)
+        with pytest.raises(ProtocolViolationError, match=message):
+            net._reaches([(0, 1.0), (3, power)])
+        assert net._reach == {}
 
 
 class TestLongestDirectedPath:
